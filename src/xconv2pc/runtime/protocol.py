@@ -17,6 +17,14 @@ arithmetic share through one auxiliary triple.  Every consumption count
 is a pure function of layer shapes, so both parties and the dealer agree
 on cursor positions by construction.
 
+Round costs: a conv or fully-connected layer opens one Beaver batch per
+BEAVER_CHUNK multiplications, all groups together.  A truncation takes
+9 rounds: the mask open, 7 AND rounds shared by its two comparisons
+(6 scan rounds over 60 bits plus the final one), and one auxiliary open
+converting both bits.  A ReLU takes 10: the same 9 over one 59-bit
+comparison, plus the open of its sign-bit product.  Each count assumes
+its batch fits one BEAVER_CHUNK.
+
 Exactness notes, all modulo 2^l with x' = x + 2^(l-1):
   floor(unsigned(x') / 2^s) = (c >> s) - (r >> s) - [c mod 2^s < r mod 2^s]
                               + [c < r] * 2^(l-s)   where c = x' + r opened,
@@ -204,10 +212,9 @@ class PartyEngine:
 
     def _open_words(self, shares: np.ndarray, tag: int, layer: str,
                     op: str) -> np.ndarray:
-        flat = np.ascontiguousarray(shares, dtype=_U64)
-        peer = self.exchange(OP_OPEN_MASKED, tag, flat.astype("<u8").tobytes(),
-                             layer, op)
-        other = np.frombuffer(peer, dtype="<u8").astype(_U64).reshape(flat.shape)
+        flat = np.ascontiguousarray(shares, dtype="<u8")
+        peer = self.exchange(OP_OPEN_MASKED, tag, flat.tobytes(), layer, op)
+        other = np.frombuffer(peer, dtype="<u8").reshape(flat.shape)
         return (flat + other) & self.mask
 
     def beaver(self, x: np.ndarray, y: np.ndarray, tag: int, layer: str,
@@ -229,9 +236,9 @@ class PartyEngine:
             a, b, c = taker(m)
             d_share = (xc - a) & self.mask
             e_share = (yc - b) & self.mask
-            payload = np.concatenate([d_share, e_share]).astype("<u8").tobytes()
-            peer = self.exchange(OP_OPEN_MASKED, tag, payload, layer, op)
-            other = np.frombuffer(peer, dtype="<u8").astype(_U64)
+            payload = np.concatenate([d_share, e_share]).astype("<u8", copy=False)
+            peer = self.exchange(OP_OPEN_MASKED, tag, payload.tobytes(), layer, op)
+            other = np.frombuffer(peer, dtype="<u8")
             d = (d_share + other[:m]) & self.mask
             e = (e_share + other[m:]) & self.mask
             z = c + d * b + e * a
@@ -243,57 +250,65 @@ class PartyEngine:
 
     # -- boolean circuit -------------------------------------------------------
 
-    def _and_planes(self, x: np.ndarray, y: np.ndarray, tag: int,
-                    layer: str) -> np.ndarray:
-        """Bitwise AND of XOR-shared packed words via boolean triples."""
-        shape = x.shape
-        xf = x.reshape(-1)
-        yf = y.reshape(-1)
-        a, b, c = self.material.take_bool(xf.size)
+    def _and_planes(self, xs: list, ys: list, tag: int, layer: str) -> list:
+        """Bitwise AND of XOR-shared packed words via boolean triples.
+
+        Every (x, y) pair of the two lists goes into one open; the results
+        come back with the pairs' shapes.
+        """
+        xf = np.concatenate([x.reshape(-1) for x in xs])
+        yf = np.concatenate([y.reshape(-1) for y in ys])
+        n = xf.size
+        a, b, c = self.material.take_bool(n)
         d_share = xf ^ a
         e_share = yf ^ b
-        payload = np.concatenate([d_share, e_share]).astype("<u8").tobytes()
-        peer = self.exchange(OP_OPEN_BOOL, tag, payload, layer, "bool-open")
-        other = np.frombuffer(peer, dtype="<u8").astype(_U64)
-        d = d_share ^ other[:xf.size]
-        e = e_share ^ other[xf.size:]
+        payload = np.concatenate([d_share, e_share]).astype("<u8", copy=False)
+        peer = self.exchange(OP_OPEN_BOOL, tag, payload.tobytes(), layer,
+                             "bool-open")
+        other = np.frombuffer(peer, dtype="<u8")
+        d = d_share ^ other[:n]
+        e = e_share ^ other[n:]
         z = c ^ (d & b) ^ (e & a)
         if self.party == 0:
             z = z ^ (d & e)
-        return z.reshape(shape)
+        ends = np.cumsum([x.size for x in xs])[:-1]
+        return [part.reshape(x.shape) for part, x in zip(np.split(z, ends), xs)]
 
-    def less_than_mask(self, c_pub: np.ndarray, r_xor_share: np.ndarray,
-                       n_bits: int, tag: int, layer: str) -> np.ndarray:
-        """XOR-shared bits of [c < r] from public c and XOR-shared mask bits.
+    def less_than_mask(self, jobs: list, tag: int, layer: str) -> np.ndarray:
+        """XOR-shared bits of [c < r] for each (c_pub, r_xor_share, n_bits) job.
 
         Standard most-significant-difference form: the borrow fires at the
         highest position where the mask holds a 1 over a public 0 and all
         higher positions agree.  The fired terms are mutually exclusive, so
-        the final OR collapses to a local XOR.
+        the final OR collapses to a local XOR.  All jobs share each AND
+        round, so the rounds are those of the widest job alone.  Returns
+        the jobs' bits concatenated in job order.
         """
-        n = c_pub.size
-        r_planes = value_bitplanes(r_xor_share, n_bits)
-        c_planes = value_bitplanes(c_pub, n_bits)
-        ones = np.full(r_planes.shape[-1], _FULL, dtype=_U64)
-
-        # t_i = r_i AND NOT c_i (public mask, local).
-        t = r_planes & ~c_planes
-        # e_i = NOT (r_i XOR c_i); the owner of the constant flips it in.
-        eq = r_planes ^ c_planes if self.party == 0 else r_planes.copy()
-        if self.party == 0:
-            eq ^= _FULL
+        widths = [n_bits for _, _, n_bits in jobs]
+        eqs, ts = [], []
+        for c_pub, r_xor_share, n_bits in jobs:
+            r_planes = value_bitplanes(r_xor_share, n_bits)
+            c_planes = value_bitplanes(c_pub, n_bits)
+            # t_i = r_i AND NOT c_i (public mask, local).
+            ts.append(r_planes & ~c_planes)
+            # e_i = NOT (r_i XOR c_i); the owner of the constant flips it in.
+            eqs.append(~(r_planes ^ c_planes) if self.party == 0 else r_planes)
 
         # Inclusive suffix-equality scan, then shift for the strict suffix.
-        for d in scan_rounds(n_bits):
-            upper = eq[d:]
-            eq = np.concatenate([self._and_planes(eq[:n_bits - d], upper, tag, layer),
-                                 eq[n_bits - d:]], axis=0)
-        strict = np.concatenate(
-            [eq[1:], (ones if self.party == 0 else np.zeros_like(ones))[None, :]],
-            axis=0)
-        fired = self._and_planes(t, strict, tag, layer)
-        lt_packed = np.bitwise_xor.reduce(fired, axis=0)
-        return unpack_bitplanes(lt_packed[None, :], n)[0].astype(_U64)
+        for d in scan_rounds(max(widths)):
+            live = [j for j, n_bits in enumerate(widths) if d < n_bits]
+            anded = self._and_planes([eqs[j][:widths[j] - d] for j in live],
+                                     [eqs[j][d:] for j in live], tag, layer)
+            for j, low in zip(live, anded):
+                eqs[j] = np.concatenate([low, eqs[j][widths[j] - d:]], axis=0)
+        top = _FULL if self.party == 0 else _U64(0)
+        stricts = [np.concatenate([eq[1:], np.full((1, eq.shape[1]), top)], axis=0)
+                   for eq in eqs]
+        fired = self._and_planes(ts, stricts, tag, layer)
+        bits = [unpack_bitplanes(np.bitwise_xor.reduce(f, axis=0)[None, :],
+                                 c_pub.size)[0]
+                for f, (c_pub, _, _) in zip(fired, jobs)]
+        return np.concatenate(bits).astype(_U64)
 
     def bits_to_arith(self, bit_share: np.ndarray, tag: int,
                       layer: str) -> np.ndarray:
@@ -314,7 +329,7 @@ class PartyEngine:
                              "mask-open")
         low_bits = self.bitwidth - 1
         low_mask = _U64((1 << low_bits) - 1)
-        lt = self.less_than_mask(c & low_mask, r_xor & low_mask, low_bits,
+        lt = self.less_than_mask([(c & low_mask, r_xor & low_mask, low_bits)],
                                  tag, layer)
         msb_share = ((r_xor >> _U64(low_bits)) & _U64(1)) ^ lt
         if self.party == 0:
@@ -335,11 +350,9 @@ class PartyEngine:
         c = self._open_words((biased + r_arith) & self.mask, tag, layer,
                              "mask-open")
         low_mask = _U64((1 << s) - 1)
-        borrow = self.bits_to_arith(
-            self.less_than_mask(c & low_mask, r_xor & low_mask, s, tag, layer),
-            tag, layer)
-        wrap = self.bits_to_arith(
-            self.less_than_mask(c, r_xor, self.bitwidth, tag, layer), tag, layer)
+        lt = self.less_than_mask([(c & low_mask, r_xor & low_mask, s),
+                                  (c, r_xor, self.bitwidth)], tag, layer)
+        borrow, wrap = np.split(self.bits_to_arith(lt, tag, layer), 2)
         res = (_U64(1 << (self.bitwidth - s)) * wrap - r_shift - borrow) & self.mask
         if self.party == 0:
             res = (res + (c >> _U64(s)) - _U64(1 << (self.bitwidth - 1 - s))) & self.mask
@@ -358,18 +371,17 @@ class PartyEngine:
         oh, ow = patches.shape[2], patches.shape[3]
         cpg_in = x.shape[1] // groups
         cpg_out = w.shape[0] // groups
-        outs = []
-        for g in range(groups):
-            pg = patches[:, g * cpg_in:(g + 1) * cpg_in]
-            pg = np.ascontiguousarray(pg.transpose(0, 2, 3, 1, 4, 5)).reshape(
-                nb * oh * ow, cpg_in * k * k)
-            wg = w[g * cpg_out:(g + 1) * cpg_out].reshape(cpg_out, cpg_in * k * k)
-            x_exp = np.broadcast_to(pg[:, None, :], (pg.shape[0], cpg_out, pg.shape[1]))
-            w_exp = np.broadcast_to(wg[None, :, :], x_exp.shape)
-            prod = self.beaver(x_exp, w_exp, tag, layer)
-            acc = prod.sum(axis=-1, dtype=_U64) & self.mask
-            outs.append(acc.reshape(nb, oh, ow, cpg_out).transpose(0, 3, 1, 2))
-        return np.concatenate(outs, axis=1)
+        # (positions, groups, in-per-group * k * k): one batch for all groups.
+        pg = np.ascontiguousarray(
+            patches.reshape(nb, groups, cpg_in, oh, ow, k, k)
+            .transpose(0, 3, 4, 1, 2, 5, 6)).reshape(nb * oh * ow, groups, -1)
+        wg = w.reshape(groups, cpg_out, -1)
+        x_exp = np.broadcast_to(pg[:, :, None, :],
+                                (pg.shape[0], groups, cpg_out, pg.shape[2]))
+        w_exp = np.broadcast_to(wg[None], x_exp.shape)
+        prod = self.beaver(x_exp, w_exp, tag, layer)
+        acc = prod.sum(axis=-1, dtype=_U64) & self.mask
+        return acc.reshape(nb, oh, ow, groups * cpg_out).transpose(0, 3, 1, 2)
 
     def _conv_winograd(self, x: np.ndarray, u: np.ndarray, pl, tag: int,
                        layer: str) -> np.ndarray:
@@ -393,17 +405,15 @@ class PartyEngine:
         cpg_in = c_in // groups
         cpg_out = c_out // groups
         t = geom.tiles
-        outs = []
-        for g in range(groups):
-            vg = v[:, g * cpg_in:(g + 1) * cpg_in].transpose(0, 2, 3, 1, 4, 5)
-            ug = u[g * cpg_out:(g + 1) * cpg_out]
-            x_exp = np.broadcast_to(
-                vg[:, :, :, None], (nb, t, t, cpg_out, cpg_in, n, n))
-            w_exp = np.broadcast_to(ug[None, None, None], x_exp.shape)
-            prod = self.beaver(x_exp, w_exp, tag, layer)
-            acc = prod.sum(axis=4, dtype=_U64) & self.mask
-            outs.append(acc.transpose(0, 3, 1, 2, 4, 5))
-        m = np.concatenate(outs, axis=1)
+        # (batch, tile, tile, groups, out-per-group, in-per-group, n, n).
+        vg = v.reshape(nb, groups, cpg_in, t, t, n, n).transpose(0, 3, 4, 1, 2, 5, 6)
+        x_exp = np.broadcast_to(vg[:, :, :, :, None],
+                                (nb, t, t, groups, cpg_out, cpg_in, n, n))
+        ug = u.reshape(groups, cpg_out, cpg_in, n, n)
+        w_exp = np.broadcast_to(ug[None, None, None], x_exp.shape)
+        prod = self.beaver(x_exp, w_exp, tag, layer)
+        acc = prod.sum(axis=5, dtype=_U64) & self.mask
+        m = acc.reshape(nb, t, t, c_out, n, n).transpose(0, 3, 1, 2, 4, 5)
         y = np.einsum("ij,notujk,lk->notuil", atu, m, atu, dtype=_U64) & self.mask
         self.ledger.note_local(layer, "wg-output-transform")
         full = y.transpose(0, 1, 2, 4, 3, 5).reshape(
@@ -535,8 +545,16 @@ class PartyEngine:
 
 
 def _flat_slice(arr: np.ndarray, pos: int, m: int) -> np.ndarray:
-    """Materialize arr.reshape(-1)[pos:pos+m] without copying all of arr."""
+    """Materialize arr.reshape(-1)[pos:pos+m] without copying all of arr.
+
+    Only the leading-axis rows that cover the slice are copied, so a
+    broadcast view costs one chunk plus at most a row on either side.
+    """
     if arr.flags.c_contiguous:
         return arr.reshape(-1)[pos:pos + m]
-    idx = np.unravel_index(np.arange(pos, pos + m), arr.shape)
-    return np.ascontiguousarray(arr[idx])
+    while arr.ndim > 1 and arr.shape[0] == 1:
+        arr = arr[0]
+    row = arr.size // arr.shape[0]
+    r0, r1 = pos // row, -(-(pos + m) // row)
+    off = pos - r0 * row
+    return np.ascontiguousarray(arr[r0:r1]).reshape(-1)[off:off + m]

@@ -41,6 +41,8 @@ _U64 = np.uint64
 
 _HELLO = struct.Struct("<HBB32s8s")
 
+MODEL_JOIN_TIMEOUT = 600.0  # seconds secure_infer_local waits for the model party
+
 
 def _hello_payload(plan: FixedPlan, seed: int) -> bytes:
     import hashlib
@@ -177,7 +179,11 @@ def secure_infer_local(graph: Graph, x, seed: int = 0,
     except Exception:
         thread.join(timeout=5)
         raise
-    thread.join(timeout=600)
+    thread.join(timeout=MODEL_JOIN_TIMEOUT)
+    if thread.is_alive():
+        raise TransportError(
+            f"model party still running {MODEL_JOIN_TIMEOUT:g} s after the "
+            f"client finished")
     if "model" in errors:
         raise errors["model"]
     if m0.cursors != m1.cursors:

@@ -51,8 +51,11 @@ class Frame:
     layer_tag: int
     payload: bytes
 
+    def header(self) -> bytes:
+        return _HEADER.pack(len(self.payload), self.opcode, self.layer_tag)
+
     def encode(self) -> bytes:
-        return _HEADER.pack(len(self.payload), self.opcode, self.layer_tag) + self.payload
+        return self.header() + self.payload
 
 
 def decode_frame(header: bytes, payload: bytes) -> Frame:
@@ -233,10 +236,12 @@ class TranscriptRecorder:
         self._recv = hashlib.sha256()
 
     def on_send(self, frame: Frame) -> None:
-        self._sent.update(frame.encode())
+        self._sent.update(frame.header())
+        self._sent.update(frame.payload)
 
     def on_recv(self, frame: Frame) -> None:
-        self._recv.update(frame.encode())
+        self._recv.update(frame.header())
+        self._recv.update(frame.payload)
 
     @property
     def sent_digest(self) -> str:

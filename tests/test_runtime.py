@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xconv2pc.errors import HandshakeError, MaterialError
+from xconv2pc.errors import HandshakeError, MaterialError, TransportError
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph
 from xconv2pc.clear import infer_fixed
 from xconv2pc.costs import count_mults
@@ -31,8 +31,10 @@ from xconv2pc.runtime.material import (
     verify_material_pair,
     write_material,
 )
+from xconv2pc.runtime import protocol, session
 from xconv2pc.runtime.protocol import (
     PartyEngine,
+    _flat_slice,
     pack_bitplanes,
     reconstruct,
     share,
@@ -520,6 +522,99 @@ def test_random_graph_structures_bitwise(data):
     x = _random_input((1, c, hw, hw), seed ^ 0x5A5A)
     run = secure_infer_local(g, x, seed=seed + 9)
     assert np.array_equal(run.output.words, run.clear_reference.words)
+
+
+# -- round-lean batching ----------------------------------------------------------
+
+
+def _layer_rounds(ledger, layer):
+    return {op: e.rounds for (l, op), e in ledger.entries.items()
+            if l == layer and e.rounds}
+
+
+def test_depthwise_conv_and_relu_exact_rounds():
+    b = GraphBuilder((1, 4, 8, 8), seed=70)
+    dw = b.conv("dw", INPUT, 4, 4, 3, groups=4, bias=False)
+    r = b.relu("r", dw)
+    b.shuffle("mix", r, 4)  # local, so the output open is not the ReLU's
+    run = secure_infer_local(b.build(), _random_input((1, 4, 8, 8), 71), seed=72)
+    assert np.array_equal(run.output.words, run.clear_reference.words)
+    for led in (run.model.ledger, run.client.ledger):
+        # Set-up sends the weight shares; online, one open serves all four
+        # groups, then a 9-round truncation.
+        assert _layer_rounds(led, "dw") == {
+            "share-weights": 1,
+            "mul-open": 1, "mask-open": 1, "bool-open": 7, "aux-open": 1}
+        assert _layer_rounds(led, "r") == {
+            "mask-open": 1, "bool-open": 7, "aux-open": 2}
+
+
+def test_multi_chunk_grouped_conv_session(monkeypatch):
+    from xconv2pc.winograd import rewrite_winograd
+
+    chunk = 1000
+    monkeypatch.setattr(protocol, "BEAVER_CHUNK", chunk)
+    b = GraphBuilder((1, 4, 8, 8), seed=73)
+    gc = b.conv("gc", INPUT, 4, 6, 3, groups=2)           # grouped, direct
+    b.conv("dw", gc, 6, 6, 3, groups=6, bias=False)      # depthwise, transform
+    g, _ = rewrite_winograd(b.build(), candidates=(4,), allow={"dw"})
+    assert g.layer("dw").attrs["winograd"]
+    plan = build_plan(g, with_weights=True)
+    materials = generate_material(plan, 74)
+    run = secure_infer_local(g, _random_input((1, 4, 8, 8), 75), seed=74,
+                             materials=materials)
+    assert np.array_equal(run.output.words, run.clear_reference.words)
+    req = plan.requirements()
+    expected = {"mul": req.mul_triples, "aux": req.aux_triples,
+                "trunc": req.trunc_units, "cmp": req.cmp_tuples,
+                "bool": req.bool_words}
+    assert materials[0].cursors == materials[1].cursors == expected
+    for pl in plan.layers:
+        assert pl.mults > chunk and pl.mults % chunk, pl.name
+        for led in (run.model.ledger, run.client.ledger):
+            assert led.entries[(pl.name, "mul-open")].rounds == -(-pl.mults // chunk)
+            assert led.bytes_for(pl.name, "mul-open") == 16 * pl.mults
+
+
+def test_flat_slice_matches_contiguous_copy():
+    rng = np.random.default_rng(76)
+    base = rng.integers(0, 2**60, size=(3, 1, 5, 4), dtype=np.uint64)
+    views = [
+        np.broadcast_to(base[:, :, None], (3, 1, 6, 5, 4)),
+        np.broadcast_to(base.transpose(2, 1, 0, 3)[None, :, :, :, None],
+                        (1, 5, 1, 3, 7, 4)),                 # leading 1, as nb=1
+        np.broadcast_to(base[0, 0, 0], (1, 1, 9, 4)),
+        base.transpose(2, 0, 1, 3),
+        base[..., ::2],
+        base.reshape(-1)[::3],
+    ]
+    for arr in views:
+        assert not arr.flags.c_contiguous
+        flat = np.ascontiguousarray(arr).reshape(-1)
+        # Every start with short and long lengths crosses each row boundary.
+        for pos in range(flat.size):
+            for m in (1, 2, 5, 17, 61, flat.size):
+                m = min(m, flat.size - pos)
+                assert np.array_equal(_flat_slice(arr, pos, m),
+                                      flat[pos:pos + m]), (arr.shape, pos, m)
+
+
+@pytest.fixture
+def hung_model_party(monkeypatch):
+    """A client that returns at once and a model party blocked until teardown."""
+    release = threading.Event()
+    monkeypatch.setattr(session, "run_client_party", lambda *a, **k: None)
+    monkeypatch.setattr(session, "run_model_party", lambda *a, **k: release.wait(60))
+    monkeypatch.setattr(session, "MODEL_JOIN_TIMEOUT", 0.2)
+    yield
+    release.set()
+
+
+def test_hung_model_party_raises_transport_error(hung_model_party):
+    b = GraphBuilder((1, 1, 4, 4), seed=77)
+    b.relu("r", INPUT)
+    with pytest.raises(TransportError, match="model party .* 0.2 s"):
+        secure_infer_local(b.build(), _random_input((1, 1, 4, 4), 78), seed=79)
 
 
 def test_handshake_rejects_mismatched_graphs():

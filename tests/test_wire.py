@@ -1,5 +1,6 @@
 """Frames, ledger accounting, transports, and graph file I/O."""
 
+import hashlib
 import socket
 import threading
 
@@ -16,6 +17,7 @@ from xconv2pc.runtime.wire import (
     OP_OPEN_MASKED,
     QueueTransport,
     SocketTransport,
+    TranscriptRecorder,
     decode_frame,
     ledgers_mirror,
 )
@@ -35,6 +37,19 @@ def test_frame_length_mismatch_rejected():
     raw = f.encode()
     with pytest.raises(TransportError):
         decode_frame(raw[:HEADER_SIZE], raw[HEADER_SIZE:-1])
+
+
+def test_transcript_digest_equals_hash_of_encoded_frames():
+    frames = [Frame(OP_OPEN_MASKED, 3, bytes(range(40))),
+              Frame(1, 0xFFFFFFFF, b""),
+              Frame(7, 9, b"\x5a" * 1000)]
+    rec = TranscriptRecorder()
+    for f in frames:
+        rec.on_send(f)
+        rec.on_recv(f)
+    want = hashlib.sha256(b"".join(f.encode() for f in frames)).hexdigest()
+    assert rec.sent_digest == want
+    assert rec.recv_digest == want
 
 
 def test_queue_transport_pair():

@@ -14,7 +14,7 @@ from .errors import ShapeError
 from .graph import BN_EPS, Graph, INPUT, channel_shuffle, infer_shapes
 from .plan import build_plan, conv_patches, execute_plan_clear
 from .ring import RingTensor, decode_fixed, encode_fixed
-from .winograd import winograd_conv2d_float
+from .winograd import winograd_conv2d
 
 
 def _float_conv(x, w, b, attrs):
@@ -22,7 +22,7 @@ def _float_conv(x, w, b, attrs):
     padding = attrs.get("padding", 0)
     groups = attrs.get("groups", 1)
     if attrs.get("winograd"):
-        out = winograd_conv2d_float(x, w, attrs["tile"], padding=padding, groups=groups)
+        out = winograd_conv2d(x, w, attrs["tile"], padding=padding, groups=groups)
     else:
         patches = conv_patches(x, attrs["kernel"], stride, padding)
         perg_in = x.shape[1] // groups

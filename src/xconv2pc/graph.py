@@ -57,9 +57,6 @@ class LayerSpec:
     inputs: list
     attrs: dict = field(default_factory=dict)
 
-    def attr(self, key, default=None):
-        return self.attrs.get(key, default)
-
 
 class Graph:
     """Immutable-by-convention DAG of layers plus real-valued weights."""

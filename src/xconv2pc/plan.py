@@ -1,12 +1,21 @@
-"""Fixed-point execution plans.
+"""Fixed-point execution plans and the one walker that runs them.
 
 A plan compiles a graph into the exact sequence of ring operations that
 both the clear fixed-point interpreter and the two-party engine execute:
 normalization folded, weights encoded (transform-domain for tagged
 convolutions), scaling constants pinned, and per-layer resource counts
-fixed.  Running the same plan on plain residues and on additive shares
-yields bit-identical results by construction, which is the equivalence
-the whole artifact is built around.
+fixed.
+
+``run_plan`` executes a plan, and it is the only code that does: every
+linear step (conv patches, the grouped broadcast, the integer Winograd
+transforms, sums, public scaling, permutes, adds, concats) is written
+there once.  A backend supplies the rest: the elementwise product, relu,
+truncation, the bias add, the zero-byte ledger rows and the weights.
+``ClearOps`` below works on plain residues; the two-party
+``PartyEngine`` works on one party's additive share.  Running the same
+plan through both therefore yields bit-identical results by
+construction, which is the equivalence the whole artifact is built
+around.
 
 Resource counts (multiplications, truncated elements, comparisons,
 auxiliary triples, boolean triple words) depend only on shapes and
@@ -23,20 +32,15 @@ import numpy as np
 
 from .errors import FixedPointOverflowError, ShapeError
 from .graph import Graph, INPUT, fold_batchnorm, infer_shapes
-from .ring import (
-    FixedPointConfig,
-    RingTensor,
-    encode_fixed,
-    mask_words,
-    ring_add,
-    ring_scale_const,
-    truncate_signed,
-)
+from .ring import FixedPointConfig, RingTensor, encode_fixed, truncate_signed
 from .winograd import (
+    assemble_tiles,
     basis_for_tile,
+    extract_tiles,
     mult_counts,
+    signed_to_residues,
+    tile_geometry,
     transform_filter_real,
-    winograd_conv2d_fixed_ring,
     winograd_guard,
 )
 
@@ -101,10 +105,6 @@ class FixedPlan:
         self.graph_hash = graph_hash
         self.with_weights = with_weights
         self.input_bound = input_bound
-
-    @property
-    def output_shape(self) -> tuple:
-        return next(l.out_shape for l in self.layers if l.name == self.output_name)
 
     def requirements(self) -> PlanRequirements:
         return PlanRequirements(
@@ -215,11 +215,11 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
                     u_real = transform_filter_real(w_real, basis)
                     winograd_guard(basis, u_real, groups,
                                    min(ceiling, WINOGRAD_INPUT_BOUND), cfg)
-                    pl.payload["u_ring"] = encode_fixed(u_real, cfg)
+                    pl.payload["weight"] = encode_fixed(u_real, cfg)
             else:
                 pl.mults = n_pos * c_out * k * k * (c_in // groups)
                 if w_real is not None:
-                    pl.payload["w_ring"] = encode_fixed(w_real, cfg)
+                    pl.payload["weight"] = encode_fixed(w_real, cfg)
             if w_real is not None:
                 _check_headroom(ceiling * _abs_rowsum(w_real) + bias_max, cfg,
                                 spec.name)
@@ -233,7 +233,7 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
             pl.mults = out_shape[0] * spec.attrs["in_features"] * spec.attrs["out_features"]
             pl.trunc_elems = out_elems
             if w_real is not None:
-                pl.payload["w_ring"] = encode_fixed(w_real, cfg)
+                pl.payload["weight"] = encode_fixed(w_real, cfg)
                 bias_max = (float(np.abs(bias_real).max())
                             if bias_real is not None else 0.0)
                 _check_headroom(ceiling * _abs_rowsum(w_real) + bias_max, cfg,
@@ -247,7 +247,6 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
             else:
                 in_shape = shapes[spec.inputs[0]]
                 area = in_shape[2] * in_shape[3]
-            pl.payload["area"] = area
             pl.payload["inv_area_ring"] = int(
                 encode_fixed(np.array([1.0 / area]), cfg).words[0])
             pl.trunc_elems = out_elems
@@ -295,7 +294,7 @@ def _encode_double_scale(values: np.ndarray, cfg: FixedPointConfig) -> RingTenso
     return RingTensor(t.words, cfg.bitwidth)
 
 
-# -- clear fixed-point execution ------------------------------------------------
+# -- the plan walker ------------------------------------------------------------
 
 
 def conv_patches(words: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
@@ -305,52 +304,194 @@ def conv_patches(words: np.ndarray, kernel: int, stride: int, padding: int) -> n
     return win[:, :, ::stride, ::stride]
 
 
-def ring_conv2d_direct(x: RingTensor, w_ring: RingTensor, stride: int, padding: int,
-                       groups: int) -> RingTensor:
-    """Grouped cross-correlation in the ring; result at double scale, untruncated."""
-    k = w_ring.shape[-1]
-    perg_in = x.shape[1] // groups
-    perg_out = w_ring.shape[0] // groups
-    patches = conv_patches(x.words, k, stride, padding)
-    outs = []
-    for g in range(groups):
-        pg = patches[:, g * perg_in:(g + 1) * perg_in]
-        wg = w_ring.words[g * perg_out:(g + 1) * perg_out]
-        outs.append(np.einsum("nchwkl,ockl->nohw", pg, wg, dtype=_U64))
-    return RingTensor(mask_words(np.concatenate(outs, axis=1), x.bitwidth), x.bitwidth)
+def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
+    """Execute every plan layer on ring words; returns each layer's output by name.
+
+    The input sits under ``INPUT``.  Every linear step (patches, sums,
+    integer transforms, public scaling, permutes, adds, concats) is coded
+    here once and does the same ring work on clear residues and on one
+    party's additive share.  ``ops`` supplies only what differs:
+
+      mul(x, y, tag, layer)       elementwise product of equal-shape words
+      relu(x, tag, layer)         max(signed(x), 0)
+      truncate(x, tag, layer)     arithmetic shift by the working scale
+      add_bias(pre, b, layer)     add the layer's public double-scale bias
+      note_local(layer, op)       mark a communication-free step
+      weight(pl)                  the layer's (possibly transformed) weights
+
+    ``tag`` is the layer's index in the plan.  Conv and fc layers hand
+    ``mul`` one broadcast over all groups, so the secure backend opens one
+    batch per layer; maxpool folds window positions as b + relu(a - b).
+    """
+    mask = _U64(plan.cfg.mask)
+    env = {INPUT: x}
+    for idx, pl in enumerate(plan.layers):
+        src = [env[s] for s in pl.inputs]
+        name = pl.name
+        if pl.kind in ("conv2d", "fully-connected"):
+            w = ops.weight(pl)
+            fc = pl.kind == "fully-connected"
+            if fc:
+                pre = _fc(src[0], w, idx, name, ops, mask)
+            elif pl.attrs.get("winograd"):
+                pre = _conv_winograd(src[0], w, pl, idx, ops, mask)
+            else:
+                pre = _conv_direct(src[0], w, pl.attrs, idx, name, ops, mask)
+            if "bias_ring" in pl.payload:
+                b = pl.payload["bias_ring"].words
+                pre = ops.add_bias(pre, b.reshape((1, -1) if fc else (1, -1, 1, 1)),
+                                   name)
+            out = ops.truncate(pre, idx, name)
+        elif pl.kind in ("avgpool", "global-avgpool"):
+            if pl.kind == "avgpool":
+                win, stride = pl.attrs["window"], pl.attrs["stride"]
+                acc = np.lib.stride_tricks.sliding_window_view(
+                    src[0], (win, win), axis=(2, 3))[:, :, ::stride, ::stride]
+                summed = acc.sum(axis=(-2, -1), dtype=_U64) & mask
+            else:
+                summed = src[0].sum(axis=(2, 3), keepdims=True, dtype=_U64) & mask
+            ops.note_local(name, "public-scale")
+            pre = (summed * _U64(pl.payload["inv_area_ring"])) & mask
+            out = ops.truncate(pre, idx, name)
+        elif pl.kind == "relu":
+            out = ops.relu(src[0], idx, name)
+        elif pl.kind == "maxpool":
+            out = _maxpool(src[0], pl.attrs, idx, name, ops, mask)
+        elif pl.kind == "shuffle":
+            perm = np.asarray(pl.attrs["perm"], dtype=np.intp)
+            ops.note_local(name, "shuffle")
+            out = np.ascontiguousarray(src[0][:, perm])
+        elif pl.kind == "add":
+            out = src[0]
+            for t in src[1:]:
+                out = (out + t) & mask
+            ops.note_local(name, "add")
+        elif pl.kind == "concat":
+            ops.note_local(name, "concat")
+            out = np.concatenate(src, axis=1)
+        else:
+            raise ShapeError(f"cannot execute layer kind {pl.kind!r}")
+        env[name] = out
+    return env
 
 
-def ring_fc(x: RingTensor, w_ring: RingTensor) -> RingTensor:
-    flat = x.words.reshape(x.shape[0], -1)
-    out = np.einsum("ni,oi->no", flat, w_ring.words, dtype=_U64)
-    return RingTensor(mask_words(out, x.bitwidth), x.bitwidth)
+def _conv_direct(x, w, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
+    k = attrs["kernel"]
+    stride = attrs.get("stride", 1)
+    padding = attrs.get("padding", 0)
+    groups = attrs.get("groups", 1)
+    nb = x.shape[0]
+    patches = conv_patches(x, k, stride, padding)
+    oh, ow = patches.shape[2], patches.shape[3]
+    cpg_in = x.shape[1] // groups
+    cpg_out = w.shape[0] // groups
+    # (positions, groups, in-per-group * k * k): one batch for all groups.
+    pg = np.ascontiguousarray(
+        patches.reshape(nb, groups, cpg_in, oh, ow, k, k)
+        .transpose(0, 3, 4, 1, 2, 5, 6)).reshape(nb * oh * ow, groups, -1)
+    wg = w.reshape(groups, cpg_out, -1)
+    x_exp = np.broadcast_to(pg[:, :, None, :],
+                            (pg.shape[0], groups, cpg_out, pg.shape[2]))
+    w_exp = np.broadcast_to(wg[None], x_exp.shape)
+    prod = ops.mul(x_exp, w_exp, tag, layer)
+    acc = prod.sum(axis=-1, dtype=_U64) & mask
+    return acc.reshape(nb, oh, ow, groups * cpg_out).transpose(0, 3, 1, 2)
 
 
-def ring_maxpool(x: RingTensor, window: int, stride: int) -> RingTensor:
-    win = np.lib.stride_tricks.sliding_window_view(
-        x.signed(), (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    return RingTensor.from_signed(win.max(axis=(-2, -1)), x.bitwidth)
+def _conv_winograd(x, u, pl: PlanLayer, tag: int, ops, mask) -> np.ndarray:
+    basis = pl.payload["basis"]
+    padding = pl.attrs.get("padding", 0)
+    groups = pl.attrs.get("groups", 1)
+    k, n = basis.r, basis.n
+    nb, c_in = x.shape[0], x.shape[1]
+    c_out = u.shape[0]
+    m_out, geom = tile_geometry(x.shape[2], k, padding, n)
+    pads = (padding, padding + geom.pad)
+    padded = np.pad(x, ((0, 0), (0, 0), pads, pads))
+    tiles = extract_tiles(padded, n, geom.step, geom.tiles)
+    btu = signed_to_residues(basis.b_t_int())
+    atu = signed_to_residues(basis.a_t_int())
+    v = np.einsum("ij,nctujk,lk->nctuil", btu, tiles, btu, dtype=_U64) & mask
+    ops.note_local(pl.name, "wg-input-transform")
+    cpg_in = c_in // groups
+    cpg_out = c_out // groups
+    t = geom.tiles
+    # (batch, tile, tile, groups, out-per-group, in-per-group, n, n).
+    vg = v.reshape(nb, groups, cpg_in, t, t, n, n).transpose(0, 3, 4, 1, 2, 5, 6)
+    x_exp = np.broadcast_to(vg[:, :, :, :, None],
+                            (nb, t, t, groups, cpg_out, cpg_in, n, n))
+    ug = u.reshape(groups, cpg_out, cpg_in, n, n)
+    w_exp = np.broadcast_to(ug[None, None, None], x_exp.shape)
+    prod = ops.mul(x_exp, w_exp, tag, pl.name)
+    acc = prod.sum(axis=5, dtype=_U64) & mask
+    m = acc.reshape(nb, t, t, c_out, n, n).transpose(0, 3, 1, 2, 4, 5)
+    y = np.einsum("ij,notujk,lk->notuil", atu, m, atu, dtype=_U64) & mask
+    ops.note_local(pl.name, "wg-output-transform")
+    return np.ascontiguousarray(assemble_tiles(y, m_out, basis.m))
+
+
+def _fc(x, w, tag: int, layer: str, ops, mask) -> np.ndarray:
+    flat = x.reshape(x.shape[0], -1)
+    x_exp = np.broadcast_to(flat[:, None, :], (flat.shape[0], w.shape[0], flat.shape[1]))
+    w_exp = np.broadcast_to(w[None], x_exp.shape)
+    return ops.mul(x_exp, w_exp, tag, layer).sum(axis=-1, dtype=_U64) & mask
+
+
+def _maxpool(x, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
+    win, stride = attrs["window"], attrs["stride"]
+    if win == 1:
+        ops.note_local(layer, "subsample")
+        return np.ascontiguousarray(x[:, :, ::stride, ::stride])
+    patches = np.lib.stride_tricks.sliding_window_view(
+        x, (win, win), axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = np.ascontiguousarray(patches).reshape(patches.shape[:4] + (win * win,))
+    cur = np.ascontiguousarray(flat[..., 0])
+    for j in range(1, win * win):
+        nxt = np.ascontiguousarray(flat[..., j])
+        rel = ops.relu((cur - nxt) & mask, tag, layer)
+        cur = (nxt + rel) & mask
+    return cur
+
+
+# -- clear fixed-point execution ------------------------------------------------
 
 
 def ring_relu(x: RingTensor) -> RingTensor:
     return RingTensor.from_signed(np.maximum(x.signed(), 0), x.bitwidth)
 
 
-def ring_window_sum(x: RingTensor, window: int, stride: int) -> RingTensor:
-    win = np.lib.stride_tricks.sliding_window_view(
-        x.words, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    return RingTensor(mask_words(win.sum(axis=(-2, -1), dtype=_U64), x.bitwidth),
-                      x.bitwidth)
+class ClearOps:
+    """`run_plan` backend on plain residues: the bits secure runs must hit."""
+
+    def __init__(self, cfg: FixedPointConfig):
+        self.cfg = cfg
+        self.mask = _U64(cfg.mask)
+
+    def mul(self, x, y, tag, layer):
+        prod = x * y
+        prod &= self.mask
+        return prod
+
+    def relu(self, x, tag, layer):
+        return ring_relu(RingTensor(x, self.cfg.bitwidth)).words
+
+    def truncate(self, x, tag, layer):
+        return truncate_signed(RingTensor(x, self.cfg.bitwidth), self.cfg.scale).words
+
+    def add_bias(self, pre, b, layer):
+        return (pre + b) & self.mask
+
+    def note_local(self, layer, op):
+        pass
+
+    def weight(self, pl):
+        return pl.payload["weight"].words
 
 
-def _add_bias(pre: RingTensor, bias_ring: RingTensor, fc: bool) -> RingTensor:
-    b = bias_ring.words.reshape((1, -1) if fc else (1, -1, 1, 1))
-    return RingTensor(mask_words(pre.words + b, pre.bitwidth), pre.bitwidth)
-
-
-def _ceiling_check(t: RingTensor, ceiling: float, scale: int, where: str) -> None:
-    limit = int(ceiling * (1 << scale))
-    if t.size and int(np.abs(t.signed()).max()) > limit:
+def _ceiling_check(words: np.ndarray, cfg: FixedPointConfig, ceiling: float,
+                   where: str) -> None:
+    limit = int(ceiling * (1 << cfg.scale))
+    if words.size and int(np.abs(RingTensor(words, cfg.bitwidth).signed()).max()) > limit:
         raise FixedPointOverflowError(
             f"{where}: activation exceeds the promised ceiling {ceiling}; "
             f"the accumulator guard no longer covers downstream layers")
@@ -361,7 +502,9 @@ def execute_plan_clear(plan: FixedPlan, x: RingTensor,
     """Reference fixed-point inference; the bit pattern secure runs must hit.
 
     Re-validates the activation ceiling on actual data after every layer,
-    completing the induction the plan-time accumulator guard started.
+    in plan order, completing the induction the plan-time accumulator
+    guard started; the inputs of transform-tagged convolutions are held
+    to the tighter ``WINOGRAD_INPUT_BOUND``.
     """
     if not plan.with_weights:
         raise ValueError("clear execution needs a plan built with weights")
@@ -369,57 +512,12 @@ def execute_plan_clear(plan: FixedPlan, x: RingTensor,
         raise ShapeError(f"input shape {x.shape} != plan {plan.input_shape}")
     cfg = plan.cfg
     if check_ceiling:
-        _ceiling_check(x, plan.input_bound, cfg.scale, "input")
-    env = {INPUT: x}
-    for pl in plan.layers:
-        src = [env[s] for s in pl.inputs]
-        if pl.kind == "conv2d":
+        _ceiling_check(x.words, cfg, plan.input_bound, "input")
+    env = run_plan(plan, x.words, ClearOps(cfg))
+    if check_ceiling:
+        for pl in plan.layers:
             if pl.attrs.get("winograd"):
-                if check_ceiling:
-                    _ceiling_check(src[0], WINOGRAD_INPUT_BOUND, cfg.scale,
-                                   f"{pl.name} (transform input)")
-                pre = winograd_conv2d_fixed_ring(
-                    src[0], pl.payload["u_ring"], pl.payload["basis"],
-                    pl.attrs.get("padding", 0), pl.attrs.get("groups", 1))
-            else:
-                pre = ring_conv2d_direct(src[0], pl.payload["w_ring"],
-                                         pl.attrs.get("stride", 1),
-                                         pl.attrs.get("padding", 0),
-                                         pl.attrs.get("groups", 1))
-            if "bias_ring" in pl.payload:
-                pre = _add_bias(pre, pl.payload["bias_ring"], fc=False)
-            env[pl.name] = truncate_signed(pre, cfg.scale)
-        elif pl.kind == "fully-connected":
-            pre = ring_fc(src[0], pl.payload["w_ring"])
-            if "bias_ring" in pl.payload:
-                pre = _add_bias(pre, pl.payload["bias_ring"], fc=True)
-            env[pl.name] = truncate_signed(pre, cfg.scale)
-        elif pl.kind == "avgpool":
-            acc = ring_window_sum(src[0], pl.attrs["window"], pl.attrs["stride"])
-            pre = ring_scale_const(acc, pl.payload["inv_area_ring"])
-            env[pl.name] = truncate_signed(pre, cfg.scale)
-        elif pl.kind == "global-avgpool":
-            total = src[0].words.sum(axis=(2, 3), keepdims=True, dtype=_U64)
-            acc = RingTensor(mask_words(total, src[0].bitwidth), src[0].bitwidth)
-            pre = ring_scale_const(acc, pl.payload["inv_area_ring"])
-            env[pl.name] = truncate_signed(pre, cfg.scale)
-        elif pl.kind == "relu":
-            env[pl.name] = ring_relu(src[0])
-        elif pl.kind == "maxpool":
-            env[pl.name] = ring_maxpool(src[0], pl.attrs["window"], pl.attrs["stride"])
-        elif pl.kind == "shuffle":
-            perm = np.asarray(pl.attrs["perm"], dtype=np.intp)
-            env[pl.name] = RingTensor(src[0].words[:, perm], src[0].bitwidth)
-        elif pl.kind == "add":
-            acc = src[0]
-            for t in src[1:]:
-                acc = ring_add(acc, t)
-            env[pl.name] = acc
-        elif pl.kind == "concat":
-            env[pl.name] = RingTensor(
-                np.concatenate([t.words for t in src], axis=1), src[0].bitwidth)
-        else:
-            raise ShapeError(f"cannot execute layer kind {pl.kind!r}")
-        if check_ceiling:
-            _ceiling_check(env[pl.name], plan.input_bound, cfg.scale, pl.name)
-    return env[plan.output_name]
+                _ceiling_check(env[pl.inputs[0]], cfg, WINOGRAD_INPUT_BOUND,
+                               f"{pl.name} (transform input)")
+            _ceiling_check(env[pl.name], cfg, plan.input_bound, pl.name)
+    return RingTensor(env[plan.output_name], cfg.bitwidth)

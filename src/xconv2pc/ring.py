@@ -49,11 +49,6 @@ class FixedPointConfig:
     def mask(self) -> int:
         return (1 << self.bitwidth) - 1
 
-    @property
-    def signed_max(self) -> int:
-        """Largest representable signed value, 2^(l-1) - 1."""
-        return (1 << (self.bitwidth - 1)) - 1
-
 
 def mask_words(words: np.ndarray, bitwidth: int) -> np.ndarray:
     """Reduce raw uint64 words modulo 2^bitwidth."""
@@ -115,9 +110,6 @@ class RingTensor:
     def reshape(self, shape) -> "RingTensor":
         return RingTensor(self.words.reshape(shape), self.bitwidth)
 
-    def copy(self) -> "RingTensor":
-        return RingTensor(self.words.copy(), self.bitwidth)
-
     def __repr__(self) -> str:
         return f"RingTensor(shape={self.shape}, bitwidth={self.bitwidth})"
 
@@ -173,31 +165,6 @@ def ring_sub(a: RingTensor, b: RingTensor) -> RingTensor:
 def ring_mul(a: RingTensor, b: RingTensor) -> RingTensor:
     _binary_check(a, b)
     return RingTensor(mask_words(a.words * b.words, a.bitwidth), a.bitwidth)
-
-
-def ring_neg(a: RingTensor) -> RingTensor:
-    return RingTensor(mask_words(_WORD(0) - a.words, a.bitwidth), a.bitwidth)
-
-
-_ELEMENTWISE = {"add": ring_add, "sub": ring_sub, "mul": ring_mul}
-
-
-def ring_elementwise(op: str, a: RingTensor, b: RingTensor) -> RingTensor:
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(a, b)
-
-
-def ring_scale_const(a: RingTensor, k: int) -> RingTensor:
-    """Multiply by a public integer constant (local, communication-free)."""
-    return RingTensor(mask_words(a.words * _WORD(k % (1 << _FULL_BITS)), a.bitwidth), a.bitwidth)
-
-
-def ring_sum(a: RingTensor, axis) -> RingTensor:
-    """Modular sum along an axis; uint64 wraparound keeps it exact mod 2^64."""
-    return RingTensor(mask_words(a.words.sum(axis=axis, dtype=_WORD), a.bitwidth), a.bitwidth)
 
 
 def truncate_signed(a: RingTensor, s: int) -> RingTensor:

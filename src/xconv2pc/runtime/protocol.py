@@ -1,5 +1,13 @@
 """Two-party online protocol over additive shares.
 
+The engine does not walk the plan itself.  ``PartyEngine.run`` hands the
+plan to ``plan.run_plan``, which codes every layer's linear steps once for
+clear and secure execution, and the engine is that walker's backend:
+``mul`` is a Beaver multiplication, ``relu`` and ``truncate`` are the
+protocols below, ``add_bias`` adds a public bias to the model owner's
+share only, ``note_local`` writes a zero-byte ledger row, and ``weight``
+returns the party's share of the layer's weights.
+
 Linear steps (adds, concatenation, permutations, public scaling, the
 integer transforms of tagged convolutions) act on each party's share
 locally and appear in the ledger as explicit zero-byte rows.  Secret
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError, TransportError, XConvError
-from ..plan import FixedPlan, conv_patches
+from ..plan import FixedPlan, run_plan
 from ..ring import RingTensor, mask_words
 from .material import MaterialStore
 from .wire import (
@@ -358,190 +366,69 @@ class PartyEngine:
             res = (res + (c >> _U64(s)) - _U64(1 << (self.bitwidth - 1 - s))) & self.mask
         return res.reshape(x.shape)
 
-    # -- layer handlers ------------------------------------------------------------
+    # -- run_plan backend ----------------------------------------------------------
+    #
+    # Each call goes through the attribute at call time, so wrappers
+    # installed on the class see every use.
 
-    def _conv_direct(self, x: np.ndarray, w: np.ndarray, attrs: dict, tag: int,
-                     layer: str) -> np.ndarray:
-        k = attrs["kernel"]
-        stride = attrs.get("stride", 1)
-        padding = attrs.get("padding", 0)
-        groups = attrs.get("groups", 1)
-        nb = x.shape[0]
-        patches = conv_patches(x, k, stride, padding)
-        oh, ow = patches.shape[2], patches.shape[3]
-        cpg_in = x.shape[1] // groups
-        cpg_out = w.shape[0] // groups
-        # (positions, groups, in-per-group * k * k): one batch for all groups.
-        pg = np.ascontiguousarray(
-            patches.reshape(nb, groups, cpg_in, oh, ow, k, k)
-            .transpose(0, 3, 4, 1, 2, 5, 6)).reshape(nb * oh * ow, groups, -1)
-        wg = w.reshape(groups, cpg_out, -1)
-        x_exp = np.broadcast_to(pg[:, :, None, :],
-                                (pg.shape[0], groups, cpg_out, pg.shape[2]))
-        w_exp = np.broadcast_to(wg[None], x_exp.shape)
-        prod = self.beaver(x_exp, w_exp, tag, layer)
-        acc = prod.sum(axis=-1, dtype=_U64) & self.mask
-        return acc.reshape(nb, oh, ow, groups * cpg_out).transpose(0, 3, 1, 2)
+    def mul(self, x: np.ndarray, y: np.ndarray, tag: int, layer: str) -> np.ndarray:
+        return self.beaver(x, y, tag, layer)
 
-    def _conv_winograd(self, x: np.ndarray, u: np.ndarray, pl, tag: int,
-                       layer: str) -> np.ndarray:
-        from ..winograd import _extract_tiles, _signed_to_residues, _tile_geometry
+    def relu(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
+        return self.relu_shares(x, tag, layer)
 
-        basis = pl.payload["basis"]
-        attrs = pl.attrs
-        padding = attrs.get("padding", 0)
-        groups = attrs.get("groups", 1)
-        k, n = basis.r, basis.n
-        nb, c_in = x.shape[0], x.shape[1]
-        c_out = u.shape[0]
-        m_out, geom, extra = _tile_geometry(x.shape[2], k, padding, n)
-        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding + extra),
-                            (padding, padding + extra)))
-        tiles = _extract_tiles(padded, n, geom.step, geom.tiles)
-        btu = _signed_to_residues(basis.b_t_int())
-        atu = _signed_to_residues(basis.a_t_int())
-        v = np.einsum("ij,nctujk,lk->nctuil", btu, tiles, btu, dtype=_U64) & self.mask
-        self.ledger.note_local(layer, "wg-input-transform")
-        cpg_in = c_in // groups
-        cpg_out = c_out // groups
-        t = geom.tiles
-        # (batch, tile, tile, groups, out-per-group, in-per-group, n, n).
-        vg = v.reshape(nb, groups, cpg_in, t, t, n, n).transpose(0, 3, 4, 1, 2, 5, 6)
-        x_exp = np.broadcast_to(vg[:, :, :, :, None],
-                                (nb, t, t, groups, cpg_out, cpg_in, n, n))
-        ug = u.reshape(groups, cpg_out, cpg_in, n, n)
-        w_exp = np.broadcast_to(ug[None, None, None], x_exp.shape)
-        prod = self.beaver(x_exp, w_exp, tag, layer)
-        acc = prod.sum(axis=5, dtype=_U64) & self.mask
-        m = acc.reshape(nb, t, t, c_out, n, n).transpose(0, 3, 1, 2, 4, 5)
-        y = np.einsum("ij,notujk,lk->notuil", atu, m, atu, dtype=_U64) & self.mask
-        self.ledger.note_local(layer, "wg-output-transform")
-        full = y.transpose(0, 1, 2, 4, 3, 5).reshape(
-            nb, c_out, t * basis.m, t * basis.m)
-        return np.ascontiguousarray(full[:, :, :m_out, :m_out])
+    def truncate(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
+        return self.truncate_shares(x, tag, layer)
 
-    def _maxpool(self, x: np.ndarray, attrs: dict, tag: int,
-                 layer: str) -> np.ndarray:
-        win, stride = attrs["window"], attrs["stride"]
-        if win == 1:
-            self.ledger.note_local(layer, "subsample")
-            return np.ascontiguousarray(x[:, :, ::stride, ::stride])
-        patches = np.lib.stride_tricks.sliding_window_view(
-            x, (win, win), axis=(2, 3))[:, :, ::stride, ::stride]
-        flat = np.ascontiguousarray(patches).reshape(patches.shape[:4] + (win * win,))
-        cur = np.ascontiguousarray(flat[..., 0])
-        for j in range(1, win * win):
-            nxt = np.ascontiguousarray(flat[..., j])
-            diff = (cur - nxt) & self.mask
-            rel = self.relu_shares(diff, tag, layer)
-            cur = (nxt + rel) & self.mask
-        return cur
-
-    def _bias_add(self, pre: np.ndarray, pl, fc: bool) -> np.ndarray:
-        if self.party != 0 or "bias_ring" not in pl.payload:
+    def add_bias(self, pre: np.ndarray, b: np.ndarray, layer: str) -> np.ndarray:
+        """Public constant: only the model owner adds it to its share."""
+        if self.party != 0:
             return pre
-        b = pl.payload["bias_ring"].words
-        self.ledger.note_local(pl.name, "bias")
-        return (pre + b.reshape((1, -1) if fc else (1, -1, 1, 1))) & self.mask
+        self.ledger.note_local(layer, "bias")
+        return (pre + b) & self.mask
+
+    def note_local(self, layer: str, op: str) -> None:
+        self.ledger.note_local(layer, op)
+
+    def weight(self, pl) -> np.ndarray:
+        return self._weight_shares[pl.name]
 
     # -- session steps ---------------------------------------------------------------
 
     def distribute_weights(self) -> None:
         """Model owner shares every encoded weight tensor; client receives."""
         for idx, pl in enumerate(self.plan.layers):
-            for key in ("w_ring", "u_ring"):
-                expected = self._weight_shape(pl, key)
-                if expected is None:
-                    continue
-                if self.party == 0:
-                    ring = pl.payload[key]
-                    own = self.rng.integers(0, 1 << self.bitwidth,
-                                            size=ring.shape, dtype=_U64,
-                                            endpoint=False)
-                    other = (ring.words - own) & self.mask
-                    self.send_oneway(OP_SHARE_BLOB, idx,
-                                     other.astype("<u8").tobytes(),
-                                     pl.name, "share-weights")
-                    self._weight_shares[pl.name] = own
-                else:
-                    raw = self.recv_oneway(OP_SHARE_BLOB, idx, pl.name,
-                                           "share-weights")
-                    arr = np.frombuffer(raw, dtype="<u8").astype(_U64)
-                    self._weight_shares[pl.name] = arr.reshape(expected)
-
-    def _weight_shape(self, pl, key: str):
-        if pl.kind == "conv2d":
-            a = pl.attrs
-            g = a.get("groups", 1)
-            if a.get("winograd"):
-                if key != "u_ring":
-                    return None
-                n = a["tile"]
-                return (a["out_channels"], a["in_channels"] // g, n, n)
-            if key != "w_ring":
-                return None
-            return (a["out_channels"], a["in_channels"] // g, a["kernel"],
-                    a["kernel"])
-        if pl.kind == "fully-connected" and key == "w_ring":
-            return (pl.attrs["out_features"], pl.attrs["in_features"])
-        return None
+            expected = _weight_shape(pl)
+            if expected is None:
+                continue
+            if self.party == 0:
+                ring = pl.payload["weight"]
+                own = self.rng.integers(0, 1 << self.bitwidth, size=ring.shape,
+                                        dtype=_U64, endpoint=False)
+                other = (ring.words - own) & self.mask
+                self.send_oneway(OP_SHARE_BLOB, idx, other.astype("<u8").tobytes(),
+                                 "session", "share-weights")
+                self._weight_shares[pl.name] = own
+            else:
+                raw = self.recv_oneway(OP_SHARE_BLOB, idx, "session",
+                                       "share-weights")
+                arr = np.frombuffer(raw, dtype="<u8").astype(_U64)
+                self._weight_shares[pl.name] = arr.reshape(expected)
 
     def run(self, input_share: np.ndarray) -> np.ndarray:
         """Execute every plan layer; returns this party's output share."""
-        env = {"input": input_share}
-        for idx, pl in enumerate(self.plan.layers):
-            src = [env[s] for s in pl.inputs]
-            if pl.kind == "conv2d":
-                w = self._weight_shares[pl.name]
-                if pl.attrs.get("winograd"):
-                    pre = self._conv_winograd(src[0], w, pl, idx, pl.name)
-                else:
-                    pre = self._conv_direct(src[0], w, pl.attrs, idx, pl.name)
-                pre = self._bias_add(pre, pl, fc=False)
-                env[pl.name] = self.truncate_shares(pre, idx, pl.name)
-            elif pl.kind == "fully-connected":
-                w = self._weight_shares[pl.name]
-                flat = src[0].reshape(src[0].shape[0], -1)
-                x_exp = np.broadcast_to(flat[:, None, :],
-                                        (flat.shape[0], w.shape[0], flat.shape[1]))
-                w_exp = np.broadcast_to(w[None], x_exp.shape)
-                prod = self.beaver(x_exp, w_exp, idx, pl.name)
-                pre = prod.sum(axis=-1, dtype=_U64) & self.mask
-                pre = self._bias_add(pre, pl, fc=True)
-                env[pl.name] = self.truncate_shares(pre, idx, pl.name)
-            elif pl.kind == "relu":
-                env[pl.name] = self.relu_shares(src[0], idx, pl.name)
-            elif pl.kind == "maxpool":
-                env[pl.name] = self._maxpool(src[0], pl.attrs, idx, pl.name)
-            elif pl.kind == "avgpool":
-                win, stride = pl.attrs["window"], pl.attrs["stride"]
-                acc = np.lib.stride_tricks.sliding_window_view(
-                    src[0], (win, win), axis=(2, 3))[:, :, ::stride, ::stride]
-                summed = acc.sum(axis=(-2, -1), dtype=_U64) & self.mask
-                self.ledger.note_local(pl.name, "public-scale")
-                pre = (summed * _U64(pl.payload["inv_area_ring"])) & self.mask
-                env[pl.name] = self.truncate_shares(pre, idx, pl.name)
-            elif pl.kind == "global-avgpool":
-                summed = src[0].sum(axis=(2, 3), keepdims=True, dtype=_U64) & self.mask
-                self.ledger.note_local(pl.name, "public-scale")
-                pre = (summed * _U64(pl.payload["inv_area_ring"])) & self.mask
-                env[pl.name] = self.truncate_shares(pre, idx, pl.name)
-            elif pl.kind == "shuffle":
-                perm = np.asarray(pl.attrs["perm"], dtype=np.intp)
-                self.ledger.note_local(pl.name, "shuffle")
-                env[pl.name] = np.ascontiguousarray(src[0][:, perm])
-            elif pl.kind == "add":
-                acc = src[0]
-                for t in src[1:]:
-                    acc = (acc + t) & self.mask
-                self.ledger.note_local(pl.name, "add")
-                env[pl.name] = acc
-            elif pl.kind == "concat":
-                self.ledger.note_local(pl.name, "concat")
-                env[pl.name] = np.concatenate(src, axis=1)
-            else:
-                raise ShapeError(f"secure engine cannot run kind {pl.kind!r}")
-        return env[self.plan.output_name]
+        return run_plan(self.plan, input_share, self)[self.plan.output_name]
+
+
+def _weight_shape(pl):
+    """Shape of the layer's encoded weights, derived from public attributes."""
+    a = pl.attrs
+    if pl.kind == "fully-connected":
+        return (a["out_features"], a["in_features"])
+    if pl.kind != "conv2d":
+        return None
+    k = a["tile"] if a.get("winograd") else a["kernel"]
+    return (a["out_channels"], a["in_channels"] // a.get("groups", 1), k, k)
 
 
 def _flat_slice(arr: np.ndarray, pos: int, m: int) -> np.ndarray:

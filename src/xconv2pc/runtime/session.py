@@ -97,7 +97,7 @@ def run_model_party(plan: FixedPlan, transport: Transport,
     out_share = engine.run(x_share)
     engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
                        np.ascontiguousarray(out_share).astype("<u8").tobytes(),
-                       plan.output_name, "output-open")
+                       "session", "output-open")
     engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
     return SessionResult(None, engine.ledger, engine.transcript.sent_digest,
                          engine.transcript.recv_digest)
@@ -119,7 +119,7 @@ def run_client_party(plan: FixedPlan, transport: Transport,
     engine.send_oneway(OP_SHARE_BLOB, SESSION_TAG, other.astype("<u8").tobytes(),
                        "input", "share-input")
     out_share = engine.run(own)
-    raw = engine.recv_oneway(OP_OPEN_OUTPUT, SESSION_TAG, plan.output_name,
+    raw = engine.recv_oneway(OP_OPEN_OUTPUT, SESSION_TAG, "session",
                              "output-open")
     peer_out = np.frombuffer(raw, dtype="<u8").astype(_U64).reshape(out_share.shape)
     output = RingTensor(mask_words(out_share + peer_out, plan.cfg.bitwidth),

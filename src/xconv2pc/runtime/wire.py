@@ -110,17 +110,9 @@ class CommLedger:
         return sum(e.bytes_sent for (l, o), e in self.entries.items()
                    if (layer is None or l == layer) and (op is None or o == op))
 
-    def recv_for(self, layer: str = None, op: str = None) -> int:
-        return sum(e.bytes_recv for (l, o), e in self.entries.items()
-                   if (layer is None or l == layer) and (op is None or o == op))
-
     @property
     def total_sent(self) -> int:
         return sum(e.bytes_sent for e in self.entries.values())
-
-    @property
-    def total_recv(self) -> int:
-        return sum(e.bytes_recv for e in self.entries.values())
 
     def rows(self) -> list:
         out = []
@@ -169,7 +161,11 @@ class Transport:
 
 
 class QueueTransport(Transport):
-    """In-process duplex endpoint; frames still pass through full encoding."""
+    """In-process duplex endpoint; frames are handed over as they are.
+
+    Frames are immutable, so the peer receives the sender's object with no
+    encoding and no payload copy; byte framing is the socket's concern.
+    """
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
         self.inbox = inbox
@@ -181,14 +177,13 @@ class QueueTransport(Transport):
         return cls(q10, q01), cls(q01, q10)
 
     def send(self, frame: Frame) -> None:
-        self.outbox.put(frame.encode())
+        self.outbox.put(frame)
 
     def recv(self) -> Frame:
         try:
-            raw = self.inbox.get(timeout=600)
+            return self.inbox.get(timeout=600)
         except queue.Empty:
             raise TransportError("peer went silent") from None
-        return decode_frame(raw[:HEADER_SIZE], raw[HEADER_SIZE:])
 
 
 class SocketTransport(Transport):

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FixedPointOverflowError, ShapeError, XConvError
-from .ring import FixedPointConfig, RingTensor, encode_fixed, mask_words, truncate_signed
+from .ring import FixedPointConfig
 
 _U64 = np.uint64
 
@@ -225,37 +225,40 @@ def transform_filter_real(w: np.ndarray, basis: WinogradBasis) -> np.ndarray:
     return np.einsum("ij,ocjk,lk->ocil", g, w.astype(np.float64), g)
 
 
-def _signed_to_residues(mat: np.ndarray) -> np.ndarray:
+def signed_to_residues(mat: np.ndarray) -> np.ndarray:
     return np.array([[v % (1 << 64) for v in row] for row in mat.tolist()], dtype=_U64)
 
 
-def _extract_tiles(padded: np.ndarray, n: int, step: int, tiles: int) -> np.ndarray:
+def extract_tiles(padded: np.ndarray, n: int, step: int, tiles: int) -> np.ndarray:
     """(N, C, H, W) -> (N, C, T, T, n, n) overlapping tiles with stride `step`."""
     win = np.lib.stride_tricks.sliding_window_view(padded, (n, n), axis=(2, 3))
     return np.ascontiguousarray(win[:, :, ::step, ::step][:, :, :tiles, :tiles])
 
 
-def _tile_geometry(h_in: int, k: int, padding: int, n: int):
+def tile_geometry(h_in: int, k: int, padding: int, n: int) -> tuple:
+    """(output extent, tiling) of a stride-1 conv; tiling.pad rows pad bottom/right."""
     m_out = h_in + 2 * padding - k + 1
     if m_out < 1:
         raise ShapeError("convolution output would be empty")
-    plan = mult_counts(m_out, k, n)
-    extra = plan.pad
-    return m_out, plan, extra
+    return m_out, mult_counts(m_out, k, n)
 
 
-def winograd_conv2d_float(x: np.ndarray, w: np.ndarray, n: int,
-                          padding: int = 0, groups: int = 1) -> np.ndarray:
-    """Tiled transform convolution in float64; stride 1, square filters."""
+def winograd_conv2d(x: np.ndarray, w: np.ndarray, n: int, *,
+                    padding: int = 0, groups: int = 1) -> np.ndarray:
+    """Tiled transform convolution in float64; stride 1, square filters.
+
+    Matches direct convolution to rounding error.  The fixed-point form of
+    the same kernel is the Winograd step of ``plan.run_plan``.
+    """
     basis = basis_for_tile(n, w.shape[-1])
     _check_kernel_preconditions(x, w, groups)
     nb, c_in, h, wdt = x.shape
     c_out = w.shape[0]
     k = w.shape[-1]
-    m_out, plan, extra = _tile_geometry(h, k, padding, n)
-    padded = np.pad(x.astype(np.float64),
-                    ((0, 0), (0, 0), (padding, padding + extra), (padding, padding + extra)))
-    tiles = _extract_tiles(padded, n, plan.step, plan.tiles)
+    m_out, plan = tile_geometry(h, k, padding, n)
+    pads = (padding, padding + plan.pad)
+    padded = np.pad(x.astype(np.float64), ((0, 0), (0, 0), pads, pads))
+    tiles = extract_tiles(padded, n, plan.step, plan.tiles)
     bt = basis.b_t_int().astype(np.float64)
     at = basis.a_t_int().astype(np.float64)
     u = transform_filter_real(w, basis)
@@ -268,42 +271,10 @@ def winograd_conv2d_float(x: np.ndarray, w: np.ndarray, n: int,
         ui = u[g * cpg_out:(g + 1) * cpg_out]
         mprod = np.einsum("nctuij,ocij->notuij", vi, ui)
         out[:, g * cpg_out:(g + 1) * cpg_out] = np.einsum("ij,notujk,lk->notuil", at, mprod, at)
-    return _assemble(out, m_out, basis.m)
+    return assemble_tiles(out, m_out, basis.m)
 
 
-def winograd_conv2d_fixed_ring(x: RingTensor, u_ring: RingTensor, basis: WinogradBasis,
-                               padding: int, groups: int) -> RingTensor:
-    """Fixed-point tiled kernel on already-transformed, already-encoded filters.
-
-    Input transform and output transform are exact integer maps applied in
-    the ring; the elementwise product doubles the scale.  The caller is
-    responsible for the trailing truncation, mirroring how the secure
-    engine separates the interactive step from the local ones.
-    """
-    nb, c_in, h, wdt = x.shape
-    c_out = u_ring.shape[0]
-    k = basis.r
-    n = basis.n
-    m_out, plan, extra = _tile_geometry(h, k, padding, n)
-    padded = np.pad(x.words, ((0, 0), (0, 0), (padding, padding + extra),
-                              (padding, padding + extra)))
-    tiles = _extract_tiles(padded, n, plan.step, plan.tiles)
-    btu = _signed_to_residues(basis.b_t_int())
-    atu = _signed_to_residues(basis.a_t_int())
-    v = np.einsum("ij,nctujk,lk->nctuil", btu, tiles, btu, dtype=_U64)
-    out = np.empty((nb, c_out, plan.tiles, plan.tiles, basis.m, basis.m), dtype=_U64)
-    cpg_in = c_in // groups
-    cpg_out = c_out // groups
-    for g in range(groups):
-        vi = v[:, g * cpg_in:(g + 1) * cpg_in]
-        ui = u_ring.words[g * cpg_out:(g + 1) * cpg_out]
-        mprod = np.einsum("nctuij,ocij->notuij", vi, ui, dtype=_U64)
-        out[:, g * cpg_out:(g + 1) * cpg_out] = np.einsum(
-            "ij,notujk,lk->notuil", atu, mprod, atu, dtype=_U64)
-    return RingTensor(mask_words(_assemble(out, m_out, basis.m), x.bitwidth), x.bitwidth)
-
-
-def _assemble(tiles_out: np.ndarray, m_out: int, m: int) -> np.ndarray:
+def assemble_tiles(tiles_out: np.ndarray, m_out: int, m: int) -> np.ndarray:
     nb, c, t, _, _, _ = tiles_out.shape
     full = tiles_out.transpose(0, 1, 2, 4, 3, 5).reshape(nb, c, t * m, t * m)
     return full[:, :, :m_out, :m_out]
@@ -331,8 +302,6 @@ def winograd_guard(basis: WinogradBasis, u_real: np.ndarray, groups: int,
     all at double scale.  Requires the result to stay strictly inside the
     signed range.
     """
-    c_out = u_real.shape[0]
-    cpg_out = c_out // groups
     sum_u = np.abs(u_real).sum(axis=1)  # per (out channel, tile pos)
     worst = float(sum_u.max()) * basis.input_growth() * max(x_bound, 1e-300)
     need_bits = 2 * cfg.scale + math.log2(worst) if worst > 0 else 0
@@ -425,29 +394,3 @@ def rewrite_winograd(graph, candidates=(4, 6), allow=None):
     rewritten = Graph(new_layers, graph.input_shape, graph.cfg,
                       graph.weights, dict(graph.metadata, winograd=True))
     return rewritten, decisions
-
-
-def winograd_conv2d(image: np.ndarray, filt: np.ndarray, n: int, *,
-                    padding: int = 0, groups: int = 1, mode: str = "float",
-                    cfg: FixedPointConfig | None = None):
-    """One-call transform convolution for floats or fixed point.
-
-    Float mode matches direct convolution to rounding error.  Fixed mode
-    transforms and encodes the filter at the working scale, runs the exact
-    ring kernel, and applies one signed truncation; the result is the
-    fixed-point reference for secure execution of the same layer.
-    """
-    if mode == "float":
-        return winograd_conv2d_float(image, filt, n, padding=padding, groups=groups)
-    if mode != "fixed":
-        raise ValueError(f"unknown mode {mode!r}")
-    if cfg is None:
-        cfg = FixedPointConfig()
-    basis = basis_for_tile(n, filt.shape[-1])
-    _check_kernel_preconditions(image, filt, groups)
-    u_real = transform_filter_real(filt, basis)
-    winograd_guard(basis, u_real, groups, float(np.abs(image).max(initial=0.0)), cfg)
-    u_ring = encode_fixed(u_real, cfg)
-    x_ring = encode_fixed(image, cfg)
-    pre = winograd_conv2d_fixed_ring(x_ring, u_ring, basis, padding, groups)
-    return truncate_signed(pre, cfg.scale)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from xconv2pc.clear import infer_clear, infer_fixed, infer_float
 from xconv2pc.costs import count_mults
-from xconv2pc.errors import ShapeError
+from xconv2pc.errors import FixedPointOverflowError, ShapeError
 from xconv2pc.graph import (
     INPUT,
     CellVariant,
@@ -19,6 +19,9 @@ from xconv2pc.graph import (
     interleave_perm,
     validate_shapes,
 )
+from xconv2pc.plan import WINOGRAD_INPUT_BOUND, build_plan, execute_plan_clear
+from xconv2pc.ring import FixedPointConfig, encode_fixed
+from xconv2pc.winograd import rewrite_winograd
 from xconv2pc.zoo import model_zoo
 
 
@@ -236,6 +239,44 @@ def test_fixed_mode_deterministic_bits():
     a = infer_fixed(g, x)
     b = infer_fixed(g, x)
     assert np.array_equal(a.words, b.words)
+
+
+def _doubling_plan():
+    # Two chained self-adds, no weights: the promised ceiling stays 128.
+    b = GraphBuilder((1, 2, 4, 4))
+    b.add("twice", INPUT, INPUT)
+    b.add("four", "twice", "twice")
+    return build_plan(b.build())
+
+
+def test_clear_ceiling_check_names_first_layer_over():
+    plan = _doubling_plan()
+    assert plan.input_bound == 128.0
+    x = encode_fixed(np.full((1, 2, 4, 4), 100.0), FixedPointConfig())
+    # 100 is inside the input promise; "twice" holds 200, "four" 400.
+    with pytest.raises(FixedPointOverflowError, match=r"^twice: activation exceeds"):
+        execute_plan_clear(plan, x)
+    out = execute_plan_clear(plan, x, check_ceiling=False)
+    assert np.all(out.signed() == 400 * 2**23)
+    with pytest.raises(FixedPointOverflowError, match=r"^input: activation exceeds"):
+        execute_plan_clear(plan, encode_fixed(np.full((1, 2, 4, 4), 129.0),
+                                              FixedPointConfig()))
+
+
+def test_clear_ceiling_check_bounds_transform_input():
+    b = GraphBuilder((1, 2, 6, 6), seed=3)
+    b.conv("c", INPUT, 2, 2, 3)
+    g, _ = rewrite_winograd(b.build(), candidates=(4,))
+    plan = build_plan(g)
+    cfg = FixedPointConfig()
+    within = encode_fixed(np.full((1, 2, 6, 6), WINOGRAD_INPUT_BOUND), cfg)
+    execute_plan_clear(plan, within)
+    # Above the transform's tighter promise, though inside the ceiling.
+    over = encode_fixed(np.full((1, 2, 6, 6), WINOGRAD_INPUT_BOUND + 1.0), cfg)
+    assert plan.input_bound > WINOGRAD_INPUT_BOUND + 1.0
+    with pytest.raises(FixedPointOverflowError, match=r"^c \(transform input\):"):
+        execute_plan_clear(plan, over)
+    execute_plan_clear(plan, over, check_ceiling=False)
 
 
 # -- batchnorm folding -----------------------------------------------------------

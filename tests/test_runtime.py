@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from xconv2pc.errors import HandshakeError, MaterialError, TransportError
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph
-from xconv2pc.clear import infer_fixed
+from xconv2pc.clear import infer_fixed, infer_float
 from xconv2pc.costs import count_mults
 from xconv2pc.plan import PlanRequirements, build_plan, lt_bool_triple_words
 from xconv2pc.ring import (
@@ -449,11 +449,21 @@ def test_kitchen_sink_graph_bitwise():
     ap = b.avgpool("ap", mp, 2, 2)
     gap = b.global_avgpool("gap", ap)
     b.fc("head", gap, 16, 5)
-    g, _ = rewrite_winograd(b.build(), allow={"body"})
+    g_direct = b.build()
+    g, _ = rewrite_winograd(g_direct, allow={"body"})
     assert g.layer("body").attrs["winograd"]
-    run = secure_infer_local(g, _random_input((1, 4, 16, 16), 61), seed=62)
+    x = _random_input((1, 4, 16, 16), 61)
+    run = secure_infer_local(g, x, seed=62)
     assert np.array_equal(run.output.words, run.clear_reference.words)
     assert ledgers_mirror(run.model.ledger, run.client.ledger)
+    # The secure run and the clear reference walk the same code, so check
+    # the walk against float inference on the untagged graph, which shares
+    # none of its ring steps.  The gap is quantization: 2^-23 per encoding
+    # and truncation, amplified by the transform conv's encoded filter
+    # (1.3e-6 at this seed).  A wrong linear step moves outputs by whole
+    # activations, here up to 0.2, far above the 1e-4 allowed.
+    fixed = run.clear_reference.signed() / 2**23
+    assert np.abs(fixed - infer_float(g_direct, x)).max() < 1e-4
 
 
 @pytest.mark.slow
@@ -540,11 +550,11 @@ def test_depthwise_conv_and_relu_exact_rounds():
     run = secure_infer_local(b.build(), _random_input((1, 4, 8, 8), 71), seed=72)
     assert np.array_equal(run.output.words, run.clear_reference.words)
     for led in (run.model.ledger, run.client.ledger):
-        # Set-up sends the weight shares; online, one open serves all four
-        # groups, then a 9-round truncation.
+        # One open serves all four groups, then a 9-round truncation; the
+        # weight shares are set-up, booked under the session row.
         assert _layer_rounds(led, "dw") == {
-            "share-weights": 1,
             "mul-open": 1, "mask-open": 1, "bool-open": 7, "aux-open": 1}
+        assert _layer_rounds(led, "session")["share-weights"] == 1
         assert _layer_rounds(led, "r") == {
             "mask-open": 1, "bool-open": 7, "aux-open": 2}
 

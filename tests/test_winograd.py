@@ -17,6 +17,7 @@ from xconv2pc.errors import FixedPointOverflowError
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder
 from xconv2pc.clear import infer_float
 from xconv2pc.costs import count_mults
+from xconv2pc.plan import build_plan, execute_plan_clear
 from xconv2pc.ring import FixedPointConfig, RingTensor, encode_fixed, mask_words, truncate_signed
 from xconv2pc.winograd import (
     UnsupportedTransformError,
@@ -222,6 +223,16 @@ def test_float_matches_direct_random_sizes(n, hw):
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-8
 
 
+def _fixed_transform_conv(xs, ws, n, cfg):
+    """One bias-free padded conv, transform-tagged with tile n, run by the plan walker."""
+    b = GraphBuilder(xs.shape, cfg=cfg)
+    b.conv("c", INPUT, ws.shape[1], ws.shape[0], ws.shape[-1], padding=1, bias=False)
+    b.weights["c.weight"] = ws
+    g, _ = rewrite_winograd(b.build(), candidates=(n,))
+    assert g.layer("c").attrs["tile"] == n
+    return execute_plan_clear(build_plan(g), encode_fixed(xs, cfg))
+
+
 def test_fixed_mode_exact_on_encodable_toys():
     # Image dyadic, filter 9/64-granular: the transformed filter encodes
     # without flooring, so the tiled ring kernel must agree with direct
@@ -241,7 +252,7 @@ def test_fixed_mode_exact_on_encodable_toys():
                     acc[:, oc] += xp[:, ic, i:i + 9, j:j + 9] * ww[oc, ic, i, j]
     ref = truncate_signed(RingTensor(mask_words(acc, 60), 60), 23)
     for n in (4, 6):
-        got = winograd_conv2d(xs, ws, n, padding=1, mode="fixed", cfg=cfg)
+        got = _fixed_transform_conv(xs, ws, n, cfg)
         assert np.abs(got.signed() - ref.signed()).max() <= 2
 
 
@@ -252,7 +263,7 @@ def test_fixed_mode_quantization_deviation_is_bounded():
     rng = np.random.default_rng(5)
     xs = rng.uniform(-1, 1, (1, 2, 12, 12))
     ws = rng.uniform(-0.5, 0.5, (3, 2, 3, 3))
-    got = winograd_conv2d(xs, ws, 6, padding=1, mode="fixed", cfg=cfg)
+    got = _fixed_transform_conv(xs, ws, 6, cfg)
     ref = direct_conv(xs, ws, pad=1)
     assert np.abs(got.signed() / 2**23 - ref).max() < 1e-3
 

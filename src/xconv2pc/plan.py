@@ -26,6 +26,7 @@ same schedule from the public architecture.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,7 @@ class PlanLayer:
     cmp_elems: int = 0
     aux_triples: int = 0
     bool_words: int = 0
+    relu_sign: bool = False  # truncation also yields its sole reader ReLU's sign
     payload: dict = field(default_factory=dict)  # ring weights, party-0 side only
 
 
@@ -258,12 +260,15 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
 
         elif spec.kind == "maxpool":
             win = spec.attrs["window"]
-            # The pairwise-max tree folds window positions one batch at a
-            # time, so boolean words are sized per step to keep the packed
+            # The pairwise-max tree compares all of a level's pairs in one
+            # batch, so boolean words are sized per level to keep the packed
             # word rounding identical to the online consumption.
             pl.cmp_elems = out_elems * (win * win - 1)
-            pl.bool_words = (win * win - 1) * lt_bool_triple_words(out_elems,
-                                                                   nbits - 1)
+            left = win * win
+            while left > 1:
+                pl.bool_words += lt_bool_triple_words(left // 2 * out_elems,
+                                                      nbits - 1)
+                left -= left // 2
 
         elif spec.kind in ("shuffle", "add", "concat"):
             pass
@@ -278,6 +283,15 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
             pl.bool_words += lt_bool_triple_words(pl.trunc_elems, s)
             pl.bool_words += lt_bool_triple_words(pl.trunc_elems, nbits)
         layers.append(pl)
+
+    # An arithmetic shift keeps the sign, so a ReLU that alone reads a
+    # truncating layer takes its sign test from that layer's truncation.
+    readers = Counter(src for pl in layers for src in pl.inputs)
+    truncating = {pl.name: pl for pl in layers if pl.trunc_elems}
+    for pl in layers:
+        src = truncating.get(pl.inputs[0]) if pl.kind == "relu" else None
+        if src is not None and readers[src.name] == 1:
+            src.relu_sign = True
 
     return FixedPlan(cfg=cfg, input_shape=g.input_shape, layers=layers,
                      output_name=g.output_name, graph_hash=graph.structural_hash(),
@@ -312,19 +326,26 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
     here once and does the same ring work on clear residues and on one
     party's additive share.  ``ops`` supplies only what differs:
 
-      mul(x, y, tag, layer)       elementwise product of equal-shape words
-      relu(x, tag, layer)         max(signed(x), 0)
-      truncate(x, tag, layer)     arithmetic shift by the working scale
-      add_bias(pre, b, layer)     add the layer's public double-scale bias
-      note_local(layer, op)       mark a communication-free step
-      weight(pl)                  the layer's (possibly transformed) weights
+      mul(x, y, tag, layer)           elementwise product of equal-shape words
+      relu(x, tag, layer, neg=None)   max(signed(x), 0)
+      truncate(x, tag, layer, sign=False)
+                                      arithmetic shift by the working scale
+      add_bias(pre, b, layer)         add the layer's public double-scale bias
+      note_local(layer, op)           mark a communication-free step
+      weight(pl)                      the layer's (possibly transformed) weights
 
     ``tag`` is the layer's index in the plan.  Conv and fc layers hand
     ``mul`` one broadcast over all groups, so the secure backend opens one
-    batch per layer; maxpool folds window positions as b + relu(a - b).
+    batch per layer.  At a layer marked ``relu_sign``, ``truncate(...,
+    sign=True)`` returns the shifted words and the backend's form of
+    [signed(pre) < 0]; the walker hands that to the reading ReLU as
+    ``neg``, which a backend may use instead of testing the sign itself.
+    Maxpool folds window positions as b + relu(a - b), one ``relu`` call
+    per level of a pairwise tree.
     """
     mask = _U64(plan.cfg.mask)
     env = {INPUT: x}
+    signs = {}
     for idx, pl in enumerate(plan.layers):
         src = [env[s] for s in pl.inputs]
         name = pl.name
@@ -341,7 +362,7 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
                 b = pl.payload["bias_ring"].words
                 pre = ops.add_bias(pre, b.reshape((1, -1) if fc else (1, -1, 1, 1)),
                                    name)
-            out = ops.truncate(pre, idx, name)
+            out = _truncate(pre, pl, idx, ops, signs)
         elif pl.kind in ("avgpool", "global-avgpool"):
             if pl.kind == "avgpool":
                 win, stride = pl.attrs["window"], pl.attrs["stride"]
@@ -352,9 +373,9 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
                 summed = src[0].sum(axis=(2, 3), keepdims=True, dtype=_U64) & mask
             ops.note_local(name, "public-scale")
             pre = (summed * _U64(pl.payload["inv_area_ring"])) & mask
-            out = ops.truncate(pre, idx, name)
+            out = _truncate(pre, pl, idx, ops, signs)
         elif pl.kind == "relu":
-            out = ops.relu(src[0], idx, name)
+            out = ops.relu(src[0], idx, name, neg=signs.pop(pl.inputs[0], None))
         elif pl.kind == "maxpool":
             out = _maxpool(src[0], pl.attrs, idx, name, ops, mask)
         elif pl.kind == "shuffle":
@@ -373,6 +394,13 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
             raise ShapeError(f"cannot execute layer kind {pl.kind!r}")
         env[name] = out
     return env
+
+
+def _truncate(pre, pl: PlanLayer, tag: int, ops, signs: dict) -> np.ndarray:
+    if not pl.relu_sign:
+        return ops.truncate(pre, tag, pl.name)
+    out, signs[pl.name] = ops.truncate(pre, tag, pl.name, sign=True)
+    return out
 
 
 def _conv_direct(x, w, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
@@ -444,13 +472,16 @@ def _maxpool(x, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
         return np.ascontiguousarray(x[:, :, ::stride, ::stride])
     patches = np.lib.stride_tricks.sliding_window_view(
         x, (win, win), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = np.ascontiguousarray(patches).reshape(patches.shape[:4] + (win * win,))
-    cur = np.ascontiguousarray(flat[..., 0])
-    for j in range(1, win * win):
-        nxt = np.ascontiguousarray(flat[..., j])
-        rel = ops.relu((cur - nxt) & mask, tag, layer)
-        cur = (nxt + rel) & mask
-    return cur
+    # (window position, N, C, OH, OW); each level pairs the first half of
+    # the positions with the second, and an odd one carries over.
+    level = np.ascontiguousarray(patches.transpose(4, 5, 0, 1, 2, 3)).reshape(
+        (win * win,) + patches.shape[:4])
+    while len(level) > 1:
+        half = len(level) // 2
+        a, b = level[:half], level[half:2 * half]
+        rel = ops.relu((a - b) & mask, tag, layer)
+        level = np.concatenate([(b + rel) & mask, level[2 * half:]])
+    return level[0]
 
 
 # -- clear fixed-point execution ------------------------------------------------
@@ -472,11 +503,14 @@ class ClearOps:
         prod &= self.mask
         return prod
 
-    def relu(self, x, tag, layer):
+    def relu(self, x, tag, layer, neg=None):
+        # `neg` is ignored: the clear side tests the sign on its own input,
+        # so the bitwise gate checks the sign identity the engine relies on.
         return ring_relu(RingTensor(x, self.cfg.bitwidth)).words
 
-    def truncate(self, x, tag, layer):
-        return truncate_signed(RingTensor(x, self.cfg.bitwidth), self.cfg.scale).words
+    def truncate(self, x, tag, layer, sign=False):
+        out = truncate_signed(RingTensor(x, self.cfg.bitwidth), self.cfg.scale).words
+        return (out, None) if sign else out
 
     def add_bias(self, pre, b, layer):
         return (pre + b) & self.mask

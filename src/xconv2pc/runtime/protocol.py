@@ -30,8 +30,15 @@ BEAVER_CHUNK multiplications, all groups together.  A truncation takes
 9 rounds: the mask open, 7 AND rounds shared by its two comparisons
 (6 scan rounds over 60 bits plus the final one), and one auxiliary open
 converting both bits.  A ReLU takes 10: the same 9 over one 59-bit
-comparison, plus the open of its sign-bit product.  Each count assumes
-its batch fits one BEAVER_CHUNK.
+comparison, plus the open of its sign-bit product.  A ReLU that alone
+reads a truncating layer (the plan marks it) takes 9 + 1: an arithmetic
+shift keeps the sign, so the truncation opens the ReLU's masked input in
+its own mask-open frame, runs the 59-bit comparison in its 7 AND rounds
+and converts that bit in its auxiliary open; the ReLU itself opens only
+the sign-bit product.  Those fused rows' bytes and rounds sit under the
+truncating layer in the ledger.  Maxpool takes 10 per level of its
+pairwise tree, ceil(log2 window^2) levels.  Each count assumes its batch
+fits one BEAVER_CHUNK.
 
 Exactness notes, all modulo 2^l with x' = x + 2^(l-1):
   floor(unsigned(x') / 2^s) = (c >> s) - (r >> s) - [c mod 2^s < r mod 2^s]
@@ -329,42 +336,76 @@ class PartyEngine:
 
     # -- nonlinear units --------------------------------------------------------
 
-    def relu_shares(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
-        """max(signed(x), 0) on flat share words, exactly."""
-        n = x.size
-        r_arith, r_xor = self.material.take_cmp(n)
-        c = self._open_words((x.reshape(-1) + r_arith) & self.mask, tag, layer,
-                             "mask-open")
+    def _sign_job(self, c: np.ndarray, r_xor: np.ndarray) -> tuple:
+        """The less-than job for msb(c - r), and the XOR share it completes.
+
+        msb(c - r) = msb(c) XOR msb(r) XOR [low(c) < low(r)] over the low
+        l-1 bits; the public msb(c) enters on the model owner's side only.
+        """
         low_bits = self.bitwidth - 1
         low_mask = _U64((1 << low_bits) - 1)
-        lt = self.less_than_mask([(c & low_mask, r_xor & low_mask, low_bits)],
-                                 tag, layer)
-        msb_share = ((r_xor >> _U64(low_bits)) & _U64(1)) ^ lt
+        top = (r_xor >> _U64(low_bits)) & _U64(1)
         if self.party == 0:
-            msb_share = msb_share ^ ((c >> _U64(low_bits)) & _U64(1))
-        m_arith = self.bits_to_arith(msb_share, tag, layer)
-        prod = self.beaver(x.reshape(-1), m_arith, tag, layer, take="aux",
-                           op="aux-open")
-        return ((x.reshape(-1) - prod) & self.mask).reshape(x.shape)
+            top = top ^ ((c >> _U64(low_bits)) & _U64(1))
+        return (c & low_mask, r_xor & low_mask, low_bits), top
 
-    def truncate_shares(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
-        """Faithful arithmetic shift by the working scale, exactly."""
+    def relu_shares(self, x: np.ndarray, tag: int, layer: str,
+                    neg: np.ndarray = None) -> np.ndarray:
+        """max(signed(x), 0) on flat share words, exactly.
+
+        ``neg``, an additive share of [signed(x) < 0] computed by the
+        truncation that produced x, leaves only the sign-bit product.
+        """
+        flat = x.reshape(-1)
+        if neg is None:
+            r_arith, r_xor = self.material.take_cmp(flat.size)
+            c = self._open_words((flat + r_arith) & self.mask, tag, layer,
+                                 "mask-open")
+            job, top = self._sign_job(c, r_xor)
+            neg = self.bits_to_arith(self.less_than_mask([job], tag, layer) ^ top,
+                                     tag, layer)
+        prod = self.beaver(flat, neg, tag, layer, take="aux", op="aux-open")
+        return ((flat - prod) & self.mask).reshape(x.shape)
+
+    def truncate_shares(self, x: np.ndarray, tag: int, layer: str,
+                        sign: bool = False):
+        """Faithful arithmetic shift by the working scale, exactly.
+
+        With ``sign`` it also returns an additive share of [signed(x) < 0]
+        for the ReLU that reads the result (the shift keeps the sign).  That
+        test consumes the ReLU's comparison tuple: x plus its mask is opened
+        in the same frame as the biased value, its 59-bit comparison joins
+        the borrow and wrap jobs, and its bit converts with theirs.
+        """
         s = self.plan.cfg.scale
         n = x.size
+        flat = x.reshape(-1)
         r_arith, r_shift, r_xor = self.material.take_trunc(n)
-        biased = x.reshape(-1).copy()
+        masked = np.empty(2 * n if sign else n, dtype=_U64)
+        np.add(flat, r_arith, out=masked[:n])
         if self.party == 0:
-            biased = (biased + _U64(1 << (self.bitwidth - 1))) & self.mask
-        c = self._open_words((biased + r_arith) & self.mask, tag, layer,
-                             "mask-open")
+            masked[:n] += _U64(1 << (self.bitwidth - 1))
+        if sign:
+            q_arith, q_xor = self.material.take_cmp(n)
+            np.add(flat, q_arith, out=masked[n:])
+        masked &= self.mask
+        opened = self._open_words(masked, tag, layer, "mask-open")
+        c = opened[:n]
         low_mask = _U64((1 << s) - 1)
-        lt = self.less_than_mask([(c & low_mask, r_xor & low_mask, s),
-                                  (c, r_xor, self.bitwidth)], tag, layer)
-        borrow, wrap = np.split(self.bits_to_arith(lt, tag, layer), 2)
+        jobs = [(c & low_mask, r_xor & low_mask, s), (c, r_xor, self.bitwidth)]
+        if sign:
+            job, top = self._sign_job(opened[n:], q_xor)
+            jobs.append(job)
+        bits = self.less_than_mask(jobs, tag, layer)
+        if sign:
+            bits[2 * n:] ^= top
+        arith = self.bits_to_arith(bits, tag, layer)
+        borrow, wrap = arith[:n], arith[n:2 * n]
         res = (_U64(1 << (self.bitwidth - s)) * wrap - r_shift - borrow) & self.mask
         if self.party == 0:
             res = (res + (c >> _U64(s)) - _U64(1 << (self.bitwidth - 1 - s))) & self.mask
-        return res.reshape(x.shape)
+        res = res.reshape(x.shape)
+        return (res, arith[2 * n:]) if sign else res
 
     # -- run_plan backend ----------------------------------------------------------
     #
@@ -374,11 +415,12 @@ class PartyEngine:
     def mul(self, x: np.ndarray, y: np.ndarray, tag: int, layer: str) -> np.ndarray:
         return self.beaver(x, y, tag, layer)
 
-    def relu(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
-        return self.relu_shares(x, tag, layer)
+    def relu(self, x: np.ndarray, tag: int, layer: str,
+             neg: np.ndarray = None) -> np.ndarray:
+        return self.relu_shares(x, tag, layer, neg=neg)
 
-    def truncate(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
-        return self.truncate_shares(x, tag, layer)
+    def truncate(self, x: np.ndarray, tag: int, layer: str, sign: bool = False):
+        return self.truncate_shares(x, tag, layer, sign=sign)
 
     def add_bias(self, pre: np.ndarray, b: np.ndarray, layer: str) -> np.ndarray:
         """Public constant: only the model owner adds it to its share."""

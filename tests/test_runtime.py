@@ -6,6 +6,7 @@ headline contract, exact bit equality with the clear fixed-point
 reference, plus the byte-accounting invariants.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -542,6 +543,20 @@ def _layer_rounds(ledger, layer):
             if l == layer and e.rounds}
 
 
+def _run_with_cursor_check(g, x, seed):
+    """Secure run with dealt material: bitwise equal to clear, cursors exact."""
+    plan = build_plan(g, with_weights=True)
+    materials = generate_material(plan, seed)
+    run = secure_infer_local(g, x, seed=seed, materials=materials)
+    assert np.array_equal(run.output.words, run.clear_reference.words)
+    req = plan.requirements()
+    expected = {"mul": req.mul_triples, "aux": req.aux_triples,
+                "trunc": req.trunc_units, "cmp": req.cmp_tuples,
+                "bool": req.bool_words}
+    assert materials[0].cursors == materials[1].cursors == expected
+    return run
+
+
 def test_depthwise_conv_and_relu_exact_rounds():
     b = GraphBuilder((1, 4, 8, 8), seed=70)
     dw = b.conv("dw", INPUT, 4, 4, 3, groups=4, bias=False)
@@ -550,13 +565,13 @@ def test_depthwise_conv_and_relu_exact_rounds():
     run = secure_infer_local(b.build(), _random_input((1, 4, 8, 8), 71), seed=72)
     assert np.array_equal(run.output.words, run.clear_reference.words)
     for led in (run.model.ledger, run.client.ledger):
-        # One open serves all four groups, then a 9-round truncation; the
-        # weight shares are set-up, booked under the session row.
+        # One open serves all four groups, then a 9-round truncation that
+        # also tests the ReLU's sign; the ReLU keeps only its sign-bit
+        # product.  The weight shares are set-up, booked under the session row.
         assert _layer_rounds(led, "dw") == {
             "mul-open": 1, "mask-open": 1, "bool-open": 7, "aux-open": 1}
         assert _layer_rounds(led, "session")["share-weights"] == 1
-        assert _layer_rounds(led, "r") == {
-            "mask-open": 1, "bool-open": 7, "aux-open": 2}
+        assert _layer_rounds(led, "r") == {"aux-open": 1}
 
 
 def test_multi_chunk_grouped_conv_session(monkeypatch):
@@ -569,17 +584,8 @@ def test_multi_chunk_grouped_conv_session(monkeypatch):
     b.conv("dw", gc, 6, 6, 3, groups=6, bias=False)      # depthwise, transform
     g, _ = rewrite_winograd(b.build(), candidates=(4,), allow={"dw"})
     assert g.layer("dw").attrs["winograd"]
-    plan = build_plan(g, with_weights=True)
-    materials = generate_material(plan, 74)
-    run = secure_infer_local(g, _random_input((1, 4, 8, 8), 75), seed=74,
-                             materials=materials)
-    assert np.array_equal(run.output.words, run.clear_reference.words)
-    req = plan.requirements()
-    expected = {"mul": req.mul_triples, "aux": req.aux_triples,
-                "trunc": req.trunc_units, "cmp": req.cmp_tuples,
-                "bool": req.bool_words}
-    assert materials[0].cursors == materials[1].cursors == expected
-    for pl in plan.layers:
+    run = _run_with_cursor_check(g, _random_input((1, 4, 8, 8), 75), 74)
+    for pl in run.plan.layers:
         assert pl.mults > chunk and pl.mults % chunk, pl.name
         for led in (run.model.ledger, run.client.ledger):
             assert led.entries[(pl.name, "mul-open")].rounds == -(-pl.mults // chunk)
@@ -607,6 +613,118 @@ def test_flat_slice_matches_contiguous_copy():
                 m = min(m, flat.size - pos)
                 assert np.array_equal(_flat_slice(arr, pos, m),
                                       flat[pos:pos + m]), (arr.shape, pos, m)
+
+
+def _client_rounds_from_plan(plan):
+    """Client rounds as the plan predicts them, each batch within one chunk."""
+    fused = {pl.name for pl in plan.layers if pl.relu_sign}
+    weighted = sum(pl.kind in ("conv2d", "fully-connected") for pl in plan.layers)
+    rounds = 4 + weighted  # hello, weight shares, input share, output open, sync
+    for pl in plan.layers:
+        rounds += -(-pl.mults // protocol.BEAVER_CHUNK)
+        if pl.trunc_elems:
+            rounds += 9
+        if pl.kind == "relu":
+            rounds += 1 if pl.inputs[0] in fused else 10
+        if pl.kind == "maxpool" and pl.attrs["window"] > 1:
+            rounds += 10 * math.ceil(math.log2(pl.attrs["window"] ** 2))
+    return rounds
+
+
+@pytest.mark.parametrize("backbone,variant,size,total", [
+    ("toynet", CellVariant.DENSE, 16, None),
+    ("shufflenetv2", CellVariant.XOP, 32, 623),
+])
+def test_client_rounds_follow_the_plan(backbone, variant, size, total):
+    g = model_zoo(backbone, variant, size, seed=90)
+    run = secure_infer_local(g, _random_input(g.input_shape, 91), seed=92)
+    assert np.array_equal(run.output.words, run.clear_reference.words)
+    rounds = sum(e.rounds for e in run.client.ledger.entries.values())
+    assert rounds == _client_rounds_from_plan(run.plan)
+    assert total is None or rounds == total
+
+
+def test_maxpool_tree_rounds_and_bits():
+    b = GraphBuilder((1, 3, 9, 9), seed=93)
+    p2 = b.maxpool("p2", INPUT, 2, 1)
+    b.maxpool("p3", p2, 3, 2)
+    run = _run_with_cursor_check(b.build(), _random_input((1, 3, 9, 9), 94), 95)
+    for led in (run.model.ledger, run.client.ledger):
+        # ceil(log2 4) = 2 and ceil(log2 9) = 4 levels of one 10-round relu.
+        assert _layer_rounds(led, "p2") == {
+            "mask-open": 2, "bool-open": 14, "aux-open": 4}
+        assert _layer_rounds(led, "p3") == {
+            "mask-open": 4, "bool-open": 28, "aux-open": 8}
+
+
+# -- sign tests folded into the truncation ----------------------------------------
+
+
+def _fused(plan):
+    return {pl.name for pl in plan.layers if pl.relu_sign}
+
+
+def _pass_through_conv(shape):
+    """1x1 conv whose weight encodes to the ring word 1: pre-truncation = input."""
+    b = GraphBuilder(shape, seed=96)
+    c = b.conv("c", INPUT, 1, 1, 1, bias=False)
+    b.weights["c.weight"] = np.full((1, 1, 1, 1), 2.0 ** -CFG.scale)
+    return b, c
+
+
+def test_fused_relu_on_sign_edge_values():
+    s = CFG.scale
+    rng = np.random.default_rng(97)
+    edges = [0, -1, 1, -(1 << s), -(1 << s) + 1, -(1 << s) - 1, (1 << s) - 1,
+             1 << s, -(1 << 59), (1 << 59) - 1, -(1 << 58) - 12345, (1 << 58) + 7]
+    inside = rng.integers(-(1 << s) + 1, 0, size=20)       # truncate to -1
+    large = rng.integers(-(1 << 59), 1 << 59, size=64 - len(edges) - 20)
+    pre = np.concatenate([edges, inside, large]).astype(np.int64)
+    b, c = _pass_through_conv((1, 1, 8, 8))
+    b.relu("r", c)                                         # fused, graph output
+    x = RingTensor.from_signed(pre.reshape(1, 1, 8, 8), CFG.bitwidth)
+    run = _run_with_cursor_check(b.build(), x, 98)
+    assert _fused(run.plan) == {"c"}
+    got = run.output.signed().reshape(-1)
+    assert np.array_equal(got, np.maximum(pre >> s, 0))
+    assert not got[1:len(edges)][pre[1:len(edges)] < 0].any()
+    assert not got[len(edges):len(edges) + 20].any()
+
+
+def test_fused_relu_after_every_truncating_kind():
+    from xconv2pc.winograd import rewrite_winograd
+
+    b = GraphBuilder((1, 4, 8, 8), seed=99)
+    w = b.conv("w", INPUT, 4, 4, 3)
+    r1 = b.relu("r1", w)
+    a = b.avgpool("a", r1, 2, 2)
+    r2 = b.relu("r2", a)
+    gp = b.global_avgpool("g", r2)
+    r3 = b.relu("r3", gp)
+    f = b.fc("f", r3, 4, 6)
+    b.relu("r4", f)
+    g, _ = rewrite_winograd(b.build(), candidates=(4,), allow={"w"})
+    assert g.layer("w").attrs["winograd"]
+    for seed in (100, 101, 102):
+        run = _run_with_cursor_check(g, 3 * _random_input((1, 4, 8, 8), seed), seed)
+        assert _fused(run.plan) == {"w", "a", "g", "f"}
+        for led in (run.model.ledger, run.client.ledger):
+            for r in ("r1", "r2", "r3", "r4"):
+                assert _layer_rounds(led, r) == {"aux-open": 1}, r
+
+
+def test_relu_not_fused_with_second_reader_or_on_the_input():
+    b = GraphBuilder((1, 2, 6, 6), seed=103)
+    r0 = b.relu("r0", INPUT)
+    c = b.conv("c", r0, 2, 2, 3)
+    r = b.relu("r", c)
+    b.add("sum", c, r)                          # c has a second reader
+    run = _run_with_cursor_check(b.build(), _random_input((1, 2, 6, 6), 104), 105)
+    assert not _fused(run.plan)
+    for led in (run.model.ledger, run.client.ledger):
+        for name in ("r0", "r"):
+            assert _layer_rounds(led, name) == {
+                "mask-open": 1, "bool-open": 7, "aux-open": 2}, name
 
 
 @pytest.fixture

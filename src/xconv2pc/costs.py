@@ -34,15 +34,15 @@ class CostProfile:
     The multiplication constant is the published 1.2 KB per-operation
     figure for the protocol stack being modeled; the nonlinear constants
     default to this package's own engine as measured by
-    :func:`calibrate_profile` (127.5 B per activation element, 156 B per
-    truncated element) and are engine-specific, not claims about any
-    other stack.
+    :func:`calibrate_profile` (46 B per activation element, 47.75 B per
+    truncated element, both with the digit-table comparisons) and are
+    engine-specific, not claims about any other stack.
     """
 
     bytes_per_mult: float = 1228.8  # 1.2 KB per secret multiplication
-    bytes_per_relu_element: float = 127.5
-    bytes_per_comparison: float = 127.5
-    bytes_per_truncation_element: float = 156.0
+    bytes_per_relu_element: float = 46.0
+    bytes_per_comparison: float = 46.0
+    bytes_per_truncation_element: float = 47.75
     name: str = "default"
 
     def __post_init__(self):

@@ -48,24 +48,34 @@ from .winograd import (
 _U64 = np.uint64
 
 
-def lt_bool_triple_words(n_elems: int, n_bits: int) -> int:
-    """Packed boolean-triple words one bitwise less-than over n_bits consumes.
+DIGIT_BITS = 4  # mask bits per dealer truth-table digit
 
-    One suffix-equality scan round per doubling offset, each touching the
-    bit planes it still changes, plus one final round combining the
-    difference terms.  The dealer and the online engine both size from
-    this function, so consumption always lands exactly.
+
+def lt_digits(n_bits: int) -> int:
+    """Dealer table digits one less-than over n_bits reads per element.
+
+    The compared values split into DIGIT_BITS-bit digits, lowest first;
+    the top digit keeps whatever width is left (23 bits: 5 x 4 + 3).
     """
-    if n_elems == 0:
-        return 0
-    words_per_plane = -(-n_elems // 64)
-    planes = 0
-    d = 1
-    while d < n_bits:
-        planes += n_bits - d
-        d *= 2
-    planes += n_bits
-    return planes * words_per_plane
+    return -(-n_bits // DIGIT_BITS)
+
+
+def lt_bool_words(n_elems: int, n_bits: int) -> int:
+    """Packed boolean-triple words one digit-table less-than consumes.
+
+    Each tree level pairs adjacent digit groups, lowest first (an odd top
+    group carries over), and ANDs eq_hi with lt_lo and with eq_lo.  The
+    lowest group's eq is never read, so a level of p pairs costs 2p - 1
+    ANDs per 64-element word.  The plan, the dealer and the online engine
+    all size from this function and ``lt_digits``, so consumption always
+    lands exactly.
+    """
+    ands, groups = 0, lt_digits(n_bits)
+    while groups > 1:
+        pairs = groups // 2
+        ands += 2 * pairs - 1
+        groups -= pairs
+    return ands * -(-n_elems // 64)
 
 
 @dataclass
@@ -256,7 +266,7 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
 
         elif spec.kind == "relu":
             pl.cmp_elems = out_elems
-            pl.bool_words = lt_bool_triple_words(out_elems, nbits - 1)
+            pl.bool_words = lt_bool_words(out_elems, nbits - 1)
 
         elif spec.kind == "maxpool":
             win = spec.attrs["window"]
@@ -266,8 +276,7 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
             pl.cmp_elems = out_elems * (win * win - 1)
             left = win * win
             while left > 1:
-                pl.bool_words += lt_bool_triple_words(left // 2 * out_elems,
-                                                      nbits - 1)
+                pl.bool_words += lt_bool_words(left // 2 * out_elems, nbits - 1)
                 left -= left // 2
 
         elif spec.kind in ("shuffle", "add", "concat"):
@@ -280,8 +289,8 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
             pl.aux_triples += 2 * pl.cmp_elems
         if pl.trunc_elems:
             pl.aux_triples += 2 * pl.trunc_elems
-            pl.bool_words += lt_bool_triple_words(pl.trunc_elems, s)
-            pl.bool_words += lt_bool_triple_words(pl.trunc_elems, nbits)
+            pl.bool_words += lt_bool_words(pl.trunc_elems, s)
+            pl.bool_words += lt_bool_words(pl.trunc_elems, nbits)
         layers.append(pl)
 
     # An arithmetic shift keeps the sign, so a ReLU that alone reads a

@@ -6,36 +6,58 @@ per party holding five sequential streams:
 1. multiplication triples (a, b, c = a*b), one per secret multiplication,
 2. auxiliary arithmetic triples for bit-to-arithmetic conversions and the
    sign-bit products of the nonlinear layers,
-3. truncation units: additive and XOR sharings of a fresh mask plus an
-   additive sharing of its unsigned shift,
-4. comparison tuples: additive and XOR sharings of a fresh mask,
-5. boolean triples as packed 64-bit words for the bit circuits.
+3. truncation units: an additive sharing of a fresh mask r, one of its
+   unsigned shift, and XOR-shared digit tables for the two comparisons
+   against r (its low ``scale`` bits, then all of it),
+4. comparison tuples: an additive sharing of a fresh mask r and XOR-shared
+   digit tables for the sign test against its low l-1 bits,
+5. boolean triples as packed 64-bit words for the digit trees.
 
-Identical seeds give byte-identical files.  Both parties consume with
-lockstep cursors; running past the end raises, and a file whose trailing
-digest does not match its contents is rejected before any use.
+A digit table is one 32-bit word per DIGIT_BITS-bit digit r_j of the
+compared mask bits, lowest digit first: bit v of its low half is
+[v < r_j], bit v of its high half [v = r_j].  A party selects bit c_j of
+its shares at the public digit c_j, which sends nothing (the dealer's
+form of a one-out-of-16 OT).  A comparison tuple's sign test also needs
+msb(r); the dealer XORs it into every entry of the top digit's lt row,
+which the digit tree carries linearly to its result.
+
+Format version 2; version 1 carried XOR sharings of the masks in place
+of the tables.  Identical seeds give byte-identical files.  Both parties
+consume with lockstep cursors; running past the end raises, and a file
+whose trailing digest does not match its contents is rejected before any
+use.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MaterialError
-from ..plan import FixedPlan
+from ..plan import DIGIT_BITS, FixedPlan, lt_digits
 from ..ring import FixedPointConfig
 
 _U64 = np.uint64
+_U32 = np.uint32
+_ROW = 1 << DIGIT_BITS  # bits per table row; lt and eq rows share a 32-bit word
 
 MATERIAL_MAGIC = b"DLR1"
-_HEADER = struct.Struct("<4sBB2xQ32s5Q")
+MATERIAL_VERSION = 2
+# magic, version, party, table digits per truncation unit and per
+# comparison tuple, seed, graph hash, element count per cursor kind.
+_HEADER = struct.Struct("<4sBBBBQ32s5Q")
 
-_STREAMS = ("mul_a", "mul_b", "mul_c", "aux_a", "aux_b", "aux_c",
-            "trunc_r", "trunc_shift", "trunc_xor", "cmp_r", "cmp_xor",
-            "bool_a", "bool_b", "bool_c")
+# Streams in file order, with the cursor kind that sizes each.
+_STREAMS = (("mul_a", "mul"), ("mul_b", "mul"), ("mul_c", "mul"),
+            ("aux_a", "aux"), ("aux_b", "aux"), ("aux_c", "aux"),
+            ("trunc_r", "trunc"), ("trunc_shift", "trunc"), ("trunc_tab", "trunc"),
+            ("cmp_r", "cmp"), ("cmp_tab", "cmp"),
+            ("bool_a", "bool"), ("bool_b", "bool"), ("bool_c", "bool"))
+_KINDS = ("mul", "aux", "trunc", "cmp", "bool")
 
 
 @dataclass
@@ -68,18 +90,16 @@ class MaterialStore:
         return self._take("aux", ("aux_a", "aux_b", "aux_c"), n)
 
     def take_trunc(self, n: int) -> tuple:
-        return self._take("trunc", ("trunc_r", "trunc_shift", "trunc_xor"), n)
+        return self._take("trunc", ("trunc_r", "trunc_shift", "trunc_tab"), n)
 
     def take_cmp(self, n: int) -> tuple:
-        return self._take("cmp", ("cmp_r", "cmp_xor"), n)
+        return self._take("cmp", ("cmp_r", "cmp_tab"), n)
 
     def take_bool(self, n_words: int) -> tuple:
         return self._take("bool", ("bool_a", "bool_b", "bool_c"), n_words)
 
     def counts(self) -> dict:
-        return {"mul": len(self.arrays["mul_a"]), "aux": len(self.arrays["aux_a"]),
-                "trunc": len(self.arrays["trunc_r"]), "cmp": len(self.arrays["cmp_r"]),
-                "bool": len(self.arrays["bool_a"])}
+        return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
 
 
 def _rng(seed: int, domain: int) -> np.random.Generator:
@@ -90,6 +110,47 @@ def _rng(seed: int, domain: int) -> np.random.Generator:
 def _uniform(rng, n, bitwidth) -> np.ndarray:
     return rng.integers(0, 1 << bitwidth, size=n, dtype=_U64,
                         endpoint=False) if n else np.zeros(0, dtype=_U64)
+
+
+def _digits(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """(N,) words -> (N, lt_digits(n_bits)) digits of their low n_bits."""
+    shifts = _U64(DIGIT_BITS) * np.arange(lt_digits(n_bits), dtype=_U64)
+    low = values & _U64((1 << n_bits) - 1)
+    return ((low[:, None] >> shifts) & _U64(_ROW - 1)).astype(_U32)
+
+
+def digit_tables(r: np.ndarray, n_bits: int) -> np.ndarray:
+    """(N,) masks -> (N, lt_digits(n_bits)) table words of their low n_bits."""
+    eq = _U32(1) << _digits(r, n_bits)
+    return (eq - _U32(1)) | (eq << _U32(_ROW))
+
+
+def select_table_bits(tables: np.ndarray, c: np.ndarray, n_bits: int) -> np.ndarray:
+    """One party's shares of [c_j < r_j] and [c_j = r_j], as (2, digits, N) bits.
+
+    ``tables`` holds the party's table shares for r, ``c`` the public
+    values; picking bit c_j of each share sends nothing.
+    """
+    if tables.shape[1] != lt_digits(n_bits):
+        raise MaterialError(
+            f"a {n_bits}-bit comparison reads {lt_digits(n_bits)} table digits "
+            f"per element, the material holds {tables.shape[1]}")
+    picked = tables >> _digits(c, n_bits)
+    return np.stack([picked, picked >> _U32(_ROW)]).transpose(0, 2, 1) & _U32(1)
+
+
+def _sign_tables(r: np.ndarray, bitwidth: int) -> np.ndarray:
+    """Tables for [low(c) < low(r)] XOR msb(r) over the low bitwidth-1 bits.
+
+    The digit tree is linear in the top digit's lt, so msb(r) XORed into
+    every entry of that row lands on the result.
+    """
+    low = bitwidth - 1
+    tab = digit_tables(r, low)
+    top_width = low - DIGIT_BITS * (tab.shape[1] - 1)
+    top_row = _U32((1 << (1 << top_width)) - 1)  # all 2^width entries
+    tab[:, -1] ^= ((r >> _U64(low)) & _U64(1)).astype(_U32) * top_row
+    return tab
 
 
 def generate_material(plan: FixedPlan, seed: int) -> tuple:
@@ -104,9 +165,9 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
         s1 = (values - s0) & mask
         return s0, s1
 
-    def xor_pair(values, rng):
-        s0 = _uniform(rng, len(values), cfg.bitwidth)
-        return s0, values ^ s0
+    def table_pair(tab, rng):
+        s0 = rng.integers(0, 1 << 32, size=tab.shape, dtype=_U32, endpoint=False)
+        return s0, tab ^ s0
 
     p0, p1 = {}, {}
 
@@ -129,12 +190,14 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     shifted = r >> _U64(cfg.scale)
     p0["trunc_r"], p1["trunc_r"] = arith_pair(r, rng)
     p0["trunc_shift"], p1["trunc_shift"] = arith_pair(shifted, rng)
-    p0["trunc_xor"], p1["trunc_xor"] = xor_pair(r, rng)
+    tab = np.concatenate([digit_tables(r, cfg.scale), digit_tables(r, cfg.bitwidth)],
+                         axis=1)
+    p0["trunc_tab"], p1["trunc_tab"] = table_pair(tab, rng)
 
     rng = _rng(seed, 4)
     r = _uniform(rng, req.cmp_tuples, cfg.bitwidth)
     p0["cmp_r"], p1["cmp_r"] = arith_pair(r, rng)
-    p0["cmp_xor"], p1["cmp_xor"] = xor_pair(r, rng)
+    p0["cmp_tab"], p1["cmp_tab"] = table_pair(_sign_tables(r, cfg.bitwidth), rng)
 
     rng = _rng(seed, 5)
     wa = _uniform(rng, req.bool_words, 64)
@@ -153,10 +216,13 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
 
 def write_material(store: MaterialStore, path: str) -> None:
     counts = store.counts()
-    head = _HEADER.pack(MATERIAL_MAGIC, 1, store.party, store.seed,
-                        store.graph_hash, counts["mul"], counts["aux"],
-                        counts["trunc"], counts["cmp"], counts["bool"])
-    body = b"".join(store.arrays[name].astype("<u8").tobytes() for name in _STREAMS)
+    head = _HEADER.pack(MATERIAL_MAGIC, MATERIAL_VERSION, store.party,
+                        store.arrays["trunc_tab"].shape[1],
+                        store.arrays["cmp_tab"].shape[1], store.seed,
+                        store.graph_hash, *(counts[k] for k in _KINDS))
+    arrays = (store.arrays[name] for name, _ in _STREAMS)
+    body = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
+                    for a in arrays)
     digest = hashlib.sha256(head + body).digest()
     with open(path, "wb") as f:
         f.write(head + body + digest)
@@ -175,19 +241,22 @@ def load_material(path: str, bitwidth: int = None) -> MaterialStore:
     body = blob[_HEADER.size:-32]
     if hashlib.sha256(head + body).digest() != digest:
         raise MaterialError("dealer material failed its integrity check")
-    (_, version, party, seed, ghash, n_mul, n_aux, n_trunc, n_cmp,
-     n_bool) = _HEADER.unpack(head)
-    if version != 1:
+    (_, version, party, trunc_digits, cmp_digits, seed, ghash,
+     *counts) = _HEADER.unpack(head)
+    if version != MATERIAL_VERSION:
         raise MaterialError(f"unsupported material version {version}")
-    sizes = (n_mul,) * 3 + (n_aux,) * 3 + (n_trunc,) * 3 + (n_cmp,) * 2 + (n_bool,) * 3
-    if len(body) != 8 * sum(sizes):
+    counts = dict(zip(_KINDS, counts))
+    widths = {"trunc_tab": (trunc_digits,), "cmp_tab": (cmp_digits,)}
+    layout = [(name, np.dtype("<u4" if name in widths else "<u8"),
+               (counts[kind],) + widths.get(name, ())) for name, kind in _STREAMS]
+    if len(body) != sum(dt.itemsize * math.prod(shape) for _, dt, shape in layout):
         raise MaterialError("dealer material stream lengths are inconsistent")
-    arrays = {}
-    off = 0
-    for name, n in zip(_STREAMS, sizes):
-        arrays[name] = np.frombuffer(body, dtype="<u8", offset=off,
-                                     count=n).astype(_U64)
-        off += 8 * n
+    arrays, off = {}, 0
+    for name, dt, shape in layout:
+        n = math.prod(shape)
+        arrays[name] = np.frombuffer(body, dt, n, off).astype(
+            dt.newbyteorder("=")).reshape(shape)
+        off += dt.itemsize * n
     return MaterialStore(party, seed, bitwidth or 64, ghash, arrays)
 
 
@@ -207,15 +276,36 @@ def verify_material_pair(m0: MaterialStore, m1: MaterialStore,
     shift = recon("trunc_shift")[:sample]
     if not np.array_equal(r >> _U64(cfg.scale), shift):
         raise MaterialError("truncation units do not reconstruct to shifted masks")
-    rx = (m0.arrays["trunc_xor"] ^ m1.arrays["trunc_xor"])[:sample]
-    if not np.array_equal(rx, r):
-        raise MaterialError("truncation XOR sharing disagrees with the additive one")
+    tab = (m0.arrays["trunc_tab"] ^ m1.arrays["trunc_tab"])[:sample]
+    ds = lt_digits(cfg.scale)
+    if (tab.shape[1] != ds + lt_digits(cfg.bitwidth)
+            or not _rows_match(tab[:, :ds], r, cfg.scale)
+            or not _rows_match(tab[:, ds:], r, cfg.bitwidth)):
+        raise MaterialError("truncation tables are not the rows of their masks")
     cr = recon("cmp_r")[:sample]
-    cx = (m0.arrays["cmp_xor"] ^ m1.arrays["cmp_xor"])[:sample]
-    if not np.array_equal(cr, cx):
-        raise MaterialError("comparison tuples' sharings disagree")
+    tab = (m0.arrays["cmp_tab"] ^ m1.arrays["cmp_tab"])[:sample]
+    low = cfg.bitwidth - 1
+    if (tab.shape[1] != lt_digits(low)
+            or not _rows_match(tab, cr, low, flip=(cr >> _U64(low)) & _U64(1))):
+        raise MaterialError("comparison tables are not the rows of their masks")
     ba = (m0.arrays["bool_a"] ^ m1.arrays["bool_a"])[:sample]
     bb = (m0.arrays["bool_b"] ^ m1.arrays["bool_b"])[:sample]
     bc = (m0.arrays["bool_c"] ^ m1.arrays["bool_c"])[:sample]
     if not np.array_equal(ba & bb, bc):
         raise MaterialError("boolean triples do not reconstruct to AND")
+
+
+def _rows_match(tab: np.ndarray, r: np.ndarray, n_bits: int, flip=0) -> bool:
+    """Whether each digit word holds exactly [v < r_j] and [v = r_j] for the
+    v within its digit's width, with ``flip`` XORed into the top lt row."""
+    v = np.arange(_ROW, dtype=_U64)
+    for j in range(tab.shape[1]):
+        width = min(DIGIT_BITS, n_bits - DIGIT_BITS * j)
+        r_j = ((r >> _U64(DIGIT_BITS * j)) & _U64((1 << width) - 1))[:, None]
+        lt = v < r_j
+        if j == tab.shape[1] - 1:
+            lt ^= np.asarray(flip, dtype=bool)[..., None] & (v < _U64(1 << width))
+        want = ((lt.astype(_U64) << v) | ((v == r_j).astype(_U64) << (v + _U64(_ROW))))
+        if not np.array_equal(tab[:, j], want.sum(axis=1, dtype=_U64)):
+            return False
+    return True

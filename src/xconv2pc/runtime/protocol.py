@@ -17,28 +17,31 @@ and finish locally, so a layer's multiplication traffic is exactly
 16 bytes times its multiplication count.
 
 Sign-dependent steps (activation, pooling, faithful truncation) open a
-masked value and then evaluate "public-constant < dealer-mask" with a
-bitwise less-than circuit over XOR-shared mask bits: a logarithmic
-suffix-equality scan of AND rounds on packed 64-element words, one
-boolean triple word per AND word.  The resulting bit converts to an
-arithmetic share through one auxiliary triple.  Every consumption count
-is a pure function of layer shapes, so both parties and the dealer agree
-on cursor positions by construction.
+masked value and then evaluate "public-constant < dealer-mask" from
+dealer digit tables (CrypTFlow2's millionaires' protocol with the
+oblivious transfers replaced by one-time truth tables): each party
+selects its shares of [c_j < r_j] and [c_j = r_j] at every public 4-bit
+digit c_j, which sends nothing, and a logarithmic tree of AND rounds on
+packed 64-element words combines the digits, one boolean triple word per
+AND word.  The resulting bit converts to an arithmetic share through one
+auxiliary triple.  Every consumption count is a pure function of layer
+shapes, so both parties and the dealer agree on cursor positions by
+construction.
 
 Round costs: a conv or fully-connected layer opens one Beaver batch per
 BEAVER_CHUNK multiplications, all groups together.  A truncation takes
-9 rounds: the mask open, 7 AND rounds shared by its two comparisons
-(6 scan rounds over 60 bits plus the final one), and one auxiliary open
-converting both bits.  A ReLU takes 10: the same 9 over one 59-bit
-comparison, plus the open of its sign-bit product.  A ReLU that alone
-reads a truncating layer (the plan marks it) takes 9 + 1: an arithmetic
-shift keeps the sign, so the truncation opens the ReLU's masked input in
-its own mask-open frame, runs the 59-bit comparison in its 7 AND rounds
-and converts that bit in its auxiliary open; the ReLU itself opens only
-the sign-bit product.  Those fused rows' bytes and rounds sit under the
-truncating layer in the ledger.  Maxpool takes 10 per level of its
-pairwise tree, ceil(log2 window^2) levels.  Each count assumes its batch
-fits one BEAVER_CHUNK.
+6 rounds: the mask open, 4 AND rounds shared by its two comparisons
+(ceil(log2 15) over the 60-bit comparison's digits; the 23-bit one needs
+3), and one auxiliary open converting both bits.  A ReLU takes 7: the
+same 6 over one 59-bit comparison, plus the open of its sign-bit product.
+A ReLU that alone reads a truncating layer (the plan marks it) takes
+6 + 1: an arithmetic shift keeps the sign, so the truncation opens the
+ReLU's masked input in its own mask-open frame, runs the 59-bit
+comparison in its 4 AND rounds and converts that bit in its auxiliary
+open; the ReLU itself opens only the sign-bit product.  Those fused rows'
+bytes and rounds sit under the truncating layer in the ledger.  Maxpool
+takes 7 per level of its pairwise tree, ceil(log2 window^2) levels.  Each
+count assumes its batch fits one BEAVER_CHUNK.
 
 Exactness notes, all modulo 2^l with x' = x + 2^(l-1):
   floor(unsigned(x') / 2^s) = (c >> s) - (r >> s) - [c mod 2^s < r mod 2^s]
@@ -53,9 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError, TransportError, XConvError
-from ..plan import FixedPlan, run_plan
+from ..plan import FixedPlan, lt_digits, run_plan
 from ..ring import RingTensor, mask_words
-from .material import MaterialStore
+from .material import MaterialStore, select_table_bits
 from .wire import (
     OP_ABORT,
     OP_OPEN_BOOL,
@@ -136,21 +139,6 @@ def unpack_bitplanes(words: np.ndarray, n: int) -> np.ndarray:
     raw = np.ascontiguousarray(words.astype("<u8")).view(np.uint8)
     bits = np.unpackbits(raw, axis=-1, bitorder="little")
     return bits[..., :n]
-
-
-def value_bitplanes(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """(N,) words -> (n_bits, W) packed planes of their low bits."""
-    cols = [(values >> _U64(i)) & _U64(1) for i in range(n_bits)]
-    return pack_bitplanes(np.stack(cols, axis=0))
-
-
-def scan_rounds(n_bits: int) -> list:
-    out = []
-    d = 1
-    while d < n_bits:
-        out.append(d)
-        d *= 2
-    return out
 
 
 # -- the engine --------------------------------------------------------------------
@@ -290,39 +278,40 @@ class PartyEngine:
         return [part.reshape(x.shape) for part, x in zip(np.split(z, ends), xs)]
 
     def less_than_mask(self, jobs: list, tag: int, layer: str) -> np.ndarray:
-        """XOR-shared bits of [c < r] for each (c_pub, r_xor_share, n_bits) job.
+        """XOR-shared bits of [c < r] for each (c_pub, tables, n_bits) job.
 
-        Standard most-significant-difference form: the borrow fires at the
-        highest position where the mask holds a 1 over a public 0 and all
-        higher positions agree.  The fired terms are mutually exclusive, so
-        the final OR collapses to a local XOR.  All jobs share each AND
-        round, so the rounds are those of the widest job alone.  Returns
-        the jobs' bits concatenated in job order.
+        ``tables`` is this party's share of the dealer's digit tables for
+        the low n_bits of r.  Selecting at each public digit c_j gives
+        shares of [c_j < r_j] and [c_j = r_j] without a message (see
+        ``material.select_table_bits``).  The bits are packed into
+        64-element words, and a tree merges adjacent digit groups, lowest
+        first: lt = lt_hi ^ (eq_hi & lt_lo), eq = eq_hi & eq_lo.  The lowest
+        group's eq is never read, so it is not computed.  All jobs share
+        each level's AND open, so the rounds are ceil(log2 digits) of the
+        widest job alone.  Returns the jobs' bits concatenated in job order.
         """
-        widths = [n_bits for _, _, n_bits in jobs]
-        eqs, ts = [], []
-        for c_pub, r_xor_share, n_bits in jobs:
-            r_planes = value_bitplanes(r_xor_share, n_bits)
-            c_planes = value_bitplanes(c_pub, n_bits)
-            # t_i = r_i AND NOT c_i (public mask, local).
-            ts.append(r_planes & ~c_planes)
-            # e_i = NOT (r_i XOR c_i); the owner of the constant flips it in.
-            eqs.append(~(r_planes ^ c_planes) if self.party == 0 else r_planes)
+        lts, eqs = [], []
+        for c_pub, tables, n_bits in jobs:
+            lt, eq = pack_bitplanes(select_table_bits(tables, c_pub, n_bits))
+            lts.append(lt)
+            eqs.append(eq)
 
-        # Inclusive suffix-equality scan, then shift for the strict suffix.
-        for d in scan_rounds(max(widths)):
-            live = [j for j, n_bits in enumerate(widths) if d < n_bits]
-            anded = self._and_planes([eqs[j][:widths[j] - d] for j in live],
-                                     [eqs[j][d:] for j in live], tag, layer)
-            for j, low in zip(live, anded):
-                eqs[j] = np.concatenate([low, eqs[j][widths[j] - d:]], axis=0)
-        top = _FULL if self.party == 0 else _U64(0)
-        stricts = [np.concatenate([eq[1:], np.full((1, eq.shape[1]), top)], axis=0)
-                   for eq in eqs]
-        fired = self._and_planes(ts, stricts, tag, layer)
-        bits = [unpack_bitplanes(np.bitwise_xor.reduce(f, axis=0)[None, :],
-                                 c_pub.size)[0]
-                for f, (c_pub, _, _) in zip(fired, jobs)]
+        while any(len(lt) > 1 for lt in lts):
+            live = [j for j, lt in enumerate(lts) if len(lt) > 1]
+            xs, ys = [], []
+            for j in live:
+                pairs = len(lts[j]) // 2
+                xs += [eqs[j][1:2 * pairs:2], eqs[j][3:2 * pairs:2]]
+                ys += [lts[j][0:2 * pairs:2], eqs[j][2:2 * pairs:2]]
+            anded = self._and_planes(xs, ys, tag, layer)
+            for k, j in enumerate(live):
+                lt, eq = lts[j], eqs[j]
+                pairs = len(lt) // 2
+                lts[j] = np.concatenate([lt[1:2 * pairs:2] ^ anded[2 * k],
+                                         lt[2 * pairs:]])
+                eqs[j] = np.concatenate([eq[:1], anded[2 * k + 1], eq[2 * pairs:]])
+        bits = [unpack_bitplanes(lt, c_pub.size)[0]
+                for lt, (c_pub, _, _) in zip(lts, jobs)]
         return np.concatenate(bits).astype(_U64)
 
     def bits_to_arith(self, bit_share: np.ndarray, tag: int,
@@ -336,18 +325,16 @@ class PartyEngine:
 
     # -- nonlinear units --------------------------------------------------------
 
-    def _sign_job(self, c: np.ndarray, r_xor: np.ndarray) -> tuple:
-        """The less-than job for msb(c - r), and the XOR share it completes.
+    def _sign_job(self, c: np.ndarray, tables: np.ndarray) -> tuple:
+        """The less-than job for msb(c - r), and the public bit completing it.
 
         msb(c - r) = msb(c) XOR msb(r) XOR [low(c) < low(r)] over the low
-        l-1 bits; the public msb(c) enters on the model owner's side only.
+        l-1 bits.  The dealer folded msb(r) into the comparison tables; the
+        public msb(c) enters on the model owner's side only.
         """
         low_bits = self.bitwidth - 1
-        low_mask = _U64((1 << low_bits) - 1)
-        top = (r_xor >> _U64(low_bits)) & _U64(1)
-        if self.party == 0:
-            top = top ^ ((c >> _U64(low_bits)) & _U64(1))
-        return (c & low_mask, r_xor & low_mask, low_bits), top
+        top = (c >> _U64(low_bits)) & _U64(1) if self.party == 0 else _U64(0)
+        return (c & _U64((1 << low_bits) - 1), tables, low_bits), top
 
     def relu_shares(self, x: np.ndarray, tag: int, layer: str,
                     neg: np.ndarray = None) -> np.ndarray:
@@ -358,10 +345,10 @@ class PartyEngine:
         """
         flat = x.reshape(-1)
         if neg is None:
-            r_arith, r_xor = self.material.take_cmp(flat.size)
+            r_arith, tables = self.material.take_cmp(flat.size)
             c = self._open_words((flat + r_arith) & self.mask, tag, layer,
                                  "mask-open")
-            job, top = self._sign_job(c, r_xor)
+            job, top = self._sign_job(c, tables)
             neg = self.bits_to_arith(self.less_than_mask([job], tag, layer) ^ top,
                                      tag, layer)
         prod = self.beaver(flat, neg, tag, layer, take="aux", op="aux-open")
@@ -380,21 +367,22 @@ class PartyEngine:
         s = self.plan.cfg.scale
         n = x.size
         flat = x.reshape(-1)
-        r_arith, r_shift, r_xor = self.material.take_trunc(n)
+        r_arith, r_shift, tables = self.material.take_trunc(n)
         masked = np.empty(2 * n if sign else n, dtype=_U64)
         np.add(flat, r_arith, out=masked[:n])
         if self.party == 0:
             masked[:n] += _U64(1 << (self.bitwidth - 1))
         if sign:
-            q_arith, q_xor = self.material.take_cmp(n)
+            q_arith, q_tables = self.material.take_cmp(n)
             np.add(flat, q_arith, out=masked[n:])
         masked &= self.mask
         opened = self._open_words(masked, tag, layer, "mask-open")
         c = opened[:n]
         low_mask = _U64((1 << s) - 1)
-        jobs = [(c & low_mask, r_xor & low_mask, s), (c, r_xor, self.bitwidth)]
+        ds = lt_digits(s)
+        jobs = [(c & low_mask, tables[:, :ds], s), (c, tables[:, ds:], self.bitwidth)]
         if sign:
-            job, top = self._sign_job(opened[n:], q_xor)
+            job, top = self._sign_job(opened[n:], q_tables)
             jobs.append(job)
         bits = self.less_than_mask(jobs, tag, layer)
         if sign:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from xconv2pc.costs import (
     CostProfile,
+    calibrate_profile,
     compare_variants,
     count_mults,
     emit_report,
@@ -103,6 +104,15 @@ def test_zeroing_relu_constant_moves_densenet_under_5pct():
     without = estimate_comm(g, CostProfile(bytes_per_relu_element=0.0))
     change = (with_relu.total_bytes - without.total_bytes) / with_relu.total_bytes
     assert 0 <= change < 0.05
+
+
+def test_default_profile_is_the_measured_engine():
+    # The nonlinear defaults are this engine's measured bytes; a protocol
+    # change that moves them must move the defaults with it.
+    measured, default = calibrate_profile(), CostProfile()
+    for f in ("bytes_per_mult", "bytes_per_relu_element", "bytes_per_comparison",
+              "bytes_per_truncation_element"):
+        assert getattr(measured, f) == getattr(default, f), f
 
 
 def test_batchnorm_counts_as_other_linear_until_folded():

@@ -18,7 +18,7 @@ from xconv2pc.errors import HandshakeError, MaterialError, TransportError
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph
 from xconv2pc.clear import infer_fixed, infer_float
 from xconv2pc.costs import count_mults
-from xconv2pc.plan import PlanRequirements, build_plan, lt_bool_triple_words
+from xconv2pc.plan import PlanRequirements, build_plan, lt_bool_words, lt_digits
 from xconv2pc.ring import (
     FixedPointConfig,
     RingTensor,
@@ -27,6 +27,7 @@ from xconv2pc.ring import (
     truncate_signed,
 )
 from xconv2pc.runtime.material import (
+    digit_tables,
     generate_material,
     load_material,
     verify_material_pair,
@@ -183,6 +184,34 @@ def test_material_corruption_detected(tmp_path):
         load_material(str(p))
 
 
+def test_material_version_1_rejected(tmp_path):
+    import hashlib
+
+    m0, _ = generate_material(_StubPlan(trunc=4, cmp=4), 7)
+    p = tmp_path / "m.dlr"
+    write_material(m0, str(p))
+    blob = bytearray(p.read_bytes()[:-32])
+    assert blob[4] == 2
+    blob[4] = 1                         # a well-formed file of the old format
+    p.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+    with pytest.raises(MaterialError, match="version 1"):
+        load_material(str(p))
+
+
+@pytest.mark.parametrize("bit", [2, 12, 20])          # lt and eq entries; the
+@pytest.mark.parametrize("stream", ["trunc_tab", "cmp_tab"])  # 59-bit top is 3 wide
+def test_material_table_bit_flip_detected(tmp_path, stream, bit):
+    plan = _StubPlan(trunc=50, cmp=50)
+    m0, m1 = generate_material(plan, 8)
+    p = tmp_path / "m.dlr"
+    write_material(m1, str(p))
+    m1 = load_material(str(p))          # the tables survive the file round trip
+    verify_material_pair(m0, m1, CFG)
+    m1.arrays[stream][17, -1] ^= np.uint32(1 << bit)
+    with pytest.raises(MaterialError, match="tables"):
+        verify_material_pair(m0, m1, CFG)
+
+
 def test_material_exhaustion_raises():
     plan = _StubPlan(mul=10)
     m0, _ = generate_material(plan, 8)
@@ -284,7 +313,7 @@ def test_secure_truncate_examples_and_bulk():
     x = RingTensor(words, 60)
     x0, x1 = share(x, rng)
     req = dict(trunc=n, aux=2 * n,
-               bool_words=lt_bool_triple_words(n, 23) + lt_bool_triple_words(n, 60))
+               bool_words=lt_bool_words(n, 23) + lt_bool_words(n, 60))
 
     def fn(engine):
         xs = (x0 if engine.party == 0 else x1).ring.words
@@ -306,7 +335,7 @@ def test_secure_relu_examples_and_bulk():
     words[1] = 2**60 - 2**23    # encode(-1.0)
     x = RingTensor(words, 60)
     x0, x1 = share(x, rng)
-    req = dict(cmp=n, aux=2 * n, bool_words=lt_bool_triple_words(n, 59))
+    req = dict(cmp=n, aux=2 * n, bool_words=lt_bool_words(n, 59))
 
     def fn(engine):
         xs = (x0 if engine.party == 0 else x1).ring.words
@@ -318,6 +347,64 @@ def test_secure_relu_examples_and_bulk():
     assert int(got[0]) == 2**23
     assert int(got[1]) == 0
     assert np.array_equal(got, want), f"{(got != want).sum()} mismatches"
+
+
+def _lt_edge_cases(n_bits, rng):
+    """(c, r) pairs at n_bits: equal, off by one, extremes, one-digit gaps."""
+    top = (1 << n_bits) - 1
+    r = np.concatenate([[0, 1, top, top - 1, 1 << (n_bits - 1)],
+                        rng.integers(0, top, size=59, endpoint=True)]).astype(np.uint64)
+    low_digit = np.uint64(15 if n_bits >= 4 else top)
+    top_shift = np.uint64(4 * (lt_digits(n_bits) - 1))
+    rand = rng.integers(0, top, size=r.size, endpoint=True).astype(np.uint64)
+    cs = [r, (r + np.uint64(1)) & np.uint64(top), (r - np.uint64(1)) & np.uint64(top),
+          np.zeros_like(r), np.full_like(r, top),
+          (r & ~low_digit) | (rand & low_digit),                   # lowest digit only
+          (r & ((np.uint64(1) << top_shift) - np.uint64(1)))
+          | ((rand >> top_shift) << top_shift),                   # top digit only
+          rand]
+    return np.concatenate(cs), np.tile(r, len(cs))
+
+
+def _lt_jobs(widths, seed):
+    """Per-party less-than jobs over dealer-shaped tables, with the clear answer."""
+    rng = np.random.default_rng(seed)
+    jobs, want = ([], []), []
+    for n_bits in widths:
+        c, r = _lt_edge_cases(n_bits, rng)
+        tab = digit_tables(r, n_bits)
+        t0 = rng.integers(0, 2**32, size=tab.shape, dtype=np.uint32)
+        jobs[0].append((c, t0, n_bits))
+        jobs[1].append((c, tab ^ t0, n_bits))
+        want.append(c < r)
+    return jobs, np.concatenate(want)
+
+
+@pytest.mark.parametrize("n_bits", [1, 4, 5, 23, 59, 60])
+def test_less_than_edge_values(n_bits):
+    jobs, want = _lt_jobs([n_bits], seed=n_bits)
+    n = len(want)
+    plan = _StubPlan(bool_words=lt_bool_words(n, n_bits))
+    r0, r1, e0, e1 = run_two(
+        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=n_bits)
+    assert np.array_equal(r0 ^ r1, want.astype(np.uint64))
+    levels = math.ceil(math.log2(lt_digits(n_bits)))
+    for e in (e0, e1):
+        assert _layer_rounds(e.ledger, "t").get("bool-open", 0) == levels
+        assert e.material.cursors["bool"] == plan.requirements().bool_words
+
+
+def test_less_than_mixed_widths_share_four_rounds():
+    widths = (23, 59, 60)
+    jobs, want = _lt_jobs(widths, seed=106)
+    n = len(want) // len(widths)
+    plan = _StubPlan(bool_words=sum(lt_bool_words(n, w) for w in widths))
+    r0, r1, e0, e1 = run_two(
+        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=107)
+    assert np.array_equal(r0 ^ r1, want.astype(np.uint64))
+    for e in (e0, e1):
+        assert _layer_rounds(e.ledger, "t") == {"bool-open": 4}
+        assert e.material.cursors["bool"] == plan.requirements().bool_words
 
 
 # -- secure sessions -----------------------------------------------------------------
@@ -565,11 +652,11 @@ def test_depthwise_conv_and_relu_exact_rounds():
     run = secure_infer_local(b.build(), _random_input((1, 4, 8, 8), 71), seed=72)
     assert np.array_equal(run.output.words, run.clear_reference.words)
     for led in (run.model.ledger, run.client.ledger):
-        # One open serves all four groups, then a 9-round truncation that
+        # One open serves all four groups, then a 6-round truncation that
         # also tests the ReLU's sign; the ReLU keeps only its sign-bit
         # product.  The weight shares are set-up, booked under the session row.
         assert _layer_rounds(led, "dw") == {
-            "mul-open": 1, "mask-open": 1, "bool-open": 7, "aux-open": 1}
+            "mul-open": 1, "mask-open": 1, "bool-open": 4, "aux-open": 1}
         assert _layer_rounds(led, "session")["share-weights"] == 1
         assert _layer_rounds(led, "r") == {"aux-open": 1}
 
@@ -623,17 +710,17 @@ def _client_rounds_from_plan(plan):
     for pl in plan.layers:
         rounds += -(-pl.mults // protocol.BEAVER_CHUNK)
         if pl.trunc_elems:
-            rounds += 9
+            rounds += 6
         if pl.kind == "relu":
-            rounds += 1 if pl.inputs[0] in fused else 10
+            rounds += 1 if pl.inputs[0] in fused else 7
         if pl.kind == "maxpool" and pl.attrs["window"] > 1:
-            rounds += 10 * math.ceil(math.log2(pl.attrs["window"] ** 2))
+            rounds += 7 * math.ceil(math.log2(pl.attrs["window"] ** 2))
     return rounds
 
 
 @pytest.mark.parametrize("backbone,variant,size,total", [
     ("toynet", CellVariant.DENSE, 16, None),
-    ("shufflenetv2", CellVariant.XOP, 32, 623),
+    ("shufflenetv2", CellVariant.XOP, 32, 458),
 ])
 def test_client_rounds_follow_the_plan(backbone, variant, size, total):
     g = model_zoo(backbone, variant, size, seed=90)
@@ -650,11 +737,11 @@ def test_maxpool_tree_rounds_and_bits():
     b.maxpool("p3", p2, 3, 2)
     run = _run_with_cursor_check(b.build(), _random_input((1, 3, 9, 9), 94), 95)
     for led in (run.model.ledger, run.client.ledger):
-        # ceil(log2 4) = 2 and ceil(log2 9) = 4 levels of one 10-round relu.
+        # ceil(log2 4) = 2 and ceil(log2 9) = 4 levels of one 7-round relu.
         assert _layer_rounds(led, "p2") == {
-            "mask-open": 2, "bool-open": 14, "aux-open": 4}
+            "mask-open": 2, "bool-open": 8, "aux-open": 4}
         assert _layer_rounds(led, "p3") == {
-            "mask-open": 4, "bool-open": 28, "aux-open": 8}
+            "mask-open": 4, "bool-open": 16, "aux-open": 8}
 
 
 # -- sign tests folded into the truncation ----------------------------------------
@@ -724,7 +811,7 @@ def test_relu_not_fused_with_second_reader_or_on_the_input():
     for led in (run.model.ledger, run.client.ledger):
         for name in ("r0", "r"):
             assert _layer_rounds(led, name) == {
-                "mask-open": 1, "bool-open": 7, "aux-open": 2}, name
+                "mask-open": 1, "bool-open": 4, "aux-open": 2}, name
 
 
 @pytest.fixture

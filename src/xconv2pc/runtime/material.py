@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -102,14 +103,17 @@ class MaterialStore:
         return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
 
 
-def _rng(seed: int, domain: int) -> np.random.Generator:
+def prg(seed, domain: int) -> np.random.Generator:
+    """The PRG of dealer material and set-up shares; ``seed`` is an int or bytes."""
+    if isinstance(seed, bytes):
+        seed = int.from_bytes(seed, "little")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(domain,)))
 
 
-def _uniform(rng, n, bitwidth) -> np.ndarray:
-    return rng.integers(0, 1 << bitwidth, size=n, dtype=_U64,
-                        endpoint=False) if n else np.zeros(0, dtype=_U64)
+def uniform(rng, shape, bitwidth) -> np.ndarray:
+    """Uniform ring words of ``shape`` (a count or a tuple) from ``rng``."""
+    return rng.integers(0, 1 << bitwidth, size=shape, dtype=_U64)
 
 
 def _digits(values: np.ndarray, n_bits: int) -> np.ndarray:
@@ -161,7 +165,7 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     ghash = bytes.fromhex(plan.graph_hash)
 
     def arith_pair(values, rng):
-        s0 = _uniform(rng, len(values), cfg.bitwidth)
+        s0 = uniform(rng, len(values), cfg.bitwidth)
         s1 = (values - s0) & mask
         return s0, s1
 
@@ -171,22 +175,22 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
 
     p0, p1 = {}, {}
 
-    rng = _rng(seed, 1)
-    a = _uniform(rng, req.mul_triples, cfg.bitwidth)
-    b = _uniform(rng, req.mul_triples, cfg.bitwidth)
+    rng = prg(seed, 1)
+    a = uniform(rng, req.mul_triples, cfg.bitwidth)
+    b = uniform(rng, req.mul_triples, cfg.bitwidth)
     c = (a * b) & mask
     for name, vals in (("mul_a", a), ("mul_b", b), ("mul_c", c)):
         p0[name], p1[name] = arith_pair(vals, rng)
 
-    rng = _rng(seed, 2)
-    a = _uniform(rng, req.aux_triples, cfg.bitwidth)
-    b = _uniform(rng, req.aux_triples, cfg.bitwidth)
+    rng = prg(seed, 2)
+    a = uniform(rng, req.aux_triples, cfg.bitwidth)
+    b = uniform(rng, req.aux_triples, cfg.bitwidth)
     c = (a * b) & mask
     for name, vals in (("aux_a", a), ("aux_b", b), ("aux_c", c)):
         p0[name], p1[name] = arith_pair(vals, rng)
 
-    rng = _rng(seed, 3)
-    r = _uniform(rng, req.trunc_units, cfg.bitwidth)
+    rng = prg(seed, 3)
+    r = uniform(rng, req.trunc_units, cfg.bitwidth)
     shifted = r >> _U64(cfg.scale)
     p0["trunc_r"], p1["trunc_r"] = arith_pair(r, rng)
     p0["trunc_shift"], p1["trunc_shift"] = arith_pair(shifted, rng)
@@ -194,17 +198,17 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
                          axis=1)
     p0["trunc_tab"], p1["trunc_tab"] = table_pair(tab, rng)
 
-    rng = _rng(seed, 4)
-    r = _uniform(rng, req.cmp_tuples, cfg.bitwidth)
+    rng = prg(seed, 4)
+    r = uniform(rng, req.cmp_tuples, cfg.bitwidth)
     p0["cmp_r"], p1["cmp_r"] = arith_pair(r, rng)
     p0["cmp_tab"], p1["cmp_tab"] = table_pair(_sign_tables(r, cfg.bitwidth), rng)
 
-    rng = _rng(seed, 5)
-    wa = _uniform(rng, req.bool_words, 64)
-    wb = _uniform(rng, req.bool_words, 64)
+    rng = prg(seed, 5)
+    wa = uniform(rng, req.bool_words, 64)
+    wb = uniform(rng, req.bool_words, 64)
     wc = wa & wb
     for name, vals in (("bool_a", wa), ("bool_b", wb), ("bool_c", wc)):
-        s0 = _uniform(rng, len(vals), 64)
+        s0 = uniform(rng, len(vals), 64)
         p0[name], p1[name] = s0, vals ^ s0
 
     return (MaterialStore(0, seed, cfg.bitwidth, ghash, p0),
@@ -215,47 +219,51 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
 
 
 def write_material(store: MaterialStore, path: str) -> None:
+    """Header, streams, then their SHA-256; each stream is written from its buffer."""
     counts = store.counts()
     head = _HEADER.pack(MATERIAL_MAGIC, MATERIAL_VERSION, store.party,
                         store.arrays["trunc_tab"].shape[1],
                         store.arrays["cmp_tab"].shape[1], store.seed,
                         store.graph_hash, *(counts[k] for k in _KINDS))
-    arrays = (store.arrays[name] for name, _ in _STREAMS)
-    body = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
-                    for a in arrays)
-    digest = hashlib.sha256(head + body).digest()
+    digest = hashlib.sha256(head)
     with open(path, "wb") as f:
-        f.write(head + body + digest)
+        f.write(head)
+        for name, _ in _STREAMS:
+            a = store.arrays[name]
+            buf = memoryview(np.ascontiguousarray(a, a.dtype.newbyteorder("<")))
+            digest.update(buf)
+            f.write(buf)
+        f.write(digest.digest())
 
 
 def load_material(path: str, bitwidth: int = None) -> MaterialStore:
+    """Read a material file into one buffer; the streams are views of it."""
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            blob = bytearray(os.fstat(f.fileno()).st_size)
+            f.readinto(blob)
     except OSError as e:
         raise MaterialError(f"cannot read dealer material: {e}") from e
     if len(blob) < _HEADER.size + 32 or blob[:4] != MATERIAL_MAGIC:
         raise MaterialError("not a dealer material file")
-    head = blob[:_HEADER.size]
-    digest = blob[-32:]
-    body = blob[_HEADER.size:-32]
-    if hashlib.sha256(head + body).digest() != digest:
+    if hashlib.sha256(memoryview(blob)[:-32]).digest() != blob[-32:]:
         raise MaterialError("dealer material failed its integrity check")
     (_, version, party, trunc_digits, cmp_digits, seed, ghash,
-     *counts) = _HEADER.unpack(head)
+     *counts) = _HEADER.unpack_from(blob)
     if version != MATERIAL_VERSION:
         raise MaterialError(f"unsupported material version {version}")
     counts = dict(zip(_KINDS, counts))
     widths = {"trunc_tab": (trunc_digits,), "cmp_tab": (cmp_digits,)}
     layout = [(name, np.dtype("<u4" if name in widths else "<u8"),
                (counts[kind],) + widths.get(name, ())) for name, kind in _STREAMS]
-    if len(body) != sum(dt.itemsize * math.prod(shape) for _, dt, shape in layout):
+    body = len(blob) - _HEADER.size - 32
+    if body != sum(dt.itemsize * math.prod(shape) for _, dt, shape in layout):
         raise MaterialError("dealer material stream lengths are inconsistent")
-    arrays, off = {}, 0
+    arrays, off = {}, _HEADER.size
     for name, dt, shape in layout:
         n = math.prod(shape)
-        arrays[name] = np.frombuffer(body, dt, n, off).astype(
-            dt.newbyteorder("=")).reshape(shape)
+        arrays[name] = np.frombuffer(blob, dt, n, off).astype(
+            dt.newbyteorder("="), copy=False).reshape(shape)
         off += dt.itemsize * n
     return MaterialStore(party, seed, bitwidth or 64, ghash, arrays)
 

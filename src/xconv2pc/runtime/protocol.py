@@ -58,12 +58,11 @@ import numpy as np
 from ..errors import ShapeError, TransportError, XConvError
 from ..plan import FixedPlan, lt_digits, run_plan
 from ..ring import RingTensor, mask_words
-from .material import MaterialStore, select_table_bits
+from .material import MaterialStore, prg, select_table_bits, uniform
 from .wire import (
     OP_ABORT,
     OP_OPEN_BOOL,
     OP_OPEN_MASKED,
-    OP_SHARE_BLOB,
     CommLedger,
     Frame,
     SESSION_TAG,
@@ -425,25 +424,20 @@ class PartyEngine:
 
     # -- session steps ---------------------------------------------------------------
 
-    def distribute_weights(self) -> None:
-        """Model owner shares every encoded weight tensor; client receives."""
+    def distribute_weights(self, seed: bytes) -> None:
+        """Set each weight share from party 0's hello seed; sends nothing.
+
+        Both parties expand P = uniform(prg(seed, idx)) for weighted layer
+        idx.  The client's share is P, the model owner's W - P.
+        """
         for idx, pl in enumerate(self.plan.layers):
-            expected = _weight_shape(pl)
-            if expected is None:
+            shape = _weight_shape(pl)
+            if shape is None:
                 continue
+            p = uniform(prg(seed, idx), shape, self.bitwidth)
             if self.party == 0:
-                ring = pl.payload["weight"]
-                own = self.rng.integers(0, 1 << self.bitwidth, size=ring.shape,
-                                        dtype=_U64, endpoint=False)
-                other = (ring.words - own) & self.mask
-                self.send_oneway(OP_SHARE_BLOB, idx, other.astype("<u8").tobytes(),
-                                 "session", "share-weights")
-                self._weight_shares[pl.name] = own
-            else:
-                raw = self.recv_oneway(OP_SHARE_BLOB, idx, "session",
-                                       "share-weights")
-                arr = np.frombuffer(raw, dtype="<u8").astype(_U64)
-                self._weight_shares[pl.name] = arr.reshape(expected)
+                p = (pl.payload["weight"].words - p) & self.mask
+            self._weight_shares[pl.name] = p
 
     def run(self, input_share: np.ndarray) -> np.ndarray:
         """Execute every plan layer; returns this party's output share."""

@@ -1,4 +1,4 @@
-"""Session roles: handshake, input/weight distribution, full runs.
+"""Session roles: handshake, full runs.
 
 The model owner (party 0) holds the weights and listens; the client
 (party 1) holds the input, connects, and is the only side that learns the
@@ -7,6 +7,10 @@ files from the session seed before the online phase.  Every random draw
 in a session derives from that one seed through domain-separated
 sub-streams, so a (seed, input) pair pins the whole transcript byte for
 byte.
+
+Set-up is the hello, then the output open and the sync end the session.
+Each hello carries a 16-byte seed: the client's weight shares expand from
+party 0's and party 0's input share from the client's, so no tensor is sent.
 """
 
 from __future__ import annotations
@@ -23,12 +27,11 @@ from ..errors import HandshakeError, TransportError
 from ..graph import Graph
 from ..plan import FixedPlan, build_plan, execute_plan_clear
 from ..ring import RingTensor, encode_fixed, mask_words
-from .material import MaterialStore, generate_material
+from .material import MaterialStore, generate_material, prg, uniform
 from .protocol import PartyEngine, ProtocolAbort
 from .wire import (
     OP_HELLO,
     OP_OPEN_OUTPUT,
-    OP_SHARE_BLOB,
     OP_SYNC,
     PROTOCOL_VERSION,
     QueueTransport,
@@ -37,24 +40,24 @@ from .wire import (
     Transport,
 )
 
-_U64 = np.uint64
-
-_HELLO = struct.Struct("<HBB32s8s")
+# version, bit-width, scale, graph hash, seed commitment, share seed
+_HELLO = struct.Struct("<HBB32s8s16s")
 
 MODEL_JOIN_TIMEOUT = 600.0  # seconds secure_infer_local waits for the model party
 
 
-def _hello_payload(plan: FixedPlan, seed: int) -> bytes:
+def _hello_payload(plan: FixedPlan, seed: int, share_seed: bytes) -> bytes:
     import hashlib
 
     commit = hashlib.sha256(struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)).digest()[:8]
     return _HELLO.pack(PROTOCOL_VERSION, plan.cfg.bitwidth, plan.cfg.scale,
-                       bytes.fromhex(plan.graph_hash), commit)
+                       bytes.fromhex(plan.graph_hash), commit, share_seed)
 
 
-def handshake(engine: PartyEngine, seed: int) -> None:
-    """Compare protocol version, ring, architecture digest, and seed commitment."""
-    mine = _hello_payload(engine.plan, seed)
+def handshake(engine: PartyEngine, seed: int) -> tuple:
+    """Check version, ring, graph and seed; returns (own, peer's) share seed."""
+    own_seed = engine.rng.bytes(16)
+    mine = _hello_payload(engine.plan, seed, own_seed)
     try:
         theirs = engine.exchange(OP_HELLO, SESSION_TAG, mine, "session", "hello")
     except ProtocolAbort as e:
@@ -62,7 +65,7 @@ def handshake(engine: PartyEngine, seed: int) -> None:
     if len(theirs) != _HELLO.size:
         engine.abort("malformed hello")
         raise HandshakeError("malformed hello from peer")
-    v, bw, sc, ghash, commit = _HELLO.unpack(theirs)
+    v, bw, sc, ghash, commit, peer_seed = _HELLO.unpack(theirs)
     ours = _HELLO.unpack(mine)
     if v != PROTOCOL_VERSION:
         engine.abort("version mismatch")
@@ -76,6 +79,7 @@ def handshake(engine: PartyEngine, seed: int) -> None:
     if commit != ours[4]:
         engine.abort("seed mismatch")
         raise HandshakeError("session seed commitment mismatch")
+    return own_seed, peer_seed
 
 
 @dataclass
@@ -90,10 +94,9 @@ def run_model_party(plan: FixedPlan, transport: Transport,
                     material: MaterialStore, seed: int) -> SessionResult:
     """Party 0: contributes weights, learns nothing."""
     engine = PartyEngine(0, plan, transport, material, rng_seed=seed)
-    handshake(engine, seed)
-    engine.distribute_weights()
-    raw = engine.recv_oneway(OP_SHARE_BLOB, SESSION_TAG, "input", "share-input")
-    x_share = np.frombuffer(raw, dtype="<u8").astype(_U64).reshape(plan.input_shape)
+    own_seed, client_seed = handshake(engine, seed)
+    engine.distribute_weights(own_seed)
+    x_share = uniform(prg(client_seed, 0), tuple(plan.input_shape), plan.cfg.bitwidth)
     out_share = engine.run(x_share)
     engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
                        np.ascontiguousarray(out_share).astype("<u8").tobytes(),
@@ -110,18 +113,13 @@ def run_client_party(plan: FixedPlan, transport: Transport,
     if tuple(x.shape) != tuple(plan.input_shape):
         raise HandshakeError(f"input shape {x.shape} != plan {plan.input_shape}")
     engine = PartyEngine(1, plan, transport, material, rng_seed=seed)
-    handshake(engine, seed)
-    engine.distribute_weights()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(200,)))
-    other = rng.integers(0, 1 << plan.cfg.bitwidth, size=x.shape, dtype=_U64,
-                         endpoint=False)
-    own = mask_words(x.words - other, plan.cfg.bitwidth)
-    engine.send_oneway(OP_SHARE_BLOB, SESSION_TAG, other.astype("<u8").tobytes(),
-                       "input", "share-input")
-    out_share = engine.run(own)
+    own_seed, model_seed = handshake(engine, seed)
+    engine.distribute_weights(model_seed)
+    other = uniform(prg(own_seed, 0), tuple(x.shape), plan.cfg.bitwidth)
+    out_share = engine.run(mask_words(x.words - other, plan.cfg.bitwidth))
     raw = engine.recv_oneway(OP_OPEN_OUTPUT, SESSION_TAG, "session",
                              "output-open")
-    peer_out = np.frombuffer(raw, dtype="<u8").astype(_U64).reshape(out_share.shape)
+    peer_out = np.frombuffer(raw, dtype="<u8").reshape(out_share.shape)
     output = RingTensor(mask_words(out_share + peer_out, plan.cfg.bitwidth),
                         plan.cfg.bitwidth)
     engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")

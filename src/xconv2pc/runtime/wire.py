@@ -7,6 +7,12 @@ ledger counts payload bytes only; the 10 header bytes per frame are
 deliberately excluded so that measured traffic stays exactly proportional
 to the protocol's element counts.
 
+Protocol version 2; opcodes:
+  1 hello: version, ring, graph hash, seed commitment, 16-byte share seed
+  2 open-masked-values: Beaver differences and masked values
+  3 open-bool: boolean-triple differences    4 open-output: one way
+  5 sync: empty, ends the session            6 abort: a UTF-8 reason
+
 To keep plain blocking sockets deadlock-free, the engine fixes the I/O
 order per exchange: the model owner writes first and then reads, the
 client reads first and then writes.
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..errors import TransportError
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 OP_HELLO = 1
 OP_OPEN_MASKED = 2
@@ -32,13 +38,6 @@ OP_OPEN_BOOL = 3
 OP_OPEN_OUTPUT = 4
 OP_SYNC = 5
 OP_ABORT = 6
-OP_SHARE_BLOB = 7
-
-OPCODE_NAMES = {
-    OP_HELLO: "hello", OP_OPEN_MASKED: "open-masked-values",
-    OP_OPEN_BOOL: "open-bool", OP_OPEN_OUTPUT: "open-output",
-    OP_SYNC: "sync", OP_ABORT: "abort", OP_SHARE_BLOB: "share-blob",
-}
 
 SESSION_TAG = 0xFFFFFFFF  # layer tag for session-level frames
 

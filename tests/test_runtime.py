@@ -18,7 +18,13 @@ from xconv2pc.errors import HandshakeError, MaterialError, TransportError
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph
 from xconv2pc.clear import infer_fixed, infer_float
 from xconv2pc.costs import count_mults
-from xconv2pc.plan import PlanRequirements, build_plan, lt_bool_words, lt_digits
+from xconv2pc.plan import (
+    PlanRequirements,
+    build_plan,
+    execute_plan_clear,
+    lt_bool_words,
+    lt_digits,
+)
 from xconv2pc.ring import (
     FixedPointConfig,
     RingTensor,
@@ -654,10 +660,13 @@ def test_depthwise_conv_and_relu_exact_rounds():
     for led in (run.model.ledger, run.client.ledger):
         # One open serves all four groups, then a 6-round truncation that
         # also tests the ReLU's sign; the ReLU keeps only its sign-bit
-        # product.  The weight shares are set-up, booked under the session row.
+        # product.  Set-up sends no shares: the session row is the hello,
+        # the output open and the sync.
         assert _layer_rounds(led, "dw") == {
             "mul-open": 1, "mask-open": 1, "bool-open": 4, "aux-open": 1}
-        assert _layer_rounds(led, "session")["share-weights"] == 1
+        assert _layer_rounds(led, "session") == {
+            "hello": 1, "output-open": 1, "sync": 1}
+        assert {layer for layer, _ in led.entries} == {"session", "dw", "r", "mix"}
         assert _layer_rounds(led, "r") == {"aux-open": 1}
 
 
@@ -705,8 +714,7 @@ def test_flat_slice_matches_contiguous_copy():
 def _client_rounds_from_plan(plan):
     """Client rounds as the plan predicts them, each batch within one chunk."""
     fused = {pl.name for pl in plan.layers if pl.relu_sign}
-    weighted = sum(pl.kind in ("conv2d", "fully-connected") for pl in plan.layers)
-    rounds = 4 + weighted  # hello, weight shares, input share, output open, sync
+    rounds = 3  # hello, output open, sync
     for pl in plan.layers:
         rounds += -(-pl.mults // protocol.BEAVER_CHUNK)
         if pl.trunc_elems:
@@ -720,7 +728,7 @@ def _client_rounds_from_plan(plan):
 
 @pytest.mark.parametrize("backbone,variant,size,total", [
     ("toynet", CellVariant.DENSE, 16, None),
-    ("shufflenetv2", CellVariant.XOP, 32, 458),
+    ("shufflenetv2", CellVariant.XOP, 32, 405),
 ])
 def test_client_rounds_follow_the_plan(backbone, variant, size, total):
     g = model_zoo(backbone, variant, size, seed=90)
@@ -857,6 +865,113 @@ def test_handshake_rejects_mismatched_graphs():
         run_client_party(plan1, t1, m1, 42, x)
     th.join(timeout=30)
     assert isinstance(errors.get("model"), Exception)
+
+
+@pytest.mark.parametrize("old", [True, False])
+def test_handshake_rejects_version_1_and_unknown_versions(old):
+    import struct
+
+    from xconv2pc.runtime.wire import OP_HELLO, SESSION_TAG
+
+    plan = build_plan(model_zoo("toynet", CellVariant.DENSE, 16, seed=47),
+                      with_weights=False)
+    hello = session._hello_payload(plan, 48, bytes(16))
+    # Version 1's hello is the same fields without the share seed, 44 bytes.
+    bad = struct.pack("<H", 1 if old else 3) + hello[2:44 if old else None]
+    assert len(bad) == (44 if old else 60)
+    t0, t1 = QueueTransport.pair()
+    peer = PartyEngine(0, plan, t0, None, rng_seed=48)
+    th = threading.Thread(target=peer.exchange, daemon=True,
+                          args=(OP_HELLO, SESSION_TAG, bad, "session", "hello"))
+    th.start()
+    with pytest.raises(HandshakeError):
+        session.handshake(PartyEngine(1, plan, t1, None, rng_seed=48), 48)
+    th.join(timeout=30)
+    assert not th.is_alive()
+
+
+def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
+    from xconv2pc.runtime.material import prg, uniform
+
+    seeds, shares = {}, {}
+    handshake, run = session.handshake, PartyEngine.run
+
+    def record_handshake(engine, seed):
+        seeds[engine.party] = handshake(engine, seed)
+        return seeds[engine.party]
+
+    def record_run(engine, input_share):
+        shares[engine.party] = (input_share, dict(engine._weight_shares))
+        return run(engine, input_share)
+
+    monkeypatch.setattr(session, "handshake", record_handshake)
+    monkeypatch.setattr(PartyEngine, "run", record_run)
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=49)
+    x = _random_input(g.input_shape, 50)
+    out = secure_infer_local(g, x, seed=51)
+    assert np.array_equal(out.output.words, out.clear_reference.words)
+    # Each party's own seed is the other's peer seed.
+    assert seeds[0] == seeds[1][::-1] and seeds[0][0] != seeds[0][1]
+    assert np.array_equal(_recon(shares[0][0], shares[1][0]),
+                          encode_fixed(x, g.cfg).words)
+    weighted = [(idx, pl) for idx, pl in enumerate(out.plan.layers)
+                if pl.kind in ("conv2d", "fully-connected")]
+    assert weighted and set(shares[0][1]) == {pl.name for _, pl in weighted}
+    for idx, pl in weighted:
+        w0, w1 = shares[0][1][pl.name], shares[1][1][pl.name]
+        assert np.array_equal(_recon(w0, w1), pl.payload["weight"].words)
+        assert np.array_equal(w1, uniform(prg(seeds[0][0], idx), w1.shape, 60))
+
+
+def _tcp_pair():
+    import socket
+
+    from xconv2pc.runtime.wire import SocketTransport
+
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    cli = socket.create_connection(srv.getsockname())
+    conn, _ = srv.accept()
+    srv.close()
+    return SocketTransport(conn), SocketTransport(cli)
+
+
+@pytest.mark.parametrize("transport", ["queue", "tcp"])
+def test_set_up_sends_no_share_frames(transport, monkeypatch):
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
+    opcodes = []
+    send = type(t0).send
+
+    def record_send(t, frame):
+        opcodes.append(frame.opcode)
+        send(t, frame)
+
+    monkeypatch.setattr(type(t0), "send", record_send)
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=52)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 53)
+    x = encode_fixed(_random_input(g.input_shape, 54), g.cfg)
+    results = {}
+    th = threading.Thread(daemon=True, target=lambda: results.setdefault(
+        "model", run_model_party(plan0, t0, m0, 53)))
+    th.start()
+    client = run_client_party(plan1, t1, m1, 53, x)
+    th.join(timeout=60)
+    for t in (t0, t1):
+        t.close()
+    assert not th.is_alive()
+    model = results["model"]
+    assert np.array_equal(client.output.words,
+                          execute_plan_clear(plan0, x, check_ceiling=False).words)
+    # hello, masked and boolean opens, output open, sync; no share frame (7)
+    assert set(opcodes) == {1, 2, 3, 4, 5}
+    out_bytes = model.ledger.bytes_for("session", "output-open")
+    assert out_bytes == 8 * client.output.words.size
+    assert model.ledger.total_sent == client.ledger.total_sent + out_bytes
 
 
 def test_session_fails_cleanly_on_short_material():

@@ -453,7 +453,7 @@ def bench_op(op_name, sizes, seed, out_path):
 @_cli_errors
 def report(graph_path, zoo_spec, bitwidth, scale, seed, fmt, out_path,
            ledger_path):
-    """Analytic per-layer cost report under the default profile."""
+    """Analytic per-layer cost report: modeled mults plus engine bytes."""
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     est = estimate_comm(g)
     reports = est.reports

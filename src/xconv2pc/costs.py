@@ -2,12 +2,12 @@
 
 Secret-by-secret ring multiplications are the unit that costs online
 traffic; everything data-independent (adds, permutes, public scaling, the
-integer transform steps of tagged convolutions) counts zero.  Byte
-estimates multiply the counts by per-category constants from a profile;
-the default arithmetic constant is 1.2 KB per multiplication, and the
-nonlinear constants default to values measured from this package's own
-engine (see :func:`calibrate_profile`), so they describe this engine, not
-any other stack.
+integer transform steps of tagged convolutions) counts zero.  Every count
+comes from ``plan.footprint``, the function the plan sizes its layers
+with, applied to the graph's own layers (so an unfolded batchnorm is
+charged too).  A layer's byte estimate is its multiplications at the
+modeled stack's 1.2 KB each, plus the exact bytes this engine sends for
+its truncations and comparisons.
 """
 
 from __future__ import annotations
@@ -17,39 +17,15 @@ import io
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph import CellVariant, Graph, infer_shapes
-from .winograd import mult_counts
+from .plan import footprint
 
 CONV = "conv"
 OTHER_LINEAR = "other-linear"
 NONLINEAR = "nonlinear"
 
-
-@dataclass(frozen=True)
-class CostProfile:
-    """Per-operation byte constants for analytic communication estimates.
-
-    The multiplication constant is the published 1.2 KB per-operation
-    figure for the protocol stack being modeled; the nonlinear constants
-    default to this package's own engine as measured by
-    :func:`calibrate_profile` (46 B per activation element, 47.75 B per
-    truncated element, both with the digit-table comparisons) and are
-    engine-specific, not claims about any other stack.
-    """
-
-    bytes_per_mult: float = 1228.8  # 1.2 KB per secret multiplication
-    bytes_per_relu_element: float = 46.0
-    bytes_per_comparison: float = 46.0
-    bytes_per_truncation_element: float = 47.75
-    name: str = "default"
-
-    def __post_init__(self):
-        for f in ("bytes_per_mult", "bytes_per_relu_element",
-                  "bytes_per_comparison", "bytes_per_truncation_element"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be nonnegative")
+# The published 1.2 KB per secret multiplication of the modeled stack.
+BYTES_PER_MULT = 1228.8
 
 
 @dataclass
@@ -63,57 +39,23 @@ class LayerCostReport:
     extra: dict = field(default_factory=dict)
 
 
-def _conv_mults(attrs: dict, out_shape: tuple) -> int:
-    k = attrs["kernel"]
-    groups = attrs.get("groups", 1)
-    per_pos = attrs["in_channels"] // groups
-    n, c_out, oh, ow = out_shape
-    if attrs.get("winograd"):
-        counts = mult_counts(oh, k, attrs["tile"])
-        return counts.beta2 * c_out * per_pos * n
-    return n * oh * ow * c_out * k * k * per_pos
-
-
-def layer_mults(layer, out_shape, in_shapes) -> tuple:
-    """(multiplications, category) for one layer."""
-    kind = layer.kind
+def _category(kind: str) -> str:
     if kind == "conv2d":
-        return _conv_mults(layer.attrs, out_shape), CONV
-    if kind == "fully-connected":
-        return out_shape[0] * layer.attrs["in_features"] * layer.attrs["out_features"], \
-            OTHER_LINEAR
-    if kind == "batchnorm":
-        # One secret scaling per element when executed unfolded.
-        return int(np.prod(in_shapes[0])), OTHER_LINEAR
-    if kind in ("relu", "maxpool"):
-        return 0, NONLINEAR
-    # shuffle, add, concat, avgpool, global-avgpool: no secret multiplications
-    return 0, OTHER_LINEAR
+        return CONV
+    return NONLINEAR if kind in ("relu", "maxpool") else OTHER_LINEAR
+
+
+def _footprints(graph: Graph):
+    """(layer, footprint) for every layer of the graph as it stands."""
+    shapes = infer_shapes(graph)
+    for layer in graph.layers:
+        yield layer, footprint(layer.kind, layer.attrs, shapes[layer.name],
+                               graph.cfg)
 
 
 def count_mults(graph: Graph) -> dict:
     """Exact per-layer secret-multiplication counts, keyed by layer name."""
-    shapes = infer_shapes(graph)
-    out = {}
-    for layer in graph.layers:
-        m, _ = layer_mults(layer, shapes[layer.name],
-                           [shapes[s] for s in layer.inputs])
-        out[layer.name] = m
-    return out
-
-
-def _nonlinear_elems(layer, out_shape) -> tuple:
-    """(relu elements, comparisons, truncated elements) for byte estimates."""
-    kind = layer.kind
-    out_elems = int(np.prod(out_shape))
-    if kind == "relu":
-        return out_elems, 0, 0
-    if kind == "maxpool":
-        win = layer.attrs["window"]
-        return 0, out_elems * (win * win - 1), 0
-    if kind in ("conv2d", "fully-connected", "avgpool", "global-avgpool", "batchnorm"):
-        return 0, 0, out_elems
-    return 0, 0, 0
+    return {layer.name: fp["mults"] for layer, fp in _footprints(graph)}
 
 
 @dataclass
@@ -139,44 +81,37 @@ class CommEstimate:
         }
 
 
-def estimate_comm(graph: Graph, profile: CostProfile = None) -> CommEstimate:
-    """Analytic per-layer byte estimate under a cost profile."""
-    profile = profile or CostProfile()
-    shapes = infer_shapes(graph)
+def estimate_comm(graph: Graph) -> CommEstimate:
+    """Per-layer byte estimate: modeled multiplications plus engine bytes.
+
+    Each party sends 8 B per opened mask (one per truncated or compared
+    element) and 16 B per auxiliary triple and boolean word (two opened
+    words each): exactly the engine's non-multiplication bytes for the
+    layer, though a ReLU fused into a truncation books them under the
+    truncating layer.
+    """
     reports = []
     totals = {CONV: 0.0, OTHER_LINEAR: 0.0, NONLINEAR: 0.0}
-    total_mults = 0
-    for layer in graph.layers:
-        out_shape = shapes[layer.name]
-        mults, category = layer_mults(layer, out_shape,
-                                      [shapes[s] for s in layer.inputs])
-        relu_e, cmp_e, trunc_e = _nonlinear_elems(layer, out_shape)
-        nonlinear_part = (relu_e * profile.bytes_per_relu_element
-                          + cmp_e * profile.bytes_per_comparison)
-        linear_part = (mults * profile.bytes_per_mult
-                       + trunc_e * profile.bytes_per_truncation_element)
-        est = linear_part + nonlinear_part
-        totals[NONLINEAR] += nonlinear_part
-        if category != NONLINEAR:
-            totals[category] += linear_part
-        total_mults += mults
+    for layer, fp in _footprints(graph):
+        engine_bytes = (8 * (fp["trunc_elems"] + fp["cmp_elems"])
+                        + 16 * (fp["aux_triples"] + fp["bool_words"]))
+        est = fp["mults"] * BYTES_PER_MULT + engine_bytes
+        category = _category(layer.kind)
+        totals[category] += est
         reports.append(LayerCostReport(
             layer=layer.name, kind=layer.kind, category=category,
-            mults=mults, est_bytes=est,
-            extra={"relu_elems": relu_e, "comparisons": cmp_e,
-                   "trunc_elems": trunc_e}))
+            mults=fp["mults"], est_bytes=est,
+            extra={k: v for k, v in fp.items() if k != "mults"}))
     return CommEstimate(reports=reports, totals=totals,
-                        total_bytes=sum(totals.values()), total_mults=total_mults)
+                        total_bytes=sum(totals.values()),
+                        total_mults=sum(r.mults for r in reports))
 
 
 def mult_split(graph: Graph) -> dict:
     """Multiplication totals by category plus conv share of linear."""
-    shapes = infer_shapes(graph)
     by_cat = {CONV: 0, OTHER_LINEAR: 0, NONLINEAR: 0}
-    for layer in graph.layers:
-        m, cat = layer_mults(layer, shapes[layer.name],
-                             [shapes[s] for s in layer.inputs])
-        by_cat[cat] += m
+    for layer, fp in _footprints(graph):
+        by_cat[_category(layer.kind)] += fp["mults"]
     linear = by_cat[CONV] + by_cat[OTHER_LINEAR]
     return {
         "conv": by_cat[CONV],
@@ -213,9 +148,8 @@ class VariantRow:
     reduction_vs_baseline: float
 
 
-def compare_variants(pairs, profile: CostProfile = None, input_size: int = 320,
-                     baseline: str = "DD", seed: int = 0,
-                     graph_hook=None) -> list:
+def compare_variants(pairs, input_size: int = 320, baseline: str = "DD",
+                     seed: int = 0, graph_hook=None) -> list:
     """Cost table over (backbone, variant, winograd) triples.
 
     ``graph_hook`` post-processes each built graph (the compiler pass goes
@@ -224,7 +158,6 @@ def compare_variants(pairs, profile: CostProfile = None, input_size: int = 320,
     """
     from .zoo import model_zoo
 
-    profile = profile or CostProfile()
     rows = []
     for backbone, variant, wino in pairs:
         if isinstance(variant, str):
@@ -234,7 +167,7 @@ def compare_variants(pairs, profile: CostProfile = None, input_size: int = 320,
             if graph_hook is None:
                 raise ValueError("winograd rows need a graph_hook that rewrites")
             graph = graph_hook(graph)
-        est = estimate_comm(graph, profile)
+        est = estimate_comm(graph)
         rows.append(VariantRow(
             mnemonic=mnemonic(backbone, variant, wino), backbone=backbone,
             variant=variant.value, winograd=wino, mults=est.total_mults,
@@ -294,21 +227,3 @@ def load_report_json(text: str) -> list:
             mults=row["mults"], est_bytes=row["est_bytes"],
             meas_bytes=row.get("meas_bytes"), extra=extra))
     return out
-
-
-def calibrate_profile(name: str = "measured") -> CostProfile:
-    """Measure this engine's nonlinear per-element byte costs on a tiny run.
-
-    Runs single-layer graphs through the in-process secure engine and
-    divides ledger payload bytes by element counts.  The multiplication
-    constant stays at the published 1.2 KB figure; only the
-    engine-specific nonlinear constants are replaced.
-    """
-    from .runtime.session import measure_op_bytes
-
-    relu_b = measure_op_bytes("relu")
-    trunc_b = measure_op_bytes("truncate")
-    return CostProfile(bytes_per_relu_element=relu_b,
-                       bytes_per_comparison=relu_b,
-                       bytes_per_truncation_element=trunc_b,
-                       name=name)

@@ -57,6 +57,10 @@ class MaterialError(XConvError):
 
 
 class VerificationError(XConvError):
-    """Secure output does not match the clear fixed-point reference."""
+    """A run deviates from what it must produce.
+
+    The secure output differs from the clear fixed-point reference, or a
+    party's ledger row differs from the bytes and rounds the plan predicts.
+    """
 
     exit_code = EXIT_VERIFY

@@ -20,7 +20,9 @@ around.
 Resource counts (multiplications, truncated elements, comparisons,
 auxiliary triples, boolean triple words) depend only on shapes and
 attributes, never on weight values, so the weight-less party derives the
-same schedule from the public architecture.
+same schedule from the public architecture.  ``footprint`` computes them
+for one layer, for the plan and the cost model alike, and
+``predict_ledger`` turns them into the bytes and rounds every run books.
 """
 
 from __future__ import annotations
@@ -76,6 +78,64 @@ def lt_bool_words(n_elems: int, n_bits: int) -> int:
         ands += 2 * pairs - 1
         groups -= pairs
     return ands * -(-n_elems // 64)
+
+
+def _sign_batches(kind: str, attrs: dict, out_elems: int) -> list:
+    """Elements per batch of sign tests in a relu or maxpool layer.
+
+    A ReLU is one batch.  Maxpool compares one batch per level of its
+    pairwise tree: the first half of the window positions against the
+    second, an odd one carried over.
+    """
+    if kind == "relu":
+        return [out_elems]
+    batches, left = [], attrs["window"] ** 2
+    while left > 1:
+        batches.append(left // 2 * out_elems)
+        left -= left // 2
+    return batches
+
+
+def footprint(kind: str, attrs: dict, out_shape: tuple, cfg: FixedPointConfig) -> dict:
+    """Dealer material one layer consumes, from its kind, attributes and shape.
+
+    Returns mults, trunc_elems, cmp_elems, aux_triples and bool_words.  A
+    truncated element takes two comparisons (borrow and wrap), a compared
+    one a sign test; each converts its bit through one auxiliary triple,
+    and a compared element spends a second on its sign-bit product.
+    Boolean words are sized per batch so the packed word rounding matches
+    the online consumption.  A batchnorm, left only in an unfolded graph,
+    counts one secret scaling per element plus a truncation.
+    """
+    out_elems = math.prod(out_shape)
+    mults = trunc = cmp = bool_words = 0
+    if kind == "conv2d":
+        k = attrs["kernel"]
+        per_pos = out_shape[0] * attrs["out_channels"] * (
+            attrs["in_channels"] // attrs.get("groups", 1))
+        if attrs.get("winograd"):
+            mults = mult_counts(out_shape[2], k, attrs["tile"]).beta2 * per_pos
+        else:
+            mults = out_shape[2] * out_shape[3] * k * k * per_pos
+        trunc = out_elems
+    elif kind == "fully-connected":
+        mults = out_shape[0] * attrs["in_features"] * attrs["out_features"]
+        trunc = out_elems
+    elif kind == "batchnorm":
+        mults = trunc = out_elems
+    elif kind in ("avgpool", "global-avgpool"):
+        trunc = out_elems
+    elif kind in ("relu", "maxpool"):
+        batches = _sign_batches(kind, attrs, out_elems)
+        cmp = sum(batches)
+        bool_words = sum(lt_bool_words(m, cfg.bitwidth - 1) for m in batches)
+    elif kind not in ("shuffle", "add", "concat"):
+        raise ShapeError(f"cannot plan layer kind {kind!r}")
+    if trunc:
+        bool_words += (lt_bool_words(trunc, cfg.scale)
+                       + lt_bool_words(trunc, cfg.bitwidth))
+    return {"mults": mults, "trunc_elems": trunc, "cmp_elems": cmp,
+            "aux_triples": 2 * (trunc + cmp), "bool_words": bool_words}
 
 
 @dataclass
@@ -194,8 +254,6 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
     g = fold_batchnorm(graph)
     shapes = infer_shapes(g)
     cfg = g.cfg
-    s = cfg.scale
-    nbits = cfg.bitwidth
     ceiling = float(activation_ceiling)
     if with_weights:
         ceiling = min(ceiling, _tolerated_ceiling(g, cfg))
@@ -203,49 +261,24 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
 
     for spec in g.layers:
         out_shape = shapes[spec.name]
-        out_elems = int(np.prod(out_shape))
         pl = PlanLayer(name=spec.name, kind=spec.kind, inputs=list(spec.inputs),
-                       attrs=dict(spec.attrs), out_shape=out_shape)
+                       attrs=dict(spec.attrs), out_shape=out_shape,
+                       **footprint(spec.kind, spec.attrs, out_shape, cfg))
 
-        if spec.kind == "conv2d":
-            k = spec.attrs["kernel"]
-            groups = spec.attrs.get("groups", 1)
-            c_in = spec.attrs["in_channels"]
-            c_out = spec.attrs["out_channels"]
-            n_pos = out_shape[0] * out_shape[2] * out_shape[3]
+        if spec.kind in ("conv2d", "fully-connected"):
             w_real = g.weights.get(f"{spec.name}.weight") if with_weights else None
             bias_real = g.weights.get(f"{spec.name}.bias") if with_weights else None
-            bias_max = float(np.abs(bias_real).max()) if bias_real is not None else 0.0
             if spec.attrs.get("winograd"):
-                tile = spec.attrs["tile"]
-                basis = basis_for_tile(tile, k)
-                m_out = out_shape[2]
-                counts = mult_counts(m_out, k, tile)
-                pl.mults = counts.beta2 * c_out * (c_in // groups) * out_shape[0]
+                basis = basis_for_tile(spec.attrs["tile"], spec.attrs["kernel"])
                 pl.payload["basis"] = basis
                 if w_real is not None:
                     u_real = transform_filter_real(w_real, basis)
-                    winograd_guard(basis, u_real, groups,
+                    winograd_guard(basis, u_real, spec.attrs.get("groups", 1),
                                    min(ceiling, WINOGRAD_INPUT_BOUND), cfg)
                     pl.payload["weight"] = encode_fixed(u_real, cfg)
-            else:
-                pl.mults = n_pos * c_out * k * k * (c_in // groups)
-                if w_real is not None:
-                    pl.payload["weight"] = encode_fixed(w_real, cfg)
-            if w_real is not None:
-                _check_headroom(ceiling * _abs_rowsum(w_real) + bias_max, cfg,
-                                spec.name)
-                if bias_real is not None:
-                    pl.payload["bias_ring"] = _encode_double_scale(bias_real, cfg)
-            pl.trunc_elems = out_elems
-
-        elif spec.kind == "fully-connected":
-            w_real = g.weights.get(f"{spec.name}.weight") if with_weights else None
-            bias_real = g.weights.get(f"{spec.name}.bias") if with_weights else None
-            pl.mults = out_shape[0] * spec.attrs["in_features"] * spec.attrs["out_features"]
-            pl.trunc_elems = out_elems
-            if w_real is not None:
+            elif w_real is not None:
                 pl.payload["weight"] = encode_fixed(w_real, cfg)
+            if w_real is not None:
                 bias_max = (float(np.abs(bias_real).max())
                             if bias_real is not None else 0.0)
                 _check_headroom(ceiling * _abs_rowsum(w_real) + bias_max, cfg,
@@ -261,36 +294,7 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
                 area = in_shape[2] * in_shape[3]
             pl.payload["inv_area_ring"] = int(
                 encode_fixed(np.array([1.0 / area]), cfg).words[0])
-            pl.trunc_elems = out_elems
             _check_headroom(ceiling * 1.01, cfg, spec.name)
-
-        elif spec.kind == "relu":
-            pl.cmp_elems = out_elems
-            pl.bool_words = lt_bool_words(out_elems, nbits - 1)
-
-        elif spec.kind == "maxpool":
-            win = spec.attrs["window"]
-            # The pairwise-max tree compares all of a level's pairs in one
-            # batch, so boolean words are sized per level to keep the packed
-            # word rounding identical to the online consumption.
-            pl.cmp_elems = out_elems * (win * win - 1)
-            left = win * win
-            while left > 1:
-                pl.bool_words += lt_bool_words(left // 2 * out_elems, nbits - 1)
-                left -= left // 2
-
-        elif spec.kind in ("shuffle", "add", "concat"):
-            pass
-
-        else:
-            raise ShapeError(f"cannot plan layer kind {spec.kind!r}")
-
-        if pl.cmp_elems:
-            pl.aux_triples += 2 * pl.cmp_elems
-        if pl.trunc_elems:
-            pl.aux_triples += 2 * pl.trunc_elems
-            pl.bool_words += lt_bool_words(pl.trunc_elems, s)
-            pl.bool_words += lt_bool_words(pl.trunc_elems, nbits)
         layers.append(pl)
 
     # An arithmetic shift keeps the sign, so a ReLU that alone reads a
@@ -305,6 +309,65 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
     return FixedPlan(cfg=cfg, input_shape=g.input_shape, layers=layers,
                      output_name=g.output_name, graph_hash=graph.structural_hash(),
                      with_weights=with_weights, input_bound=ceiling)
+
+
+BEAVER_CHUNK = 1 << 22  # elements per opened Beaver batch; caps peak memory
+
+
+def _and_rounds(n_bits: int) -> int:
+    """AND rounds of a digit-table less-than over n_bits: ceil(log2 digits)."""
+    return (lt_digits(n_bits) - 1).bit_length()
+
+
+def predict_ledger(plan: FixedPlan) -> dict:
+    """(bytes sent, rounds) of every nonzero (layer, op) ledger row of a run.
+
+    Every layer row is a symmetric open, so both parties book the same.
+    Per row, from the footprint:
+
+      mul-open   16 B per multiplication, one round per BEAVER_CHUNK
+      mask-open  8 B per masked element, one round per batch
+      bool-open  16 B per boolean word, ceil(log2 digits) rounds of the
+                 widest comparison in the batch
+      aux-open   16 B per auxiliary triple, one round per BEAVER_CHUNK of
+                 each bit conversion and each sign-bit product
+
+    A truncation is one batch.  A ReLU that alone reads a truncating layer
+    (``relu_sign``) has its mask, comparison and bit conversion carried in
+    that truncation's frames and books only its sign-bit product; any
+    other ReLU, and each maxpool tree level, is one batch of comparisons.
+    """
+    cfg = plan.cfg
+    sign_bits = cfg.bitwidth - 1
+    rows = {}
+
+    def book(layer, op, nbytes, rounds):
+        if rounds:
+            b, r = rows.get((layer, op), (0, 0))
+            rows[layer, op] = (b + nbytes, r + rounds)
+
+    def chunks(n):
+        return -(-n // BEAVER_CHUNK)
+
+    signed = {pl.name for pl in plan.layers if pl.relu_sign}
+    for pl in plan.layers:
+        book(pl.name, "mul-open", 16 * pl.mults, chunks(pl.mults))
+        if pl.trunc_elems:
+            cmp = pl.trunc_elems if pl.relu_sign else 0
+            words = pl.bool_words + lt_bool_words(cmp, sign_bits)
+            book(pl.name, "mask-open", 8 * (pl.trunc_elems + cmp), 1)
+            book(pl.name, "bool-open", 16 * words, _and_rounds(cfg.bitwidth))
+            book(pl.name, "aux-open", 16 * (pl.aux_triples + cmp),
+                 chunks(pl.aux_triples + cmp))
+        if pl.kind == "relu" and pl.inputs[0] in signed:
+            book(pl.name, "aux-open", 16 * pl.cmp_elems, chunks(pl.cmp_elems))
+        elif pl.kind in ("relu", "maxpool"):
+            for m in _sign_batches(pl.kind, pl.attrs, math.prod(pl.out_shape)):
+                book(pl.name, "mask-open", 8 * m, 1)
+                book(pl.name, "bool-open", 16 * lt_bool_words(m, sign_bits),
+                     _and_rounds(sign_bits))
+                book(pl.name, "aux-open", 32 * m, 2 * chunks(m))
+    return rows
 
 
 def _encode_double_scale(values: np.ndarray, cfg: FixedPointConfig) -> RingTensor:

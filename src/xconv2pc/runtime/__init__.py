@@ -7,13 +7,7 @@ from .material import (
     verify_material_pair,
     write_material,
 )
-from .protocol import (
-    PartyEngine,
-    ShareTensor,
-    beaver_mul_batch,
-    reconstruct,
-    share,
-)
+from .protocol import PartyEngine
 from .session import (
     LocalRun,
     connect_with_retry,
@@ -26,8 +20,7 @@ from .wire import CommLedger, Frame, ledgers_mirror
 
 __all__ = [
     "CommLedger", "Frame", "LocalRun", "MaterialStore", "PartyEngine",
-    "ShareTensor", "beaver_mul_batch", "connect_with_retry",
-    "generate_material", "ledgers_mirror", "listen_once", "load_material",
-    "reconstruct", "run_client_party", "run_model_party",
-    "secure_infer_local", "share", "verify_material_pair", "write_material",
+    "connect_with_retry", "generate_material", "ledgers_mirror", "listen_once",
+    "load_material", "run_client_party", "run_model_party",
+    "secure_infer_local", "verify_material_pair", "write_material",
 ]

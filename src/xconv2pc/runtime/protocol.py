@@ -28,20 +28,10 @@ auxiliary triple.  Every consumption count is a pure function of layer
 shapes, so both parties and the dealer agree on cursor positions by
 construction.
 
-Round costs: a conv or fully-connected layer opens one Beaver batch per
-BEAVER_CHUNK multiplications, all groups together.  A truncation takes
-6 rounds: the mask open, 4 AND rounds shared by its two comparisons
-(ceil(log2 15) over the 60-bit comparison's digits; the 23-bit one needs
-3), and one auxiliary open converting both bits.  A ReLU takes 7: the
-same 6 over one 59-bit comparison, plus the open of its sign-bit product.
-A ReLU that alone reads a truncating layer (the plan marks it) takes
-6 + 1: an arithmetic shift keeps the sign, so the truncation opens the
-ReLU's masked input in its own mask-open frame, runs the 59-bit
-comparison in its 4 AND rounds and converts that bit in its auxiliary
-open; the ReLU itself opens only the sign-bit product.  Those fused rows'
-bytes and rounds sit under the truncating layer in the ledger.  Maxpool
-takes 7 per level of its pairwise tree, ceil(log2 window^2) levels.  Each
-count assumes its batch fits one BEAVER_CHUNK.
+Round costs follow from the plan: ``plan.predict_ledger`` gives every
+layer's bytes and rounds per op, and each session checks its ledger
+against it.  A truncation takes 6 rounds, an unfused ReLU or a maxpool
+tree level 7, and a ReLU fused into the truncation it reads 1.
 
 Exactness notes, all modulo 2^l with x' = x + 2^(l-1):
   floor(unsigned(x') / 2^s) = (c >> s) - (r >> s) - [c mod 2^s < r mod 2^s]
@@ -51,13 +41,11 @@ and the sign bit of x is  msb(c) XOR msb(r) XOR [low(c) < low(r)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import ShapeError, TransportError, XConvError
+from .. import plan as plan_mod
+from ..errors import TransportError, XConvError
 from ..plan import FixedPlan, lt_digits, run_plan
-from ..ring import RingTensor, mask_words
 from .material import MaterialStore, prg, select_table_bits, uniform
 from .wire import (
     OP_ABORT,
@@ -73,51 +61,9 @@ from .wire import (
 _U64 = np.uint64
 _FULL = _U64(0xFFFFFFFFFFFFFFFF)
 
-BEAVER_CHUNK = 1 << 22  # elements per opened batch; caps peak memory
-
 
 class ProtocolAbort(XConvError):
     """Peer sent an abort frame."""
-
-
-@dataclass
-class ShareTensor:
-    """One party's additive share plus its fractional-scale tag."""
-
-    party: int
-    ring: RingTensor
-    scale: int
-
-    @property
-    def shape(self):
-        return self.ring.shape
-
-
-def share(x: RingTensor, rng: np.random.Generator, scale: int = 0) -> tuple:
-    """Split into two uniformly random shares that sum back to x."""
-    s0 = rng.integers(0, 1 << x.bitwidth, size=x.shape, dtype=_U64, endpoint=False)
-    s1 = mask_words(x.words - s0, x.bitwidth)
-    return (ShareTensor(0, RingTensor(s0, x.bitwidth), scale),
-            ShareTensor(1, RingTensor(s1, x.bitwidth), scale))
-
-
-def reconstruct(s0: ShareTensor, s1: ShareTensor) -> RingTensor:
-    if s0.shape != s1.shape or s0.ring.bitwidth != s1.ring.bitwidth:
-        raise ShapeError("share halves disagree in shape or ring")
-    if s0.scale != s1.scale:
-        raise ShapeError("share halves carry different scale tags")
-    return RingTensor(mask_words(s0.ring.words + s1.ring.words, s0.ring.bitwidth),
-                      s0.ring.bitwidth)
-
-
-def beaver_mul_batch(engine: "PartyEngine", x: ShareTensor, y: ShareTensor,
-                     layer: str = "mul") -> ShareTensor:
-    """Elementwise secret multiplication; scales add, traffic is 16 B/element."""
-    if x.shape != y.shape:
-        raise ShapeError(f"operand shapes differ: {x.shape} vs {y.shape}")
-    words = engine.beaver(x.ring.words, y.ring.words, 0, layer)
-    return ShareTensor(engine.party, RingTensor(words, x.ring.bitwidth),
-                       x.scale + y.scale)
 
 
 # -- bit packing -------------------------------------------------------------------
@@ -232,7 +178,7 @@ class PartyEngine:
         taker = self.material.take_mul if take == "mul" else self.material.take_aux
         pos = 0
         while pos < n:
-            m = min(BEAVER_CHUNK, n - pos)
+            m = min(plan_mod.BEAVER_CHUNK, n - pos)
             xc = _flat_slice(x, pos, m)
             yc = _flat_slice(y, pos, m)
             a, b, c = taker(m)

@@ -11,10 +11,13 @@ byte.
 Set-up is the hello, then the output open and the sync end the session.
 Each hello carries a 16-byte seed: the client's weight shares expand from
 party 0's and party 0's input share from the client's, so no tensor is sent.
+After the sync each party checks its own ledger, row by row, against the
+bytes and rounds the plan predicts (``check_ledger``).
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import HandshakeError, TransportError
+from ..errors import HandshakeError, TransportError, VerificationError
 from ..graph import Graph
-from ..plan import FixedPlan, build_plan, execute_plan_clear
+from ..plan import FixedPlan, build_plan, execute_plan_clear, predict_ledger
 from ..ring import RingTensor, encode_fixed, mask_words
 from .material import MaterialStore, generate_material, prg, uniform
 from .protocol import PartyEngine, ProtocolAbort
@@ -82,6 +85,34 @@ def handshake(engine: PartyEngine, seed: int) -> tuple:
     return own_seed, peer_seed
 
 
+def expected_ledger(plan: FixedPlan, party: int) -> dict:
+    """(bytes sent, rounds) of every nonzero ledger row of one party's session.
+
+    The plan's layer rows plus the session's: the hello, the output open
+    (the model owner sends its output share, the client receives it) and
+    the empty sync.
+    """
+    rows = predict_ledger(plan)
+    out = next(pl.out_shape for pl in plan.layers if pl.name == plan.output_name)
+    rows["session", "hello"] = (_HELLO.size, 1)
+    rows["session", "output-open"] = (8 * math.prod(out) if party == 0 else 0, 1)
+    rows["session", "sync"] = (0, 1)
+    return rows
+
+
+def check_ledger(plan: FixedPlan, party: int, ledger) -> None:
+    """Raise VerificationError at the first row that leaves the prediction."""
+    want = expected_ledger(plan, party)
+    got = {key: (e.bytes_sent, e.rounds) for key, e in ledger.entries.items()
+           if e.bytes_sent or e.rounds}
+    for key in sorted(want.keys() | got.keys()):
+        if want.get(key) != got.get(key):
+            (pb, pr), (mb, mr) = want.get(key, (0, 0)), got.get(key, (0, 0))
+            raise VerificationError(
+                f"party {party} ledger at {key[0]}/{key[1]}: predicted {pb} B "
+                f"in {pr} rounds, measured {mb} B in {mr} rounds")
+
+
 @dataclass
 class SessionResult:
     output: RingTensor          # client side only; None on the model side
@@ -102,6 +133,7 @@ def run_model_party(plan: FixedPlan, transport: Transport,
                        np.ascontiguousarray(out_share).astype("<u8").tobytes(),
                        "session", "output-open")
     engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
+    check_ledger(plan, 0, engine.ledger)
     return SessionResult(None, engine.ledger, engine.transcript.sent_digest,
                          engine.transcript.recv_digest)
 
@@ -123,6 +155,7 @@ def run_client_party(plan: FixedPlan, transport: Transport,
     output = RingTensor(mask_words(out_share + peer_out, plan.cfg.bitwidth),
                         plan.cfg.bitwidth)
     engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
+    check_ledger(plan, 1, engine.ledger)
     return SessionResult(output, engine.ledger, engine.transcript.sent_digest,
                          engine.transcript.recv_digest)
 
@@ -234,25 +267,3 @@ def connect_with_retry(host: str, port: int, timeout: float = 60.0) -> SocketTra
             last = e
             time.sleep(0.1)
     raise TransportError(f"cannot reach {host}:{port}: {last}")
-
-
-# -- engine self-measurement ----------------------------------------------------------
-
-
-def measure_op_bytes(op: str, elems: int = 4096, seed: int = 7) -> float:
-    """Per-element payload bytes this engine spends on one nonlinear op."""
-    from ..graph import GraphBuilder, INPUT
-
-    b = GraphBuilder((1, 1, 64, 64), seed=seed)
-    if op == "relu":
-        b.relu("probe", INPUT)
-    elif op == "truncate":
-        # window-1 average pool scales by an encoded 1.0 and truncates,
-        # isolating the truncation protocol.
-        b.avgpool("probe", INPUT, 1, 1)
-    else:
-        raise ValueError(f"unknown probe op {op!r}")
-    g = b.build()
-    x = np.random.default_rng(seed).uniform(-1, 1, (1, 1, 64, 64))
-    run = secure_infer_local(g, x, seed=seed, compare_clear=False)
-    return run.client.ledger.bytes_for(layer="probe") / (64 * 64)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xconv2pc.costs import (
-    CostProfile,
-    calibrate_profile,
+    BYTES_PER_MULT,
     compare_variants,
     count_mults,
     emit_report,
@@ -21,6 +20,7 @@ from xconv2pc.costs import (
 )
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph, fold_batchnorm
 from xconv2pc.plan import build_plan
+from xconv2pc.runtime.session import secure_infer_local
 from xconv2pc.winograd import rewrite_winograd
 from xconv2pc.zoo import model_zoo
 
@@ -76,20 +76,14 @@ def test_estimate_mult_component_is_1_2288_gb():
     # 100 out channels, 1x1 kernel, 4 in channels.
     g = conv_only_graph(4, 100, 1, 50)
     assert count_mults(g)["conv"] == 1_000_000
-    mult_only = CostProfile(bytes_per_relu_element=0, bytes_per_comparison=0,
-                            bytes_per_truncation_element=0, name="mult-only")
-    est = estimate_comm(g, mult_only)
-    assert est.total_bytes == pytest.approx(1.2288e9)
-    with_trunc = estimate_comm(g)
-    assert with_trunc.reports[0].mults * 1228.8 == pytest.approx(1.2288e9)
-
-
-def test_estimate_linear_in_profile_constants():
-    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
-    base = estimate_comm(g, CostProfile())
-    doubled = estimate_comm(g, CostProfile(bytes_per_mult=2 * 1228.8))
-    mult_bytes = sum(r.mults for r in base.reports) * 1228.8
-    assert doubled.total_bytes - base.total_bytes == pytest.approx(mult_bytes)
+    (report,) = estimate_comm(g).reports
+    assert report.mults * BYTES_PER_MULT == pytest.approx(1.2288e9)
+    # The rest is the truncation of the 250,000 outputs: 8 B per masked
+    # element, 16 B per auxiliary triple (two each) and per boolean word.
+    trunc = report.extra["trunc_elems"]
+    assert trunc == 250_000 and report.extra["aux_triples"] == 2 * trunc
+    assert report.est_bytes - 1.2288e9 == pytest.approx(
+        8 * trunc + 16 * (2 * trunc + report.extra["bool_words"]))
 
 
 def test_densenet_conv_share_of_linear_bytes():
@@ -100,19 +94,32 @@ def test_densenet_conv_share_of_linear_bytes():
 
 def test_zeroing_relu_constant_moves_densenet_under_5pct():
     g = model_zoo("densenet121", CellVariant.DENSE, 320, seed=0)
-    with_relu = estimate_comm(g, CostProfile())
-    without = estimate_comm(g, CostProfile(bytes_per_relu_element=0.0))
-    change = (with_relu.total_bytes - without.total_bytes) / with_relu.total_bytes
-    assert 0 <= change < 0.05
+    est = estimate_comm(g)
+    relu = sum(r.est_bytes for r in est.reports if r.kind == "relu")
+    assert 0 < relu / est.total_bytes < 0.05
 
 
 def test_default_profile_is_the_measured_engine():
-    # The nonlinear defaults are this engine's measured bytes; a protocol
-    # change that moves them must move the defaults with it.
-    measured, default = calibrate_profile(), CostProfile()
-    for f in ("bytes_per_mult", "bytes_per_relu_element", "bytes_per_comparison",
-              "bytes_per_truncation_element"):
-        assert getattr(measured, f) == getattr(default, f), f
+    # Beyond the modeled multiplications, each layer's estimate is the
+    # bytes this engine sends for it; a fused ReLU's rows sit under the
+    # truncating layer it reads, so the two are compared as one group.
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
+    x = np.random.default_rng(1).uniform(-1, 1, g.input_shape)
+    run = secure_infer_local(g, x, seed=2)
+    signed = {pl.name for pl in run.plan.layers if pl.relu_sign}
+    group = {pl.name: pl.inputs[0] for pl in run.plan.layers
+             if pl.kind == "relu" and pl.inputs[0] in signed}
+    assert group == {"relu1": "conv1", "relu2": "conv2"}
+    estimated, measured = {}, {}
+    for r in estimate_comm(g).reports:
+        key = group.get(r.layer, r.layer)
+        engine_bytes = round(r.est_bytes - r.mults * BYTES_PER_MULT)
+        estimated[key] = estimated.get(key, 0) + engine_bytes
+    for (layer, op), e in run.client.ledger.entries.items():
+        if layer != "session" and op != "mul-open":
+            key = group.get(layer, layer)
+            measured[key] = measured.get(key, 0) + e.bytes_sent
+    assert estimated == measured
 
 
 def test_batchnorm_counts_as_other_linear_until_folded():

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xconv2pc.errors import HandshakeError, MaterialError, TransportError
+from xconv2pc.errors import (
+    HandshakeError,
+    MaterialError,
+    TransportError,
+    VerificationError,
+)
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph
 from xconv2pc.clear import infer_fixed, infer_float
 from xconv2pc.costs import count_mults
@@ -32,20 +37,21 @@ from xconv2pc.ring import (
     ring_mul,
     truncate_signed,
 )
+from xconv2pc import plan as plan_mod
 from xconv2pc.runtime.material import (
     digit_tables,
     generate_material,
     load_material,
+    prg,
+    uniform,
     verify_material_pair,
     write_material,
 )
-from xconv2pc.runtime import protocol, session
+from xconv2pc.runtime import session
 from xconv2pc.runtime.protocol import (
     PartyEngine,
     _flat_slice,
     pack_bitplanes,
-    reconstruct,
-    share,
     unpack_bitplanes,
 )
 from xconv2pc.runtime.session import secure_infer_local
@@ -98,44 +104,20 @@ def _recon(words0, words1):
     return (words0 + words1) & np.uint64(2**60 - 1)
 
 
+def _split(x, rng):
+    """Two additive shares of x's words, one per party."""
+    s0 = rng.integers(0, 1 << x.bitwidth, size=x.shape, dtype=np.uint64)
+    return s0, (x.words - s0) & np.uint64((1 << x.bitwidth) - 1)
+
+
 # -- sharing ------------------------------------------------------------------
 
 
-def test_share_zero_reconstructs_zero():
-    rng = np.random.default_rng(0)
-    s0, s1 = share(RingTensor.zeros((16,), 60), rng)
-    assert np.all(reconstruct(s0, s1).words == 0)
-
-
-def test_share_roundtrip_many():
-    rng = np.random.default_rng(1)
-    x = RingTensor(rng.integers(0, 2**60, size=100_000, dtype=np.uint64), 60)
-    s0, s1 = share(x, rng)
-    assert np.array_equal(reconstruct(s0, s1).words, x.words)
-
-
-def test_reconstruct_with_zero_share_is_identity():
-    rng = np.random.default_rng(2)
-    x = RingTensor(rng.integers(0, 2**60, size=64, dtype=np.uint64), 60)
-    s0, s1 = share(x, rng)
-    zero = RingTensor.zeros((64,), 60)
-    from xconv2pc.runtime.protocol import ShareTensor
-
-    direct = reconstruct(ShareTensor(0, x, 0), ShareTensor(1, zero, 0))
-    assert np.array_equal(direct.words, x.words)
-
-
-def test_reconstruct_encoded_one():
-    rng = np.random.default_rng(3)
-    s0, s1 = share(encode_fixed(np.array([1.0]), CFG), rng)
-    assert int(reconstruct(s0, s1).words[0]) == 8388608
-
-
 def test_share_low_bits_uniform_chi_square():
-    rng = np.random.default_rng(4)
-    x = RingTensor(rng.integers(0, 2**60, size=1_000_000, dtype=np.uint64), 60)
-    s0, _ = share(x, rng)
-    low = (s0.ring.words & np.uint64(0xFF)).astype(np.int64)
+    # The expansion the client's weight shares and party 0's input share
+    # are drawn from.
+    s0 = uniform(prg(bytes(range(16)), 0), 1_000_000, 60)
+    low = (s0 & np.uint64(0xFF)).astype(np.int64)
     counts = np.bincount(low, minlength=256)
     expected = low.size / 256
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -246,13 +228,11 @@ def test_beaver_random_vs_clear_oracle():
     n = 100_000
     x = RingTensor(rng.integers(0, 2**60, size=n, dtype=np.uint64), 60)
     y = RingTensor(rng.integers(0, 2**60, size=n, dtype=np.uint64), 60)
-    x0, x1 = share(x, rng)
-    y0, y1 = share(y, rng)
+    x_sh = _split(x, rng)
+    y_sh = _split(y, rng)
 
     def fn(engine):
-        xs = (x0 if engine.party == 0 else x1).ring.words
-        ys = (y0 if engine.party == 0 else y1).ring.words
-        return engine.beaver(xs, ys, 0, "t")
+        return engine.beaver(x_sh[engine.party], y_sh[engine.party], 0, "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(mul=n), seed=11)
     assert np.array_equal(_recon(r0, r1), ring_mul(x, y).words)
@@ -262,13 +242,11 @@ def test_beaver_zero_and_one():
     rng = np.random.default_rng(12)
     one = encode_fixed(np.array([1.0, 0.0]), CFG)
     other = encode_fixed(np.array([1.0, 5.0]), CFG)
-    x0, x1 = share(one, rng)
-    y0, y1 = share(other, rng)
+    x_sh = _split(one, rng)
+    y_sh = _split(other, rng)
 
     def fn(engine):
-        xs = (x0 if engine.party == 0 else x1).ring.words
-        ys = (y0 if engine.party == 0 else y1).ring.words
-        return engine.beaver(xs, ys, 0, "t")
+        return engine.beaver(x_sh[engine.party], y_sh[engine.party], 0, "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(mul=2), seed=13)
     got = _recon(r0, r1)
@@ -276,34 +254,14 @@ def test_beaver_zero_and_one():
     assert int(got[1]) == 0            # 0 * anything
 
 
-def test_beaver_mul_batch_share_level():
-    from xconv2pc.runtime.protocol import beaver_mul_batch
-
-    rng = np.random.default_rng(55)
-    x = encode_fixed(rng.uniform(-2, 2, 256), CFG)
-    y = encode_fixed(rng.uniform(-2, 2, 256), CFG)
-    x0, x1 = share(x, rng, scale=23)
-    y0, y1 = share(y, rng, scale=23)
-
-    def fn(engine):
-        xs = x0 if engine.party == 0 else x1
-        ys = y0 if engine.party == 0 else y1
-        return beaver_mul_batch(engine, xs, ys)
-
-    r0, r1, *_ = run_two(fn, _StubPlan(mul=256), seed=56)
-    assert r0.scale == r1.scale == 46  # the scale tags add
-    assert np.array_equal(reconstruct(r0, r1).words, ring_mul(x, y).words)
-
-
 def test_beaver_bytes_are_16_per_mult():
     rng = np.random.default_rng(14)
     n = 4096
     x = RingTensor(rng.integers(0, 2**60, size=n, dtype=np.uint64), 60)
-    x0, x1 = share(x, rng)
+    x_sh = _split(x, rng)
 
     def fn(engine):
-        xs = (x0 if engine.party == 0 else x1).ring.words
-        return engine.beaver(xs, xs, 0, "t")
+        return engine.beaver(x_sh[engine.party], x_sh[engine.party], 0, "t")
 
     _, _, e0, e1 = run_two(fn, _StubPlan(mul=n), seed=15)
     assert e0.ledger.bytes_for("t", "mul-open") == 16 * n
@@ -317,13 +275,12 @@ def test_secure_truncate_examples_and_bulk():
     words[0] = 2**46
     words[1] = 2**60 - 1  # signed -1 ulp
     x = RingTensor(words, 60)
-    x0, x1 = share(x, rng)
+    x_sh = _split(x, rng)
     req = dict(trunc=n, aux=2 * n,
                bool_words=lt_bool_words(n, 23) + lt_bool_words(n, 60))
 
     def fn(engine):
-        xs = (x0 if engine.party == 0 else x1).ring.words
-        return engine.truncate_shares(xs, 0, "t")
+        return engine.truncate_shares(x_sh[engine.party], 0, "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(**req), seed=17)
     got = _recon(r0, r1)
@@ -340,12 +297,11 @@ def test_secure_relu_examples_and_bulk():
     words[0] = 2**23            # encode(1.0)
     words[1] = 2**60 - 2**23    # encode(-1.0)
     x = RingTensor(words, 60)
-    x0, x1 = share(x, rng)
+    x_sh = _split(x, rng)
     req = dict(cmp=n, aux=2 * n, bool_words=lt_bool_words(n, 59))
 
     def fn(engine):
-        xs = (x0 if engine.party == 0 else x1).ring.words
-        return engine.relu_shares(xs, 0, "t")
+        return engine.relu_shares(x_sh[engine.party], 0, "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(**req), seed=19)
     got = _recon(r0, r1)
@@ -674,7 +630,7 @@ def test_multi_chunk_grouped_conv_session(monkeypatch):
     from xconv2pc.winograd import rewrite_winograd
 
     chunk = 1000
-    monkeypatch.setattr(protocol, "BEAVER_CHUNK", chunk)
+    monkeypatch.setattr(plan_mod, "BEAVER_CHUNK", chunk)
     b = GraphBuilder((1, 4, 8, 8), seed=73)
     gc = b.conv("gc", INPUT, 4, 6, 3, groups=2)           # grouped, direct
     b.conv("dw", gc, 6, 6, 3, groups=6, bias=False)      # depthwise, transform
@@ -686,6 +642,9 @@ def test_multi_chunk_grouped_conv_session(monkeypatch):
         for led in (run.model.ledger, run.client.ledger):
             assert led.entries[(pl.name, "mul-open")].rounds == -(-pl.mults // chunk)
             assert led.bytes_for(pl.name, "mul-open") == 16 * pl.mults
+        # The session's own ledger check passed on the same patched chunk.
+        assert plan_mod.predict_ledger(run.plan)[pl.name, "mul-open"] == (
+            16 * pl.mults, -(-pl.mults // chunk))
 
 
 def test_flat_slice_matches_contiguous_copy():
@@ -712,18 +671,8 @@ def test_flat_slice_matches_contiguous_copy():
 
 
 def _client_rounds_from_plan(plan):
-    """Client rounds as the plan predicts them, each batch within one chunk."""
-    fused = {pl.name for pl in plan.layers if pl.relu_sign}
-    rounds = 3  # hello, output open, sync
-    for pl in plan.layers:
-        rounds += -(-pl.mults // protocol.BEAVER_CHUNK)
-        if pl.trunc_elems:
-            rounds += 6
-        if pl.kind == "relu":
-            rounds += 1 if pl.inputs[0] in fused else 7
-        if pl.kind == "maxpool" and pl.attrs["window"] > 1:
-            rounds += 7 * math.ceil(math.log2(pl.attrs["window"] ** 2))
-    return rounds
+    """Client rounds as the plan predicts them."""
+    return sum(r for _, r in session.expected_ledger(plan, 1).values())
 
 
 @pytest.mark.parametrize("backbone,variant,size,total", [
@@ -737,6 +686,24 @@ def test_client_rounds_follow_the_plan(backbone, variant, size, total):
     rounds = sum(e.rounds for e in run.client.ledger.entries.values())
     assert rounds == _client_rounds_from_plan(run.plan)
     assert total is None or rounds == total
+
+
+@pytest.mark.parametrize("field", ["bytes_sent", "rounds"])
+@pytest.mark.parametrize("party", [0, 1])
+def test_ledger_check_names_the_row_off_by_one(field, party):
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=90)
+    run = secure_infer_local(g, _random_input(g.input_shape, 91), seed=92)
+    ledger = (run.model, run.client)[party].ledger
+    session.check_ledger(run.plan, party, ledger)     # the run itself passed
+    key = ("conv2", "bool-open")
+    row = ledger.entries[key]
+    setattr(row, field, getattr(row, field) + 1)
+    want = session.expected_ledger(run.plan, party)[key]
+    got = (row.bytes_sent, row.rounds)
+    msg = (f"party {party} ledger at conv2/bool-open: predicted {want[0]} B in "
+           f"{want[1]} rounds, measured {got[0]} B in {got[1]} rounds")
+    with pytest.raises(VerificationError, match=msg):
+        session.check_ledger(run.plan, party, ledger)
 
 
 def test_maxpool_tree_rounds_and_bits():
@@ -972,6 +939,48 @@ def test_set_up_sends_no_share_frames(transport, monkeypatch):
     out_bytes = model.ledger.bytes_for("session", "output-open")
     assert out_bytes == 8 * client.output.words.size
     assert model.ledger.total_sent == client.ledger.total_sent + out_bytes
+
+
+@pytest.mark.parametrize("transport", ["queue", "tcp"])
+def test_both_parties_catch_a_conversion_split_in_two_opens(transport, monkeypatch):
+    # Same bits, same triples, one more round: only the ledger check sees it.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    convert = PartyEngine.bits_to_arith
+
+    def in_halves(engine, bits, tag, layer):
+        h = bits.size // 2
+        return np.concatenate([convert(engine, bits[:h], tag, layer),
+                               convert(engine, bits[h:], tag, layer)])
+
+    monkeypatch.setattr(PartyEngine, "bits_to_arith", in_halves)
+    t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=52)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 53)
+    x = encode_fixed(_random_input(g.input_shape, 54), g.cfg)
+    errors = {}
+
+    def party(name, fn, *args):
+        try:
+            fn(*args)
+        except VerificationError as e:
+            errors[name] = str(e)
+
+    th = threading.Thread(daemon=True, target=party,
+                          args=(0, run_model_party, plan0, t0, m0, 53))
+    th.start()
+    party(1, run_client_party, plan1, t1, m1, 53, x)
+    th.join(timeout=60)
+    for t in (t0, t1):
+        t.close()
+    assert not th.is_alive()
+    assert m0.cursors == m1.cursors
+    want = session.expected_ledger(plan0, 0)["conv1", "aux-open"][0]
+    for p in (0, 1):
+        assert errors[p] == (f"party {p} ledger at conv1/aux-open: predicted "
+                             f"{want} B in 1 rounds, measured {want} B in 2 rounds")
 
 
 def test_session_fails_cleanly_on_short_material():

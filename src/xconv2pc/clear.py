@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ShapeError
 from .graph import BN_EPS, Graph, INPUT, channel_shuffle, infer_shapes
 from .plan import build_plan, conv_patches, execute_plan_clear
-from .ring import RingTensor, decode_fixed, encode_fixed
+from .ring import RingTensor, encode_fixed
 from .winograd import winograd_conv2d
 
 
@@ -90,24 +90,9 @@ def infer_float(graph: Graph, x: np.ndarray) -> np.ndarray:
     return env[graph.output_name]
 
 
-def infer_fixed(graph: Graph, x, activation_ceiling: float = 128.0) -> RingTensor:
+def infer_fixed(graph: Graph, x) -> RingTensor:
     """Fixed-point inference; accepts a real array or an encoded tensor."""
-    plan = build_plan(graph, activation_ceiling=activation_ceiling)
+    plan = build_plan(graph)
     if not isinstance(x, RingTensor):
         x = encode_fixed(np.asarray(x, dtype=np.float64), graph.cfg)
     return execute_plan_clear(plan, x)
-
-
-def infer_clear(graph: Graph, x, mode: str = "float",
-                activation_ceiling: float = 128.0):
-    """Dispatch between the float and fixed reference interpreters.
-
-    Fixed mode returns the decoded output; use :func:`infer_fixed` when the
-    raw residues are needed.
-    """
-    if mode == "float":
-        return infer_float(graph, x)
-    if mode == "fixed":
-        return decode_fixed(
-            infer_fixed(graph, x, activation_ceiling=activation_ceiling), graph.cfg)
-    raise ValueError(f"unknown inference mode {mode!r}")

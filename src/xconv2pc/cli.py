@@ -1,10 +1,10 @@
 """Operator-facing command line.
 
 Subcommands cover the whole workflow: build or inspect networks, plan the
-transform rewrite, generate dealer material, run party or dealer roles
-(with a single-machine three-process mode), verify bitwise equivalence,
-and emit cost or bench reports.  Exit codes are stable per failure
-family: 2 parse, 3 shape, 4 handshake, 5 transport, 6 material, 7
+transform rewrite, generate dealer material, run either party's role
+(or dealer and both parties as three local processes), verify bitwise
+equivalence, and emit cost or bench reports.  Exit codes are stable per
+failure family: 2 parse, 3 shape, 4 handshake, 5 transport, 6 material, 7
 verification mismatch.
 """
 
@@ -20,16 +20,17 @@ import sys
 import click
 import numpy as np
 
-from .clear import infer_clear, infer_fixed
+from .clear import infer_fixed, infer_float
 from .costs import (
     compare_variants,
     count_mults,
     estimate_comm,
     emit_report,
     merge_measured,
+    merge_predicted,
 )
 from .errors import EXIT_GENERIC, ParseError, VerificationError, XConvError
-from .graph import INPUT, CellVariant, Graph, GraphBuilder, cell_graph, validate_shapes
+from .graph import INPUT, CellVariant, Graph, GraphBuilder, cell_graph, infer_shapes
 from .graphio import load_graph, save_graph
 from .plan import build_plan
 from .ring import (
@@ -143,16 +144,13 @@ def _add_opts(opts):
 def describe(graph_path, zoo_spec, bitwidth, scale, seed):
     """Per-layer shapes and multiplication counts."""
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
-    report = validate_shapes(g)
-    if not report.ok:
-        for err in report.errors:
-            click.echo(f"shape error: {err}", err=True)
-        sys.exit(3)
+    shapes = infer_shapes(g)
     mults = count_mults(g)
     total = sum(mults.values())
     click.echo(f"{'layer':<24}{'kind':<18}{'shape':<22}{'mults':>14}")
-    for name, kind, shape in report.entries:
-        click.echo(f"{name:<24}{kind:<18}{str(shape):<22}{mults[name]:>14,}")
+    for l in g.layers:
+        click.echo(f"{l.name:<24}{l.kind:<18}{str(shapes[l.name]):<22}"
+                   f"{mults[l.name]:>14,}")
     click.echo(f"{'total':<64}{total:>14,}")
 
 
@@ -238,7 +236,7 @@ def infer(graph_path, zoo_spec, bitwidth, scale, seed, input_path, fixed_mode,
                 f.write(serialize_tensor(out, g.cfg))
         shown = decode_fixed(out, g.cfg)
     else:
-        shown = infer_clear(g, decode_fixed(x, g.cfg), mode="float")
+        shown = infer_float(g, decode_fixed(x, g.cfg))
         if out_path:
             np.save(out_path, shown)
     flat = np.asarray(shown).ravel()
@@ -250,12 +248,12 @@ def infer(graph_path, zoo_spec, bitwidth, scale, seed, input_path, fixed_mode,
 
 @main.command()
 @_add_opts(_graph_opts)
-@click.option("--role", type=click.Choice(["party0", "party1", "dealer"]),
+@click.option("--role", type=click.Choice(["party0", "party1"]),
               default=None, help="Protocol role (omit with --local).")
 @click.option("--listen", "listen_ep", default=None, help="host:port to accept on.")
 @click.option("--connect", "connect_ep", default=None, help="host:port to reach.")
 @click.option("--material", "material_path", type=click.Path(), default=None,
-              help="This party's .dlr file (or directory for dealer/--local).")
+              help="This party's .dlr file (a directory with --local).")
 @click.option("--input", "input_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Client output tensor file.")
@@ -273,14 +271,6 @@ def run(graph_path, zoo_spec, bitwidth, scale, seed, role, listen_ep,
     if role is None:
         raise ParseError("--role is required unless --local is given")
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
-    if role == "dealer":
-        if material_path is None:
-            raise ParseError("dealer needs --material DIR")
-        ctx = click.get_current_context()
-        ctx.invoke(dealer, graph_path=graph_path, zoo_spec=zoo_spec,
-                   bitwidth=bitwidth, scale=scale, seed=seed,
-                   material_dir=material_path)
-        return
     if material_path is None:
         raise ParseError("party roles need --material FILE")
     material = load_material(material_path)
@@ -334,7 +324,7 @@ def _run_local(graph_path, zoo_spec, bitwidth, scale, seed, material_dir,
     common = (["--graph", graph_path] if graph_path else ["--zoo", zoo_spec]) + [
         "--bitwidth", str(bitwidth), "--scale", str(scale), "--seed", str(seed)]
     dealer_rc = subprocess.run(
-        base + ["run", "--role", "dealer", "--material", workdir] + common).returncode
+        base + ["dealer", "--material", workdir] + common).returncode
     if dealer_rc:
         return dealer_rc
     port = _free_port()
@@ -453,10 +443,10 @@ def bench_op(op_name, sizes, seed, out_path):
 @_cli_errors
 def report(graph_path, zoo_spec, bitwidth, scale, seed, fmt, out_path,
            ledger_path):
-    """Analytic per-layer cost report: modeled mults plus engine bytes."""
+    """Per-layer cost report: modeled estimate, plan prediction, measurement."""
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     est = estimate_comm(g)
-    reports = est.reports
+    reports = merge_predicted(est.reports, g)
     if ledger_path:
         import csv as csvmod
 

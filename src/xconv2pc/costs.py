@@ -7,7 +7,9 @@ comes from ``plan.footprint``, the function the plan sizes its layers
 with, applied to the graph's own layers (so an unfolded batchnorm is
 charged too).  A layer's byte estimate is its multiplications at the
 modeled stack's 1.2 KB each, plus the exact bytes this engine sends for
-its truncations and comparisons.
+its truncations and comparisons.  A report also carries the plan's exact
+per-layer prediction (``pred_bytes``) and, from a session ledger, the
+measurement (``meas_bytes``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from .graph import CellVariant, Graph, infer_shapes
-from .plan import footprint
+from .plan import build_plan, footprint, predict_ledger
 
 CONV = "conv"
 OTHER_LINEAR = "other-linear"
@@ -36,6 +38,7 @@ class LayerCostReport:
     mults: int
     est_bytes: float
     meas_bytes: float = None
+    pred_bytes: int = None
     extra: dict = field(default_factory=dict)
 
 
@@ -180,7 +183,8 @@ def compare_variants(pairs, input_size: int = 320, baseline: str = "DD",
 
 # -- report emission ----------------------------------------------------------------
 
-_CSV_COLUMNS = ("layer", "kind", "mults", "est_bytes", "meas_bytes", "category")
+_CSV_COLUMNS = ("layer", "kind", "mults", "est_bytes", "meas_bytes", "category",
+                "pred_bytes")
 
 
 def merge_measured(reports: list, ledger_bytes: dict) -> list:
@@ -188,6 +192,22 @@ def merge_measured(reports: list, ledger_bytes: dict) -> list:
     for r in reports:
         if r.layer in ledger_bytes:
             r.meas_bytes = float(ledger_bytes[r.layer])
+    return reports
+
+
+def merge_predicted(reports: list, graph: Graph) -> list:
+    """Attach each plan layer's predicted ledger bytes, summed over its ops.
+
+    A fused ReLU's mask, comparison and conversion bytes stay with the
+    truncating layer that sends them, as in the ledger.  Batchnorms folded
+    away by the plan get none.
+    """
+    plan = build_plan(graph, with_weights=False)
+    pred = dict.fromkeys((pl.name for pl in plan.layers), 0)
+    for (layer, _), (nbytes, _) in predict_ledger(plan).items():
+        pred[layer] += nbytes
+    for r in reports:
+        r.pred_bytes = pred.get(r.layer)
     return reports
 
 
@@ -200,13 +220,13 @@ def emit_report(reports: list, fmt: str = "csv", path=None) -> str:
         for r in reports:
             w.writerow([r.layer, r.kind, r.mults, repr(r.est_bytes),
                         "" if r.meas_bytes is None else repr(r.meas_bytes),
-                        r.category])
+                        r.category, "" if r.pred_bytes is None else r.pred_bytes])
         text = buf.getvalue()
     elif fmt == "json":
         text = json.dumps([{
             "layer": r.layer, "kind": r.kind, "mults": r.mults,
             "est_bytes": r.est_bytes, "meas_bytes": r.meas_bytes,
-            "category": r.category, **r.extra,
+            "category": r.category, "pred_bytes": r.pred_bytes, **r.extra,
         } for r in reports], indent=2)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -214,16 +234,3 @@ def emit_report(reports: list, fmt: str = "csv", path=None) -> str:
         with open(path, "w") as f:
             f.write(text)
     return text
-
-
-def load_report_json(text: str) -> list:
-    rows = json.loads(text)
-    out = []
-    for row in rows:
-        extra = {k: v for k, v in row.items() if k not in
-                 ("layer", "kind", "mults", "est_bytes", "meas_bytes", "category")}
-        out.append(LayerCostReport(
-            layer=row["layer"], kind=row["kind"], category=row["category"],
-            mults=row["mults"], est_bytes=row["est_bytes"],
-            meas_bytes=row.get("meas_bytes"), extra=extra))
-    return out

@@ -206,31 +206,6 @@ def infer_shapes(graph: Graph) -> dict:
     return shapes
 
 
-@dataclass
-class ShapeReport:
-    entries: list        # (name, kind, shape) in order
-    errors: list         # human-readable strings naming the offending layer
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_shapes(graph: Graph) -> ShapeReport:
-    """Like infer_shapes but collects the first inconsistency instead of raising."""
-    shapes = {INPUT: graph.input_shape}
-    entries, errors = [], []
-    for layer in graph.layers:
-        try:
-            shape = _infer_layer_shape(layer, [shapes[s] for s in layer.inputs])
-        except ShapeError as e:
-            errors.append(str(e))
-            break
-        shapes[layer.name] = shape
-        entries.append((layer.name, layer.kind, shape))
-    return ShapeReport(entries=entries, errors=errors)
-
-
 # -- channel shuffle -----------------------------------------------------------
 
 
@@ -242,13 +217,6 @@ def channel_shuffle(x: np.ndarray, perm) -> np.ndarray:
     return x[:, perm]
 
 
-def interleave_perm(channels: int, groups: int = 2) -> list:
-    """Deterministic two-group interleave used by shuffle-style backbones."""
-    if channels % groups:
-        raise ValueError("channel count must divide evenly into groups")
-    return np.arange(channels).reshape(groups, channels // groups).T.reshape(-1).tolist()
-
-
 # -- builder -------------------------------------------------------------------
 
 
@@ -256,7 +224,7 @@ class GraphBuilder:
     """Incremental constructor that also initializes weights from one seed."""
 
     def __init__(self, input_shape, cfg: FixedPointConfig = None, seed: int = 0,
-                 metadata=None, shuffle_mode: str = "random"):
+                 metadata=None):
         self.input_shape = tuple(input_shape)
         self.cfg = cfg or FixedPointConfig()
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -264,7 +232,6 @@ class GraphBuilder:
         self.weights = {}
         self.metadata = dict(metadata or {})
         self.metadata.setdefault("seed", seed)
-        self.shuffle_mode = shuffle_mode
         self._names = {INPUT}
 
     def _register(self, layer: LayerSpec) -> str:
@@ -330,10 +297,7 @@ class GraphBuilder:
 
     def shuffle(self, name, src, channels, perm=None) -> str:
         if perm is None:
-            if self.shuffle_mode == "interleave":
-                perm = interleave_perm(channels)
-            else:
-                perm = self.rng.permutation(channels).tolist()
+            perm = self.rng.permutation(channels).tolist()
         return self._register(LayerSpec(name, "shuffle", [src], {"perm": list(perm)}))
 
     def build(self) -> Graph:

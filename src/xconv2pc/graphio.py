@@ -29,7 +29,7 @@ FORMAT_NAME = "xconv2pc-graph"
 FORMAT_VERSION = 1
 
 
-def graph_to_doc(graph: Graph, embed_weights: bool = True) -> dict:
+def graph_to_doc(graph: Graph) -> dict:
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -42,7 +42,7 @@ def graph_to_doc(graph: Graph, embed_weights: bool = True) -> dict:
             for l in graph.layers
         ],
     }
-    if embed_weights and graph.weights:
+    if graph.weights:
         blobs = {}
         for name, values in graph.weights.items():
             t = encode_fixed(values, graph.cfg)
@@ -52,9 +52,9 @@ def graph_to_doc(graph: Graph, embed_weights: bool = True) -> dict:
     return doc
 
 
-def save_graph(graph: Graph, path: str, embed_weights: bool = True) -> None:
+def save_graph(graph: Graph, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(graph_to_doc(graph, embed_weights=embed_weights), f)
+        json.dump(graph_to_doc(graph), f)
 
 
 def doc_to_graph(doc: dict, base_dir: str = ".") -> Graph:

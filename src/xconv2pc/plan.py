@@ -222,15 +222,15 @@ def _check_headroom(pre_bound: float, cfg: FixedPointConfig, where: str) -> None
             f"{cfg.bitwidth - 1}; shrink the scale or the data range")
 
 
+ACTIVATION_CEILING = 128.0
 WINOGRAD_INPUT_BOUND = 8.0
 
 
-def build_plan(graph: Graph, activation_ceiling: float = 128.0,
-               with_weights: bool = True) -> FixedPlan:
+def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
     """Compile a graph into a fixed-point plan.
 
     The overflow guard is inductive: assuming every decoded activation
-    stays within ``activation_ceiling``, each multiplication-bearing layer
+    stays within ``ACTIVATION_CEILING``, each multiplication-bearing layer
     is checked to fit its double-scale accumulator; the clear executor
     then re-verifies the ceiling on actual data after every layer, which
     certifies the bit-identical secure run as well.  (A closed-form
@@ -238,7 +238,7 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
     every deep network at any useful scale.)
 
     Wide layers can carry worst-case row sums no fixed promise satisfies,
-    so the plan first lowers the requested ceiling to the largest value
+    so the plan first lowers that ceiling to the largest value
     every accumulator tolerates (never below 1.0).  Random-seeded
     activations sit orders of magnitude below either figure; the runtime
     check is what makes the lowered promise trustworthy.
@@ -254,7 +254,7 @@ def build_plan(graph: Graph, activation_ceiling: float = 128.0,
     g = fold_batchnorm(graph)
     shapes = infer_shapes(g)
     cfg = g.cfg
-    ceiling = float(activation_ceiling)
+    ceiling = ACTIVATION_CEILING
     if with_weights:
         ceiling = min(ceiling, _tolerated_ceiling(g, cfg))
     layers = []

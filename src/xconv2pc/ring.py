@@ -42,18 +42,12 @@ class FixedPointConfig:
             )
 
     @property
-    def modulus(self) -> int:
-        return 1 << self.bitwidth
-
-    @property
     def mask(self) -> int:
         return (1 << self.bitwidth) - 1
 
 
 def mask_words(words: np.ndarray, bitwidth: int) -> np.ndarray:
     """Reduce raw uint64 words modulo 2^bitwidth."""
-    if bitwidth == _FULL_BITS:
-        return words.astype(_WORD, copy=False)
     return words.astype(_WORD, copy=False) & _WORD((1 << bitwidth) - 1)
 
 
@@ -85,10 +79,6 @@ class RingTensor:
         arr = np.asarray(values, dtype=np.int64)
         return cls(mask_words(arr.view(_WORD) if arr.flags.c_contiguous else
                               np.ascontiguousarray(arr).view(_WORD), bitwidth), bitwidth)
-
-    @classmethod
-    def zeros(cls, shape, bitwidth: int) -> "RingTensor":
-        return cls(np.zeros(shape, dtype=_WORD), bitwidth)
 
     # -- views ------------------------------------------------------------
 

@@ -59,6 +59,8 @@ _STREAMS = (("mul_a", "mul"), ("mul_b", "mul"), ("mul_c", "mul"),
             ("cmp_r", "cmp"), ("cmp_tab", "cmp"),
             ("bool_a", "bool"), ("bool_b", "bool"), ("bool_c", "bool"))
 _KINDS = ("mul", "aux", "trunc", "cmp", "bool")
+_NAMES = {kind: tuple(name for name, k in _STREAMS if k == kind) for kind in _KINDS}
+_SAMPLE = 4096  # leading entries of each stream verify_material_pair checks
 
 
 @dataclass
@@ -67,14 +69,15 @@ class MaterialStore:
 
     party: int
     seed: int
-    bitwidth: int
     graph_hash: bytes
     arrays: dict
 
     def __post_init__(self):
         self.cursors = {"mul": 0, "aux": 0, "trunc": 0, "cmp": 0, "bool": 0}
 
-    def _take(self, kind: str, names: tuple, n: int) -> tuple:
+    def take(self, kind: str, n: int) -> tuple:
+        """The next n entries of each of the kind's streams, in file order."""
+        names = _NAMES[kind]
         cur = self.cursors[kind]
         end = cur + n
         if end > len(self.arrays[names[0]]):
@@ -83,21 +86,6 @@ class MaterialStore:
                 f"holds {len(self.arrays[names[0]])}")
         self.cursors[kind] = end
         return tuple(self.arrays[name][cur:end] for name in names)
-
-    def take_mul(self, n: int) -> tuple:
-        return self._take("mul", ("mul_a", "mul_b", "mul_c"), n)
-
-    def take_aux(self, n: int) -> tuple:
-        return self._take("aux", ("aux_a", "aux_b", "aux_c"), n)
-
-    def take_trunc(self, n: int) -> tuple:
-        return self._take("trunc", ("trunc_r", "trunc_shift", "trunc_tab"), n)
-
-    def take_cmp(self, n: int) -> tuple:
-        return self._take("cmp", ("cmp_r", "cmp_tab"), n)
-
-    def take_bool(self, n_words: int) -> tuple:
-        return self._take("bool", ("bool_a", "bool_b", "bool_c"), n_words)
 
     def counts(self) -> dict:
         return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
@@ -161,7 +149,7 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     """Dealer preprocessing for one session; returns both parties' stores."""
     req = plan.requirements()
     cfg = plan.cfg
-    mask = _U64((1 << cfg.bitwidth) - 1) if cfg.bitwidth < 64 else _U64(0xFFFFFFFFFFFFFFFF)
+    mask = _U64(cfg.mask)
     ghash = bytes.fromhex(plan.graph_hash)
 
     def arith_pair(values, rng):
@@ -211,8 +199,7 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
         s0 = uniform(rng, len(vals), 64)
         p0[name], p1[name] = s0, vals ^ s0
 
-    return (MaterialStore(0, seed, cfg.bitwidth, ghash, p0),
-            MaterialStore(1, seed, cfg.bitwidth, ghash, p1))
+    return MaterialStore(0, seed, ghash, p0), MaterialStore(1, seed, ghash, p1)
 
 
 # -- files -----------------------------------------------------------------------
@@ -236,7 +223,7 @@ def write_material(store: MaterialStore, path: str) -> None:
         f.write(digest.digest())
 
 
-def load_material(path: str, bitwidth: int = None) -> MaterialStore:
+def load_material(path: str) -> MaterialStore:
     """Read a material file into one buffer; the streams are views of it."""
     try:
         with open(path, "rb") as f:
@@ -265,40 +252,40 @@ def load_material(path: str, bitwidth: int = None) -> MaterialStore:
         arrays[name] = np.frombuffer(blob, dt, n, off).astype(
             dt.newbyteorder("="), copy=False).reshape(shape)
         off += dt.itemsize * n
-    return MaterialStore(party, seed, bitwidth or 64, ghash, arrays)
+    return MaterialStore(party, seed, ghash, arrays)
 
 
 def verify_material_pair(m0: MaterialStore, m1: MaterialStore,
-                         cfg: FixedPointConfig, sample: int = 4096) -> None:
+                         cfg: FixedPointConfig) -> None:
     """Cross-check the reconstructed correlations; dealer or file bugs bite here."""
-    mask = _U64((1 << cfg.bitwidth) - 1) if cfg.bitwidth < 64 else _U64(0xFFFFFFFFFFFFFFFF)
+    mask = _U64(cfg.mask)
 
     def recon(name):
         return (m0.arrays[name] + m1.arrays[name]) & mask
 
     for prefix in ("mul", "aux"):
-        a, b, c = (recon(f"{prefix}_{s}")[:sample] for s in "abc")
+        a, b, c = (recon(f"{prefix}_{s}")[:_SAMPLE] for s in "abc")
         if not np.array_equal((a * b) & mask, c):
             raise MaterialError(f"{prefix} triples do not reconstruct to products")
-    r = recon("trunc_r")[:sample]
-    shift = recon("trunc_shift")[:sample]
+    r = recon("trunc_r")[:_SAMPLE]
+    shift = recon("trunc_shift")[:_SAMPLE]
     if not np.array_equal(r >> _U64(cfg.scale), shift):
         raise MaterialError("truncation units do not reconstruct to shifted masks")
-    tab = (m0.arrays["trunc_tab"] ^ m1.arrays["trunc_tab"])[:sample]
+    tab = (m0.arrays["trunc_tab"] ^ m1.arrays["trunc_tab"])[:_SAMPLE]
     ds = lt_digits(cfg.scale)
     if (tab.shape[1] != ds + lt_digits(cfg.bitwidth)
             or not _rows_match(tab[:, :ds], r, cfg.scale)
             or not _rows_match(tab[:, ds:], r, cfg.bitwidth)):
         raise MaterialError("truncation tables are not the rows of their masks")
-    cr = recon("cmp_r")[:sample]
-    tab = (m0.arrays["cmp_tab"] ^ m1.arrays["cmp_tab"])[:sample]
+    cr = recon("cmp_r")[:_SAMPLE]
+    tab = (m0.arrays["cmp_tab"] ^ m1.arrays["cmp_tab"])[:_SAMPLE]
     low = cfg.bitwidth - 1
     if (tab.shape[1] != lt_digits(low)
             or not _rows_match(tab, cr, low, flip=(cr >> _U64(low)) & _U64(1))):
         raise MaterialError("comparison tables are not the rows of their masks")
-    ba = (m0.arrays["bool_a"] ^ m1.arrays["bool_a"])[:sample]
-    bb = (m0.arrays["bool_b"] ^ m1.arrays["bool_b"])[:sample]
-    bc = (m0.arrays["bool_c"] ^ m1.arrays["bool_c"])[:sample]
+    ba = (m0.arrays["bool_a"] ^ m1.arrays["bool_a"])[:_SAMPLE]
+    bb = (m0.arrays["bool_b"] ^ m1.arrays["bool_b"])[:_SAMPLE]
+    bc = (m0.arrays["bool_c"] ^ m1.arrays["bool_c"])[:_SAMPLE]
     if not np.array_equal(ba & bb, bc):
         raise MaterialError("boolean triples do not reconstruct to AND")
 

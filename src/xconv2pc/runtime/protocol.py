@@ -59,7 +59,6 @@ from .wire import (
 )
 
 _U64 = np.uint64
-_FULL = _U64(0xFFFFFFFFFFFFFFFF)
 
 
 class ProtocolAbort(XConvError):
@@ -93,18 +92,17 @@ class PartyEngine:
     """Executes a fixed plan over one transport with one material store."""
 
     def __init__(self, party: int, plan: FixedPlan, transport: Transport,
-                 material: MaterialStore, ledger: CommLedger = None,
-                 rng_seed: int = 0):
+                 material: MaterialStore, rng_seed: int = 0):
         self.party = party
         self.plan = plan
         self.transport = transport
         self.material = material
-        self.ledger = ledger if ledger is not None else CommLedger()
+        self.ledger = CommLedger()
         self.transcript = TranscriptRecorder()
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(100 + party,)))
         self.bitwidth = plan.cfg.bitwidth
-        self.mask = _U64((1 << self.bitwidth) - 1) if self.bitwidth < 64 else _FULL
+        self.mask = _U64(plan.cfg.mask)
         self._weight_shares = {}
 
     # -- framing ------------------------------------------------------------
@@ -166,26 +164,28 @@ class PartyEngine:
         return (flat + other) & self.mask
 
     def beaver(self, x: np.ndarray, y: np.ndarray, tag: int, layer: str,
-               take: str = "mul", op: str = "mul-open") -> np.ndarray:
+               kind: str = "mul") -> np.ndarray:
         """Pairwise secret multiplication of equal-shape share arrays.
 
-        Inputs may be broadcast views; chunks materialize one slice at a
-        time, keeping peak memory independent of the multiplication count.
+        ``kind`` names the triple stream, "mul" or "aux", and the ledger op
+        is its open.  Inputs may be broadcast views; chunks materialize one
+        slice at a time, keeping peak memory independent of the
+        multiplication count.
         """
         shape = x.shape
         n = int(np.prod(shape))
         out = np.empty(n, dtype=_U64)
-        taker = self.material.take_mul if take == "mul" else self.material.take_aux
         pos = 0
         while pos < n:
             m = min(plan_mod.BEAVER_CHUNK, n - pos)
             xc = _flat_slice(x, pos, m)
             yc = _flat_slice(y, pos, m)
-            a, b, c = taker(m)
+            a, b, c = self.material.take(kind, m)
             d_share = (xc - a) & self.mask
             e_share = (yc - b) & self.mask
             payload = np.concatenate([d_share, e_share]).astype("<u8", copy=False)
-            peer = self.exchange(OP_OPEN_MASKED, tag, payload.tobytes(), layer, op)
+            peer = self.exchange(OP_OPEN_MASKED, tag, payload.tobytes(), layer,
+                                 f"{kind}-open")
             other = np.frombuffer(peer, dtype="<u8")
             d = (d_share + other[:m]) & self.mask
             e = (e_share + other[m:]) & self.mask
@@ -207,7 +207,7 @@ class PartyEngine:
         xf = np.concatenate([x.reshape(-1) for x in xs])
         yf = np.concatenate([y.reshape(-1) for y in ys])
         n = xf.size
-        a, b, c = self.material.take_bool(n)
+        a, b, c = self.material.take("bool", n)
         d_share = xf ^ a
         e_share = yf ^ b
         payload = np.concatenate([d_share, e_share]).astype("<u8", copy=False)
@@ -265,7 +265,7 @@ class PartyEngine:
         zero = np.zeros_like(bit_share)
         x = bit_share if self.party == 0 else zero
         y = bit_share if self.party == 1 else zero
-        prod = self.beaver(x, y, tag, layer, take="aux", op="aux-open")
+        prod = self.beaver(x, y, tag, layer, kind="aux")
         return (bit_share - _U64(2) * prod) & self.mask
 
     # -- nonlinear units --------------------------------------------------------
@@ -290,13 +290,13 @@ class PartyEngine:
         """
         flat = x.reshape(-1)
         if neg is None:
-            r_arith, tables = self.material.take_cmp(flat.size)
+            r_arith, tables = self.material.take("cmp", flat.size)
             c = self._open_words((flat + r_arith) & self.mask, tag, layer,
                                  "mask-open")
             job, top = self._sign_job(c, tables)
             neg = self.bits_to_arith(self.less_than_mask([job], tag, layer) ^ top,
                                      tag, layer)
-        prod = self.beaver(flat, neg, tag, layer, take="aux", op="aux-open")
+        prod = self.beaver(flat, neg, tag, layer, kind="aux")
         return ((flat - prod) & self.mask).reshape(x.shape)
 
     def truncate_shares(self, x: np.ndarray, tag: int, layer: str,
@@ -312,13 +312,13 @@ class PartyEngine:
         s = self.plan.cfg.scale
         n = x.size
         flat = x.reshape(-1)
-        r_arith, r_shift, tables = self.material.take_trunc(n)
+        r_arith, r_shift, tables = self.material.take("trunc", n)
         masked = np.empty(2 * n if sign else n, dtype=_U64)
         np.add(flat, r_arith, out=masked[:n])
         if self.party == 0:
             masked[:n] += _U64(1 << (self.bitwidth - 1))
         if sign:
-            q_arith, q_tables = self.material.take_cmp(n)
+            q_arith, q_tables = self.material.take("cmp", n)
             np.add(flat, q_arith, out=masked[n:])
         masked &= self.mask
         opened = self._open_words(masked, tag, layer, "mask-open")

@@ -11,6 +11,8 @@ byte.
 Set-up is the hello, then the output open and the sync end the session.
 Each hello carries a 16-byte seed: the client's weight shares expand from
 party 0's and party 0's input share from the client's, so no tensor is sent.
+Once the hellos agree, each party checks that its dealer file was made for
+its role and the graph, and aborts the session if not.
 After the sync each party checks its own ledger, row by row, against the
 bytes and rounds the plan predicts (``check_ledger``).
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import HandshakeError, TransportError, VerificationError
+from ..errors import HandshakeError, MaterialError, TransportError, VerificationError
 from ..graph import Graph
 from ..plan import FixedPlan, build_plan, execute_plan_clear, predict_ledger
 from ..ring import RingTensor, encode_fixed, mask_words
@@ -58,7 +60,12 @@ def _hello_payload(plan: FixedPlan, seed: int, share_seed: bytes) -> bytes:
 
 
 def handshake(engine: PartyEngine, seed: int) -> tuple:
-    """Check version, ring, graph and seed; returns (own, peer's) share seed."""
+    """Check version, ring, graph and seed; returns (own, peer's) share seed.
+
+    Once the hellos agree, also check that this party's dealer material
+    was made for its role and this graph (MaterialError); a graph the peer
+    does not share fails first, as a HandshakeError.
+    """
     own_seed = engine.rng.bytes(16)
     mine = _hello_payload(engine.plan, seed, own_seed)
     try:
@@ -82,6 +89,14 @@ def handshake(engine: PartyEngine, seed: int) -> tuple:
     if commit != ours[4]:
         engine.abort("seed mismatch")
         raise HandshakeError("session seed commitment mismatch")
+    m = engine.material
+    if m.party != engine.party:
+        engine.abort("material mismatch")
+        raise MaterialError(f"dealer material is party {m.party}'s, this is "
+                            f"party {engine.party}")
+    if m.graph_hash != ours[3]:
+        engine.abort("material mismatch")
+        raise MaterialError("dealer material was dealt for another graph")
     return own_seed, peer_seed
 
 
@@ -174,18 +189,17 @@ class LocalRun:
 
 def secure_infer_local(graph: Graph, x, seed: int = 0,
                        materials: tuple = None,
-                       activation_ceiling: float = 128.0,
                        compare_clear: bool = True) -> LocalRun:
     """Full two-party execution over an in-process duplex transport.
 
     The dealer phase, both online parties, and (optionally) the clear
     fixed-point reference all run from one seed; the reference output is
-    what the reconstructed secure output must equal bit for bit.
+    what the reconstructed secure output must equal bit for bit.  When the
+    client fails on the model party's abort, the model party's error, the
+    root cause, is raised.
     """
-    plan0 = build_plan(graph, activation_ceiling=activation_ceiling,
-                       with_weights=True)
-    plan1 = build_plan(graph, activation_ceiling=activation_ceiling,
-                       with_weights=False)
+    plan0 = build_plan(graph, with_weights=True)
+    plan1 = build_plan(graph, with_weights=False)
     if not isinstance(x, RingTensor):
         x = encode_fixed(np.asarray(x, dtype=np.float64), graph.cfg)
     self_dealt = materials is None
@@ -207,8 +221,10 @@ def secure_infer_local(graph: Graph, x, seed: int = 0,
     thread.start()
     try:
         results["client"] = run_client_party(plan1, t1, m1, seed, x)
-    except Exception:
+    except Exception as e:
         thread.join(timeout=5)
+        if isinstance(e, ProtocolAbort) and "model" in errors:
+            raise errors["model"] from e
         raise
     thread.join(timeout=MODEL_JOIN_TIMEOUT)
     if thread.is_alive():

@@ -31,11 +31,11 @@ from .ring import FixedPointConfig
 
 BACKBONES = ("densenet121", "resnet50", "resnet18", "mobilenetv3l",
              "shufflenetv2", "toynet")
+NUM_CLASSES = 1000  # classifier width; toynet keeps min(NUM_CLASSES, 10)
 
 
 def model_zoo(backbone: str, variant: CellVariant, input_size: int = 320,
-              seed: int = 0, num_classes: int = 1000,
-              cfg: FixedPointConfig = None, shuffle_mode: str = "random") -> Graph:
+              seed: int = 0, cfg: FixedPointConfig = None) -> Graph:
     """Build a shape-valid graph for the requested backbone/variant pair."""
     if isinstance(variant, str):
         variant = CellVariant.parse(variant)
@@ -53,9 +53,8 @@ def model_zoo(backbone: str, variant: CellVariant, input_size: int = 320,
         raise ValueError(f"unsupported backbone {backbone!r}; "
                          f"choose from {BACKBONES}") from None
     b = GraphBuilder((1, 3, input_size, input_size), cfg=cfg, seed=seed,
-                     metadata={"backbone": backbone, "variant": variant.value},
-                     shuffle_mode=shuffle_mode)
-    make(b, variant, input_size, num_classes)
+                     metadata={"backbone": backbone, "variant": variant.value})
+    make(b, variant, input_size)
     return b.build()
 
 
@@ -85,16 +84,15 @@ def _reduce_cell(b: GraphBuilder, variant: CellVariant, src: str, c_in: int,
                          stride=stride, prefix=prefix)
 
 
-def _head(b: GraphBuilder, src: str, channels: int, num_classes: int) -> str:
+def _head(b: GraphBuilder, src: str, channels: int) -> str:
     x = b.global_avgpool("head_gap", src)
-    return b.fc("head_fc", x, channels, num_classes)
+    return b.fc("head_fc", x, channels, NUM_CLASSES)
 
 
 # -- backbones ------------------------------------------------------------------
 
 
-def _toynet(b: GraphBuilder, variant: CellVariant, input_size: int,
-            num_classes: int) -> None:
+def _toynet(b: GraphBuilder, variant: CellVariant, input_size: int) -> None:
     if input_size % 4:
         raise ShapeError("toynet needs an input size divisible by 4")
     x = b.conv("conv1", INPUT, 3, 8, 3, stride=2, padding=1)
@@ -103,11 +101,10 @@ def _toynet(b: GraphBuilder, variant: CellVariant, input_size: int,
     x = b.relu("relu2", x)
     x = b.maxpool("pool", x, 2, 2)
     feat = 16 * (input_size // 4) ** 2
-    b.fc("fc", x, feat, min(num_classes, 10))
+    b.fc("fc", x, feat, min(NUM_CLASSES, 10))
 
 
-def _densenet121(b: GraphBuilder, variant: CellVariant, input_size: int,
-                 num_classes: int) -> None:
+def _densenet121(b: GraphBuilder, variant: CellVariant, input_size: int) -> None:
     growth, bottleneck = 32, 128
     x = _stem(b, variant, 64, 7)
     x = b.maxpool("stem_pool", x, 2, 2)
@@ -127,11 +124,10 @@ def _densenet121(b: GraphBuilder, variant: CellVariant, input_size: int,
             x = b.batchnorm(f"{p}_bn", x, channels)
             x = b.relu(f"{p}_relu", x)
             x = b.avgpool(f"{p}_pool", x, 2, 2)
-    _head(b, x, channels, num_classes)
+    _head(b, x, channels)
 
 
-def _resnet50(b: GraphBuilder, variant: CellVariant, input_size: int,
-              num_classes: int) -> None:
+def _resnet50(b: GraphBuilder, variant: CellVariant, input_size: int) -> None:
     x = _stem(b, variant, 64, 7)
     x = b.maxpool("stem_pool", x, 2, 2)
     channels = 64
@@ -151,7 +147,7 @@ def _resnet50(b: GraphBuilder, variant: CellVariant, input_size: int,
             x = b.add(f"{p}_add", y, sc)
             x = b.relu(f"{p}_out", x)
             channels = c_out
-    _head(b, x, channels, num_classes)
+    _head(b, x, channels)
 
 
 def _basic_block(b: GraphBuilder, variant: CellVariant, src: str, c_in: int,
@@ -203,8 +199,7 @@ def _basic_block(b: GraphBuilder, variant: CellVariant, src: str, c_in: int,
     return b.relu(f"{p}_out", out)
 
 
-def _resnet18(b: GraphBuilder, variant: CellVariant, input_size: int,
-              num_classes: int) -> None:
+def _resnet18(b: GraphBuilder, variant: CellVariant, input_size: int) -> None:
     x = _stem(b, variant, 64, 7)
     x = b.maxpool("stem_pool", x, 2, 2)
     channels = 64
@@ -213,7 +208,7 @@ def _resnet18(b: GraphBuilder, variant: CellVariant, input_size: int,
             x = _basic_block(b, variant, x, channels, c_out,
                              stride if bi == 0 else 1, f"s{si}b{bi}")
             channels = c_out
-    _head(b, x, channels, num_classes)
+    _head(b, x, channels)
 
 
 _MOBILENET_V3L = (
@@ -225,8 +220,7 @@ _MOBILENET_V3L = (
 )
 
 
-def _mobilenetv3l(b: GraphBuilder, variant: CellVariant, input_size: int,
-                  num_classes: int) -> None:
+def _mobilenetv3l(b: GraphBuilder, variant: CellVariant, input_size: int) -> None:
     x = _stem(b, variant, 16, 3)
     channels = 16
     for i, (k, exp, c_out, stride) in enumerate(_MOBILENET_V3L):
@@ -240,11 +234,10 @@ def _mobilenetv3l(b: GraphBuilder, variant: CellVariant, input_size: int,
     x = b.conv("head_pw", x, channels, 960, 1, padding=0)
     x = b.batchnorm("head_bn", x, 960)
     x = b.relu("head_relu", x)
-    _head(b, x, 960, num_classes)
+    _head(b, x, 960)
 
 
-def _shufflenetv2(b: GraphBuilder, variant: CellVariant, input_size: int,
-                  num_classes: int) -> None:
+def _shufflenetv2(b: GraphBuilder, variant: CellVariant, input_size: int) -> None:
     x = _stem(b, variant, 24, 3)
     x = b.maxpool("stem_pool", x, 2, 2)
     channels = 24
@@ -260,4 +253,4 @@ def _shufflenetv2(b: GraphBuilder, variant: CellVariant, input_size: int,
     x = b.conv("head_pw", x, channels, 1024, 1, padding=0)
     x = b.batchnorm("head_bn", x, 1024)
     x = b.relu("head_relu", x)
-    _head(b, x, 1024, num_classes)
+    _head(b, x, 1024)

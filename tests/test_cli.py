@@ -68,6 +68,19 @@ def test_describe_zoo_spec(runner):
     assert f"{total:,}" in result.output
 
 
+def test_describe_channel_mismatch_exit_shape(runner, tmp_path):
+    from xconv2pc.graph import INPUT, GraphBuilder
+
+    b = GraphBuilder((1, 3, 8, 8), seed=0)
+    b.conv("c1", INPUT, 3, 4, 3)
+    b.conv("c2", "c1", 8, 4, 3)  # wrong: c1 yields 4 channels
+    p = tmp_path / "bad.json"
+    save_graph(b.build(), str(p))
+    result = runner.invoke(main, ["describe", "--graph", str(p)])
+    assert result.exit_code == ShapeError.exit_code == 3
+    assert "error: c2: expects 8 input channels, got 4" in result.output
+
+
 def test_describe_malformed_json_exit_parse(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -144,6 +157,27 @@ def test_report_formats(runner, toynet_file, tmp_path):
     assert result.exit_code == 0
     rows = json.loads(out.read_text())
     assert any(r["layer"] == "conv2" for r in rows)
+
+
+def test_report_predicts_each_layer_of_a_client_ledger(runner, tmp_path):
+    # A ReLU fused into the truncation before it books its sign test under
+    # that layer; the prediction does the same, so every layer agrees.
+    from xconv2pc.runtime.session import secure_infer_local
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
+    run = secure_infer_local(g, np.random.default_rng(1).uniform(
+        -1, 1, g.input_shape), seed=0)
+    led = tmp_path / "client.csv"
+    run.client.ledger.to_csv(str(led))
+    out = tmp_path / "r.json"
+    result = runner.invoke(main, ["report", "--zoo", "toynet:dense:16",
+                                  "--ledger", str(led), "--format", "json",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(out.read_text())
+    assert [r["layer"] for r in rows] == [pl.name for pl in run.plan.layers]
+    for r in rows:
+        assert r["pred_bytes"] == r["meas_bytes"], r["layer"]
 
 
 def test_bench_graph_shapes_and_counts():
@@ -285,3 +319,38 @@ def test_handshake_mismatch_exit_code(tmp_path, child_kwargs):
             srv.communicate()
     assert cli.returncode == EXIT_HANDSHAKE, cli.stderr
     assert srv.returncode == EXIT_HANDSHAKE, srv_err
+
+
+@pytest.mark.slow
+def test_party_material_mismatch_exit_code(tmp_path, toynet_file, child_kwargs):
+    mat = tmp_path / "mat"
+    rc = subprocess.run([sys.executable, "-m", "xconv2pc", "dealer", "--graph",
+                         toynet_file, "--seed", "2", "--material", str(mat)],
+                        **child_kwargs, capture_output=True, text=True,
+                        timeout=CHILD_TIMEOUT)
+    assert rc.returncode == 0, rc.stderr
+    import socket
+
+    s = socket.socket()
+    s.bind(("127.0.0.1", 0))
+    port = s.getsockname()[1]
+    s.close()
+    srv = subprocess.Popen(
+        [sys.executable, "-m", "xconv2pc", "run", "--role", "party0",
+         "--graph", toynet_file, "--listen", f"127.0.0.1:{port}",
+         "--material", str(mat / "party1.dlr"), "--seed", "2"],
+        **child_kwargs, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        cli = subprocess.run(
+            [sys.executable, "-m", "xconv2pc", "run", "--role", "party1",
+             "--graph", toynet_file, "--connect", f"127.0.0.1:{port}",
+             "--material", str(mat / "party1.dlr"), "--seed", "2"],
+            **child_kwargs, capture_output=True, text=True, timeout=CHILD_TIMEOUT)
+        _, srv_err = srv.communicate(timeout=60)
+    finally:
+        if srv.poll() is None:  # a wait above timed out: end party0 too
+            srv.kill()
+            srv.communicate()
+    assert srv.returncode == EXIT_MATERIAL, srv_err
+    assert "party 1's, this is party 0" in srv_err
+    assert cli.returncode != 0, cli.stderr

@@ -1,5 +1,6 @@
 """Multiplication counter and byte estimator against closed forms."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ from xconv2pc.costs import (
     count_mults,
     emit_report,
     estimate_comm,
-    load_report_json,
     merge_measured,
+    merge_predicted,
     mnemonic,
     mult_split,
 )
@@ -174,15 +175,19 @@ def test_compare_variants_headline_reductions():
 
 def test_emit_empty_report_header_only():
     text = emit_report([], fmt="csv")
-    assert text.strip() == "layer,kind,mults,est_bytes,meas_bytes,category"
+    assert text.strip() == "layer,kind,mults,est_bytes,meas_bytes,category,pred_bytes"
 
 
 def test_emit_json_roundtrip_stable():
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
-    reports = estimate_comm(g).reports
-    one = emit_report(reports, fmt="json")
-    two = emit_report(load_report_json(one), fmt="json")
-    assert one == two
+    reports = merge_predicted(estimate_comm(g).reports, g)
+    rows = json.loads(emit_report(reports, fmt="json"))
+    assert len(rows) == len(reports)
+    for row, r in zip(rows, reports):
+        assert row == {"layer": r.layer, "kind": r.kind, "mults": r.mults,
+                       "est_bytes": r.est_bytes, "meas_bytes": r.meas_bytes,
+                       "category": r.category, "pred_bytes": r.pred_bytes,
+                       **r.extra}
 
 
 def test_merge_measured_joins_by_layer_name():

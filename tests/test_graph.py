@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xconv2pc.clear import infer_clear, infer_fixed, infer_float
+from xconv2pc.clear import infer_fixed, infer_float
 from xconv2pc.costs import count_mults
 from xconv2pc.errors import FixedPointOverflowError, ShapeError
 from xconv2pc.graph import (
@@ -16,11 +16,9 @@ from xconv2pc.graph import (
     channel_shuffle,
     fold_batchnorm,
     infer_shapes,
-    interleave_perm,
-    validate_shapes,
 )
 from xconv2pc.plan import WINOGRAD_INPUT_BOUND, build_plan, execute_plan_clear
-from xconv2pc.ring import FixedPointConfig, encode_fixed
+from xconv2pc.ring import FixedPointConfig, decode_fixed, encode_fixed
 from xconv2pc.winograd import rewrite_winograd
 from xconv2pc.zoo import model_zoo
 
@@ -131,10 +129,6 @@ def test_shuffle_rejects_non_bijection():
         channel_shuffle(x, [0, 0, 1, 2])
 
 
-def test_interleave_perm():
-    assert interleave_perm(6) == [0, 3, 1, 4, 2, 5]
-
-
 # -- cells ----------------------------------------------------------------------
 
 
@@ -184,9 +178,7 @@ def test_shuffle_cell_mults_match_split_formula():
 
 def test_validate_toynet_full_table():
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
-    rep = validate_shapes(g)
-    assert rep.ok
-    shapes = dict((n, s) for n, _, s in rep.entries)
+    shapes = infer_shapes(g)
     assert shapes["conv1"] == (1, 8, 8, 8)
     assert shapes["pool"] == (1, 16, 4, 4)
     assert shapes["fc"] == (1, 10)
@@ -196,17 +188,15 @@ def test_validate_reports_channel_mismatch():
     b = GraphBuilder((1, 3, 8, 8), seed=0)
     b.conv("c1", INPUT, 3, 4, 3)
     b.conv("c2", "c1", 8, 4, 3)  # wrong: c1 yields 4 channels
-    rep = validate_shapes(b.build())
-    assert not rep.ok
-    assert "c2" in rep.errors[0]
+    with pytest.raises(ShapeError, match="c2"):
+        infer_shapes(b.build())
 
 
 def test_validate_reports_group_divisibility():
     b = GraphBuilder((1, 6, 8, 8), seed=0)
     b.conv("c1", INPUT, 6, 9, 3, groups=4)
-    rep = validate_shapes(b.build())
-    assert not rep.ok
-    assert "c1" in rep.errors[0]
+    with pytest.raises(ShapeError, match="c1"):
+        infer_shapes(b.build())
 
 
 # -- interpreters --------------------------------------------------------------
@@ -218,7 +208,7 @@ def test_zero_input_through_biasfree_conv_relu():
     b.relu("r", c)
     g = b.build()
     assert np.all(infer_float(g, np.zeros((1, 2, 6, 6))) == 0.0)
-    assert np.all(infer_clear(g, np.zeros((1, 2, 6, 6)), mode="fixed") == 0.0)
+    assert np.all(decode_fixed(infer_fixed(g, np.zeros((1, 2, 6, 6))), g.cfg) == 0.0)
 
 
 def test_fixed_vs_float_toy_net_bound():
@@ -229,7 +219,7 @@ def test_fixed_vs_float_toy_net_bound():
     g = b.build()
     x = np.random.default_rng(8).uniform(-1, 1, (1, 2, 12, 12))
     f = infer_float(g, x)
-    q = infer_clear(g, x, mode="fixed")
+    q = decode_fixed(infer_fixed(g, x), g.cfg)
     assert np.abs(f - q).max() <= 2.0 ** -18
 
 
@@ -331,10 +321,10 @@ def test_fold_orphan_bn_rejected():
 
 def test_toynet_smoke_all_modes():
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
-    assert validate_shapes(g).ok
+    infer_shapes(g)
     x = np.random.default_rng(1).uniform(-1, 1, (1, 3, 16, 16))
     f = infer_float(g, x)
-    q = infer_clear(g, x, mode="fixed")
+    q = decode_fixed(infer_fixed(g, x), g.cfg)
     assert f.shape == q.shape == (1, 10)
     assert np.abs(f - q).max() < 1e-3
 
@@ -349,7 +339,7 @@ def test_zoo_rejects_unknown_backbone():
 def test_zoo_variants_validate_at_small_size(backbone):
     for variant in CellVariant:
         g = model_zoo(backbone, variant, input_size=64, seed=2)
-        assert validate_shapes(g).ok, (backbone, variant)
+        infer_shapes(g)
 
 
 def test_densenet_conv_dominates_linear_mults():

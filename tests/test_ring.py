@@ -98,8 +98,8 @@ def test_mul_scale_doubles():
 
 
 def test_shape_mismatch_raises():
-    a = RingTensor.zeros((3,), 60)
-    b = RingTensor.zeros((4,), 60)
+    a = RingTensor(np.zeros(3, np.uint64), 60)
+    b = RingTensor(np.zeros(4, np.uint64), 60)
     with pytest.raises(ShapeError):
         ring_add(a, b)
 
@@ -221,6 +221,6 @@ def test_serialize_roundtrip():
 def test_deserialize_rejects_garbage():
     with pytest.raises(ParseError):
         deserialize_tensor(b"NOPE" + b"\x00" * 16)
-    good = serialize_tensor(RingTensor.zeros((4,), 60), CFG)
+    good = serialize_tensor(RingTensor(np.zeros(4, np.uint64), 60), CFG)
     with pytest.raises(ParseError):
         deserialize_tensor(good[:-3])  # truncated payload

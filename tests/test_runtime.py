@@ -203,9 +203,9 @@ def test_material_table_bit_flip_detected(tmp_path, stream, bit):
 def test_material_exhaustion_raises():
     plan = _StubPlan(mul=10)
     m0, _ = generate_material(plan, 8)
-    m0.take_mul(8)
+    m0.take("mul", 8)
     with pytest.raises(MaterialError, match="exhausted"):
-        m0.take_mul(8)
+        m0.take("mul", 8)
 
 
 # -- bit packing -----------------------------------------------------------------
@@ -991,4 +991,25 @@ def test_session_fails_cleanly_on_short_material():
     materials = generate_material(starved, 45)  # far too little for toynet
     with pytest.raises(MaterialError):
         secure_infer_local(g, _random_input((1, 3, 16, 16), 46), seed=45,
+                           materials=materials)
+
+
+def test_session_rejects_material_dealt_for_the_other_party():
+    # Two stores of party 1's material, so the cursors stay apart.
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=7)
+    plan = build_plan(g, with_weights=False)
+    stores = (generate_material(plan, 7)[1], generate_material(plan, 7)[1])
+    # The client fails on the model party's abort; the model's error is raised.
+    with pytest.raises(MaterialError, match="party 1's, this is party 0"):
+        secure_infer_local(g, _random_input(g.input_shape, 8), seed=7,
+                           materials=stores)
+
+
+def test_session_rejects_material_dealt_for_another_graph():
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=7)
+    tampered = model_zoo("toynet", CellVariant.DENSE, 16, seed=7)
+    tampered.layer("fc").attrs["bias"] = False  # same footprint, other hash
+    materials = generate_material(build_plan(tampered, with_weights=False), 7)
+    with pytest.raises(MaterialError, match="another graph"):
+        secure_infer_local(g, _random_input(g.input_shape, 8), seed=7,
                            materials=materials)

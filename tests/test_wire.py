@@ -129,7 +129,8 @@ def test_graph_file_roundtrip(tmp_path):
 
 def test_graph_doc_without_weights():
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=5)
-    doc = graph_to_doc(g, embed_weights=False)
+    doc = graph_to_doc(g)
+    del doc["weights"]
     back = doc_to_graph(doc)
     assert back.weights == {}
     assert back.structural_hash() == g.structural_hash()
@@ -142,7 +143,8 @@ def test_graph_file_ref_blob(tmp_path):
     b = GraphBuilder((1, 1, 4, 4), seed=0)
     b.conv("c", INPUT, 1, 1, 3, bias=False)
     g = b.build()
-    doc = graph_to_doc(g, embed_weights=False)
+    doc = graph_to_doc(g)
+    del doc["weights"]
     blob_path = tmp_path / "w.rtv"
     blob_path.write_bytes(
         serialize_tensor(encode_fixed(g.weights["c.weight"], g.cfg), g.cfg))

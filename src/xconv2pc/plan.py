@@ -18,9 +18,9 @@ construction, which is the equivalence the whole artifact is built
 around.
 
 Resource counts (multiplications, truncated elements, comparisons,
-auxiliary triples, boolean triple words) depend only on shapes and
-attributes, never on weight values, so the weight-less party derives the
-same schedule from the public architecture.  ``footprint`` computes them
+auxiliary triples, boolean triple words, gate words) depend only on
+shapes and attributes, never on weight values, so the weight-less party
+derives the same schedule from the public architecture.  ``footprint`` computes them
 for one layer, for the plan and the cost model alike, and
 ``predict_ledger`` turns them into the bytes and rounds every run books.
 """
@@ -68,16 +68,25 @@ def lt_bool_words(n_elems: int, n_bits: int) -> int:
     Each tree level pairs adjacent digit groups, lowest first (an odd top
     group carries over), and ANDs eq_hi with lt_lo and with eq_lo.  The
     lowest group's eq is never read, so a level of p pairs costs 2p - 1
-    ANDs per 64-element word.  The plan, the dealer and the online engine
-    all size from this function and ``lt_digits``, so consumption always
-    lands exactly.
+    ANDs per 64-element word.  The last level, two groups or a lone one,
+    is a dealer gate instead (``lt_gate_words``), so it takes no triple.
+    The plan, the dealer and the online engine all size from these
+    functions and ``lt_digits``, so consumption always lands exactly.
     """
     ands, groups = 0, lt_digits(n_bits)
-    while groups > 1:
+    while groups > 2:
         pairs = groups // 2
         ands += 2 * pairs - 1
         groups -= pairs
-    return ands * -(-n_elems // 64)
+    return ands * lt_gate_words(n_elems)
+
+
+def lt_gate_words(n_elems: int) -> int:
+    """Packed words per opened gate bit of one less-than: one per 64 elements.
+
+    The gate opens three such words (d, e and f) in the tree's last round.
+    """
+    return -(-n_elems // 64)
 
 
 def _sign_batches(kind: str, attrs: dict, out_elems: int) -> list:
@@ -99,16 +108,17 @@ def _sign_batches(kind: str, attrs: dict, out_elems: int) -> list:
 def footprint(kind: str, attrs: dict, out_shape: tuple, cfg: FixedPointConfig) -> dict:
     """Dealer material one layer consumes, from its kind, attributes and shape.
 
-    Returns mults, trunc_elems, cmp_elems, aux_triples and bool_words.  A
-    truncated element takes two comparisons (borrow and wrap), a compared
-    one a sign test; each converts its bit through one auxiliary triple,
-    and a compared element spends a second on its sign-bit product.
-    Boolean words are sized per batch so the packed word rounding matches
-    the online consumption.  A batchnorm, left only in an unfolded graph,
+    Returns mults, trunc_elems, cmp_elems, aux_triples, bool_words and
+    gate_words.  A truncated element takes two comparisons (borrow and
+    wrap), a compared one a sign test; each comparison ends in a dealer
+    gate that yields its bit as an additive share, and a compared element
+    spends one auxiliary triple on its sign-bit product.  Boolean and gate
+    words are sized per batch so the packed word rounding matches the
+    online consumption.  A batchnorm, left only in an unfolded graph,
     counts one secret scaling per element plus a truncation.
     """
     out_elems = math.prod(out_shape)
-    mults = trunc = cmp = bool_words = 0
+    mults = trunc = cmp = bool_words = gate_words = 0
     if kind == "conv2d":
         k = attrs["kernel"]
         per_pos = out_shape[0] * attrs["out_channels"] * (
@@ -129,13 +139,15 @@ def footprint(kind: str, attrs: dict, out_shape: tuple, cfg: FixedPointConfig) -
         batches = _sign_batches(kind, attrs, out_elems)
         cmp = sum(batches)
         bool_words = sum(lt_bool_words(m, cfg.bitwidth - 1) for m in batches)
+        gate_words = sum(lt_gate_words(m) for m in batches)
     elif kind not in ("shuffle", "add", "concat"):
         raise ShapeError(f"cannot plan layer kind {kind!r}")
     if trunc:
         bool_words += (lt_bool_words(trunc, cfg.scale)
                        + lt_bool_words(trunc, cfg.bitwidth))
+        gate_words += 2 * lt_gate_words(trunc)
     return {"mults": mults, "trunc_elems": trunc, "cmp_elems": cmp,
-            "aux_triples": 2 * (trunc + cmp), "bool_words": bool_words}
+            "aux_triples": cmp, "bool_words": bool_words, "gate_words": gate_words}
 
 
 @dataclass
@@ -152,6 +164,7 @@ class PlanLayer:
     cmp_elems: int = 0
     aux_triples: int = 0
     bool_words: int = 0
+    gate_words: int = 0
     relu_sign: bool = False  # truncation also yields its sole reader ReLU's sign
     payload: dict = field(default_factory=dict)  # ring weights, party-0 side only
 
@@ -314,9 +327,13 @@ def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
 BEAVER_CHUNK = 1 << 22  # elements per opened Beaver batch; caps peak memory
 
 
-def _and_rounds(n_bits: int) -> int:
-    """AND rounds of a digit-table less-than over n_bits: ceil(log2 digits)."""
-    return (lt_digits(n_bits) - 1).bit_length()
+def _lt_rounds(n_bits: int) -> int:
+    """Open rounds of a digit-table less-than over n_bits.
+
+    ceil(log2 digits) tree levels, the last of them the gate; a one-digit
+    comparison still opens its gate once.
+    """
+    return max(1, (lt_digits(n_bits) - 1).bit_length())
 
 
 def predict_ledger(plan: FixedPlan) -> dict:
@@ -327,15 +344,15 @@ def predict_ledger(plan: FixedPlan) -> dict:
 
       mul-open   16 B per multiplication, one round per BEAVER_CHUNK
       mask-open  8 B per masked element, one round per batch
-      bool-open  16 B per boolean word, ceil(log2 digits) rounds of the
-                 widest comparison in the batch
+      bool-open  16 B per boolean word and 24 B per gate word, the rounds
+                 of the widest comparison in the batch
       aux-open   16 B per auxiliary triple, one round per BEAVER_CHUNK of
-                 each bit conversion and each sign-bit product
+                 each sign-bit product
 
     A truncation is one batch.  A ReLU that alone reads a truncating layer
-    (``relu_sign``) has its mask, comparison and bit conversion carried in
-    that truncation's frames and books only its sign-bit product; any
-    other ReLU, and each maxpool tree level, is one batch of comparisons.
+    (``relu_sign``) has its mask and comparison carried in that
+    truncation's frames and books only its sign-bit product; any other
+    ReLU, and each maxpool tree level, is one batch of comparisons.
     """
     cfg = plan.cfg
     sign_bits = cfg.bitwidth - 1
@@ -349,24 +366,26 @@ def predict_ledger(plan: FixedPlan) -> dict:
     def chunks(n):
         return -(-n // BEAVER_CHUNK)
 
+    def compare(layer, bool_words, gate_words, n_bits):
+        book(layer, "bool-open", 16 * bool_words + 24 * gate_words,
+             _lt_rounds(n_bits))
+
     signed = {pl.name for pl in plan.layers if pl.relu_sign}
     for pl in plan.layers:
         book(pl.name, "mul-open", 16 * pl.mults, chunks(pl.mults))
         if pl.trunc_elems:
             cmp = pl.trunc_elems if pl.relu_sign else 0
-            words = pl.bool_words + lt_bool_words(cmp, sign_bits)
             book(pl.name, "mask-open", 8 * (pl.trunc_elems + cmp), 1)
-            book(pl.name, "bool-open", 16 * words, _and_rounds(cfg.bitwidth))
-            book(pl.name, "aux-open", 16 * (pl.aux_triples + cmp),
-                 chunks(pl.aux_triples + cmp))
+            compare(pl.name, pl.bool_words + lt_bool_words(cmp, sign_bits),
+                    pl.gate_words + lt_gate_words(cmp), cfg.bitwidth)
         if pl.kind == "relu" and pl.inputs[0] in signed:
             book(pl.name, "aux-open", 16 * pl.cmp_elems, chunks(pl.cmp_elems))
         elif pl.kind in ("relu", "maxpool"):
             for m in _sign_batches(pl.kind, pl.attrs, math.prod(pl.out_shape)):
                 book(pl.name, "mask-open", 8 * m, 1)
-                book(pl.name, "bool-open", 16 * lt_bool_words(m, sign_bits),
-                     _and_rounds(sign_bits))
-                book(pl.name, "aux-open", 32 * m, 2 * chunks(m))
+                compare(pl.name, lt_bool_words(m, sign_bits), lt_gate_words(m),
+                        sign_bits)
+                book(pl.name, "aux-open", 16 * m, chunks(m))
     return rows
 
 

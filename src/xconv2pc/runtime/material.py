@@ -1,17 +1,19 @@
 """Dealer-side correlated randomness: generation, files, consumption.
 
 The dealer knows the plan's exact resource footprint and emits one file
-per party holding five sequential streams:
+per party holding five kinds of sequential streams:
 
 1. multiplication triples (a, b, c = a*b), one per secret multiplication,
-2. auxiliary arithmetic triples for bit-to-arithmetic conversions and the
-   sign-bit products of the nonlinear layers,
+2. auxiliary arithmetic triples for the sign-bit products of the
+   nonlinear layers,
 3. truncation units: an additive sharing of a fresh mask r, one of its
-   unsigned shift, and XOR-shared digit tables for the two comparisons
-   against r (its low ``scale`` bits, then all of it),
-4. comparison tuples: an additive sharing of a fresh mask r and XOR-shared
-   digit tables for the sign test against its low l-1 bits,
-5. boolean triples as packed 64-bit words for the digit trees.
+   unsigned shift, XOR-shared digit tables for the two comparisons
+   against r (its low ``scale`` bits, then all of it), and one gate
+   record for each of the two,
+4. comparison tuples: an additive sharing of a fresh mask r, XOR-shared
+   digit tables for the sign test against its low l-1 bits, and one gate
+   record,
+5. boolean triples as packed 64-bit words for the digit trees' AND levels.
 
 A digit table is one 32-bit word per DIGIT_BITS-bit digit r_j of the
 compared mask bits, lowest digit first: bit v of its low half is
@@ -21,11 +23,18 @@ form of a one-out-of-16 OT).  A comparison tuple's sign test also needs
 msb(r); the dealer XORs it into every entry of the top digit's lt row,
 which the digit tree carries linearly to its result.
 
-Format version 2; version 1 carried XOR sharings of the masks in place
-of the tables.  Identical seeds give byte-identical files.  Both parties
-consume with lockstep cursors; running past the end raises, and a file
-whose trailing digest does not match its contents is rejected before any
-use.
+A gate record evaluates a digit tree's last level, lt = L ^ (E & R), in
+one open and with an additive result (a one-time truth table, Ishai et
+al., TCC 2013).  It holds XOR shares of three fresh bits a, b and g (bits
+0, 1 and 2 of one byte) and additive shares of the four ring values
+u_de = g ^ ((d ^ a) & (e ^ b)), indexed 2d + e.  Once d = E ^ a, e = R ^ b
+and f = L ^ g are open, lt = f ^ u_de = f + (1 - 2f) u_de.
+
+Format version 3; version 2 had no gate records and converted each
+comparison bit through an auxiliary triple.  Identical seeds give
+byte-identical files.  Both parties consume with lockstep cursors;
+running past the end raises, and a file whose trailing digest does not
+match its contents is rejected before any use.
 """
 
 from __future__ import annotations
@@ -44,20 +53,29 @@ from ..ring import FixedPointConfig
 
 _U64 = np.uint64
 _U32 = np.uint32
+_U8 = np.uint8
 _ROW = 1 << DIGIT_BITS  # bits per table row; lt and eq rows share a 32-bit word
 
 MATERIAL_MAGIC = b"DLR1"
-MATERIAL_VERSION = 2
+MATERIAL_VERSION = 3
 # magic, version, party, table digits per truncation unit and per
 # comparison tuple, seed, graph hash, element count per cursor kind.
 _HEADER = struct.Struct("<4sBBBBQ32s5Q")
 
-# Streams in file order, with the cursor kind that sizes each.
+# Streams in file order, with the cursor kind that sizes each; wider words
+# come first so every stream starts aligned.
 _STREAMS = (("mul_a", "mul"), ("mul_b", "mul"), ("mul_c", "mul"),
             ("aux_a", "aux"), ("aux_b", "aux"), ("aux_c", "aux"),
-            ("trunc_r", "trunc"), ("trunc_shift", "trunc"), ("trunc_tab", "trunc"),
-            ("cmp_r", "cmp"), ("cmp_tab", "cmp"),
-            ("bool_a", "bool"), ("bool_b", "bool"), ("bool_c", "bool"))
+            ("trunc_r", "trunc"), ("trunc_shift", "trunc"), ("trunc_u", "trunc"),
+            ("cmp_r", "cmp"), ("cmp_u", "cmp"),
+            ("bool_a", "bool"), ("bool_b", "bool"), ("bool_c", "bool"),
+            ("trunc_tab", "trunc"), ("cmp_tab", "cmp"),
+            ("trunc_gate", "trunc"), ("cmp_gate", "cmp"))
+# dtype and the shape of one entry where it is not a single ring word; the
+# tables' width comes from the header.
+_ENTRY = {"trunc_u": ("<u8", (2, 4)), "cmp_u": ("<u8", (4,)),
+          "trunc_tab": ("<u4", None), "cmp_tab": ("<u4", None),
+          "trunc_gate": ("u1", (2,)), "cmp_gate": ("u1", ())}
 _KINDS = ("mul", "aux", "trunc", "cmp", "bool")
 _NAMES = {kind: tuple(name for name, k in _STREAMS if k == kind) for kind in _KINDS}
 _SAMPLE = 4096  # leading entries of each stream verify_material_pair checks
@@ -145,6 +163,19 @@ def _sign_tables(r: np.ndarray, bitwidth: int) -> np.ndarray:
     return tab
 
 
+def gate_bits(abg: np.ndarray) -> tuple:
+    """A gate record's bytes -> its bits a, b and g, as 0/1 bytes."""
+    return tuple((abg >> _U8(k)) & _U8(1) for k in range(3))
+
+
+def gate_values(abg: np.ndarray) -> np.ndarray:
+    """(...) gate bytes -> (..., 4) ring values u_de = g ^ ((d ^ a) & (e ^ b))."""
+    a, b, g = (bit[..., None] for bit in gate_bits(abg))
+    d = np.array([0, 0, 1, 1], dtype=np.uint8)
+    e = np.array([0, 1, 0, 1], dtype=np.uint8)
+    return (g ^ ((d ^ a) & (e ^ b))).astype(_U64)
+
+
 def generate_material(plan: FixedPlan, seed: int) -> tuple:
     """Dealer preprocessing for one session; returns both parties' stores."""
     req = plan.requirements()
@@ -153,13 +184,19 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     ghash = bytes.fromhex(plan.graph_hash)
 
     def arith_pair(values, rng):
-        s0 = uniform(rng, len(values), cfg.bitwidth)
+        s0 = uniform(rng, values.shape, cfg.bitwidth)
         s1 = (values - s0) & mask
         return s0, s1
 
     def table_pair(tab, rng):
         s0 = rng.integers(0, 1 << 32, size=tab.shape, dtype=_U32, endpoint=False)
         return s0, tab ^ s0
+
+    def gate_pair(shape, rng, prefix):
+        abg = rng.integers(0, 8, size=shape, dtype=_U8)
+        s0 = rng.integers(0, 8, size=shape, dtype=_U8)
+        p0[f"{prefix}_gate"], p1[f"{prefix}_gate"] = s0, abg ^ s0
+        p0[f"{prefix}_u"], p1[f"{prefix}_u"] = arith_pair(gate_values(abg), rng)
 
     p0, p1 = {}, {}
 
@@ -185,18 +222,20 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     tab = np.concatenate([digit_tables(r, cfg.scale), digit_tables(r, cfg.bitwidth)],
                          axis=1)
     p0["trunc_tab"], p1["trunc_tab"] = table_pair(tab, rng)
+    gate_pair((req.trunc_units, 2), rng, "trunc")
 
     rng = prg(seed, 4)
     r = uniform(rng, req.cmp_tuples, cfg.bitwidth)
     p0["cmp_r"], p1["cmp_r"] = arith_pair(r, rng)
     p0["cmp_tab"], p1["cmp_tab"] = table_pair(_sign_tables(r, cfg.bitwidth), rng)
+    gate_pair(req.cmp_tuples, rng, "cmp")
 
     rng = prg(seed, 5)
     wa = uniform(rng, req.bool_words, 64)
     wb = uniform(rng, req.bool_words, 64)
     wc = wa & wb
     for name, vals in (("bool_a", wa), ("bool_b", wb), ("bool_c", wc)):
-        s0 = uniform(rng, len(vals), 64)
+        s0 = uniform(rng, vals.shape, 64)
         p0[name], p1[name] = s0, vals ^ s0
 
     return MaterialStore(0, seed, ghash, p0), MaterialStore(1, seed, ghash, p1)
@@ -241,8 +280,11 @@ def load_material(path: str) -> MaterialStore:
         raise MaterialError(f"unsupported material version {version}")
     counts = dict(zip(_KINDS, counts))
     widths = {"trunc_tab": (trunc_digits,), "cmp_tab": (cmp_digits,)}
-    layout = [(name, np.dtype("<u4" if name in widths else "<u8"),
-               (counts[kind],) + widths.get(name, ())) for name, kind in _STREAMS]
+    layout = []
+    for name, kind in _STREAMS:
+        dt, entry = _ENTRY.get(name, ("<u8", ()))
+        layout.append((name, np.dtype(dt),
+                       (counts[kind],) + (widths[name] if entry is None else entry)))
     body = len(blob) - _HEADER.size - 32
     if body != sum(dt.itemsize * math.prod(shape) for _, dt, shape in layout):
         raise MaterialError("dealer material stream lengths are inconsistent")
@@ -257,35 +299,43 @@ def load_material(path: str) -> MaterialStore:
 
 def verify_material_pair(m0: MaterialStore, m1: MaterialStore,
                          cfg: FixedPointConfig) -> None:
-    """Cross-check the reconstructed correlations; dealer or file bugs bite here."""
+    """Cross-check the reconstructed correlations; dealer or file bugs bite here.
+
+    Only the first ``_SAMPLE`` entries of each stream are reconstructed, so
+    the check's memory is bounded by the sample, not by the material.
+    """
     mask = _U64(cfg.mask)
 
     def recon(name):
-        return (m0.arrays[name] + m1.arrays[name]) & mask
+        return (m0.arrays[name][:_SAMPLE] + m1.arrays[name][:_SAMPLE]) & mask
+
+    def xor(name):
+        return m0.arrays[name][:_SAMPLE] ^ m1.arrays[name][:_SAMPLE]
 
     for prefix in ("mul", "aux"):
-        a, b, c = (recon(f"{prefix}_{s}")[:_SAMPLE] for s in "abc")
+        a, b, c = (recon(f"{prefix}_{s}") for s in "abc")
         if not np.array_equal((a * b) & mask, c):
             raise MaterialError(f"{prefix} triples do not reconstruct to products")
-    r = recon("trunc_r")[:_SAMPLE]
-    shift = recon("trunc_shift")[:_SAMPLE]
-    if not np.array_equal(r >> _U64(cfg.scale), shift):
+    r = recon("trunc_r")
+    if not np.array_equal(r >> _U64(cfg.scale), recon("trunc_shift")):
         raise MaterialError("truncation units do not reconstruct to shifted masks")
-    tab = (m0.arrays["trunc_tab"] ^ m1.arrays["trunc_tab"])[:_SAMPLE]
+    tab = xor("trunc_tab")
     ds = lt_digits(cfg.scale)
     if (tab.shape[1] != ds + lt_digits(cfg.bitwidth)
             or not _rows_match(tab[:, :ds], r, cfg.scale)
             or not _rows_match(tab[:, ds:], r, cfg.bitwidth)):
         raise MaterialError("truncation tables are not the rows of their masks")
-    cr = recon("cmp_r")[:_SAMPLE]
-    tab = (m0.arrays["cmp_tab"] ^ m1.arrays["cmp_tab"])[:_SAMPLE]
+    cr = recon("cmp_r")
+    tab = xor("cmp_tab")
     low = cfg.bitwidth - 1
     if (tab.shape[1] != lt_digits(low)
             or not _rows_match(tab, cr, low, flip=(cr >> _U64(low)) & _U64(1))):
         raise MaterialError("comparison tables are not the rows of their masks")
-    ba = (m0.arrays["bool_a"] ^ m1.arrays["bool_a"])[:_SAMPLE]
-    bb = (m0.arrays["bool_b"] ^ m1.arrays["bool_b"])[:_SAMPLE]
-    bc = (m0.arrays["bool_c"] ^ m1.arrays["bool_c"])[:_SAMPLE]
+    for prefix in ("trunc", "cmp"):
+        if not np.array_equal(gate_values(xor(f"{prefix}_gate")), recon(f"{prefix}_u")):
+            raise MaterialError(f"{prefix} gate records are not the truth tables "
+                                f"of their bits")
+    ba, bb, bc = (xor(f"bool_{s}") for s in "abc")
     if not np.array_equal(ba & bb, bc):
         raise MaterialError("boolean triples do not reconstruct to AND")
 

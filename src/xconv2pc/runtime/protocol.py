@@ -23,15 +23,19 @@ oblivious transfers replaced by one-time truth tables): each party
 selects its shares of [c_j < r_j] and [c_j = r_j] at every public 4-bit
 digit c_j, which sends nothing, and a logarithmic tree of AND rounds on
 packed 64-element words combines the digits, one boolean triple word per
-AND word.  The resulting bit converts to an arithmetic share through one
-auxiliary triple.  Every consumption count is a pure function of layer
-shapes, so both parties and the dealer agree on cursor positions by
-construction.
+AND word.  The tree's last level, lt = L ^ (E & R), is a dealer gate
+whose output is already an additive share: the parties open d = E ^ a,
+e = R ^ b and f = L ^ g for fresh dealer bits a, b, g, and finish
+locally from the dealer's additive shares of u_de = g ^ ((d^a) & (e^b))
+as f + (1 - 2f) u_de.  No round is spent converting the bit.  Every
+consumption count is a pure function of layer shapes, so both parties
+and the dealer agree on cursor positions by construction.
 
 Round costs follow from the plan: ``plan.predict_ledger`` gives every
 layer's bytes and rounds per op, and each session checks its ledger
-against it.  A truncation takes 6 rounds, an unfused ReLU or a maxpool
-tree level 7, and a ReLU fused into the truncation it reads 1.
+against it.  A truncation takes 5 rounds (the mask open, then 4 tree
+levels), an unfused ReLU or a maxpool tree level 6 (its sign-bit product
+adds one), and a ReLU fused into the truncation it reads 1.
 
 Exactness notes, all modulo 2^l with x' = x + 2^(l-1):
   floor(unsigned(x') / 2^s) = (c >> s) - (r >> s) - [c mod 2^s < r mod 2^s]
@@ -46,7 +50,7 @@ import numpy as np
 from .. import plan as plan_mod
 from ..errors import TransportError, XConvError
 from ..plan import FixedPlan, lt_digits, run_plan
-from .material import MaterialStore, prg, select_table_bits, uniform
+from .material import MaterialStore, gate_bits, prg, select_table_bits, uniform
 from .wire import (
     OP_ABORT,
     OP_OPEN_BOOL,
@@ -198,88 +202,104 @@ class PartyEngine:
 
     # -- boolean circuit -------------------------------------------------------
 
-    def _and_planes(self, xs: list, ys: list, tag: int, layer: str) -> list:
-        """Bitwise AND of XOR-shared packed words via boolean triples.
+    def _bool_open(self, xs: list, ys: list, gates: list, tag: int,
+                   layer: str) -> tuple:
+        """One boolean open: ANDs of XOR-shared words and opened gate words.
 
-        Every (x, y) pair of the two lists goes into one open; the results
-        come back with the pairs' shapes.
+        Every (x, y) pair of the two lists is ANDed through boolean
+        triples, and each array of ``gates`` (masked shares) is opened as
+        it is; all go into one frame.  Returns the AND results and the
+        opened gate arrays, each with its input's shape.
         """
-        xf = np.concatenate([x.reshape(-1) for x in xs])
-        yf = np.concatenate([y.reshape(-1) for y in ys])
+        xf = np.concatenate([np.empty(0, _U64)] + [x.reshape(-1) for x in xs])
+        yf = np.concatenate([np.empty(0, _U64)] + [y.reshape(-1) for y in ys])
         n = xf.size
         a, b, c = self.material.take("bool", n)
-        d_share = xf ^ a
-        e_share = yf ^ b
-        payload = np.concatenate([d_share, e_share]).astype("<u8", copy=False)
-        peer = self.exchange(OP_OPEN_BOOL, tag, payload.tobytes(), layer,
-                             "bool-open")
-        other = np.frombuffer(peer, dtype="<u8")
-        d = d_share ^ other[:n]
-        e = e_share ^ other[n:]
+        flat = np.concatenate([xf ^ a, yf ^ b] + [g.reshape(-1) for g in gates])
+        payload = flat.astype("<u8", copy=False).tobytes()
+        peer = self.exchange(OP_OPEN_BOOL, tag, payload, layer, "bool-open")
+        opened = flat ^ np.frombuffer(peer, dtype="<u8")
+        d, e = opened[:n], opened[n:2 * n]
         z = c ^ (d & b) ^ (e & a)
         if self.party == 0:
             z = z ^ (d & e)
-        ends = np.cumsum([x.size for x in xs])[:-1]
-        return [part.reshape(x.shape) for part, x in zip(np.split(z, ends), xs)]
+        return _split_as(z, xs), _split_as(opened[2 * n:], gates)
 
     def less_than_mask(self, jobs: list, tag: int, layer: str) -> np.ndarray:
-        """XOR-shared bits of [c < r] for each (c_pub, tables, n_bits) job.
+        """Additive shares of [c < r] XOR flip for each job.
 
-        ``tables`` is this party's share of the dealer's digit tables for
-        the low n_bits of r.  Selecting at each public digit c_j gives
+        A job is (c_pub, tables, gate, n_bits, flip): this party's share of
+        the dealer's digit tables for the low n_bits of r, its gate record
+        (bytes of a, b, g bits and the (N, 4) u shares) and a public bit
+        flip (0 or per element).  Selecting at each public digit c_j gives
         shares of [c_j < r_j] and [c_j = r_j] without a message (see
         ``material.select_table_bits``).  The bits are packed into
         64-element words, and a tree merges adjacent digit groups, lowest
         first: lt = lt_hi ^ (eq_hi & lt_lo), eq = eq_hi & eq_lo.  The lowest
-        group's eq is never read, so it is not computed.  All jobs share
-        each level's AND open, so the rounds are ceil(log2 digits) of the
-        widest job alone.  Returns the jobs' bits concatenated in job order.
+        group's eq is never read, so it is not computed.  The last level,
+        two groups (L = lt_hi, E = eq_hi, R = lt_lo) or a lone one (E = R =
+        0), is the gate: d = E ^ a, e = R ^ b and f = L ^ g are opened, and
+        ``bits_to_arith`` finishes f ^ flip ^ u_de locally.  All jobs share
+        each level's open, so the rounds are those of the widest job alone.
+        Returns the jobs' shares concatenated in job order.
         """
         lts, eqs = [], []
-        for c_pub, tables, n_bits in jobs:
+        for c_pub, tables, _, n_bits, _ in jobs:
             lt, eq = pack_bitplanes(select_table_bits(tables, c_pub, n_bits))
             lts.append(lt)
             eqs.append(eq)
 
-        while any(len(lt) > 1 for lt in lts):
-            live = [j for j, lt in enumerate(lts) if len(lt) > 1]
-            xs, ys = [], []
-            for j in live:
+        out = [None] * len(jobs)
+        while any(o is None for o in out):
+            tree = [j for j, lt in enumerate(lts) if len(lt) > 2]
+            last = [j for j, o in enumerate(out) if o is None and len(lts[j]) <= 2]
+            xs, ys, gates = [], [], []
+            for j in tree:
                 pairs = len(lts[j]) // 2
                 xs += [eqs[j][1:2 * pairs:2], eqs[j][3:2 * pairs:2]]
                 ys += [lts[j][0:2 * pairs:2], eqs[j][2:2 * pairs:2]]
-            anded = self._and_planes(xs, ys, tag, layer)
-            for k, j in enumerate(live):
+            for j in last:
+                lt, eq = lts[j], eqs[j]
+                zero = np.zeros_like(lt[0])
+                fde = (lt[1], eq[1], lt[0]) if len(lt) == 2 else (lt[0], zero, zero)
+                a, b, g = gate_bits(jobs[j][2][0])
+                gates.append(np.stack(fde) ^ pack_bitplanes(np.stack([g, a, b])))
+            anded, opened = self._bool_open(xs, ys, gates, tag, layer)
+            for k, j in enumerate(tree):
                 lt, eq = lts[j], eqs[j]
                 pairs = len(lt) // 2
                 lts[j] = np.concatenate([lt[1:2 * pairs:2] ^ anded[2 * k],
                                          lt[2 * pairs:]])
                 eqs[j] = np.concatenate([eq[:1], anded[2 * k + 1], eq[2 * pairs:]])
-        bits = [unpack_bitplanes(lt, c_pub.size)[0]
-                for lt, (c_pub, _, _) in zip(lts, jobs)]
-        return np.concatenate(bits).astype(_U64)
+            for j, words in zip(last, opened):
+                c_pub, _, (_, u), _, flip = jobs[j]
+                f, d, e = unpack_bitplanes(words, c_pub.size)
+                u_de = u[np.arange(c_pub.size), 2 * d + e]
+                out[j] = self.bits_to_arith(f ^ flip, u_de)
+        return np.concatenate(out)
 
-    def bits_to_arith(self, bit_share: np.ndarray, tag: int,
-                      layer: str) -> np.ndarray:
-        """XOR-shared bits -> additive shares: b0 + b1 - 2*b0*b1."""
-        zero = np.zeros_like(bit_share)
-        x = bit_share if self.party == 0 else zero
-        y = bit_share if self.party == 1 else zero
-        prod = self.beaver(x, y, tag, layer, kind="aux")
-        return (bit_share - _U64(2) * prod) & self.mask
+    def bits_to_arith(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Additive shares of f XOR u for public bits f and shared bits u.
+
+        The gate's local finish: f + (1 - 2f) u, the model owner adding f.
+        """
+        out = np.where(f.astype(bool), -u, u)
+        if self.party == 0:
+            out = out + f
+        return out & self.mask
 
     # -- nonlinear units --------------------------------------------------------
 
-    def _sign_job(self, c: np.ndarray, tables: np.ndarray) -> tuple:
-        """The less-than job for msb(c - r), and the public bit completing it.
+    def _sign_job(self, c: np.ndarray, tables: np.ndarray, gate: tuple) -> tuple:
+        """The less-than job for msb(c - r).
 
         msb(c - r) = msb(c) XOR msb(r) XOR [low(c) < low(r)] over the low
         l-1 bits.  The dealer folded msb(r) into the comparison tables; the
-        public msb(c) enters on the model owner's side only.
+        public msb(c) flips the gate's opened f, on both sides.
         """
         low_bits = self.bitwidth - 1
-        top = (c >> _U64(low_bits)) & _U64(1) if self.party == 0 else _U64(0)
-        return (c & _U64((1 << low_bits) - 1), tables, low_bits), top
+        top = ((c >> _U64(low_bits)) & _U64(1)).astype(np.uint8)
+        return c & _U64((1 << low_bits) - 1), tables, gate, low_bits, top
 
     def relu_shares(self, x: np.ndarray, tag: int, layer: str,
                     neg: np.ndarray = None) -> np.ndarray:
@@ -290,12 +310,11 @@ class PartyEngine:
         """
         flat = x.reshape(-1)
         if neg is None:
-            r_arith, tables = self.material.take("cmp", flat.size)
+            r_arith, u, tables, abg = self.material.take("cmp", flat.size)
             c = self._open_words((flat + r_arith) & self.mask, tag, layer,
                                  "mask-open")
-            job, top = self._sign_job(c, tables)
-            neg = self.bits_to_arith(self.less_than_mask([job], tag, layer) ^ top,
-                                     tag, layer)
+            neg = self.less_than_mask([self._sign_job(c, tables, (abg, u))],
+                                      tag, layer)
         prod = self.beaver(flat, neg, tag, layer, kind="aux")
         return ((flat - prod) & self.mask).reshape(x.shape)
 
@@ -306,33 +325,29 @@ class PartyEngine:
         With ``sign`` it also returns an additive share of [signed(x) < 0]
         for the ReLU that reads the result (the shift keeps the sign).  That
         test consumes the ReLU's comparison tuple: x plus its mask is opened
-        in the same frame as the biased value, its 59-bit comparison joins
-        the borrow and wrap jobs, and its bit converts with theirs.
+        in the same frame as the biased value, and its 59-bit comparison
+        joins the borrow and wrap jobs.
         """
         s = self.plan.cfg.scale
         n = x.size
         flat = x.reshape(-1)
-        r_arith, r_shift, tables = self.material.take("trunc", n)
+        r_arith, r_shift, u, tables, abg = self.material.take("trunc", n)
         masked = np.empty(2 * n if sign else n, dtype=_U64)
         np.add(flat, r_arith, out=masked[:n])
         if self.party == 0:
             masked[:n] += _U64(1 << (self.bitwidth - 1))
         if sign:
-            q_arith, q_tables = self.material.take("cmp", n)
+            q_arith, q_u, q_tables, q_abg = self.material.take("cmp", n)
             np.add(flat, q_arith, out=masked[n:])
         masked &= self.mask
         opened = self._open_words(masked, tag, layer, "mask-open")
         c = opened[:n]
-        low_mask = _U64((1 << s) - 1)
         ds = lt_digits(s)
-        jobs = [(c & low_mask, tables[:, :ds], s), (c, tables[:, ds:], self.bitwidth)]
+        jobs = [(c & _U64((1 << s) - 1), tables[:, :ds], (abg[:, 0], u[:, 0]), s, 0),
+                (c, tables[:, ds:], (abg[:, 1], u[:, 1]), self.bitwidth, 0)]
         if sign:
-            job, top = self._sign_job(opened[n:], q_tables)
-            jobs.append(job)
-        bits = self.less_than_mask(jobs, tag, layer)
-        if sign:
-            bits[2 * n:] ^= top
-        arith = self.bits_to_arith(bits, tag, layer)
+            jobs.append(self._sign_job(opened[n:], q_tables, (q_abg, q_u)))
+        arith = self.less_than_mask(jobs, tag, layer)
         borrow, wrap = arith[:n], arith[n:2 * n]
         res = (_U64(1 << (self.bitwidth - s)) * wrap - r_shift - borrow) & self.mask
         if self.party == 0:
@@ -388,6 +403,12 @@ class PartyEngine:
     def run(self, input_share: np.ndarray) -> np.ndarray:
         """Execute every plan layer; returns this party's output share."""
         return run_plan(self.plan, input_share, self)[self.plan.output_name]
+
+
+def _split_as(flat: np.ndarray, arrays: list) -> list:
+    """Cut ``flat`` into consecutive pieces shaped like ``arrays``."""
+    ends = np.cumsum([a.size for a in arrays], dtype=np.intp)[:-1]
+    return [part.reshape(a.shape) for part, a in zip(np.split(flat, ends), arrays)]
 
 
 def _weight_shape(pl):

@@ -12,7 +12,8 @@ Set-up is the hello, then the output open and the sync end the session.
 Each hello carries a 16-byte seed: the client's weight shares expand from
 party 0's and party 0's input share from the client's, so no tensor is sent.
 Once the hellos agree, each party checks that its dealer file was made for
-its role and the graph, and aborts the session if not.
+its role and the graph from the session seed, and aborts the session if
+not.
 After the sync each party checks its own ledger, row by row, against the
 bytes and rounds the plan predicts (``check_ledger``).
 """
@@ -63,8 +64,9 @@ def handshake(engine: PartyEngine, seed: int) -> tuple:
     """Check version, ring, graph and seed; returns (own, peer's) share seed.
 
     Once the hellos agree, also check that this party's dealer material
-    was made for its role and this graph (MaterialError); a graph the peer
-    does not share fails first, as a HandshakeError.
+    was made for its role and this graph, and dealt from the session seed,
+    as every caller deals it (MaterialError); a graph the peer does not
+    share fails first, as a HandshakeError.
     """
     own_seed = engine.rng.bytes(16)
     mine = _hello_payload(engine.plan, seed, own_seed)
@@ -97,6 +99,10 @@ def handshake(engine: PartyEngine, seed: int) -> tuple:
     if m.graph_hash != ours[3]:
         engine.abort("material mismatch")
         raise MaterialError("dealer material was dealt for another graph")
+    if m.seed != seed:
+        engine.abort("material mismatch")
+        raise MaterialError(f"dealer material was dealt from seed {m.seed}, the "
+                            f"session runs from seed {seed}")
     return own_seed, peer_seed
 
 

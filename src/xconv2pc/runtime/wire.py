@@ -7,10 +7,12 @@ ledger counts payload bytes only; the 10 header bytes per frame are
 deliberately excluded so that measured traffic stays exactly proportional
 to the protocol's element counts.
 
-Protocol version 2; opcodes:
+Protocol version 3 (version 2's open-bool carried no gate words); opcodes:
   1 hello: version, ring, graph hash, seed commitment, 16-byte share seed
   2 open-masked-values: Beaver differences and masked values
-  3 open-bool: boolean-triple differences    4 open-output: one way
+  3 open-bool: boolean-triple differences, then the d, e, f words of
+    each comparison gate closing in that round
+  4 open-output: one way
   5 sync: empty, ends the session            6 abort: a UTF-8 reason
 
 To keep plain blocking sockets deadlock-free, the engine fixes the I/O
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 from ..errors import TransportError
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 OP_HELLO = 1
 OP_OPEN_MASKED = 2

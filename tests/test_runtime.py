@@ -40,6 +40,7 @@ from xconv2pc.ring import (
 from xconv2pc import plan as plan_mod
 from xconv2pc.runtime.material import (
     digit_tables,
+    gate_values,
     generate_material,
     load_material,
     prg,
@@ -50,6 +51,7 @@ from xconv2pc.runtime.material import (
 from xconv2pc.runtime import session
 from xconv2pc.runtime.protocol import (
     PartyEngine,
+    ProtocolAbort,
     _flat_slice,
     pack_bitplanes,
     unpack_bitplanes,
@@ -179,11 +181,12 @@ def test_material_version_1_rejected(tmp_path):
     p = tmp_path / "m.dlr"
     write_material(m0, str(p))
     blob = bytearray(p.read_bytes()[:-32])
-    assert blob[4] == 2
-    blob[4] = 1                         # a well-formed file of the old format
-    p.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
-    with pytest.raises(MaterialError, match="version 1"):
-        load_material(str(p))
+    assert blob[4] == 3
+    for old in (1, 2):                  # well-formed files of the old formats
+        blob[4] = old
+        p.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+        with pytest.raises(MaterialError, match=f"version {old}"):
+            load_material(str(p))
 
 
 @pytest.mark.parametrize("bit", [2, 12, 20])          # lt and eq entries; the
@@ -198,6 +201,33 @@ def test_material_table_bit_flip_detected(tmp_path, stream, bit):
     m1.arrays[stream][17, -1] ^= np.uint32(1 << bit)
     with pytest.raises(MaterialError, match="tables"):
         verify_material_pair(m0, m1, CFG)
+
+
+def test_material_verification_memory_is_bounded_by_its_sample():
+    import tracemalloc
+
+    big, small = 1 << 19, 1 << 17
+    plan = _StubPlan(mul=big, aux=big, trunc=small, cmp=small, bool_words=big)
+    m0, m1 = generate_material(plan, 110)
+    tracemalloc.start()
+    try:
+        verify_material_pair(m0, m1, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A whole triple stream is 4 MiB, the truncation gates' u stream 8 MiB;
+    # the 4,096-entry sample takes under 3 MiB.
+    assert peak < 4 * 2**20
+
+
+def test_material_gate_record_flip_detected():
+    plan = _StubPlan(trunc=50, cmp=50)
+    for name in ("trunc_gate", "cmp_gate", "trunc_u", "cmp_u"):
+        m0, m1 = generate_material(plan, 9)
+        flat = m1.arrays[name].reshape(-1)
+        flat[37] ^= flat.dtype.type(1)
+        with pytest.raises(MaterialError, match="gate records"):
+            verify_material_pair(m0, m1, CFG)
 
 
 def test_material_exhaustion_raises():
@@ -276,8 +306,7 @@ def test_secure_truncate_examples_and_bulk():
     words[1] = 2**60 - 1  # signed -1 ulp
     x = RingTensor(words, 60)
     x_sh = _split(x, rng)
-    req = dict(trunc=n, aux=2 * n,
-               bool_words=lt_bool_words(n, 23) + lt_bool_words(n, 60))
+    req = dict(trunc=n, bool_words=lt_bool_words(n, 23) + lt_bool_words(n, 60))
 
     def fn(engine):
         return engine.truncate_shares(x_sh[engine.party], 0, "t")
@@ -298,7 +327,7 @@ def test_secure_relu_examples_and_bulk():
     words[1] = 2**60 - 2**23    # encode(-1.0)
     x = RingTensor(words, 60)
     x_sh = _split(x, rng)
-    req = dict(cmp=n, aux=2 * n, bool_words=lt_bool_words(n, 59))
+    req = dict(cmp=n, aux=n, bool_words=lt_bool_words(n, 59))
 
     def fn(engine):
         return engine.relu_shares(x_sh[engine.party], 0, "t")
@@ -328,6 +357,15 @@ def _lt_edge_cases(n_bits, rng):
     return np.concatenate(cs), np.tile(r, len(cs))
 
 
+def _gate_shares(n, rng):
+    """Both parties' gate records for n elements, as the dealer draws them."""
+    abg = rng.integers(0, 8, size=n, dtype=np.uint8)
+    g0 = rng.integers(0, 8, size=n, dtype=np.uint8)
+    u = gate_values(abg)
+    u0 = rng.integers(0, 2**60, size=u.shape, dtype=np.uint64)
+    return (g0, u0), (abg ^ g0, (u - u0) & np.uint64(2**60 - 1))
+
+
 def _lt_jobs(widths, seed):
     """Per-party less-than jobs over dealer-shaped tables, with the clear answer."""
     rng = np.random.default_rng(seed)
@@ -336,8 +374,9 @@ def _lt_jobs(widths, seed):
         c, r = _lt_edge_cases(n_bits, rng)
         tab = digit_tables(r, n_bits)
         t0 = rng.integers(0, 2**32, size=tab.shape, dtype=np.uint32)
-        jobs[0].append((c, t0, n_bits))
-        jobs[1].append((c, tab ^ t0, n_bits))
+        gates = _gate_shares(c.size, rng)
+        jobs[0].append((c, t0, gates[0], n_bits, 0))
+        jobs[1].append((c, tab ^ t0, gates[1], n_bits, 0))
         want.append(c < r)
     return jobs, np.concatenate(want)
 
@@ -349,24 +388,65 @@ def test_less_than_edge_values(n_bits):
     plan = _StubPlan(bool_words=lt_bool_words(n, n_bits))
     r0, r1, e0, e1 = run_two(
         lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=n_bits)
-    assert np.array_equal(r0 ^ r1, want.astype(np.uint64))
-    levels = math.ceil(math.log2(lt_digits(n_bits)))
+    assert np.array_equal(_recon(r0, r1), want.astype(np.uint64))
+    # ceil(log2 digits) levels, the gate the last; a lone digit opens once.
+    levels = max(1, math.ceil(math.log2(lt_digits(n_bits))))
     for e in (e0, e1):
-        assert _layer_rounds(e.ledger, "t").get("bool-open", 0) == levels
+        assert _layer_rounds(e.ledger, "t") == {"bool-open": levels}
         assert e.material.cursors["bool"] == plan.requirements().bool_words
 
 
-def test_less_than_mixed_widths_share_four_rounds():
+def test_less_than_mixed_widths_share_four_rounds(monkeypatch):
     widths = (23, 59, 60)
     jobs, want = _lt_jobs(widths, seed=106)
     n = len(want) // len(widths)
     plan = _StubPlan(bool_words=sum(lt_bool_words(n, w) for w in widths))
+    gated = ([], [])
+    bool_open = PartyEngine._bool_open
+
+    def record(engine, xs, ys, gates, tag, layer):
+        gated[engine.party].append(len(gates))
+        return bool_open(engine, xs, ys, gates, tag, layer)
+
+    monkeypatch.setattr(PartyEngine, "_bool_open", record)
     r0, r1, e0, e1 = run_two(
         lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=107)
-    assert np.array_equal(r0 ^ r1, want.astype(np.uint64))
+    assert np.array_equal(_recon(r0, r1), want.astype(np.uint64))
+    # The 23-bit borrow (6 digits) gates at level 3 beside an AND level of
+    # the others; the 59- and 60-bit jobs (15 digits) gate at level 4.
+    assert gated == ([0, 0, 1, 2], [0, 0, 1, 2])
+    words = -(-n // 64)
     for e in (e0, e1):
         assert _layer_rounds(e.ledger, "t") == {"bool-open": 4}
+        assert e.ledger.bytes_for("t", "bool-open") == (
+            16 * plan.requirements().bool_words + 24 * 3 * words)
         assert e.material.cursors["bool"] == plan.requirements().bool_words
+
+
+def test_gate_truth_table_over_every_input():
+    # One element per (L, E, R, p), each bit shared at random: L and E are
+    # the hi digit's lt and eq, R the lo digit's lt, p the public flip.
+    rng = np.random.default_rng(108)
+    combos = np.array([(l, e, r, p) for l in (0, 1) for e in (0, 1)
+                       for r in (0, 1) for p in (0, 1)], dtype=np.uint32)
+    L, E, R, P = combos.T
+    # Rows that hold the wanted bit at every entry, whatever the digit c_j.
+    ones = np.uint32(0xFFFF)
+    lo = R * ones
+    hi = L * ones | (E * ones) << np.uint32(16)
+    tab = np.stack([lo, hi], axis=1)
+    t0 = rng.integers(0, 2**32, size=tab.shape, dtype=np.uint32)
+    c = rng.integers(0, 256, size=len(combos), dtype=np.uint64)
+    g0, g1 = _gate_shares(len(combos), rng)
+    p = P.astype(np.uint8)
+    jobs = ([(c, t0, g0, 8, p)], [(c, tab ^ t0, g1, 8, p)])
+    r0, r1, e0, e1 = run_two(
+        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), _StubPlan(), seed=109)
+    assert np.array_equal(_recon(r0, r1), (L ^ (E & R) ^ P).astype(np.uint64))
+    for e in (e0, e1):
+        # d, e and f: three words for the 16 elements, in one round.
+        assert _layer_rounds(e.ledger, "t") == {"bool-open": 1}
+        assert e.ledger.bytes_for("t", "bool-open") == 24
 
 
 # -- secure sessions -----------------------------------------------------------------
@@ -614,12 +694,12 @@ def test_depthwise_conv_and_relu_exact_rounds():
     run = secure_infer_local(b.build(), _random_input((1, 4, 8, 8), 71), seed=72)
     assert np.array_equal(run.output.words, run.clear_reference.words)
     for led in (run.model.ledger, run.client.ledger):
-        # One open serves all four groups, then a 6-round truncation that
+        # One open serves all four groups, then a 5-round truncation that
         # also tests the ReLU's sign; the ReLU keeps only its sign-bit
         # product.  Set-up sends no shares: the session row is the hello,
         # the output open and the sync.
         assert _layer_rounds(led, "dw") == {
-            "mul-open": 1, "mask-open": 1, "bool-open": 4, "aux-open": 1}
+            "mul-open": 1, "mask-open": 1, "bool-open": 4}
         assert _layer_rounds(led, "session") == {
             "hello": 1, "output-open": 1, "sync": 1}
         assert {layer for layer, _ in led.entries} == {"session", "dw", "r", "mix"}
@@ -677,7 +757,7 @@ def _client_rounds_from_plan(plan):
 
 @pytest.mark.parametrize("backbone,variant,size,total", [
     ("toynet", CellVariant.DENSE, 16, None),
-    ("shufflenetv2", CellVariant.XOP, 32, 405),
+    ("shufflenetv2", CellVariant.XOP, 32, 350),
 ])
 def test_client_rounds_follow_the_plan(backbone, variant, size, total):
     g = model_zoo(backbone, variant, size, seed=90)
@@ -712,11 +792,11 @@ def test_maxpool_tree_rounds_and_bits():
     b.maxpool("p3", p2, 3, 2)
     run = _run_with_cursor_check(b.build(), _random_input((1, 3, 9, 9), 94), 95)
     for led in (run.model.ledger, run.client.ledger):
-        # ceil(log2 4) = 2 and ceil(log2 9) = 4 levels of one 7-round relu.
+        # ceil(log2 4) = 2 and ceil(log2 9) = 4 levels of one 6-round relu.
         assert _layer_rounds(led, "p2") == {
-            "mask-open": 2, "bool-open": 8, "aux-open": 4}
+            "mask-open": 2, "bool-open": 8, "aux-open": 2}
         assert _layer_rounds(led, "p3") == {
-            "mask-open": 4, "bool-open": 16, "aux-open": 8}
+            "mask-open": 4, "bool-open": 16, "aux-open": 4}
 
 
 # -- sign tests folded into the truncation ----------------------------------------
@@ -786,7 +866,7 @@ def test_relu_not_fused_with_second_reader_or_on_the_input():
     for led in (run.model.ledger, run.client.ledger):
         for name in ("r0", "r"):
             assert _layer_rounds(led, name) == {
-                "mask-open": 1, "bool-open": 4, "aux-open": 2}, name
+                "mask-open": 1, "bool-open": 4, "aux-open": 1}, name
 
 
 @pytest.fixture
@@ -843,8 +923,9 @@ def test_handshake_rejects_version_1_and_unknown_versions(old):
     plan = build_plan(model_zoo("toynet", CellVariant.DENSE, 16, seed=47),
                       with_weights=False)
     hello = session._hello_payload(plan, 48, bytes(16))
-    # Version 1's hello is the same fields without the share seed, 44 bytes.
-    bad = struct.pack("<H", 1 if old else 3) + hello[2:44 if old else None]
+    # Version 1's hello is the same fields without the share seed, 44 bytes;
+    # version 2's has this layout but opens no comparison gates.
+    bad = struct.pack("<H", 1 if old else 2) + hello[2:44 if old else None]
     assert len(bad) == (44 if old else 60)
     t0, t1 = QueueTransport.pair()
     peer = PartyEngine(0, plan, t0, None, rng_seed=48)
@@ -944,16 +1025,19 @@ def test_set_up_sends_no_share_frames(transport, monkeypatch):
 @pytest.mark.parametrize("transport", ["queue", "tcp"])
 def test_both_parties_catch_a_conversion_split_in_two_opens(transport, monkeypatch):
     # Same bits, same triples, one more round: only the ledger check sees it.
+    # The split is relu1's sign-bit product, its one auxiliary open.
     from xconv2pc.runtime.session import run_client_party, run_model_party
 
-    convert = PartyEngine.bits_to_arith
+    beaver = PartyEngine.beaver
 
-    def in_halves(engine, bits, tag, layer):
-        h = bits.size // 2
-        return np.concatenate([convert(engine, bits[:h], tag, layer),
-                               convert(engine, bits[h:], tag, layer)])
+    def in_halves(engine, x, y, tag, layer, kind="mul"):
+        if layer != "relu1":
+            return beaver(engine, x, y, tag, layer, kind)
+        h = x.size // 2
+        return np.concatenate([beaver(engine, x[:h], y[:h], tag, layer, kind),
+                               beaver(engine, x[h:], y[h:], tag, layer, kind)])
 
-    monkeypatch.setattr(PartyEngine, "bits_to_arith", in_halves)
+    monkeypatch.setattr(PartyEngine, "beaver", in_halves)
     t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=52)
     plan0 = build_plan(g, with_weights=True)
@@ -977,9 +1061,9 @@ def test_both_parties_catch_a_conversion_split_in_two_opens(transport, monkeypat
         t.close()
     assert not th.is_alive()
     assert m0.cursors == m1.cursors
-    want = session.expected_ledger(plan0, 0)["conv1", "aux-open"][0]
+    want = session.expected_ledger(plan0, 0)["relu1", "aux-open"][0]
     for p in (0, 1):
-        assert errors[p] == (f"party {p} ledger at conv1/aux-open: predicted "
+        assert errors[p] == (f"party {p} ledger at relu1/aux-open: predicted "
                              f"{want} B in 1 rounds, measured {want} B in 2 rounds")
 
 
@@ -1013,3 +1097,61 @@ def test_session_rejects_material_dealt_for_another_graph():
     with pytest.raises(MaterialError, match="another graph"):
         secure_infer_local(g, _random_input(g.input_shape, 8), seed=7,
                            materials=materials)
+
+
+@pytest.mark.parametrize("transport", ["queue", "tcp"])
+def test_session_rejects_material_from_two_dealer_seeds(transport):
+    # Each file is right for its party and the graph, but party 1's was
+    # dealt from another seed; run, the output would be silently wrong.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=7)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 7)[0], generate_material(plan0, 8)[1]
+    x = encode_fixed(_random_input(g.input_shape, 8), g.cfg)
+    t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
+    errors = {}
+
+    def model_side():
+        try:
+            run_model_party(plan0, t0, m0, 7)
+        except Exception as e:
+            errors["model"] = e
+
+    th = threading.Thread(target=model_side, daemon=True)
+    th.start()
+    with pytest.raises(MaterialError, match="dealt from seed 8, the session runs "
+                                            "from seed 7"):
+        run_client_party(plan1, t1, m1, 7, x)
+    th.join(timeout=30)
+    for t in (t0, t1):
+        t.close()
+    assert not th.is_alive()
+    assert isinstance(errors.get("model"), ProtocolAbort)
+    assert "material mismatch" in str(errors["model"])
+    # In process the client's own error is the root cause that is raised.
+    with pytest.raises(MaterialError, match="seed 8"):
+        secure_infer_local(g, _random_input(g.input_shape, 8), seed=7,
+                           materials=(m0, generate_material(plan0, 8)[1]))
+
+
+def test_session_meets_the_bench_inference_checks():
+    # The benchmark rejects an inference on any of these; a sixth cursor
+    # kind or a renamed requirement fails here first.
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import harness
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=111)
+    plan = build_plan(g, with_weights=True)
+    m0, m1 = generate_material(plan, 112)
+    run = secure_infer_local(g, _random_input(g.input_shape, 113), seed=112,
+                             materials=(m0, m1))
+    assert harness.expected_cursors(plan) == m0.cursors == m1.cursors
+    assert harness.check_inference(plan, run.output.words,
+                                   run.clear_reference.words, run.client.ledger,
+                                   run.model.ledger,
+                                   (m0.cursors, m1.cursors)) == []

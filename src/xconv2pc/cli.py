@@ -488,10 +488,10 @@ def compare(backbones, variants, with_wino, size, seed, baseline):
                 pairs.append((bb.strip(), CellVariant.parse(var), True))
     rows = compare_variants(pairs, input_size=size, baseline=baseline, seed=seed,
                             graph_hook=lambda g: rewrite_winograd(g)[0])
-    click.echo(f"{'mnemonic':<10}{'mults':>16}{'est bytes':>18}{'reduction':>12}")
+    click.echo(f"{'mnemonic':<10} {'mults':>16} {'est_bytes':>22} {'reduction':>10}")
     for r in rows:
-        click.echo(f"{r.mnemonic:<10}{r.mults:>16,}{r.est_bytes:>18,.0f}"
-                   f"{r.reduction_vs_baseline:>11.2f}x")
+        click.echo(f"{r.mnemonic:<10} {r.mults:>16,} {r.est_bytes:>22,.0f} "
+                   f"{r.reduction_vs_baseline:>9.2f}x")
 
 
 if __name__ == "__main__":

@@ -88,8 +88,8 @@ def estimate_comm(graph: Graph) -> CommEstimate:
     """Per-layer byte estimate: modeled multiplications plus engine bytes.
 
     Each party sends 8 B per opened mask (one per truncated or compared
-    element), 16 B per auxiliary triple and boolean word (two opened words
-    each) and 24 B per gate word (three): exactly the engine's
+    element), 16 B per auxiliary triple (two opened words), 8 B per opened
+    merge word and 40 B per gate word (five): exactly the engine's
     non-multiplication bytes for the layer, though a ReLU fused into a
     truncation books them under the truncating layer.
     """
@@ -97,8 +97,8 @@ def estimate_comm(graph: Graph) -> CommEstimate:
     totals = {CONV: 0.0, OTHER_LINEAR: 0.0, NONLINEAR: 0.0}
     for layer, fp in _footprints(graph):
         engine_bytes = (8 * (fp["trunc_elems"] + fp["cmp_elems"])
-                        + 16 * (fp["aux_triples"] + fp["bool_words"])
-                        + 24 * fp["gate_words"])
+                        + 16 * fp["aux_triples"] + 8 * fp["open_words"]
+                        + 40 * fp["gate_words"])
         est = fp["mults"] * BYTES_PER_MULT + engine_bytes
         category = _category(layer.kind)
         totals[category] += est

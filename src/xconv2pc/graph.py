@@ -88,12 +88,6 @@ class Graph:
             raise ShapeError(f"graph must have exactly one output, found {outputs}")
         self.output_name = outputs[0]
 
-    def layer(self, name: str) -> LayerSpec:
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
-
     def structural_hash(self) -> str:
         """Digest of the public architecture (weights excluded)."""
         doc = {

@@ -18,9 +18,10 @@ construction, which is the equivalence the whole artifact is built
 around.
 
 Resource counts (multiplications, truncated elements, comparisons,
-auxiliary triples, boolean triple words, gate words) depend only on
-shapes and attributes, never on weight values, so the weight-less party
-derives the same schedule from the public architecture.  ``footprint`` computes them
+auxiliary triples, merge-record words, opened merge words, gate words)
+depend only on shapes and attributes, never on weight values, so the
+weight-less party derives the same schedule from the public
+architecture.  ``footprint`` computes them
 for one layer, for the plan and the cost model alike, and
 ``predict_ledger`` turns them into the bytes and rounds every run books.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,31 +64,56 @@ def lt_digits(n_bits: int) -> int:
     return -(-n_bits // DIGIT_BITS)
 
 
-def lt_bool_words(n_elems: int, n_bits: int) -> int:
-    """Packed boolean-triple words one digit-table less-than consumes.
+MERGE_DIGITS = 5   # most digits one group merges in a merge open
+MERGE_RECORD = 62  # dealer words per merged group and 64 elements: 10 masks, 52 products
 
-    Each tree level pairs adjacent digit groups, lowest first (an odd top
-    group carries over), and ANDs eq_hi with lt_lo and with eq_lo.  The
-    lowest group's eq is never read, so a level of p pairs costs 2p - 1
-    ANDs per 64-element word.  The last level, two groups or a lone one,
-    is a dealer gate instead (``lt_gate_words``), so it takes no triple.
-    The plan, the dealer and the online engine all size from these
-    functions and ``lt_digits``, so consumption always lands exactly.
+
+class LtCost(NamedTuple):
+    """What one digit-table less-than over a batch consumes and sends."""
+
+    bool_words: int  # merge-record words of the dealer's boolean stream
+    open_words: int  # packed words of masked digit bits opened to merge
+    gate_words: int  # packed words per gate input; the gate opens five
+    rounds: int      # merge opens, then the gate's
+
+
+def merge_groups(units: int) -> tuple:
+    """Digit counts, lowest first, of the groups one merge open forms.
+
+    At most three groups are left for the gate when ``units`` is at most
+    15, and groups hold at most MERGE_DIGITS digits.  The lowest group is
+    filled first: it opens no eq, and a group of one digit opens nothing,
+    so this opens the fewest bits (6 digits: 4, 1, 1; 15 digits: 5, 5, 5).
     """
-    ands, groups = 0, lt_digits(n_bits)
-    while groups > 2:
-        pairs = groups // 2
-        ands += 2 * pairs - 1
-        groups -= pairs
-    return ands * lt_gate_words(n_elems)
+    groups = max(3, -(-units // MERGE_DIGITS))
+    sizes = []
+    for left in range(groups - 1, -1, -1):
+        sizes.append(min(MERGE_DIGITS, units - sum(sizes) - left))
+    return tuple(sizes)
 
 
-def lt_gate_words(n_elems: int) -> int:
-    """Packed words per opened gate bit of one less-than: one per 64 elements.
+def lt_cost(n_elems: int, n_bits: int) -> LtCost:
+    """The one sizing of a digit-table less-than over n_elems elements.
 
-    The gate opens three such words (d, e and f) in the tree's last round.
+    While more than three digit groups are left, one open merges them (see
+    ``merge_groups``): each group of two or more digits takes one merge
+    record per 64-element word and opens its masked lt and eq bits, 2k per
+    k-digit group, less the lowest group's unread eq.  Then the gate
+    closes the last three groups in one open.  So 4 to 15 digits take 2
+    rounds and at most 3 digits take 1.  The plan, the dealer and the
+    online engine all size from this function, so consumption always
+    lands exactly.
     """
-    return -(-n_elems // 64)
+    words = -(-n_elems // 64)
+    units, merged, opened, rounds = lt_digits(n_bits), 0, 0, 1
+    while units > 3:
+        sizes = merge_groups(units)
+        for i, k in enumerate(sizes):
+            if k > 1:
+                merged += 1
+                opened += 2 * k - (i == 0)
+        units, rounds = len(sizes), rounds + 1
+    return LtCost(MERGE_RECORD * words * merged, words * opened, words, rounds)
 
 
 def _sign_batches(kind: str, attrs: dict, out_elems: int) -> list:
@@ -108,17 +135,19 @@ def _sign_batches(kind: str, attrs: dict, out_elems: int) -> list:
 def footprint(kind: str, attrs: dict, out_shape: tuple, cfg: FixedPointConfig) -> dict:
     """Dealer material one layer consumes, from its kind, attributes and shape.
 
-    Returns mults, trunc_elems, cmp_elems, aux_triples, bool_words and
-    gate_words.  A truncated element takes two comparisons (borrow and
-    wrap), a compared one a sign test; each comparison ends in a dealer
-    gate that yields its bit as an additive share, and a compared element
-    spends one auxiliary triple on its sign-bit product.  Boolean and gate
-    words are sized per batch so the packed word rounding matches the
-    online consumption.  A batchnorm, left only in an unfolded graph,
-    counts one secret scaling per element plus a truncation.
+    Returns mults, trunc_elems, cmp_elems, aux_triples and the ``lt_cost``
+    fields bool_words, open_words and gate_words.  A truncated element
+    takes two comparisons (borrow and wrap), a compared one a sign test;
+    each comparison ends in a dealer gate that yields its bit as an
+    additive share, and a compared element spends one auxiliary triple on
+    its sign-bit product.  Comparisons are sized per batch so the packed
+    word rounding matches the online consumption.  A batchnorm, left only
+    in an unfolded graph, counts one secret scaling per element plus a
+    truncation.
     """
     out_elems = math.prod(out_shape)
-    mults = trunc = cmp = bool_words = gate_words = 0
+    mults = trunc = cmp = 0
+    lts = []
     if kind == "conv2d":
         k = attrs["kernel"]
         per_pos = out_shape[0] * attrs["out_channels"] * (
@@ -138,16 +167,15 @@ def footprint(kind: str, attrs: dict, out_shape: tuple, cfg: FixedPointConfig) -
     elif kind in ("relu", "maxpool"):
         batches = _sign_batches(kind, attrs, out_elems)
         cmp = sum(batches)
-        bool_words = sum(lt_bool_words(m, cfg.bitwidth - 1) for m in batches)
-        gate_words = sum(lt_gate_words(m) for m in batches)
+        lts = [lt_cost(m, cfg.bitwidth - 1) for m in batches]
     elif kind not in ("shuffle", "add", "concat"):
         raise ShapeError(f"cannot plan layer kind {kind!r}")
     if trunc:
-        bool_words += (lt_bool_words(trunc, cfg.scale)
-                       + lt_bool_words(trunc, cfg.bitwidth))
-        gate_words += 2 * lt_gate_words(trunc)
-    return {"mults": mults, "trunc_elems": trunc, "cmp_elems": cmp,
-            "aux_triples": cmp, "bool_words": bool_words, "gate_words": gate_words}
+        lts = [lt_cost(trunc, cfg.scale), lt_cost(trunc, cfg.bitwidth)]
+    fp = {"mults": mults, "trunc_elems": trunc, "cmp_elems": cmp, "aux_triples": cmp}
+    for key in ("bool_words", "open_words", "gate_words"):
+        fp[key] = sum(getattr(c, key) for c in lts)
+    return fp
 
 
 @dataclass
@@ -164,6 +192,7 @@ class PlanLayer:
     cmp_elems: int = 0
     aux_triples: int = 0
     bool_words: int = 0
+    open_words: int = 0
     gate_words: int = 0
     relu_sign: bool = False  # truncation also yields its sole reader ReLU's sign
     payload: dict = field(default_factory=dict)  # ring weights, party-0 side only
@@ -327,25 +356,16 @@ def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
 BEAVER_CHUNK = 1 << 22  # elements per opened Beaver batch; caps peak memory
 
 
-def _lt_rounds(n_bits: int) -> int:
-    """Open rounds of a digit-table less-than over n_bits.
-
-    ceil(log2 digits) tree levels, the last of them the gate; a one-digit
-    comparison still opens its gate once.
-    """
-    return max(1, (lt_digits(n_bits) - 1).bit_length())
-
-
 def predict_ledger(plan: FixedPlan) -> dict:
     """(bytes sent, rounds) of every nonzero (layer, op) ledger row of a run.
 
     Every layer row is a symmetric open, so both parties book the same.
-    Per row, from the footprint:
+    Per row:
 
       mul-open   16 B per multiplication, one round per BEAVER_CHUNK
       mask-open  8 B per masked element, one round per batch
-      bool-open  16 B per boolean word and 24 B per gate word, the rounds
-                 of the widest comparison in the batch
+      bool-open  8 B per opened merge word and 40 B per gate word, the
+                 rounds of the widest comparison in the batch (``lt_cost``)
       aux-open   16 B per auxiliary triple, one round per BEAVER_CHUNK of
                  each sign-bit product
 
@@ -366,25 +386,25 @@ def predict_ledger(plan: FixedPlan) -> dict:
     def chunks(n):
         return -(-n // BEAVER_CHUNK)
 
-    def compare(layer, bool_words, gate_words, n_bits):
-        book(layer, "bool-open", 16 * bool_words + 24 * gate_words,
-             _lt_rounds(n_bits))
+    def compare(layer, n, widths):
+        lts = [lt_cost(n, w) for w in widths]
+        book(layer, "bool-open", sum(8 * c.open_words + 40 * c.gate_words for c in lts),
+             max(c.rounds for c in lts))
 
     signed = {pl.name for pl in plan.layers if pl.relu_sign}
     for pl in plan.layers:
         book(pl.name, "mul-open", 16 * pl.mults, chunks(pl.mults))
         if pl.trunc_elems:
-            cmp = pl.trunc_elems if pl.relu_sign else 0
-            book(pl.name, "mask-open", 8 * (pl.trunc_elems + cmp), 1)
-            compare(pl.name, pl.bool_words + lt_bool_words(cmp, sign_bits),
-                    pl.gate_words + lt_gate_words(cmp), cfg.bitwidth)
+            n = pl.trunc_elems
+            book(pl.name, "mask-open", 8 * n * (1 + pl.relu_sign), 1)
+            compare(pl.name, n, (cfg.scale, cfg.bitwidth)
+                    + ((sign_bits,) if pl.relu_sign else ()))
         if pl.kind == "relu" and pl.inputs[0] in signed:
             book(pl.name, "aux-open", 16 * pl.cmp_elems, chunks(pl.cmp_elems))
         elif pl.kind in ("relu", "maxpool"):
             for m in _sign_batches(pl.kind, pl.attrs, math.prod(pl.out_shape)):
                 book(pl.name, "mask-open", 8 * m, 1)
-                compare(pl.name, lt_bool_words(m, sign_bits), lt_gate_words(m),
-                        sign_bits)
+                compare(pl.name, m, (sign_bits,))
                 book(pl.name, "aux-open", 16 * m, chunks(m))
     return rows
 

@@ -69,11 +69,6 @@ class RingTensor:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_raw(cls, words: np.ndarray, bitwidth: int) -> "RingTensor":
-        """Wrap arbitrary uint64 data, masking it into the ring."""
-        return cls(mask_words(np.asarray(words, dtype=_WORD), bitwidth), bitwidth)
-
-    @classmethod
     def from_signed(cls, values: np.ndarray, bitwidth: int) -> "RingTensor":
         """Encode int64 values two's-complement into the ring."""
         arr = np.asarray(values, dtype=np.int64)

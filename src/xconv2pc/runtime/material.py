@@ -13,7 +13,8 @@ per party holding five kinds of sequential streams:
 4. comparison tuples: an additive sharing of a fresh mask r, XOR-shared
    digit tables for the sign test against its low l-1 bits, and one gate
    record,
-5. boolean triples as packed 64-bit words for the digit trees' AND levels.
+5. merge records: 62 XOR-shared 64-bit words each, one per merged digit
+   group and 64 compared elements.
 
 A digit table is one 32-bit word per DIGIT_BITS-bit digit r_j of the
 compared mask bits, lowest digit first: bit v of its low half is
@@ -21,17 +22,27 @@ compared mask bits, lowest digit first: bit v of its low half is
 its shares at the public digit c_j, which sends nothing (the dealer's
 form of a one-out-of-16 OT).  A comparison tuple's sign test also needs
 msb(r); the dealer XORs it into every entry of the top digit's lt row,
-which the digit tree carries linearly to its result.
+which the merge and the gate carry linearly to the result.
 
-A gate record evaluates a digit tree's last level, lt = L ^ (E & R), in
-one open and with an additive result (a one-time truth table, Ishai et
-al., TCC 2013).  It holds XOR shares of three fresh bits a, b and g (bits
-0, 1 and 2 of one byte) and additive shares of the four ring values
-u_de = g ^ ((d ^ a) & (e ^ b)), indexed 2d + e.  Once d = E ^ a, e = R ^ b
-and f = L ^ g are open, lt = f ^ u_de = f + (1 - 2f) u_de.
+A merge record serves one group of up to five digits (0 the lowest):
+ten fresh mask bits per element, those of L0..L4 and E0..E4, each packed
+over 64 elements, and the 52 products of mask subsets that
+lt = L4 ^ E4 L3 ^ ... ^ E4 E3 E2 E1 L0 and eq = E4 E3 E2 E1 E0 expand
+into (``MERGE_SUBSETS``; a mask is the first word of its subset block).
+A group of k < 5 digits reads the record's top k digits; the lowest
+group of a comparison reads no E0, so it reads 9 masks and 37 products.
+Records do not depend on which group takes them, so the dealer needs
+only their count.
 
-Format version 3; version 2 had no gate records and converted each
-comparison bit through an auxiliary triple.  Identical seeds give
+A gate record closes a comparison in one open with an additive result.
+It holds XOR shares of five fresh bits in one byte, the masks of the
+gate inputs L0, E1, L1 and E2 (bits 0 to 3) and g (bit 4), and
+additive shares of the 16 ring values u_v = g ^ h(v ^ masks), h(L0, E1,
+L1, E2) = E2 (L1 ^ E1 L0).  Once f = L2 ^ g and v are open,
+lt = f ^ u_v = f + (1 - 2f) u_v.
+
+Format version 4; version 3 held three-bit gates with four u values and
+AND triples for a pairwise digit tree.  Identical seeds give
 byte-identical files.  Both parties consume with lockstep cursors;
 running past the end raises, and a file whose trailing digest does not
 match its contents is rejected before any use.
@@ -48,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MaterialError
-from ..plan import DIGIT_BITS, FixedPlan, lt_digits
+from ..plan import DIGIT_BITS, MERGE_DIGITS, MERGE_RECORD, FixedPlan, lt_digits
 from ..ring import FixedPointConfig
 
 _U64 = np.uint64
@@ -57,7 +68,7 @@ _U8 = np.uint8
 _ROW = 1 << DIGIT_BITS  # bits per table row; lt and eq rows share a 32-bit word
 
 MATERIAL_MAGIC = b"DLR1"
-MATERIAL_VERSION = 3
+MATERIAL_VERSION = 4
 # magic, version, party, table digits per truncation unit and per
 # comparison tuple, seed, graph hash, element count per cursor kind.
 _HEADER = struct.Struct("<4sBBBBQ32s5Q")
@@ -68,12 +79,12 @@ _STREAMS = (("mul_a", "mul"), ("mul_b", "mul"), ("mul_c", "mul"),
             ("aux_a", "aux"), ("aux_b", "aux"), ("aux_c", "aux"),
             ("trunc_r", "trunc"), ("trunc_shift", "trunc"), ("trunc_u", "trunc"),
             ("cmp_r", "cmp"), ("cmp_u", "cmp"),
-            ("bool_a", "bool"), ("bool_b", "bool"), ("bool_c", "bool"),
+            ("bool_merge", "bool"),
             ("trunc_tab", "trunc"), ("cmp_tab", "cmp"),
             ("trunc_gate", "trunc"), ("cmp_gate", "cmp"))
 # dtype and the shape of one entry where it is not a single ring word; the
 # tables' width comes from the header.
-_ENTRY = {"trunc_u": ("<u8", (2, 4)), "cmp_u": ("<u8", (4,)),
+_ENTRY = {"trunc_u": ("<u8", (2, 16)), "cmp_u": ("<u8", (16,)),
           "trunc_tab": ("<u4", None), "cmp_tab": ("<u4", None),
           "trunc_gate": ("u1", (2,)), "cmp_gate": ("u1", ())}
 _KINDS = ("mul", "aux", "trunc", "cmp", "bool")
@@ -152,8 +163,8 @@ def select_table_bits(tables: np.ndarray, c: np.ndarray, n_bits: int) -> np.ndar
 def _sign_tables(r: np.ndarray, bitwidth: int) -> np.ndarray:
     """Tables for [low(c) < low(r)] XOR msb(r) over the low bitwidth-1 bits.
 
-    The digit tree is linear in the top digit's lt, so msb(r) XORed into
-    every entry of that row lands on the result.
+    The merge and the gate are linear in the top digit's lt, so msb(r)
+    XORed into every entry of that row lands on the result.
     """
     low = bitwidth - 1
     tab = digit_tables(r, low)
@@ -163,17 +174,62 @@ def _sign_tables(r: np.ndarray, bitwidth: int) -> np.ndarray:
     return tab
 
 
-def gate_bits(abg: np.ndarray) -> tuple:
-    """A gate record's bytes -> its bits a, b and g, as 0/1 bytes."""
-    return tuple((abg >> _U8(k)) & _U8(1) for k in range(3))
+def gate_bits(rec: np.ndarray) -> tuple:
+    """A gate record's bytes -> its five bits, as 0/1 bytes: the masks of
+    the gate inputs L0, E1, L1 and E2 (bits 0 to 3), then g."""
+    return tuple((rec >> _U8(k)) & _U8(1) for k in range(5))
 
 
-def gate_values(abg: np.ndarray) -> np.ndarray:
-    """(...) gate bytes -> (..., 4) ring values u_de = g ^ ((d ^ a) & (e ^ b))."""
-    a, b, g = (bit[..., None] for bit in gate_bits(abg))
-    d = np.array([0, 0, 1, 1], dtype=np.uint8)
-    e = np.array([0, 1, 0, 1], dtype=np.uint8)
-    return (g ^ ((d ^ a) & (e ^ b))).astype(_U64)
+def gate_values(rec: np.ndarray) -> np.ndarray:
+    """(...) gate bytes -> (..., 16) ring values u_v = g ^ h(v ^ masks).
+
+    h(L0, E1, L1, E2) = E2 & (L1 ^ (E1 & L0)), the input bits of v from
+    bit 0 up: the lt of three digit groups, less the top group's lt.
+    """
+    w = np.arange(16, dtype=_U8) ^ (rec[..., None] & _U8(15))
+    h = (w >> _U8(3)) & ((w >> _U8(2)) ^ ((w >> _U8(1)) & w)) & _U8(1)
+    return (h ^ (rec[..., None] >> _U8(4))).astype(_U64)
+
+
+def _merge_subsets() -> tuple:
+    """(l, a) for each merge-record word: the product of the mask of L_l
+    (none when l = 5) and the masks of the E digits in bitmask a.
+
+    Over five digits, 0 the lowest, lt = L4 ^ E4 L3 ^ E4 E3 L2 ^ E4 E3 E2 L1
+    ^ E4 E3 E2 E1 L0 and eq = E4 E3 E2 E1 E0 have these non-empty mask
+    subsets: one L_t with any set of E above it, and any set of E.  They
+    are grouped by their lowest digit t, top digit first, L_t's before
+    E_t's; the first of each half is the mask itself.
+    """
+    out = []
+    for t in range(MERGE_DIGITS - 1, -1, -1):
+        above = range(0, 1 << MERGE_DIGITS, 1 << (t + 1))
+        out += [(t, a) for a in above] + [(MERGE_DIGITS, a | 1 << t) for a in above]
+    return tuple(out)
+
+
+MERGE_SUBSETS = _merge_subsets()
+assert len(MERGE_SUBSETS) == MERGE_RECORD
+_SUB_L, _SUB_A = (np.array(col) for col in zip(*MERGE_SUBSETS))
+# Record words of the ten masks themselves: L0..L4, then E0..E4.
+MERGE_MASKS = np.array([MERGE_SUBSETS.index((t, 0)) for t in range(MERGE_DIGITS)]
+                       + [MERGE_SUBSETS.index((MERGE_DIGITS, 1 << t))
+                          for t in range(MERGE_DIGITS)])
+
+
+def e_products(e: np.ndarray) -> np.ndarray:
+    """(5, ...) words -> (32, ...): at index a, the AND of the rows in bitmask a."""
+    out = np.full((1,) + e.shape[1:], ~_U64(0))
+    for row in e:
+        out = np.concatenate([out, out & row])
+    return out
+
+
+def merge_products(masks: np.ndarray) -> np.ndarray:
+    """(10, ...) masks of L0..L4 and E0..E4 -> (62, ...) merge-record words."""
+    ones = np.full((1,) + masks.shape[1:], ~_U64(0))
+    heads = np.concatenate([masks[:MERGE_DIGITS], ones])
+    return e_products(masks[MERGE_DIGITS:])[_SUB_A] & heads[_SUB_L]
 
 
 def generate_material(plan: FixedPlan, seed: int) -> tuple:
@@ -193,10 +249,10 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
         return s0, tab ^ s0
 
     def gate_pair(shape, rng, prefix):
-        abg = rng.integers(0, 8, size=shape, dtype=_U8)
-        s0 = rng.integers(0, 8, size=shape, dtype=_U8)
-        p0[f"{prefix}_gate"], p1[f"{prefix}_gate"] = s0, abg ^ s0
-        p0[f"{prefix}_u"], p1[f"{prefix}_u"] = arith_pair(gate_values(abg), rng)
+        rec = rng.integers(0, 32, size=shape, dtype=_U8)
+        s0 = rng.integers(0, 32, size=shape, dtype=_U8)
+        p0[f"{prefix}_gate"], p1[f"{prefix}_gate"] = s0, rec ^ s0
+        p0[f"{prefix}_u"], p1[f"{prefix}_u"] = arith_pair(gate_values(rec), rng)
 
     p0, p1 = {}, {}
 
@@ -231,12 +287,13 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     gate_pair(req.cmp_tuples, rng, "cmp")
 
     rng = prg(seed, 5)
-    wa = uniform(rng, req.bool_words, 64)
-    wb = uniform(rng, req.bool_words, 64)
-    wc = wa & wb
-    for name, vals in (("bool_a", wa), ("bool_b", wb), ("bool_c", wc)):
-        s0 = uniform(rng, vals.shape, 64)
-        p0[name], p1[name] = s0, vals ^ s0
+    records, rest = divmod(req.bool_words, MERGE_RECORD)
+    if rest:
+        raise MaterialError(f"{req.bool_words} boolean words are not whole "
+                            f"{MERGE_RECORD}-word merge records")
+    words = merge_products(uniform(rng, (2 * MERGE_DIGITS, records), 64)).T.reshape(-1)
+    s0 = uniform(rng, words.shape, 64)
+    p0["bool_merge"], p1["bool_merge"] = s0, words ^ s0
 
     return MaterialStore(0, seed, ghash, p0), MaterialStore(1, seed, ghash, p1)
 
@@ -335,9 +392,10 @@ def verify_material_pair(m0: MaterialStore, m1: MaterialStore,
         if not np.array_equal(gate_values(xor(f"{prefix}_gate")), recon(f"{prefix}_u")):
             raise MaterialError(f"{prefix} gate records are not the truth tables "
                                 f"of their bits")
-    ba, bb, bc = (xor(f"bool_{s}") for s in "abc")
-    if not np.array_equal(ba & bb, bc):
-        raise MaterialError("boolean triples do not reconstruct to AND")
+    words = xor("bool_merge")
+    rec = words[:len(words) // MERGE_RECORD * MERGE_RECORD].reshape(-1, MERGE_RECORD).T
+    if not np.array_equal(merge_products(rec[MERGE_MASKS]), rec):
+        raise MaterialError("merge records are not the products of their masks")
 
 
 def _rows_match(tab: np.ndarray, r: np.ndarray, n_bits: int, flip=0) -> bool:

@@ -20,22 +20,30 @@ Sign-dependent steps (activation, pooling, faithful truncation) open a
 masked value and then evaluate "public-constant < dealer-mask" from
 dealer digit tables (CrypTFlow2's millionaires' protocol with the
 oblivious transfers replaced by one-time truth tables): each party
-selects its shares of [c_j < r_j] and [c_j = r_j] at every public 4-bit
-digit c_j, which sends nothing, and a logarithmic tree of AND rounds on
-packed 64-element words combines the digits, one boolean triple word per
-AND word.  The tree's last level, lt = L ^ (E & R), is a dealer gate
-whose output is already an additive share: the parties open d = E ^ a,
-e = R ^ b and f = L ^ g for fresh dealer bits a, b, g, and finish
-locally from the dealer's additive shares of u_de = g ^ ((d^a) & (e^b))
-as f + (1 - 2f) u_de.  No round is spent converting the bit.  Every
-consumption count is a pure function of layer shapes, so both parties
-and the dealer agree on cursor positions by construction.
+selects its shares of L_j = [c_j < r_j] and E_j = [c_j = r_j] at every
+public 4-bit digit c_j, which sends nothing.  The digits then combine in
+two opens on packed 64-element words, whatever the width up to 60 bits.
+The first open merges groups of up to five digits, lowest first,
+  lt = L4 ^ E4 L3 ^ E4 E3 L2 ^ E4 E3 E2 L1 ^ E4 E3 E2 E1 L0,
+  eq = E4 E3 E2 E1 E0,
+as multi-input AND gates with preprocessing (ABY2.0, Patra et al.,
+USENIX Security 2021): each digit bit is opened masked by a fresh dealer
+bit, and each monomial is then a local XOR of public products of the
+opened bits with the dealer's XOR shares of the mask products.  The
+second open is a dealer gate on the three groups left (a one-time truth
+table, Ishai et al., TCC 2013): lt = L2 ^ h(L0, E1, L1, E2), so the
+parties open f = L2 ^ g and the masked 4-bit v and finish locally from
+the dealer's additive shares of u_v = g ^ h(v ^ masks), as
+f + (1 - 2f) u_v.  No round is spent converting the bit, and a
+comparison of at most 3 digits needs the gate alone.  Every consumption
+count is a pure function of layer shapes, so both parties and the dealer
+agree on cursor positions by construction.
 
 Round costs follow from the plan: ``plan.predict_ledger`` gives every
 layer's bytes and rounds per op, and each session checks its ledger
-against it.  A truncation takes 5 rounds (the mask open, then 4 tree
-levels), an unfused ReLU or a maxpool tree level 6 (its sign-bit product
-adds one), and a ReLU fused into the truncation it reads 1.
+against it.  A truncation takes 3 rounds (the mask open, the merge and
+the gate), an unfused ReLU or a maxpool tree level 4 (its sign-bit
+product adds one), and a ReLU fused into the truncation it reads 1.
 
 Exactness notes, all modulo 2^l with x' = x + 2^(l-1):
   floor(unsigned(x') / 2^s) = (c >> s) - (r >> s) - [c mod 2^s < r mod 2^s]
@@ -49,8 +57,17 @@ import numpy as np
 
 from .. import plan as plan_mod
 from ..errors import TransportError, XConvError
-from ..plan import FixedPlan, lt_digits, run_plan
-from .material import MaterialStore, gate_bits, prg, select_table_bits, uniform
+from ..plan import MERGE_DIGITS, MERGE_RECORD, FixedPlan, lt_digits, merge_groups, run_plan
+from .material import (
+    MERGE_MASKS,
+    MERGE_SUBSETS,
+    MaterialStore,
+    e_products,
+    gate_bits,
+    prg,
+    select_table_bits,
+    uniform,
+)
 from .wire import (
     OP_ABORT,
     OP_OPEN_BOOL,
@@ -202,46 +219,81 @@ class PartyEngine:
 
     # -- boolean circuit -------------------------------------------------------
 
-    def _bool_open(self, xs: list, ys: list, gates: list, tag: int,
-                   layer: str) -> tuple:
-        """One boolean open: ANDs of XOR-shared words and opened gate words.
+    def _open_bool(self, words: np.ndarray, tag: int, layer: str) -> np.ndarray:
+        """Open XOR-shared (masked) words in one frame."""
+        flat = np.ascontiguousarray(words, dtype="<u8")
+        peer = self.exchange(OP_OPEN_BOOL, tag, flat.tobytes(), layer, "bool-open")
+        return flat ^ np.frombuffer(peer, dtype="<u8").reshape(flat.shape)
 
-        Every (x, y) pair of the two lists is ANDed through boolean
-        triples, and each array of ``gates`` (masked shares) is opened as
-        it is; all go into one frame.  Returns the AND results and the
-        opened gate arrays, each with its input's shape.
+    def _merge(self, groups: list, tag: int, layer: str) -> tuple:
+        """One merge open: shares of each digit group's lt and eq.
+
+        ``groups`` holds (lt, eq, lowest): (k, W) share words of k >= 2
+        digits, lowest first.  A group takes one merge record per word
+        (``material.MERGE_SUBSETS``), its digits at the record's top k.
+        Each digit bit x it reads is opened as X = x ^ m for the record's
+        mask m; then every monomial of lt and eq, a product of x = X ^ m,
+        expands into a XOR of public products of X with the record's
+        shares of the mask products, so no further message is needed.
+        Mask words of digits a group lacks, or of the lowest group's
+        unread E, are zeroed, and those digits enter as the public L = 0,
+        E = 1.  Returns each group's (lt, eq) words.
         """
-        xf = np.concatenate([np.empty(0, _U64)] + [x.reshape(-1) for x in xs])
-        yf = np.concatenate([np.empty(0, _U64)] + [y.reshape(-1) for y in ys])
-        n = xf.size
-        a, b, c = self.material.take("bool", n)
-        flat = np.concatenate([xf ^ a, yf ^ b] + [g.reshape(-1) for g in gates])
-        payload = flat.astype("<u8", copy=False).tobytes()
-        peer = self.exchange(OP_OPEN_BOOL, tag, payload, layer, "bool-open")
-        opened = flat ^ np.frombuffer(peer, dtype="<u8")
-        d, e = opened[:n], opened[n:2 * n]
-        z = c ^ (d & b) ^ (e & a)
-        if self.party == 0:
-            z = z ^ (d & e)
-        return _split_as(z, xs), _split_as(opened[2 * n:], gates)
+        d = MERGE_DIGITS
+        n = sum(lt.shape[1] for lt, _, _ in groups)
+        (words,) = self.material.take("bool", MERGE_RECORD * n)
+        rec = words.reshape(n, MERGE_RECORD).T.copy()
+        x = np.zeros((2 * d, n), _U64)
+        read = np.zeros((2 * d, n), bool)
+        pos = 0
+        for lt, eq, lowest in groups:
+            k, w = lt.shape
+            cols = slice(pos, pos + w)
+            x[d - k:d, cols], x[2 * d - k:, cols] = lt, eq
+            read[d - k:d, cols] = read[2 * d - k + lowest:, cols] = True
+            rec[(_READS & ~read[:, pos]).any(axis=1), cols] = 0
+            pos += w
+        mine = (x ^ rec[MERGE_MASKS])[read]
+        public = np.zeros_like(x)
+        public[d:] = ~_U64(0)
+        public[read] = self._open_bool(mine, tag, layer)
+
+        # Coefficient of each mask product (the empty one first) in lt and
+        # eq: the public product of the monomial's other bits.
+        prod_e = np.concatenate([e_products(public[d:]), np.zeros((1, n), _U64)])
+        below = [np.zeros(n, _U64)]     # lt of the public bits under digit t
+        for t in range(d):
+            below.append(public[t] ^ (public[d + t] & below[-1]))
+        below.append(np.full(n, ~_U64(0)))
+        shares = np.concatenate([np.full((1, n), ~_U64(0) if self.party == 0 else 0,
+                                         _U64), rec])
+        lt = prod_e[_LT_E]
+        lt &= np.stack(below)[_LT_B]
+        lt &= shares
+        eq = prod_e[_EQ_E]
+        eq &= shares
+        ends = np.cumsum([g[0].shape[1] for g in groups])[:-1]
+        return list(zip(np.split(np.bitwise_xor.reduce(lt), ends),
+                        np.split(np.bitwise_xor.reduce(eq), ends)))
 
     def less_than_mask(self, jobs: list, tag: int, layer: str) -> np.ndarray:
         """Additive shares of [c < r] XOR flip for each job.
 
         A job is (c_pub, tables, gate, n_bits, flip): this party's share of
         the dealer's digit tables for the low n_bits of r, its gate record
-        (bytes of a, b, g bits and the (N, 4) u shares) and a public bit
+        (bytes of five mask bits and the (N, 16) u shares) and a public bit
         flip (0 or per element).  Selecting at each public digit c_j gives
         shares of [c_j < r_j] and [c_j = r_j] without a message (see
-        ``material.select_table_bits``).  The bits are packed into
-        64-element words, and a tree merges adjacent digit groups, lowest
-        first: lt = lt_hi ^ (eq_hi & lt_lo), eq = eq_hi & eq_lo.  The lowest
-        group's eq is never read, so it is not computed.  The last level,
-        two groups (L = lt_hi, E = eq_hi, R = lt_lo) or a lone one (E = R =
-        0), is the gate: d = E ^ a, e = R ^ b and f = L ^ g are opened, and
-        ``bits_to_arith`` finishes f ^ flip ^ u_de locally.  All jobs share
-        each level's open, so the rounds are those of the widest job alone.
-        Returns the jobs' shares concatenated in job order.
+        ``material.select_table_bits``), packed into 64-element words.
+        While a job has more than three digit groups, one open merges them
+        in groups of up to five (``plan.merge_groups``, ``_merge``).  The
+        gate then closes the three left, lowest first (L0), (L1, E1) and
+        (L2, E2), as lt = L2 ^ h(L0, E1, L1, E2): f = L2 ^ g and v =
+        (L0, E1, L1, E2) ^ masks are opened, and ``bits_to_arith``
+        finishes f ^ flip ^ u_v locally.  A job with fewer groups enters
+        zeros for the missing lower ones.  All jobs share each open, so
+        the rounds are those of the widest job alone.  Returns the jobs'
+        shares concatenated in job order.
         """
         lts, eqs = [], []
         for c_pub, tables, _, n_bits, _ in jobs:
@@ -249,33 +301,37 @@ class PartyEngine:
             lts.append(lt)
             eqs.append(eq)
 
-        out = [None] * len(jobs)
-        while any(o is None for o in out):
-            tree = [j for j, lt in enumerate(lts) if len(lt) > 2]
-            last = [j for j, o in enumerate(out) if o is None and len(lts[j]) <= 2]
-            xs, ys, gates = [], [], []
-            for j in tree:
-                pairs = len(lts[j]) // 2
-                xs += [eqs[j][1:2 * pairs:2], eqs[j][3:2 * pairs:2]]
-                ys += [lts[j][0:2 * pairs:2], eqs[j][2:2 * pairs:2]]
-            for j in last:
-                lt, eq = lts[j], eqs[j]
-                zero = np.zeros_like(lt[0])
-                fde = (lt[1], eq[1], lt[0]) if len(lt) == 2 else (lt[0], zero, zero)
-                a, b, g = gate_bits(jobs[j][2][0])
-                gates.append(np.stack(fde) ^ pack_bitplanes(np.stack([g, a, b])))
-            anded, opened = self._bool_open(xs, ys, gates, tag, layer)
-            for k, j in enumerate(tree):
-                lt, eq = lts[j], eqs[j]
-                pairs = len(lt) // 2
-                lts[j] = np.concatenate([lt[1:2 * pairs:2] ^ anded[2 * k],
-                                         lt[2 * pairs:]])
-                eqs[j] = np.concatenate([eq[:1], anded[2 * k + 1], eq[2 * pairs:]])
-            for j, words in zip(last, opened):
-                c_pub, _, (_, u), _, flip = jobs[j]
-                f, d, e = unpack_bitplanes(words, c_pub.size)
-                u_de = u[np.arange(c_pub.size), 2 * d + e]
-                out[j] = self.bits_to_arith(f ^ flip, u_de)
+        while any(len(lt) > 3 for lt in lts):
+            todo = [(j, merge_groups(len(lt))) for j, lt in enumerate(lts) if len(lt) > 3]
+            groups = []
+            for j, sizes in todo:
+                for i, lo, k in _spans(sizes):
+                    if k > 1:
+                        groups.append((lts[j][lo:lo + k], eqs[j][lo:lo + k], i == 0))
+            merged = iter(self._merge(groups, tag, layer))
+            for j, sizes in todo:
+                units = [next(merged) if k > 1 else (lts[j][lo], eqs[j][lo])
+                         for _, lo, k in _spans(sizes)]
+                lts[j], eqs[j] = (np.stack(rows) for rows in zip(*units))
+
+        gates = []
+        for (c_pub, _, (rec, _), _, _), lt, eq in zip(jobs, lts, eqs):
+            rows = np.zeros((5, lt.shape[1]), _U64)        # L0, E1, L1, E2, L2
+            for (row_lt, row_eq), i in zip(((4, 3), (2, 1), (0, None)),
+                                           range(len(lt) - 1, -1, -1)):
+                rows[row_lt] = lt[i]
+                if row_eq is not None:
+                    rows[row_eq] = eq[i]
+            gates.append(rows ^ pack_bitplanes(np.stack(gate_bits(rec))))
+        opened = self._open_bool(np.concatenate(gates, axis=1), tag, layer)
+
+        out, pos = [], 0
+        for (c_pub, _, (_, u), _, flip), rows in zip(jobs, gates):
+            w = rows.shape[1]
+            bits = unpack_bitplanes(opened[:, pos:pos + w], c_pub.size)
+            pos += w
+            v = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
+            out.append(self.bits_to_arith(bits[4] ^ flip, u[np.arange(c_pub.size), v]))
         return np.concatenate(out)
 
     def bits_to_arith(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -405,10 +461,39 @@ class PartyEngine:
         return run_plan(self.plan, input_share, self)[self.plan.output_name]
 
 
-def _split_as(flat: np.ndarray, arrays: list) -> list:
-    """Cut ``flat`` into consecutive pieces shaped like ``arrays``."""
-    ends = np.cumsum([a.size for a in arrays], dtype=np.intp)[:-1]
-    return [part.reshape(a.shape) for part, a in zip(np.split(flat, ends), arrays)]
+def _spans(sizes: tuple):
+    """(index, first digit, digits) of each group of ``sizes``, lowest first."""
+    lo = 0
+    for i, k in enumerate(sizes):
+        yield i, lo, k
+        lo += k
+
+
+def _merge_tables() -> tuple:
+    """Index tables of ``PartyEngine._merge``, one row per mask product.
+
+    Rows are the empty product, then ``MERGE_SUBSETS``.  Product L_l E_a
+    sits only in L_l's monomial of lt, with coefficient the public product
+    of the E above l outside a.  Product E_a, lowest digit t, sits in
+    every lt monomial L_s E_(s+1..) with s < t, so its coefficient is the
+    public product of the E from t up outside a times the public lt of the
+    digits under t (``below[t]``); in eq its coefficient is the public
+    product of the E outside a.  Index 32 of the E products is zero, and
+    ``below[6]`` all ones.  Last, the digit bits each product reads.
+    """
+    d, full = MERGE_DIGITS, (1 << MERGE_DIGITS) - 1
+    lt_e, lt_b, eq_e = [], [], []
+    for l, a in ((d, 0),) + MERGE_SUBSETS:
+        t = l + 1 if l < d else (a & -a).bit_length() - 1 if a else d
+        lt_e.append(full & ~((1 << t) - 1) ^ a)
+        lt_b.append(d + 1 if l < d else t)
+        eq_e.append(full + 1 if l < d else full ^ a)
+    reads = np.array([[l == v for v in range(d)] + [a >> e & 1 for e in range(d)]
+                      for l, a in MERGE_SUBSETS], bool)
+    return np.array(lt_e), np.array(lt_b), np.array(eq_e), reads
+
+
+_LT_E, _LT_B, _EQ_E, _READS = _merge_tables()
 
 
 def _weight_shape(pl):

@@ -7,11 +7,12 @@ ledger counts payload bytes only; the 10 header bytes per frame are
 deliberately excluded so that measured traffic stays exactly proportional
 to the protocol's element counts.
 
-Protocol version 3 (version 2's open-bool carried no gate words); opcodes:
+Protocol version 4 (version 3's open-bool carried the AND differences of
+a pairwise digit tree and three-word gates); opcodes:
   1 hello: version, ring, graph hash, seed commitment, 16-byte share seed
   2 open-masked-values: Beaver differences and masked values
-  3 open-bool: boolean-triple differences, then the d, e, f words of
-    each comparison gate closing in that round
+  3 open-bool: the masked digit bits of a merge round, or the f and v
+    words of every comparison gate
   4 open-output: one way
   5 sync: empty, ends the session            6 abort: a UTF-8 reason
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 from ..errors import TransportError
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 OP_HELLO = 1
 OP_OPEN_MASKED = 2

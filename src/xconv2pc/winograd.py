@@ -175,10 +175,6 @@ class TilingPlan:
     beta2: int      # tiled transform multiplications tiles^2 * n^2
     gamma: float    # beta2 / multiplications without padding the last tile
 
-    def gamma_first_order(self) -> float:
-        """First-order padding-overhead bound 1 + 2(1 - k/n)/tiles."""
-        return 1.0 + 2.0 * (1.0 - self.k / self.n) / self.tiles
-
 
 def mult_counts(m_out: int, k: int, n: int) -> TilingPlan:
     """Multiplication counts for an m_out x m_out output, k x k filter, n x n tiles."""

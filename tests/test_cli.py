@@ -32,6 +32,11 @@ from xconv2pc.zoo import model_zoo
 CHILD_TIMEOUT = 120
 
 
+def _spec(g, name):
+    """The graph's layer spec called ``name``."""
+    return next(l for l in g.layers if l.name == name)
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -97,7 +102,7 @@ def test_winograd_command_writes_graph_and_report(runner, toynet_file, tmp_path)
     assert result.exit_code == 0, result.output
     assert "skipped (stride)" in result.output
     rewritten = load_graph(str(out))
-    assert rewritten.layer("conv2").attrs["winograd"] is True
+    assert _spec(rewritten, "conv2").attrs["winograd"] is True
     rows = json.loads(rep.read_text())
     by = {r["layer"]: r for r in rows}
     assert by["conv1"]["reason"] == "stride"
@@ -111,7 +116,7 @@ def test_winograd_forced_tiles(runner, toynet_file, tmp_path):
     result = runner.invoke(main, ["winograd", "--graph", toynet_file,
                                   "--tiles", "4", "--out", str(out)])
     assert result.exit_code == 0
-    assert load_graph(str(out)).layer("conv2").attrs["tile"] == 4
+    assert _spec(load_graph(str(out)), "conv2").attrs["tile"] == 4
 
 
 def test_infer_and_verify_roundtrip(runner, toynet_file, tmp_path):
@@ -245,6 +250,18 @@ def test_compare_command(runner):
     assert "1.00x" in result.output
 
 
+def test_compare_default_table_keeps_its_columns_apart(runner):
+    # RD's 10.3 TB estimate once ran into its mults column.
+    result = runner.invoke(main, ["compare"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 21
+    for line in lines:
+        assert len(line.split()) == 4, line
+    rd = next(line.split() for line in lines if line.startswith("RD "))
+    assert rd[1] == "8,359,116,800"
+
+
 @pytest.mark.slow
 def test_local_three_process_run_matches_infer(tmp_path, toynet_file, child_kwargs):
     out = tmp_path / "secure.rtv"
@@ -285,7 +302,7 @@ def test_local_three_process_run_matches_infer(tmp_path, toynet_file, child_kwar
 def test_handshake_mismatch_exit_code(tmp_path, child_kwargs):
     g1 = model_zoo("toynet", CellVariant.DENSE, 16, seed=3)
     g2 = model_zoo("toynet", CellVariant.DENSE, 16, seed=3)
-    g2.layer("fc").attrs["bias"] = False
+    _spec(g2, "fc").attrs["bias"] = False
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_graph(g1, str(p1))
     save_graph(g2, str(p2))

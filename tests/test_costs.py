@@ -80,14 +80,18 @@ def test_estimate_mult_component_is_1_2288_gb():
     (report,) = estimate_comm(g).reports
     assert report.mults * BYTES_PER_MULT == pytest.approx(1.2288e9)
     # The rest is the truncation of the 250,000 outputs: 8 B per masked
-    # element, 16 B per boolean word and 24 B per gate word, one word of
-    # 64 elements for each of the two comparisons.
+    # element, 8 B per opened merge word and 40 B per gate word, one word
+    # of 64 elements for each of the two comparisons.  The merge opens 7
+    # bits of the 23-bit borrow (6 digits as 4, 1, 1) and 29 of the 60-bit
+    # wrap (15 digits as 5, 5, 5).
     trunc = report.extra["trunc_elems"]
+    words = -(-trunc // 64)
     assert trunc == 250_000 and report.extra["aux_triples"] == 0
-    assert report.extra["gate_words"] == 2 * -(-trunc // 64)
+    assert report.extra["gate_words"] == 2 * words
+    assert report.extra["open_words"] == (7 + 29) * words
     assert report.est_bytes - 1.2288e9 == pytest.approx(
-        8 * trunc + 16 * report.extra["bool_words"]
-        + 24 * report.extra["gate_words"])
+        8 * trunc + 8 * report.extra["open_words"]
+        + 40 * report.extra["gate_words"])
 
 
 def test_densenet_conv_share_of_linear_bytes():

@@ -19,6 +19,7 @@ from xconv2pc.ring import (
     decode_fixed,
     deserialize_tensor,
     encode_fixed,
+    mask_words,
     ring_add,
     ring_mul,
     ring_sub,
@@ -27,6 +28,11 @@ from xconv2pc.ring import (
 )
 
 CFG = FixedPointConfig()  # bitwidth 60, scale 23
+
+
+def from_raw(words, bitwidth: int) -> RingTensor:
+    """Wrap arbitrary uint64 data, masking it into the ring."""
+    return RingTensor(mask_words(np.asarray(words, dtype=np.uint64), bitwidth), bitwidth)
 
 
 def signed_oracle(v: int, l: int) -> int:
@@ -64,8 +70,8 @@ def test_encode_pixel_mean_constant():
 
 
 def test_decode_trivial():
-    assert decode_fixed(RingTensor.from_raw(np.array([2**23]), 60), CFG) == 1.0
-    assert decode_fixed(RingTensor.from_raw(np.array([2**60 - 2**23]), 60), CFG) == -1.0
+    assert decode_fixed(from_raw(np.array([2**23]), 60), CFG) == 1.0
+    assert decode_fixed(from_raw(np.array([2**60 - 2**23]), 60), CFG) == -1.0
 
 
 def test_roundtrip_error_bound():
@@ -86,8 +92,8 @@ def test_encode_overflow_rejected():
 
 
 def test_add_wraparound():
-    a = RingTensor.from_raw(np.array([2**60 - 1]), 60)
-    b = RingTensor.from_raw(np.array([1]), 60)
+    a = from_raw(np.array([2**60 - 1]), 60)
+    b = from_raw(np.array([1]), 60)
     assert int(ring_add(a, b).words[0]) == 0
 
 
@@ -147,12 +153,12 @@ def test_masking_invariant_never_exceeds_modulus():
 
 
 def test_truncate_power():
-    t = RingTensor.from_raw(np.array([2**46]), 60)
+    t = from_raw(np.array([2**46]), 60)
     assert int(truncate_signed(t, 23).words[0]) == 2**23
 
 
 def test_truncate_minus_one_ulp_floors():
-    t = RingTensor.from_raw(np.array([2**60 - 1]), 60)  # signed -1
+    t = from_raw(np.array([2**60 - 1]), 60)  # signed -1
     assert int(truncate_signed(t, 23).words[0]) == 2**60 - 1  # floor(-1/2^23) = -1
 
 
@@ -196,7 +202,7 @@ def test_truncated_product_matches_rational_oracle():
 def test_truncate_property(word, s):
     import math
 
-    t = RingTensor.from_raw(np.array([word], dtype=np.uint64), 60)
+    t = from_raw(np.array([word], dtype=np.uint64), 60)
     got = int(truncate_signed(t, s).words[0])
     sv = signed_oracle(word, 60)
     # Plain rational-floor oracle, no bit tricks.

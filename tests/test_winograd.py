@@ -32,6 +32,16 @@ from xconv2pc.winograd import (
 from xconv2pc.zoo import model_zoo
 
 
+def gamma_first_order(p) -> float:
+    """First-order padding-overhead bound 1 + 2(1 - k/n)/tiles of a tiling plan."""
+    return 1.0 + 2.0 * (1.0 - p.k / p.n) / p.tiles
+
+
+def _spec(g, name):
+    """The graph's layer spec called ``name``."""
+    return next(l for l in g.layers if l.name == name)
+
+
 def rational_transform_1d(basis, x, w):
     n, r, m = basis.n, basis.r, basis.m
     btx = [sum(Fraction(basis.b_t[a][b]) * x[b] for b in range(n)) for a in range(n)]
@@ -110,7 +120,7 @@ def test_paper_scale_constants_318():
     assert p.last_tile == 4
     assert abs(p.gamma - (480 / 478) ** 2) < 1e-12
     assert p.gamma == pytest.approx(1.00840, abs=5e-5)
-    assert p.gamma <= p.gamma_first_order() == pytest.approx(1.0125)
+    assert p.gamma <= gamma_first_order(p) == pytest.approx(1.0125)
 
 
 def test_single_tile_degenerate_case():
@@ -160,7 +170,7 @@ def test_gamma_exact_ratio_and_remainder_bound(m_out, k, n):
     # remainder x^2(3-2x)/(1-x)^2, which stays under 8x^2 while x <= 1/2.
     x_max = (1.0 - k / n) / p.tiles
     if x_max <= 0.5:
-        assert p.gamma <= p.gamma_first_order() + 8.0 * x_max * x_max + 1e-12
+        assert p.gamma <= gamma_first_order(p) + 8.0 * x_max * x_max + 1e-12
 
 
 def test_gamma_below_first_order_in_operating_regime():
@@ -170,7 +180,7 @@ def test_gamma_below_first_order_in_operating_regime():
         for m_out in range(6, 321):
             p = mult_counts(m_out, 3, n)
             if p.last_tile > 3:
-                assert p.gamma <= p.gamma_first_order() + 1e-12, (m_out, n)
+                assert p.gamma <= gamma_first_order(p) + 1e-12, (m_out, n)
 
 
 # -- kernels ----------------------------------------------------------------------
@@ -229,7 +239,7 @@ def _fixed_transform_conv(xs, ws, n, cfg):
     b.conv("c", INPUT, ws.shape[1], ws.shape[0], ws.shape[-1], padding=1, bias=False)
     b.weights["c.weight"] = ws
     g, _ = rewrite_winograd(b.build(), candidates=(n,))
-    assert g.layer("c").attrs["tile"] == n
+    assert _spec(g, "c").attrs["tile"] == n
     return execute_plan_clear(build_plan(g), encode_fixed(xs, cfg))
 
 
@@ -288,13 +298,13 @@ def test_rewrite_toynet_skips_stem_for_stride():
     assert not by_layer["conv1"].eligible
     assert by_layer["conv1"].reason == "stride"
     assert by_layer["conv2"].eligible
-    assert rw.layer("conv2").attrs["winograd"] is True
+    assert _spec(rw, "conv2").attrs["winograd"] is True
 
 
 def test_rewrite_forced_tile():
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
     rw, decisions = rewrite_winograd(g, candidates=(4,))
-    assert rw.layer("conv2").attrs["tile"] == 4
+    assert _spec(rw, "conv2").attrs["tile"] == 4
 
 
 def test_rewrite_pointwise_only_graph_is_untouched():

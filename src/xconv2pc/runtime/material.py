@@ -233,7 +233,12 @@ def merge_products(masks: np.ndarray) -> np.ndarray:
 
 
 def generate_material(plan: FixedPlan, seed: int) -> tuple:
-    """Dealer preprocessing for one session; returns both parties' stores."""
+    """Dealer preprocessing for one session; returns both parties' stores.
+
+    Party 0's share of each value array is drawn and subtracted (or XORed)
+    into the array in place, which becomes party 1's share; what derives
+    from the values is computed first, and the PRG draws keep their order.
+    """
     req = plan.requirements()
     cfg = plan.cfg
     mask = _U64(cfg.mask)
@@ -241,49 +246,49 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
 
     def arith_pair(values, rng):
         s0 = uniform(rng, values.shape, cfg.bitwidth)
-        s1 = (values - s0) & mask
-        return s0, s1
+        values -= s0
+        values &= mask
+        return s0, values
 
     def table_pair(tab, rng):
         s0 = rng.integers(0, 1 << 32, size=tab.shape, dtype=_U32, endpoint=False)
-        return s0, tab ^ s0
+        tab ^= s0
+        return s0, tab
 
     def gate_pair(shape, rng, prefix):
         rec = rng.integers(0, 32, size=shape, dtype=_U8)
         s0 = rng.integers(0, 32, size=shape, dtype=_U8)
-        p0[f"{prefix}_gate"], p1[f"{prefix}_gate"] = s0, rec ^ s0
-        p0[f"{prefix}_u"], p1[f"{prefix}_u"] = arith_pair(gate_values(rec), rng)
+        u = gate_values(rec)
+        rec ^= s0
+        p0[f"{prefix}_gate"], p1[f"{prefix}_gate"] = s0, rec
+        p0[f"{prefix}_u"], p1[f"{prefix}_u"] = arith_pair(u, rng)
 
     p0, p1 = {}, {}
 
-    rng = prg(seed, 1)
-    a = uniform(rng, req.mul_triples, cfg.bitwidth)
-    b = uniform(rng, req.mul_triples, cfg.bitwidth)
-    c = (a * b) & mask
-    for name, vals in (("mul_a", a), ("mul_b", b), ("mul_c", c)):
-        p0[name], p1[name] = arith_pair(vals, rng)
-
-    rng = prg(seed, 2)
-    a = uniform(rng, req.aux_triples, cfg.bitwidth)
-    b = uniform(rng, req.aux_triples, cfg.bitwidth)
-    c = (a * b) & mask
-    for name, vals in (("aux_a", a), ("aux_b", b), ("aux_c", c)):
-        p0[name], p1[name] = arith_pair(vals, rng)
+    for domain, prefix, n in ((1, "mul", req.mul_triples), (2, "aux", req.aux_triples)):
+        rng = prg(seed, domain)
+        a = uniform(rng, n, cfg.bitwidth)
+        b = uniform(rng, n, cfg.bitwidth)
+        c = a * b
+        c &= mask
+        for name, vals in zip("abc", (a, b, c)):
+            p0[f"{prefix}_{name}"], p1[f"{prefix}_{name}"] = arith_pair(vals, rng)
 
     rng = prg(seed, 3)
     r = uniform(rng, req.trunc_units, cfg.bitwidth)
     shifted = r >> _U64(cfg.scale)
-    p0["trunc_r"], p1["trunc_r"] = arith_pair(r, rng)
-    p0["trunc_shift"], p1["trunc_shift"] = arith_pair(shifted, rng)
     tab = np.concatenate([digit_tables(r, cfg.scale), digit_tables(r, cfg.bitwidth)],
                          axis=1)
+    p0["trunc_r"], p1["trunc_r"] = arith_pair(r, rng)
+    p0["trunc_shift"], p1["trunc_shift"] = arith_pair(shifted, rng)
     p0["trunc_tab"], p1["trunc_tab"] = table_pair(tab, rng)
     gate_pair((req.trunc_units, 2), rng, "trunc")
 
     rng = prg(seed, 4)
     r = uniform(rng, req.cmp_tuples, cfg.bitwidth)
+    tab = _sign_tables(r, cfg.bitwidth)
     p0["cmp_r"], p1["cmp_r"] = arith_pair(r, rng)
-    p0["cmp_tab"], p1["cmp_tab"] = table_pair(_sign_tables(r, cfg.bitwidth), rng)
+    p0["cmp_tab"], p1["cmp_tab"] = table_pair(tab, rng)
     gate_pair(req.cmp_tuples, rng, "cmp")
 
     rng = prg(seed, 5)
@@ -293,7 +298,8 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
                             f"{MERGE_RECORD}-word merge records")
     words = merge_products(uniform(rng, (2 * MERGE_DIGITS, records), 64)).T.reshape(-1)
     s0 = uniform(rng, words.shape, 64)
-    p0["bool_merge"], p1["bool_merge"] = s0, words ^ s0
+    words ^= s0
+    p0["bool_merge"], p1["bool_merge"] = s0, words
 
     return MaterialStore(0, seed, ghash, p0), MaterialStore(1, seed, ghash, p1)
 

@@ -14,7 +14,8 @@ locally and appear in the ledger as explicit zero-byte rows.  Secret
 multiplications run over preprocessed triples: both parties open masked
 differences (two ring elements, 16 bytes, per multiplication per party)
 and finish locally, so a layer's multiplication traffic is exactly
-16 bytes times its multiplication count.
+16 bytes times its multiplication count.  Every open sends its share
+array as the frame payload, uncopied and never written after the send.
 
 Sign-dependent steps (activation, pooling, faithful truncation) open a
 masked value and then evaluate "public-constant < dealer-mask" from
@@ -80,6 +81,7 @@ from .wire import (
 )
 
 _U64 = np.uint64
+_SLICE = 1 << 16  # elements per step of a Beaver chunk's local work
 
 
 class ProtocolAbort(XConvError):
@@ -124,7 +126,7 @@ class PartyEngine:
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(100 + party,)))
         self.bitwidth = plan.cfg.bitwidth
         self.mask = _U64(plan.cfg.mask)
-        self._weight_shares = {}
+        self._weight_seed, self._weight_index = None, {}
 
     # -- framing ------------------------------------------------------------
 
@@ -146,8 +148,7 @@ class PartyEngine:
         self.ledger.record_recv(layer, op, len(frame.payload))
         return frame
 
-    def exchange(self, opcode: int, tag: int, payload: bytes, layer: str,
-                 op: str) -> bytes:
+    def exchange(self, opcode: int, tag: int, payload, layer: str, op: str):
         """Symmetric opening: model owner writes first, client reads first."""
         frame = Frame(opcode, tag, payload)
         if self.party == 0:
@@ -180,7 +181,7 @@ class PartyEngine:
     def _open_words(self, shares: np.ndarray, tag: int, layer: str,
                     op: str) -> np.ndarray:
         flat = np.ascontiguousarray(shares, dtype="<u8")
-        peer = self.exchange(OP_OPEN_MASKED, tag, flat.tobytes(), layer, op)
+        peer = self.exchange(OP_OPEN_MASKED, tag, flat, layer, op)
         other = np.frombuffer(peer, dtype="<u8").reshape(flat.shape)
         return (flat + other) & self.mask
 
@@ -189,9 +190,11 @@ class PartyEngine:
         """Pairwise secret multiplication of equal-shape share arrays.
 
         ``kind`` names the triple stream, "mul" or "aux", and the ledger op
-        is its open.  Inputs may be broadcast views; chunks materialize one
-        slice at a time, keeping peak memory independent of the
-        multiplication count.
+        is its open.  Inputs may be broadcast views.  Each ``BEAVER_CHUNK``
+        of m products writes x - a and y - b into one fresh (2m,) payload,
+        sent as it is, and finishes d, e and z into the output in
+        ``_SLICE``-element steps: beyond the output, a chunk holds the two
+        parties' payloads and a few slices.
         """
         shape = x.shape
         n = int(np.prod(shape))
@@ -199,21 +202,26 @@ class PartyEngine:
         pos = 0
         while pos < n:
             m = min(plan_mod.BEAVER_CHUNK, n - pos)
-            xc = _flat_slice(x, pos, m)
-            yc = _flat_slice(y, pos, m)
             a, b, c = self.material.take(kind, m)
-            d_share = (xc - a) & self.mask
-            e_share = (yc - b) & self.mask
-            payload = np.concatenate([d_share, e_share]).astype("<u8", copy=False)
-            peer = self.exchange(OP_OPEN_MASKED, tag, payload.tobytes(), layer,
-                                 f"{kind}-open")
-            other = np.frombuffer(peer, dtype="<u8")
-            d = (d_share + other[:m]) & self.mask
-            e = (e_share + other[m:]) & self.mask
-            z = c + d * b + e * a
-            if self.party == 0:
-                z = z + d * e
-            out[pos:pos + m] = z & self.mask
+            mine = np.empty(2 * m, dtype=_U64)
+            for s in range(0, m, _SLICE):
+                t = min(s + _SLICE, m)
+                np.subtract(_flat_slice(x, pos + s, t - s), a[s:t], out=mine[s:t])
+                np.subtract(_flat_slice(y, pos + s, t - s), b[s:t], out=mine[m + s:m + t])
+            mine &= self.mask
+            peer = np.frombuffer(self.exchange(OP_OPEN_MASKED, tag, mine, layer,
+                                               f"{kind}-open"), dtype="<u8")
+            for s in range(0, m, _SLICE):      # mod 2^64; the ring mask comes last
+                t = min(s + _SLICE, m)
+                d = mine[s:t] + peer[s:t]
+                e = mine[m + s:m + t] + peer[m + s:m + t]
+                z = np.multiply(d, b[s:t], out=out[pos + s:pos + t])
+                z += c[s:t]
+                z += e * a[s:t]
+                if self.party == 0:
+                    z += d * e
+                z &= self.mask
+            del mine, peer
             pos += m
         return out.reshape(shape)
 
@@ -222,7 +230,7 @@ class PartyEngine:
     def _open_bool(self, words: np.ndarray, tag: int, layer: str) -> np.ndarray:
         """Open XOR-shared (masked) words in one frame."""
         flat = np.ascontiguousarray(words, dtype="<u8")
-        peer = self.exchange(OP_OPEN_BOOL, tag, flat.tobytes(), layer, "bool-open")
+        peer = self.exchange(OP_OPEN_BOOL, tag, flat, layer, "bool-open")
         return flat ^ np.frombuffer(peer, dtype="<u8").reshape(flat.shape)
 
     def _merge(self, groups: list, tag: int, layer: str) -> tuple:
@@ -437,24 +445,26 @@ class PartyEngine:
         self.ledger.note_local(layer, op)
 
     def weight(self, pl) -> np.ndarray:
-        return self._weight_shares[pl.name]
+        """This party's weight share, expanded as the layer runs and not kept.
+
+        Both parties expand P = uniform(prg(seed, idx)) for plan index idx;
+        the client's share is P, the model owner's W - P.
+        """
+        p = uniform(prg(self._weight_seed, self._weight_index[pl.name]),
+                    _weight_shape(pl), self.bitwidth)
+        if self.party == 0:
+            np.subtract(pl.payload["weight"].words, p, out=p)
+            p &= self.mask
+        return p
 
     # -- session steps ---------------------------------------------------------------
 
     def distribute_weights(self, seed: bytes) -> None:
-        """Set each weight share from party 0's hello seed; sends nothing.
-
-        Both parties expand P = uniform(prg(seed, idx)) for weighted layer
-        idx.  The client's share is P, the model owner's W - P.
-        """
-        for idx, pl in enumerate(self.plan.layers):
-            shape = _weight_shape(pl)
-            if shape is None:
-                continue
-            p = uniform(prg(seed, idx), shape, self.bitwidth)
-            if self.party == 0:
-                p = (pl.payload["weight"].words - p) & self.mask
-            self._weight_shares[pl.name] = p
+        """Keep party 0's hello seed and each weighted layer's plan index,
+        from which ``weight`` expands the shares; sends nothing."""
+        self._weight_seed = seed
+        self._weight_index = {pl.name: idx for idx, pl in enumerate(self.plan.layers)
+                              if _weight_shape(pl) is not None}
 
     def run(self, input_share: np.ndarray) -> np.ndarray:
         """Execute every plan layer; returns this party's output share."""
@@ -508,16 +518,25 @@ def _weight_shape(pl):
 
 
 def _flat_slice(arr: np.ndarray, pos: int, m: int) -> np.ndarray:
-    """Materialize arr.reshape(-1)[pos:pos+m] without copying all of arr.
+    """arr.reshape(-1)[pos:pos+m]: a view of a contiguous arr, else a copy.
 
-    Only the leading-axis rows that cover the slice are copied, so a
-    broadcast view costs one chunk plus at most a row on either side.
+    The copy touches only the slice's elements: the whole leading-axis rows
+    in one step, a partial row at either end by recursion into it, so a
+    broadcast view costs m elements however long its rows are.
     """
     if arr.flags.c_contiguous:
         return arr.reshape(-1)[pos:pos + m]
-    while arr.ndim > 1 and arr.shape[0] == 1:
-        arr = arr[0]
     row = arr.size // arr.shape[0]
-    r0, r1 = pos // row, -(-(pos + m) // row)
-    off = pos - r0 * row
-    return np.ascontiguousarray(arr[r0:r1]).reshape(-1)[off:off + m]
+    r, off = divmod(pos, row)
+    head = min(-off % row, m)       # the end of a row already begun
+    r += off > 0
+    if head == m:
+        return _flat_slice(arr[r - 1], off, m)
+    rows, tail = divmod(m - head, row)
+    out = np.empty(m, dtype=arr.dtype)
+    if head:
+        out[:head] = _flat_slice(arr[r - 1], off, head)
+    out[head:m - tail].reshape((rows,) + arr.shape[1:])[...] = arr[r:r + rows]
+    if tail:
+        out[m - tail:] = _flat_slice(arr[r + rows], 0, tail)
+    return out

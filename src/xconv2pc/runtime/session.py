@@ -151,7 +151,7 @@ def run_model_party(plan: FixedPlan, transport: Transport,
     x_share = uniform(prg(client_seed, 0), tuple(plan.input_shape), plan.cfg.bitwidth)
     out_share = engine.run(x_share)
     engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
-                       np.ascontiguousarray(out_share).astype("<u8").tobytes(),
+                       np.ascontiguousarray(out_share, dtype="<u8"),
                        "session", "output-open")
     engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
     check_ledger(plan, 0, engine.ledger)

@@ -2,7 +2,10 @@
 
 Every protocol message is a length-prefixed frame: payload length (32-bit
 little-endian), opcode (16-bit), layer tag (32-bit), then the payload as
-raw bytes (ring elements travel as 64-bit little-endian words).  The
+raw bytes (ring elements travel as 64-bit little-endian words).  A
+payload may be any C-contiguous buffer, an ndarray of words included; it
+is sent as it is, without a copy, so the sender must never write it again
+after the send (in process the peer reads that very memory).  The
 ledger counts payload bytes only; the 10 header bytes per frame are
 deliberately excluded so that measured traffic stays exactly proportional
 to the protocol's element counts.
@@ -49,9 +52,16 @@ _HEADER = struct.Struct("<IHI")
 
 @dataclass(frozen=True)
 class Frame:
+    """One message; a payload buffer is kept as a read-only byte view."""
+
     opcode: int
     layer_tag: int
     payload: bytes
+
+    def __post_init__(self):
+        if not isinstance(self.payload, (bytes, bytearray)):
+            object.__setattr__(self, "payload",
+                               memoryview(self.payload).toreadonly().cast("B"))
 
     def header(self) -> bytes:
         return _HEADER.pack(len(self.payload), self.opcode, self.layer_tag)
@@ -165,8 +175,9 @@ class Transport:
 class QueueTransport(Transport):
     """In-process duplex endpoint; frames are handed over as they are.
 
-    Frames are immutable, so the peer receives the sender's object with no
-    encoding and no payload copy; byte framing is the socket's concern.
+    The peer receives the sender's frame object, its payload a read-only
+    view of the sender's buffer, with no encoding and no copy; byte framing
+    is the socket's concern.
     """
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
@@ -194,29 +205,30 @@ class SocketTransport(Transport):
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send(self, frame: Frame) -> None:
+        """The header, then the payload from its own buffer: no joined copy."""
         try:
-            self.sock.sendall(frame.encode())
+            self.sock.sendall(frame.header())
+            self.sock.sendall(frame.payload)
         except OSError as e:
             raise TransportError(f"send failed: {e}") from e
 
-    def _read_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
+    def _read_into(self, buf: bytearray) -> bytearray:
+        view = memoryview(buf)
+        while view:
             try:
-                chunk = self.sock.recv(min(remaining, 1 << 20))
+                n = self.sock.recv_into(view)
             except OSError as e:
                 raise TransportError(f"recv failed: {e}") from e
-            if not chunk:
+            if not n:
                 raise TransportError("peer disconnected mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            view = view[n:]
+        return buf
 
     def recv(self) -> Frame:
-        header = self._read_exact(HEADER_SIZE)
+        """Each frame is read into one buffer of its announced length."""
+        header = self._read_into(bytearray(HEADER_SIZE))
         length = struct.unpack_from("<I", header)[0]
-        return decode_frame(header, self._read_exact(length))
+        return decode_frame(header, self._read_into(bytearray(length)))
 
     def close(self) -> None:
         try:

@@ -317,6 +317,58 @@ def test_beaver_bytes_are_16_per_mult():
     assert e1.ledger.bytes_for("t", "mul-open") == 16 * n
 
 
+def test_beaver_open_holds_its_payloads_and_a_few_slices():
+    import tracemalloc
+
+    n = 1_024_000
+    rng = np.random.default_rng(16)
+    x = RingTensor(rng.integers(0, 2**60, size=n, dtype=np.uint64), 60)
+    y = RingTensor(rng.integers(0, 2**60, size=n, dtype=np.uint64), 60)
+    x_sh, y_sh = _split(x, rng), _split(y, rng)
+    plan = _StubPlan(mul=n)
+    m0, m1 = generate_material(plan, 17)
+    t0, t1 = QueueTransport.pair()
+    engines = (PartyEngine(0, plan, t0, m0), PartyEngine(1, plan, t1, m1))
+    out = {}
+
+    def side(e):
+        out[e.party] = e.beaver(x_sh[e.party], y_sh[e.party], 0, "t")
+
+    tracemalloc.start()
+    try:
+        th = threading.Thread(target=side, args=(engines[0],), daemon=True)
+        th.start()
+        side(engines[1])
+        th.join(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not th.is_alive()
+    assert np.array_equal(_recon(out[0], out[1]), ring_mul(x, y).words)
+    # Each party's (2n,) payload (16 B per product) and its output (8 B);
+    # the local work beyond them runs in 64 K-element slices, and 4 MiB
+    # holds eight slices of words.
+    assert peak <= 2 * (16 * n + 8 * n + (4 << 20))
+
+
+def test_dealer_peak_is_its_shares_and_at_most_one_stream():
+    import tracemalloc
+
+    plan = _StubPlan(mul=1 << 20, aux=1 << 12, trunc=1 << 12, cmp=1 << 12,
+                     bool_words=64 * MERGE_RECORD)
+    tracemalloc.start()
+    try:
+        stores = generate_material(plan, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for s in stores for a in s.arrays.values())
+    stream = max(a.nbytes for a in stores[0].arrays.values())
+    # Each share is written into the values it splits, so a triple stream
+    # is held twice (once per party), not three times.
+    assert peak <= held + stream
+
+
 def test_secure_truncate_examples_and_bulk():
     rng = np.random.default_rng(16)
     n = 1_000_000
@@ -1022,7 +1074,9 @@ def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
         return seeds[engine.party]
 
     def record_run(engine, input_share):
-        shares[engine.party] = (input_share, dict(engine._weight_shares))
+        shares[engine.party] = (input_share, {
+            pl.name: engine.weight(pl) for pl in engine.plan.layers
+            if pl.kind in ("conv2d", "fully-connected")})
         return run(engine, input_share)
 
     monkeypatch.setattr(session, "handshake", record_handshake)
@@ -1042,6 +1096,28 @@ def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
         w0, w1 = shares[0][1][pl.name], shares[1][1][pl.name]
         assert np.array_equal(_recon(w0, w1), pl.payload["weight"].words)
         assert np.array_equal(w1, uniform(prg(seeds[0][0], idx), w1.shape, 60))
+
+
+def test_dealer_files_and_transcripts_match_their_pins(tmp_path):
+    # Any change to the dealer's PRG draw order or to the bytes an open
+    # sends moves these pins.
+    import hashlib
+
+    g = model_zoo("shufflenetv2", CellVariant.XOP, 32, seed=3)
+    stores = generate_material(build_plan(g, with_weights=False), 9)
+    pins = ("3431532616f5705d7e60ff5693fe182fb86b440727a1cd60035afd34e70bf2f1",
+            "2a8459d4ad2bf97dc51f07d3f85e6a694b047664096be2b57a42e75233677835")
+    for store, pin in zip(stores, pins):
+        path = tmp_path / f"party{store.party}.dlr"
+        write_material(store, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pin
+    run = secure_infer_local(g, _random_input(g.input_shape, 10), seed=9,
+                             materials=stores)
+    assert np.array_equal(run.output.words, run.clear_reference.words)
+    client = "db4e2c39606311baf6f7c9155d15369603bf211b319a6731a39fe5a0ac047f86"
+    model = "aa64d17a911654f9e219dc5170dcbe2be14b6592676fd46193584c841f386ac4"
+    assert (run.client.sent_digest, run.client.recv_digest) == (client, model)
+    assert (run.model.sent_digest, run.model.recv_digest) == (model, client)
 
 
 def _tcp_pair():

@@ -86,6 +86,45 @@ def test_socket_transport_roundtrip():
     assert reply == Frame(9, 1, b"pong")
 
 
+def test_socket_sends_an_array_payload_larger_than_the_socket_buffers():
+    from xconv2pc.plan import build_plan
+    from xconv2pc.runtime.protocol import PartyEngine
+
+    plan = build_plan(model_zoo("toynet", CellVariant.DENSE, 16, seed=5),
+                      with_weights=False)
+    words = [np.random.default_rng(p).integers(0, 1 << 64, size=1 << 20,
+                                               dtype=np.uint64) for p in (0, 1)]
+    nbytes = 8 << 20
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    engines, got = {}, {}
+
+    def side(party, sock):
+        sock.settimeout(30)
+        engines[party] = e = PartyEngine(party, plan, SocketTransport(sock), None)
+        got[party] = bytes(e.exchange(OP_OPEN_MASKED, 5, words[party], "l",
+                                      "mul-open"))
+        e.transport.close()
+
+    th = threading.Thread(target=lambda: side(0, srv.accept()[0]), daemon=True)
+    th.start()
+    cli = socket.create_connection(("127.0.0.1", srv.getsockname()[1]))
+    assert (cli.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            + cli.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)) < nbytes
+    side(1, cli)
+    th.join(timeout=30)
+    srv.close()
+    assert not th.is_alive()
+    frames = [Frame(OP_OPEN_MASKED, 5, w.tobytes()).encode() for w in words]
+    for p, e in engines.items():
+        assert got[p] == words[1 - p].tobytes()
+        row = e.ledger.entries["l", "mul-open"]
+        assert row.bytes_sent == row.bytes_recv == nbytes
+        assert e.transcript.sent_digest == hashlib.sha256(frames[p]).hexdigest()
+        assert e.transcript.recv_digest == hashlib.sha256(frames[1 - p]).hexdigest()
+
+
 def test_ledger_rows_and_csv():
     led = CommLedger()
     led.record_send("conv", "mul-open", 160)

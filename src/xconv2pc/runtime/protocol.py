@@ -137,7 +137,6 @@ class PartyEngine:
 
     def _recv(self, expect_opcode: int, expect_tag: int, layer: str, op: str) -> Frame:
         frame = self.transport.recv()
-        self.transcript.on_recv(frame)
         if frame.opcode == OP_ABORT:
             raise ProtocolAbort(frame.payload.decode("utf-8", "replace"))
         if frame.opcode != expect_opcode or frame.layer_tag != expect_tag:
@@ -191,10 +190,12 @@ class PartyEngine:
 
         ``kind`` names the triple stream, "mul" or "aux", and the ledger op
         is its open.  Inputs may be broadcast views.  Each ``BEAVER_CHUNK``
-        of m products writes x - a and y - b into one fresh (2m,) payload,
-        sent as it is, and finishes d, e and z into the output in
-        ``_SLICE``-element steps: beyond the output, a chunk holds the two
-        parties' payloads and a few slices.
+        of m products writes and masks x - a and y - b into one fresh (2m,)
+        payload, slice by slice, sends it as it is, and finishes z =
+        c + d b + e a (+ d e on party 0, as d b + e (a + d)) into the output
+        in ``_SLICE``-element steps, d and e in two reused slice buffers:
+        beyond the output, a chunk holds the two parties' payloads and two
+        slices.
         """
         shape = x.shape
         n = int(np.prod(shape))
@@ -206,20 +207,25 @@ class PartyEngine:
             mine = np.empty(2 * m, dtype=_U64)
             for s in range(0, m, _SLICE):
                 t = min(s + _SLICE, m)
-                np.subtract(_flat_slice(x, pos + s, t - s), a[s:t], out=mine[s:t])
-                np.subtract(_flat_slice(y, pos + s, t - s), b[s:t], out=mine[m + s:m + t])
-            mine &= self.mask
+                for half, v, w in ((mine[s:t], x, a), (mine[m + s:m + t], y, b)):
+                    np.subtract(_flat_slice(v, pos + s, t - s), w[s:t], out=half)
+                    half &= self.mask
             peer = np.frombuffer(self.exchange(OP_OPEN_MASKED, tag, mine, layer,
                                                f"{kind}-open"), dtype="<u8")
+            d_buf, e_buf = np.empty((2, min(m, _SLICE)), dtype=_U64)
             for s in range(0, m, _SLICE):      # mod 2^64; the ring mask comes last
                 t = min(s + _SLICE, m)
-                d = mine[s:t] + peer[s:t]
-                e = mine[m + s:m + t] + peer[m + s:m + t]
+                d, e = d_buf[:t - s], e_buf[:t - s]
+                np.add(mine[s:t], peer[s:t], out=d)
+                np.add(mine[m + s:m + t], peer[m + s:m + t], out=e)
                 z = np.multiply(d, b[s:t], out=out[pos + s:pos + t])
                 z += c[s:t]
-                z += e * a[s:t]
                 if self.party == 0:
-                    z += d * e
+                    d += a[s:t]
+                    e *= d
+                else:
+                    e *= a[s:t]
+                z += e
                 z &= self.mask
             del mine, peer
             pos += m

@@ -138,8 +138,7 @@ def check_ledger(plan: FixedPlan, party: int, ledger) -> None:
 class SessionResult:
     output: RingTensor          # client side only; None on the model side
     ledger: object
-    sent_digest: str
-    recv_digest: str
+    sent_digest: str            # SHA-256 of the frames this party sent
 
 
 def run_model_party(plan: FixedPlan, transport: Transport,
@@ -155,8 +154,7 @@ def run_model_party(plan: FixedPlan, transport: Transport,
                        "session", "output-open")
     engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
     check_ledger(plan, 0, engine.ledger)
-    return SessionResult(None, engine.ledger, engine.transcript.sent_digest,
-                         engine.transcript.recv_digest)
+    return SessionResult(None, engine.ledger, engine.transcript.sent_digest)
 
 
 def run_client_party(plan: FixedPlan, transport: Transport,
@@ -177,8 +175,7 @@ def run_client_party(plan: FixedPlan, transport: Transport,
                         plan.cfg.bitwidth)
     engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
     check_ledger(plan, 1, engine.ledger)
-    return SessionResult(output, engine.ledger, engine.transcript.sent_digest,
-                         engine.transcript.recv_digest)
+    return SessionResult(output, engine.ledger, engine.transcript.sent_digest)
 
 
 # -- in-process orchestration -------------------------------------------------------

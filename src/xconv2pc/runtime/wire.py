@@ -8,7 +8,9 @@ is sent as it is, without a copy, so the sender must never write it again
 after the send (in process the peer reads that very memory).  The
 ledger counts payload bytes only; the 10 header bytes per frame are
 deliberately excluded so that measured traffic stays exactly proportional
-to the protocol's element counts.
+to the protocol's element counts.  Each party keeps one transcript digest,
+SHA-256 over the encoded frames it sends; the frames it receives are its
+peer's sent stream, so every byte is hashed once, by its sender.
 
 Protocol version 4 (version 3's open-bool carried the AND differences of
 a pairwise digit tree and three-word gates); opcodes:
@@ -238,24 +240,22 @@ class SocketTransport(Transport):
 
 
 class TranscriptRecorder:
-    """Running digests of each direction's frame stream, for regression."""
+    """Running SHA-256 of the encoded frames this party sends, for regression.
+
+    A party digests only its own sends: what it receives is the peer's
+    sent stream, which the peer digests, so each byte is hashed once.
+    """
 
     def __init__(self):
         self._sent = hashlib.sha256()
-        self._recv = hashlib.sha256()
 
     def on_send(self, frame: Frame) -> None:
         self._sent.update(frame.header())
         self._sent.update(frame.payload)
 
     def on_recv(self, frame: Frame) -> None:
-        self._recv.update(frame.header())
-        self._recv.update(frame.payload)
+        pass  # hashes nothing; perfbench/spans.py wraps this method by name
 
     @property
     def sent_digest(self) -> str:
         return self._sent.hexdigest()
-
-    @property
-    def recv_digest(self) -> str:
-        return self._recv.hexdigest()

@@ -741,8 +741,36 @@ def test_transcript_determinism_and_seed_sensitivity():
     c = secure_infer_local(g, x, seed=40)
     assert a.client.sent_digest == b.client.sent_digest
     assert a.model.sent_digest == b.model.sent_digest
-    assert a.client.recv_digest == b.client.recv_digest
     assert a.client.sent_digest != c.client.sent_digest
+    assert a.model.sent_digest != c.model.sent_digest
+
+
+def test_transcripts_hash_each_sent_byte_once(monkeypatch):
+    import hashlib
+    import types
+
+    from xconv2pc.runtime import wire
+
+    hashed = [0]
+
+    class CountingSha256:
+        def __init__(self):
+            self._h = hashlib.sha256()
+
+        def update(self, data):
+            hashed[0] += memoryview(data).nbytes
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(wire, "hashlib", types.SimpleNamespace(sha256=CountingSha256))
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=37)
+    run = secure_infer_local(g, _random_input((1, 3, 16, 16), 38), seed=39)
+    ledgers = (run.client.ledger, run.model.ledger)
+    frames = sum(e.msgs_sent for led in ledgers for e in led.entries.values())
+    assert frames > 0
+    assert hashed[0] == sum(led.total_sent for led in ledgers) + 10 * frames
 
 
 @given(st.data())
@@ -1116,8 +1144,7 @@ def test_dealer_files_and_transcripts_match_their_pins(tmp_path):
     assert np.array_equal(run.output.words, run.clear_reference.words)
     client = "db4e2c39606311baf6f7c9155d15369603bf211b319a6731a39fe5a0ac047f86"
     model = "aa64d17a911654f9e219dc5170dcbe2be14b6592676fd46193584c841f386ac4"
-    assert (run.client.sent_digest, run.client.recv_digest) == (client, model)
-    assert (run.model.sent_digest, run.model.recv_digest) == (model, client)
+    assert (run.client.sent_digest, run.model.sent_digest) == (client, model)
 
 
 def _tcp_pair():

@@ -11,7 +11,6 @@ verification mismatch.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import socket
 import subprocess
@@ -49,16 +48,8 @@ from .runtime.session import (
     run_model_party,
     secure_infer_local,
 )
-from .winograd import rewrite_winograd
+from .winograd import TILE_CANDIDATES, rewrite_winograd
 from .zoo import model_zoo
-
-log = logging.getLogger("xconv2pc")
-
-
-def _setup_logging():
-    level = os.environ.get("XCONV2PC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
 
 
 def _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed) -> Graph:
@@ -100,7 +91,6 @@ def _load_input(path, plan_shape, cfg, seed) -> RingTensor:
 @click.group()
 def main():
     """Secure two-party CNN inference with multiplication-lean operators."""
-    _setup_logging()
 
 
 def _cli_errors(fn):
@@ -156,8 +146,8 @@ def describe(graph_path, zoo_spec, bitwidth, scale, seed):
 
 @main.command()
 @_add_opts(_graph_opts)
-@click.option("--tiles", default="4,6", show_default=True,
-              help="Candidate tile extents.")
+@click.option("--tiles", default=",".join(map(str, TILE_CANDIDATES)),
+              show_default=True, help="Candidate tile extents.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Rewritten graph file.")
 @click.option("--report", "report_path", type=click.Path(), default=None,

@@ -4,7 +4,6 @@ Each family maps to a distinct CLI exit code so that scripted callers can
 tell a malformed graph from a dead peer from exhausted dealer material.
 """
 
-EXIT_OK = 0
 EXIT_GENERIC = 1
 EXIT_PARSE = 2
 EXIT_SHAPE = 3

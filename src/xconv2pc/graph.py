@@ -265,15 +265,13 @@ class GraphBuilder:
     def global_avgpool(self, name, src) -> str:
         return self._register(LayerSpec(name, "global-avgpool", [src]))
 
-    def fc(self, name, src, in_features, out_features, bias=True) -> str:
+    def fc(self, name, src, in_features, out_features) -> str:
         bound = 1.0 / np.sqrt(in_features)
         self.weights[f"{name}.weight"] = self.rng.uniform(
             -bound, bound, size=(out_features, in_features))
-        if bias:
-            self.weights[f"{name}.bias"] = self.rng.uniform(
-                -bound, bound, size=(out_features,))
+        self.weights[f"{name}.bias"] = self.rng.uniform(-bound, bound, size=(out_features,))
         return self._register(LayerSpec(name, "fully-connected", [src], {
-            "in_features": in_features, "out_features": out_features, "bias": bias,
+            "in_features": in_features, "out_features": out_features, "bias": True,
         }))
 
     def add(self, name, *srcs) -> str:
@@ -289,10 +287,9 @@ class GraphBuilder:
         self.weights[f"{name}.var"] = self.rng.uniform(0.5, 1.5, size=(channels,))
         return self._register(LayerSpec(name, "batchnorm", [src], {"channels": channels}))
 
-    def shuffle(self, name, src, channels, perm=None) -> str:
-        if perm is None:
-            perm = self.rng.permutation(channels).tolist()
-        return self._register(LayerSpec(name, "shuffle", [src], {"perm": list(perm)}))
+    def shuffle(self, name, src, channels) -> str:
+        perm = self.rng.permutation(channels).tolist()
+        return self._register(LayerSpec(name, "shuffle", [src], {"perm": perm}))
 
     def build(self) -> Graph:
         return Graph(self.layers, self.input_shape, self.cfg,
@@ -350,12 +347,11 @@ class GraphBuilder:
 
 
 def cell_graph(variant: CellVariant, c_in: int, c_mid: int, c_out: int,
-               hw: int, kernel: int = 3, stride: int = 1, seed: int = 0,
-               cfg: FixedPointConfig = None) -> Graph:
-    """A standalone single-cell graph, handy for benches and equivalence runs."""
-    b = GraphBuilder((1, c_in, hw, hw), cfg=cfg, seed=seed,
+               hw: int, seed: int = 0) -> Graph:
+    """A standalone stride-1 cell graph, handy for benches and equivalence runs."""
+    b = GraphBuilder((1, c_in, hw, hw), seed=seed,
                      metadata={"backbone": "cell", "variant": variant.value})
-    b.expand_cell(variant, INPUT, c_in, c_mid, c_out, kernel=kernel, stride=stride)
+    b.expand_cell(variant, INPUT, c_in, c_mid, c_out)
     return b.build()
 
 

@@ -52,18 +52,17 @@ def mask_words(words: np.ndarray, bitwidth: int) -> np.ndarray:
 
 
 class RingTensor:
-    """An n-dimensional tensor of l-bit ring residues stored in uint64 words."""
+    """An n-dimensional tensor of l-bit ring residues stored in uint64 words.
+
+    Words must be below 2^bitwidth; ``deserialize_tensor`` checks outside ones.
+    """
 
     __slots__ = ("words", "bitwidth")
 
     def __init__(self, words: np.ndarray, bitwidth: int):
         if not (2 <= bitwidth <= 64):
             raise ValueError(f"bitwidth out of range: {bitwidth}")
-        words = np.ascontiguousarray(words, dtype=_WORD)
-        if bitwidth < _FULL_BITS and words.size:
-            if int(words.max()) >> bitwidth:
-                raise ValueError("words exceed the ring modulus; mask first")
-        self.words = words
+        self.words = np.ascontiguousarray(words, dtype=_WORD)
         self.bitwidth = bitwidth
 
     # -- construction -----------------------------------------------------
@@ -196,5 +195,6 @@ def deserialize_tensor(buf: bytes) -> tuple[RingTensor, FixedPointConfig]:
         cfg = FixedPointConfig(bitwidth=bitwidth, scale=scale)
     except ValueError as e:
         raise ParseError(str(e)) from None
-    t = RingTensor(words.reshape(extents), bitwidth)
-    return t, cfg
+    if words.size and int(words.max()) >> bitwidth:
+        raise ParseError(f"tensor word exceeds the {bitwidth}-bit ring")
+    return RingTensor(words.reshape(extents), bitwidth), cfg

@@ -89,8 +89,6 @@ HEADER_SIZE = _HEADER.size
 class LedgerEntry:
     bytes_sent: int = 0
     bytes_recv: int = 0
-    msgs_sent: int = 0
-    msgs_recv: int = 0
     rounds: int = 0
 
 
@@ -104,14 +102,10 @@ class CommLedger:
         return self.entries.setdefault((layer, op), LedgerEntry())
 
     def record_send(self, layer: str, op: str, nbytes: int) -> None:
-        e = self._entry(layer, op)
-        e.bytes_sent += nbytes
-        e.msgs_sent += 1
+        self._entry(layer, op).bytes_sent += nbytes
 
     def record_recv(self, layer: str, op: str, nbytes: int) -> None:
-        e = self._entry(layer, op)
-        e.bytes_recv += nbytes
-        e.msgs_recv += 1
+        self._entry(layer, op).bytes_recv += nbytes
 
     def bump_round(self, layer: str, op: str) -> None:
         self._entry(layer, op).rounds += 1
@@ -120,9 +114,9 @@ class CommLedger:
         """Record a communication-free step as an explicit zero-byte row."""
         self._entry(layer, op)
 
-    def bytes_for(self, layer: str = None, op: str = None) -> int:
-        return sum(e.bytes_sent for (l, o), e in self.entries.items()
-                   if (layer is None or l == layer) and (op is None or o == op))
+    def bytes_for(self, op: str) -> int:
+        """Payload bytes sent under one op kind, summed over layers."""
+        return sum(e.bytes_sent for (_, o), e in self.entries.items() if o == op)
 
     @property
     def total_sent(self) -> int:

@@ -200,7 +200,10 @@ def mult_counts(m_out: int, k: int, n: int) -> TilingPlan:
     )
 
 
-def choose_tile(m_out: int, k: int, candidates=(4, 6)) -> int:
+TILE_CANDIDATES = (4, 6)  # tile extents the rewrite chooses from
+
+
+def choose_tile(m_out: int, k: int, candidates=TILE_CANDIDATES) -> int:
     """Candidate tile with the fewest tiled multiplications; ties go small.
 
     Smaller tiles grow the dynamic range of the input transform less, so
@@ -353,7 +356,7 @@ def _eligibility(attrs: dict, out_hw: tuple, candidates) -> str:
     return ""
 
 
-def rewrite_winograd(graph, candidates=(4, 6), allow=None):
+def rewrite_winograd(graph, candidates=TILE_CANDIDATES):
     """Tag every eligible convolution for transform execution.
 
     Returns the rewritten graph plus one decision per convolution layer;
@@ -371,8 +374,6 @@ def rewrite_winograd(graph, candidates=(4, 6), allow=None):
         if layer.kind == "conv2d":
             out = shapes[layer.name]
             reason = _eligibility(attrs, (out[2], out[3]), candidates)
-            if allow is not None and layer.name not in allow and not reason:
-                reason = "not in allow-list"
             if reason:
                 decisions.append(RewriteDecision(layer=layer.name, eligible=False,
                                                  reason=reason))

@@ -61,16 +61,15 @@ def model_zoo(backbone: str, variant: CellVariant, input_size: int = 320,
 # -- shared pieces --------------------------------------------------------------
 
 
-def _stem(b: GraphBuilder, variant: CellVariant, c_out: int, kernel: int,
-          name: str = "stem") -> str:
+def _stem(b: GraphBuilder, variant: CellVariant, c_out: int, kernel: int) -> str:
     """Stride-2 stem; factorized in every non-dense variant."""
     if variant is CellVariant.DENSE:
-        x = b.conv(f"{name}_conv", INPUT, 3, c_out, kernel, stride=2)
+        x = b.conv("stem_conv", INPUT, 3, c_out, kernel, stride=2)
     else:
-        x = b.conv(f"{name}_dw", INPUT, 3, 3, kernel, stride=2, groups=3)
-        x = b.conv(f"{name}_pw", x, 3, c_out, 1, padding=0)
-    x = b.batchnorm(f"{name}_bn", x, c_out)
-    return b.relu(f"{name}_relu", x)
+        x = b.conv("stem_dw", INPUT, 3, 3, kernel, stride=2, groups=3)
+        x = b.conv("stem_pw", x, 3, c_out, 1, padding=0)
+    x = b.batchnorm("stem_bn", x, c_out)
+    return b.relu("stem_relu", x)
 
 
 def _reduce_cell(b: GraphBuilder, variant: CellVariant, src: str, c_in: int,

@@ -236,7 +236,7 @@ def test_criterion_6_byte_proportionality_and_scaling():
         run = secure_infer_local(g, rng.uniform(-1, 1, g.input_shape),
                                  seed=600 + size)
         mults = count_mults(g)["op"]
-        conv_bytes = run.client.ledger.bytes_for("op", "mul-open")
+        conv_bytes = run.client.ledger.entries["op", "mul-open"].bytes_sent
         exact &= conv_bytes == 16 * mults
         totals[size] = run.client.ledger.total_sent
     r1 = totals[32] / totals[16]

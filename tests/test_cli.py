@@ -23,7 +23,7 @@ from xconv2pc.errors import (
 )
 from xconv2pc.graph import CellVariant
 from xconv2pc.graphio import load_graph, save_graph
-from xconv2pc.ring import deserialize_tensor
+from xconv2pc.ring import FixedPointConfig, RingTensor, deserialize_tensor, serialize_tensor
 from xconv2pc.zoo import model_zoo
 
 
@@ -130,6 +130,16 @@ def test_infer_and_verify_roundtrip(runner, toynet_file, tmp_path):
                                   "--trials", "3", "--seed", "9"])
     assert result.exit_code == 0, result.output
     assert "all 3 trials bitwise-equal" in result.output
+
+
+def test_infer_rejects_an_input_word_outside_the_ring(runner, toynet_file, tmp_path):
+    zeros = RingTensor(np.zeros((1, 3, 16, 16), np.uint64), 60)
+    buf = serialize_tensor(zeros, FixedPointConfig())
+    bad = tmp_path / "bad.rtv"
+    bad.write_bytes(buf[:-8] + (1 << 60).to_bytes(8, "little"))
+    result = runner.invoke(main, ["infer", "--graph", toynet_file, "--input", str(bad)])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert "exceeds the 60-bit ring" in result.output
 
 
 def test_dealer_and_verify_material(runner, toynet_file, tmp_path):

@@ -20,7 +20,7 @@ from xconv2pc.errors import (
     TransportError,
     VerificationError,
 )
-from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph
+from xconv2pc.graph import INPUT, CellVariant, Graph, GraphBuilder, LayerSpec, cell_graph
 from xconv2pc.clear import infer_fixed, infer_float
 from xconv2pc.costs import count_mults
 from xconv2pc.plan import (
@@ -83,6 +83,15 @@ class _StubPlan:
 def _spec(g, name):
     """The graph's layer spec called ``name``."""
     return next(l for l in g.layers if l.name == name)
+
+
+def _transform(g, name, tile):
+    """A copy of ``g`` whose conv ``name`` runs as a transform conv on ``tile``."""
+    layers = []
+    for l in g.layers:
+        attrs = dict(l.attrs, winograd=True, tile=tile) if l.name == name else dict(l.attrs)
+        layers.append(LayerSpec(l.name, l.kind, list(l.inputs), attrs))
+    return Graph(layers, g.input_shape, g.cfg, g.weights, g.metadata)
 
 
 def run_two(fn, plan, seed=0):
@@ -313,8 +322,8 @@ def test_beaver_bytes_are_16_per_mult():
         return engine.beaver(x_sh[engine.party], x_sh[engine.party], 0, "t")
 
     _, _, e0, e1 = run_two(fn, _StubPlan(mul=n), seed=15)
-    assert e0.ledger.bytes_for("t", "mul-open") == 16 * n
-    assert e1.ledger.bytes_for("t", "mul-open") == 16 * n
+    assert e0.ledger.entries["t", "mul-open"].bytes_sent == 16 * n
+    assert e1.ledger.entries["t", "mul-open"].bytes_sent == 16 * n
 
 
 def test_beaver_open_holds_its_payloads_and_a_few_slices():
@@ -473,7 +482,7 @@ def test_less_than_edge_values(n_bits):
     words = -(-n // 64)
     for e in (e0, e1):
         assert _layer_rounds(e.ledger, "t") == {"bool-open": rounds}
-        assert e.ledger.bytes_for("t", "bool-open") == 8 * words * (
+        assert e.ledger.entries["t", "bool-open"].bytes_sent == 8 * words * (
             _MERGE_BITS[n_bits] + 5)
         assert e.material.cursors["bool"] == plan.requirements().bool_words
 
@@ -502,7 +511,7 @@ def test_less_than_mixed_widths_share_two_rounds(monkeypatch):
     assert plan.requirements().bool_words == 7 * MERGE_RECORD * words
     for e in (e0, e1):
         assert _layer_rounds(e.ledger, "t") == {"bool-open": 2}
-        assert e.ledger.bytes_for("t", "bool-open") == 8 * words * (
+        assert e.ledger.entries["t", "bool-open"].bytes_sent == 8 * words * (
             7 + 29 + 29 + 3 * 5)
         assert e.material.cursors["bool"] == plan.requirements().bool_words
 
@@ -539,7 +548,7 @@ def test_merge_truth_table_over_every_digit_state():
     for e in (e0, e1):
         # The lowest group opens its 5 lt and 4 eq bits, an upper group 10.
         assert _layer_rounds(e.ledger, "t") == {"bool-open": 1}
-        assert e.ledger.bytes_for("t", "bool-open") == 8 * words * (9 + 10)
+        assert e.ledger.entries["t", "bool-open"].bytes_sent == 8 * words * (9 + 10)
         assert e.material.cursors["bool"] == 2 * MERGE_RECORD * words
 
 
@@ -571,7 +580,7 @@ def test_gate_truth_table_over_every_input():
     for e in engines:
         # f and v, five words per 64 elements, in one round.
         assert _layer_rounds(e.ledger, "t") == {"bool-open": 1}
-        assert e.ledger.bytes_for("t", "bool-open") == 5 * 8 * rec.size // 64
+        assert e.ledger.entries["t", "bool-open"].bytes_sent == 5 * 8 * rec.size // 64
 
 
 # -- secure sessions -----------------------------------------------------------------
@@ -623,7 +632,7 @@ def test_conv_bytes_exactly_16_per_mult_and_scaling():
                                  seed=size)
         assert np.array_equal(run.output.words, run.clear_reference.words)
         mults = count_mults(g)["c"]
-        conv_bytes = run.client.ledger.bytes_for("c", "mul-open")
+        conv_bytes = run.client.ledger.entries["c", "mul-open"].bytes_sent
         assert conv_bytes == 16 * mults
         results[size] = conv_bytes
     assert results[32] == 4 * results[16]
@@ -650,7 +659,7 @@ def test_winograd_session_consumes_beta2_triples():
     rw, _ = rewrite_winograd(b.build(), candidates=(6,))
     run = secure_infer_local(rw, _random_input((1, 1, 8, 8), 29), seed=30)
     assert np.array_equal(run.output.words, run.clear_reference.words)
-    assert run.client.ledger.bytes_for("c", "mul-open") // 16 == \
+    assert run.client.ledger.entries["c", "mul-open"].bytes_sent // 16 == \
         mult_counts(6, 3, 6).beta2
 
 
@@ -687,8 +696,6 @@ def test_xop_cell_session_bytes_under_fifth_of_dense():
 
 def test_kitchen_sink_graph_bitwise():
     """Every layer kind and conv flavor in one secure session."""
-    from xconv2pc.winograd import rewrite_winograd
-
     b = GraphBuilder((1, 4, 16, 16), seed=60)
     c1 = b.conv("stem", INPUT, 4, 8, 3, stride=2)           # strided, biased
     r1 = b.relu("r1", c1)
@@ -705,8 +712,7 @@ def test_kitchen_sink_graph_bitwise():
     gap = b.global_avgpool("gap", ap)
     b.fc("head", gap, 16, 5)
     g_direct = b.build()
-    g, _ = rewrite_winograd(g_direct, allow={"body"})
-    assert _spec(g, "body").attrs["winograd"]
+    g = _transform(g_direct, "body", 6)
     x = _random_input((1, 4, 16, 16), 61)
     run = secure_infer_local(g, x, seed=62)
     assert np.array_equal(run.output.words, run.clear_reference.words)
@@ -764,13 +770,20 @@ def test_transcripts_hash_each_sent_byte_once(monkeypatch):
         def hexdigest(self):
             return self._h.hexdigest()
 
+    frames = [0]
+    send = QueueTransport.send
+
+    def counting_send(self, frame):
+        frames[0] += 1
+        send(self, frame)
+
     monkeypatch.setattr(wire, "hashlib", types.SimpleNamespace(sha256=CountingSha256))
+    monkeypatch.setattr(QueueTransport, "send", counting_send)
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=37)
     run = secure_infer_local(g, _random_input((1, 3, 16, 16), 38), seed=39)
     ledgers = (run.client.ledger, run.model.ledger)
-    frames = sum(e.msgs_sent for led in ledgers for e in led.entries.values())
-    assert frames > 0
-    assert hashed[0] == sum(led.total_sent for led in ledgers) + 10 * frames
+    assert frames[0] > 0
+    assert hashed[0] == sum(led.total_sent for led in ledgers) + 10 * frames[0]
 
 
 @given(st.data())
@@ -860,21 +873,18 @@ def test_depthwise_conv_and_relu_exact_rounds():
 
 
 def test_multi_chunk_grouped_conv_session(monkeypatch):
-    from xconv2pc.winograd import rewrite_winograd
-
     chunk = 1000
     monkeypatch.setattr(plan_mod, "BEAVER_CHUNK", chunk)
     b = GraphBuilder((1, 4, 8, 8), seed=73)
     gc = b.conv("gc", INPUT, 4, 6, 3, groups=2)           # grouped, direct
     b.conv("dw", gc, 6, 6, 3, groups=6, bias=False)      # depthwise, transform
-    g, _ = rewrite_winograd(b.build(), candidates=(4,), allow={"dw"})
-    assert _spec(g, "dw").attrs["winograd"]
+    g = _transform(b.build(), "dw", 4)
     run = _run_with_cursor_check(g, _random_input((1, 4, 8, 8), 75), 74)
     for pl in run.plan.layers:
         assert pl.mults > chunk and pl.mults % chunk, pl.name
         for led in (run.model.ledger, run.client.ledger):
             assert led.entries[(pl.name, "mul-open")].rounds == -(-pl.mults // chunk)
-            assert led.bytes_for(pl.name, "mul-open") == 16 * pl.mults
+            assert led.entries[pl.name, "mul-open"].bytes_sent == 16 * pl.mults
         # The session's own ledger check passed on the same patched chunk.
         assert plan_mod.predict_ledger(run.plan)[pl.name, "mul-open"] == (
             16 * pl.mults, -(-pl.mults // chunk))
@@ -987,8 +997,6 @@ def test_fused_relu_on_sign_edge_values():
 
 
 def test_fused_relu_after_every_truncating_kind():
-    from xconv2pc.winograd import rewrite_winograd
-
     b = GraphBuilder((1, 4, 8, 8), seed=99)
     w = b.conv("w", INPUT, 4, 4, 3)
     r1 = b.relu("r1", w)
@@ -998,8 +1006,7 @@ def test_fused_relu_after_every_truncating_kind():
     r3 = b.relu("r3", gp)
     f = b.fc("f", r3, 4, 6)
     b.relu("r4", f)
-    g, _ = rewrite_winograd(b.build(), candidates=(4,), allow={"w"})
-    assert _spec(g, "w").attrs["winograd"]
+    g = _transform(b.build(), "w", 4)
     for seed in (100, 101, 102):
         run = _run_with_cursor_check(g, 3 * _random_input((1, 4, 8, 8), seed), seed)
         assert _fused(run.plan) == {"w", "a", "g", "f"}
@@ -1193,7 +1200,7 @@ def test_set_up_sends_no_share_frames(transport, monkeypatch):
                           execute_plan_clear(plan0, x, check_ceiling=False).words)
     # hello, masked and boolean opens, output open, sync; no share frame (7)
     assert set(opcodes) == {1, 2, 3, 4, 5}
-    out_bytes = model.ledger.bytes_for("session", "output-open")
+    out_bytes = model.ledger.entries["session", "output-open"].bytes_sent
     assert out_bytes == 8 * client.output.words.size
     assert model.ledger.total_sent == client.ledger.total_sent + out_bytes
 

@@ -334,12 +334,6 @@ def test_rewrite_float_equivalence():
     assert np.abs(a - b).max() / np.abs(a).max() < 1e-6
 
 
-def test_rewrite_respects_allow_list():
-    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
-    rw, decisions = rewrite_winograd(g, allow=set())
-    assert all(not d.eligible for d in decisions)
-
-
 def test_rewrite_skips_five_tap_depthwise():
     g = model_zoo("mobilenetv3l", CellVariant.FACTORIZED, 64, seed=0)
     _, decisions = rewrite_winograd(g)

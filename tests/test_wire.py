@@ -134,7 +134,7 @@ def test_ledger_rows_and_csv():
     assert "layer,op,bytes_sent,bytes_recv,rounds" in text
     assert "conv,mul-open,160,160,1" in text
     assert "shuf,shuffle,0,0,0" in text
-    assert led.bytes_for("conv") == 160
+    assert led.bytes_for("mul-open") == 160
     assert led.total_sent == 160
 
 

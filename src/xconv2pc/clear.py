@@ -1,9 +1,11 @@
 """Clear-text reference interpreters.
 
 Float mode is plain float64 inference over the graph as written,
-normalization included.  Fixed mode compiles the graph to a plan and runs
-it on ring residues; its output is the bit pattern the secure engine must
-reproduce exactly.
+normalization included; a transform-tagged convolution runs
+``winograd.transform_conv``, the kernel the plan walker runs on ring words,
+with real filters and products.  Fixed mode compiles the graph to a plan
+and runs it on ring residues; its output is the bit pattern the secure
+engine must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .errors import ShapeError
 from .graph import BN_EPS, Graph, INPUT, channel_shuffle, infer_shapes
 from .plan import build_plan, conv_patches, execute_plan_clear
 from .ring import RingTensor, encode_fixed
-from .winograd import winograd_conv2d
+from .winograd import basis_for_tile, transform_conv, transform_filter_real
 
 
 def _float_conv(x, w, b, attrs):
@@ -22,7 +24,9 @@ def _float_conv(x, w, b, attrs):
     padding = attrs.get("padding", 0)
     groups = attrs.get("groups", 1)
     if attrs.get("winograd"):
-        out = winograd_conv2d(x, w, attrs["tile"], padding=padding, groups=groups)
+        basis = basis_for_tile(attrs["tile"], attrs["kernel"])
+        out = transform_conv(x, transform_filter_real(w, basis), basis, padding,
+                             groups, np.multiply)
     else:
         patches = conv_patches(x, attrs["kernel"], stride, padding)
         perg_in = x.shape[1] // groups

@@ -52,6 +52,17 @@ from .winograd import TILE_CANDIDATES, rewrite_winograd
 from .zoo import model_zoo
 
 
+def _positive_int(text: str, what: str) -> int:
+    """``text`` as an integer of at least 1, else a ParseError naming ``what``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParseError(f"{what} expects integers of at least 1, got {text!r}")
+    return value
+
+
 def _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed) -> Graph:
     if (graph_path is None) == (zoo_spec is None):
         raise ParseError("give exactly one of --graph or --zoo")
@@ -61,7 +72,7 @@ def _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed) -> Graph:
     if len(parts) not in (2, 3):
         raise ParseError(f"--zoo expects backbone:variant[:size], got {zoo_spec!r}")
     backbone, variant = parts[0], CellVariant.parse(parts[1])
-    size = int(parts[2]) if len(parts) == 3 else 320
+    size = _positive_int(parts[2], "--zoo size") if len(parts) == 3 else 320
     try:
         return model_zoo(backbone, variant, input_size=size, seed=seed,
                          cfg=FixedPointConfig(bitwidth=bitwidth, scale=scale))
@@ -156,8 +167,8 @@ def describe(graph_path, zoo_spec, bitwidth, scale, seed):
 def winograd(graph_path, zoo_spec, bitwidth, scale, seed, tiles, out_path,
              report_path):
     """Tag eligible convolutions for transform execution."""
+    candidates = tuple(_positive_int(t, "--tiles") for t in tiles.split(","))
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
-    candidates = tuple(int(t) for t in tiles.split(","))
     before = sum(count_mults(g).values())
     rewritten, decisions = rewrite_winograd(g, candidates=candidates)
     after = sum(count_mults(rewritten).values())
@@ -408,7 +419,7 @@ def bench_graph(op: str, size: int, seed: int = 0) -> Graph:
 def bench_op(op_name, sizes, seed, out_path):
     """Measured secure-session bytes per image size for one operator."""
     rows = ["op,size,mults,payload_bytes"]
-    for size in (int(s) for s in sizes.split(",")):
+    for size in [_positive_int(s, "--sizes") for s in sizes.split(",")]:
         g = bench_graph(op_name, size, seed=seed)
         mults = sum(count_mults(g).values())
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,

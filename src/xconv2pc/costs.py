@@ -144,9 +144,6 @@ def mnemonic(backbone: str, variant: CellVariant, winograd: bool) -> str:
 @dataclass
 class VariantRow:
     mnemonic: str
-    backbone: str
-    variant: str
-    winograd: bool
     mults: int
     est_bytes: float
     reduction_vs_baseline: float
@@ -173,8 +170,7 @@ def compare_variants(pairs, input_size: int = 320, baseline: str = "DD",
             graph = graph_hook(graph)
         est = estimate_comm(graph)
         rows.append(VariantRow(
-            mnemonic=mnemonic(backbone, variant, wino), backbone=backbone,
-            variant=variant.value, winograd=wino, mults=est.total_mults,
+            mnemonic=mnemonic(backbone, variant, wino), mults=est.total_mults,
             est_bytes=est.total_bytes, reduction_vs_baseline=0.0))
     base = next((r for r in rows if r.mnemonic == baseline), rows[0])
     for r in rows:

@@ -7,10 +7,12 @@ convolutions), scaling constants pinned, and per-layer resource counts
 fixed.
 
 ``run_plan`` executes a plan, and it is the only code that does: every
-linear step (conv patches, the grouped broadcast, the integer Winograd
-transforms, sums, public scaling, permutes, adds, concats) is written
-there once.  A backend supplies the rest: the elementwise product, relu,
-truncation, the bias add, the zero-byte ledger rows and the weights.
+linear step (conv patches, the grouped broadcast, sums, public scaling,
+permutes, adds, concats) is written there once, and a tagged
+convolution's tiling and integer transforms are
+``winograd.transform_conv``, the kernel the float reference runs too.  A
+backend supplies the rest: the elementwise product, relu, truncation, the
+bias add, the zero-byte ledger rows and the weights.
 ``ClearOps`` below works on plain residues; the two-party
 ``PartyEngine`` works on one party's additive share.  Running the same
 plan through both therefore yields bit-identical results by
@@ -39,12 +41,9 @@ from .errors import FixedPointOverflowError, ShapeError
 from .graph import Graph, INPUT, fold_batchnorm, infer_shapes
 from .ring import FixedPointConfig, RingTensor, encode_fixed, truncate_signed
 from .winograd import (
-    assemble_tiles,
     basis_for_tile,
-    extract_tiles,
     mult_counts,
-    signed_to_residues,
-    tile_geometry,
+    transform_conv,
     transform_filter_real,
     winograd_guard,
 )
@@ -433,9 +432,10 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
     """Execute every plan layer on ring words; returns each layer's output by name.
 
     The input sits under ``INPUT``.  Every linear step (patches, sums,
-    integer transforms, public scaling, permutes, adds, concats) is coded
-    here once and does the same ring work on clear residues and on one
-    party's additive share.  ``ops`` supplies only what differs:
+    public scaling, permutes, adds, concats, and through
+    ``winograd.transform_conv`` the integer transforms) is coded once and
+    does the same ring work on clear residues and on one party's additive
+    share.  ``ops`` supplies only what differs:
 
       mul(x, y, tag, layer)           elementwise product of equal-shape words
       relu(x, tag, layer, neg=None)   max(signed(x), 0)
@@ -443,7 +443,7 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
                                       arithmetic shift by the working scale
       add_bias(pre, b, layer)         add the layer's public double-scale bias
       note_local(layer, op)           mark a communication-free step
-      weight(pl)                      the layer's (possibly transformed) weights
+      weight(pl, tag)                 the layer's (possibly transformed) weights
 
     ``tag`` is the layer's index in the plan.  Conv and fc layers hand
     ``mul`` one broadcast over all groups, so the secure backend opens one
@@ -461,7 +461,7 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
         src = [env[s] for s in pl.inputs]
         name = pl.name
         if pl.kind in ("conv2d", "fully-connected"):
-            w = ops.weight(pl)
+            w = ops.weight(pl, idx)
             fc = pl.kind == "fully-connected"
             if fc:
                 pre = _fc(src[0], w, idx, name, ops, mask)
@@ -538,35 +538,13 @@ def _conv_direct(x, w, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarr
 
 
 def _conv_winograd(x, u, pl: PlanLayer, tag: int, ops, mask) -> np.ndarray:
-    basis = pl.payload["basis"]
-    padding = pl.attrs.get("padding", 0)
-    groups = pl.attrs.get("groups", 1)
-    k, n = basis.r, basis.n
-    nb, c_in = x.shape[0], x.shape[1]
-    c_out = u.shape[0]
-    m_out, geom = tile_geometry(x.shape[2], k, padding, n)
-    pads = (padding, padding + geom.pad)
-    padded = np.pad(x, ((0, 0), (0, 0), pads, pads))
-    tiles = extract_tiles(padded, n, geom.step, geom.tiles)
-    btu = signed_to_residues(basis.b_t_int())
-    atu = signed_to_residues(basis.a_t_int())
-    v = np.einsum("ij,nctujk,lk->nctuil", btu, tiles, btu, dtype=_U64) & mask
     ops.note_local(pl.name, "wg-input-transform")
-    cpg_in = c_in // groups
-    cpg_out = c_out // groups
-    t = geom.tiles
-    # (batch, tile, tile, groups, out-per-group, in-per-group, n, n).
-    vg = v.reshape(nb, groups, cpg_in, t, t, n, n).transpose(0, 3, 4, 1, 2, 5, 6)
-    x_exp = np.broadcast_to(vg[:, :, :, :, None],
-                            (nb, t, t, groups, cpg_out, cpg_in, n, n))
-    ug = u.reshape(groups, cpg_out, cpg_in, n, n)
-    w_exp = np.broadcast_to(ug[None, None, None], x_exp.shape)
-    prod = ops.mul(x_exp, w_exp, tag, pl.name)
-    acc = prod.sum(axis=5, dtype=_U64) & mask
-    m = acc.reshape(nb, t, t, c_out, n, n).transpose(0, 3, 1, 2, 4, 5)
-    y = np.einsum("ij,notujk,lk->notuil", atu, m, atu, dtype=_U64) & mask
+    out = transform_conv(x, u, pl.payload["basis"], pl.attrs.get("padding", 0),
+                         pl.attrs.get("groups", 1),
+                         lambda a, b: ops.mul(a, b, tag, pl.name))
     ops.note_local(pl.name, "wg-output-transform")
-    return np.ascontiguousarray(assemble_tiles(y, m_out, basis.m))
+    out &= mask
+    return out
 
 
 def _fc(x, w, tag: int, layer: str, ops, mask) -> np.ndarray:
@@ -629,7 +607,7 @@ class ClearOps:
     def note_local(self, layer, op):
         pass
 
-    def weight(self, pl):
+    def weight(self, pl, tag):
         return pl.payload["weight"].words
 
 

@@ -126,7 +126,7 @@ class PartyEngine:
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(100 + party,)))
         self.bitwidth = plan.cfg.bitwidth
         self.mask = _U64(plan.cfg.mask)
-        self._weight_seed, self._weight_index = None, {}
+        self._weight_seed = None
 
     # -- framing ------------------------------------------------------------
 
@@ -450,14 +450,13 @@ class PartyEngine:
     def note_local(self, layer: str, op: str) -> None:
         self.ledger.note_local(layer, op)
 
-    def weight(self, pl) -> np.ndarray:
+    def weight(self, pl, tag: int) -> np.ndarray:
         """This party's weight share, expanded as the layer runs and not kept.
 
-        Both parties expand P = uniform(prg(seed, idx)) for plan index idx;
-        the client's share is P, the model owner's W - P.
+        Both parties expand P = uniform(prg(seed, tag)) for the layer's plan
+        index; the client's share is P, the model owner's W - P.
         """
-        p = uniform(prg(self._weight_seed, self._weight_index[pl.name]),
-                    _weight_shape(pl), self.bitwidth)
+        p = uniform(prg(self._weight_seed, tag), _weight_shape(pl), self.bitwidth)
         if self.party == 0:
             np.subtract(pl.payload["weight"].words, p, out=p)
             p &= self.mask
@@ -466,11 +465,9 @@ class PartyEngine:
     # -- session steps ---------------------------------------------------------------
 
     def distribute_weights(self, seed: bytes) -> None:
-        """Keep party 0's hello seed and each weighted layer's plan index,
-        from which ``weight`` expands the shares; sends nothing."""
+        """Keep party 0's hello seed, from which ``weight`` expands the
+        shares; sends nothing."""
         self._weight_seed = seed
-        self._weight_index = {pl.name: idx for idx, pl in enumerate(self.plan.layers)
-                              if _weight_shape(pl) is not None}
 
     def run(self, input_share: np.ndarray) -> np.ndarray:
         """Execute every plan layer; returns this party's output share."""
@@ -517,8 +514,6 @@ def _weight_shape(pl):
     a = pl.attrs
     if pl.kind == "fully-connected":
         return (a["out_features"], a["in_features"])
-    if pl.kind != "conv2d":
-        return None
     k = a["tile"] if a.get("winograd") else a["kernel"]
     return (a["out_channels"], a["in_channels"] // a.get("groups", 1), k, k)
 

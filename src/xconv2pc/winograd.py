@@ -1,4 +1,4 @@
-"""Minimal-multiplication convolution: transform bases, tiling math, kernels.
+"""Minimal-multiplication convolution: transform bases, tiling math, the kernel.
 
 A basis with output tile ``m`` and filter taps ``r`` computes ``m`` outputs
 of a valid (cross-correlation) convolution using ``n = m + r - 1``
@@ -14,6 +14,10 @@ identity on all basis-vector pairs; since both sides of the identity are
 bilinear in (tile, filter), equality on basis pairs proves it for every
 input.  7-tap transforms are rejected: their bases carry fractions that
 lose too much precision in fixed point.
+
+``transform_conv`` is the one tiled transform convolution: the float
+reference runs it on reals with ``np.multiply``, and the plan walker on
+ring words with the backend's secret product.
 """
 
 from __future__ import annotations
@@ -163,12 +167,9 @@ def basis_for_tile(n: int, k: int) -> WinogradBasis:
 class TilingPlan:
     """Tile geometry and multiplication counts for one square convolution."""
 
-    m_out: int      # output extent per axis
-    k: int          # filter extent
     n: int          # input tile extent
     step: int       # n - k + 1 output points per tile per axis
     tiles: int      # tiles per axis covering the output
-    last_tile: int  # input extent actually needed by the last tile
     pad: int        # zero columns/rows appended right/bottom
     dense: int      # m_out^2 * k^2
     beta1: int      # single-shot transform multiplications (m_out + k - 1)^2
@@ -186,7 +187,7 @@ def mult_counts(m_out: int, k: int, n: int) -> TilingPlan:
         raise ValueError("tile extent must exceed the filter extent")
     step = n - k + 1
     tiles = -(-m_out // step)  # ceil
-    last_tile = m_out - (tiles - 1) * step + k - 1
+    last_tile = m_out - (tiles - 1) * step + k - 1  # input extent the last tile needs
     covered = (tiles - 1) * step + n
     pad = covered - (m_out + k - 1)
     dense = m_out * m_out * k * k
@@ -194,9 +195,8 @@ def mult_counts(m_out: int, k: int, n: int) -> TilingPlan:
     beta2 = tiles * tiles * n * n
     unpadded = ((tiles - 1) * n + last_tile) ** 2
     return TilingPlan(
-        m_out=m_out, k=k, n=n, step=step, tiles=tiles, last_tile=last_tile,
-        pad=pad, dense=dense, beta1=beta1, beta2=beta2,
-        gamma=beta2 / unpadded,
+        n=n, step=step, tiles=tiles, pad=pad, dense=dense, beta1=beta1,
+        beta2=beta2, gamma=beta2 / unpadded,
     )
 
 
@@ -215,7 +215,7 @@ def choose_tile(m_out: int, k: int, candidates=TILE_CANDIDATES) -> int:
     return min(cands, key=lambda n: (mult_counts(m_out, k, n).beta2, n))
 
 
-# -- kernels ------------------------------------------------------------------
+# -- kernel ------------------------------------------------------------------
 
 
 def transform_filter_real(w: np.ndarray, basis: WinogradBasis) -> np.ndarray:
@@ -224,72 +224,40 @@ def transform_filter_real(w: np.ndarray, basis: WinogradBasis) -> np.ndarray:
     return np.einsum("ij,ocjk,lk->ocil", g, w.astype(np.float64), g)
 
 
-def signed_to_residues(mat: np.ndarray) -> np.ndarray:
-    return np.array([[v % (1 << 64) for v in row] for row in mat.tolist()], dtype=_U64)
+def transform_conv(x: np.ndarray, u: np.ndarray, basis: WinogradBasis,
+                   padding: int, groups: int, mul) -> np.ndarray:
+    """Tiled transform convolution, stride 1, of square maps on any dtype.
 
-
-def extract_tiles(padded: np.ndarray, n: int, step: int, tiles: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, T, T, n, n) overlapping tiles with stride `step`."""
-    win = np.lib.stride_tricks.sliding_window_view(padded, (n, n), axis=(2, 3))
-    return np.ascontiguousarray(win[:, :, ::step, ::step][:, :, :tiles, :tiles])
-
-
-def tile_geometry(h_in: int, k: int, padding: int, n: int) -> tuple:
-    """(output extent, tiling) of a stride-1 conv; tiling.pad rows pad bottom/right."""
-    m_out = h_in + 2 * padding - k + 1
+    ``u`` is the transformed filter (out, in per group, n, n) and
+    ``mul(a, b)`` the elementwise product of equal-shape arrays; all groups'
+    products go to it in one broadcast.  On float64 this is the real
+    convolution to rounding error.  On uint64 ring words every step is
+    exact modulo 2^64, and reducing modulo 2^l is a ring homomorphism, so
+    the caller masks the result once.
+    """
+    n, k, m = basis.n, basis.r, basis.m
+    m_out = x.shape[2] + 2 * padding - k + 1
     if m_out < 1:
         raise ShapeError("convolution output would be empty")
-    return m_out, mult_counts(m_out, k, n)
-
-
-def winograd_conv2d(x: np.ndarray, w: np.ndarray, n: int, *,
-                    padding: int = 0, groups: int = 1) -> np.ndarray:
-    """Tiled transform convolution in float64; stride 1, square filters.
-
-    Matches direct convolution to rounding error.  The fixed-point form of
-    the same kernel is the Winograd step of ``plan.run_plan``.
-    """
-    basis = basis_for_tile(n, w.shape[-1])
-    _check_kernel_preconditions(x, w, groups)
-    nb, c_in, h, wdt = x.shape
-    c_out = w.shape[0]
-    k = w.shape[-1]
-    m_out, plan = tile_geometry(h, k, padding, n)
-    pads = (padding, padding + plan.pad)
-    padded = np.pad(x.astype(np.float64), ((0, 0), (0, 0), pads, pads))
-    tiles = extract_tiles(padded, n, plan.step, plan.tiles)
-    bt = basis.b_t_int().astype(np.float64)
-    at = basis.a_t_int().astype(np.float64)
-    u = transform_filter_real(w, basis)
-    v = np.einsum("ij,nctujk,lk->nctuil", bt, tiles, bt)
-    out = np.empty((nb, c_out, plan.tiles, plan.tiles, basis.m, basis.m))
-    cpg_in = c_in // groups
-    cpg_out = c_out // groups
-    for g in range(groups):
-        vi = v[:, g * cpg_in:(g + 1) * cpg_in]
-        ui = u[g * cpg_out:(g + 1) * cpg_out]
-        mprod = np.einsum("nctuij,ocij->notuij", vi, ui)
-        out[:, g * cpg_out:(g + 1) * cpg_out] = np.einsum("ij,notujk,lk->notuil", at, mprod, at)
-    return assemble_tiles(out, m_out, basis.m)
-
-
-def assemble_tiles(tiles_out: np.ndarray, m_out: int, m: int) -> np.ndarray:
-    nb, c, t, _, _, _ = tiles_out.shape
-    full = tiles_out.transpose(0, 1, 2, 4, 3, 5).reshape(nb, c, t * m, t * m)
-    return full[:, :, :m_out, :m_out]
-
-
-def _check_kernel_preconditions(x: np.ndarray, w: np.ndarray, groups: int) -> None:
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError("expected NCHW input and OIKK filter")
-    if w.shape[-1] != w.shape[-2]:
-        raise ShapeError("transform kernels need square filters")
-    if w.shape[-1] <= 1:
-        raise ShapeError("transform kernels need filter extent > 1")
-    if x.shape[2] != x.shape[3]:
-        raise ShapeError("transform kernels expect square feature maps")
-    if x.shape[1] != w.shape[1] * groups:
-        raise ShapeError("channel mismatch between input and filter")
+    geom = mult_counts(m_out, k, n)
+    pads = (padding, padding + geom.pad)
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, ((0, 0), (0, 0), pads, pads)), (n, n), axis=(2, 3))
+    tiles = np.ascontiguousarray(win[:, :, ::geom.step, ::geom.step])
+    bt, at = basis.b_t_int().astype(x.dtype), basis.a_t_int().astype(x.dtype)
+    v = np.einsum("ij,nctujk,lk->nctuil", bt, tiles, bt, dtype=x.dtype)
+    nb, t = x.shape[0], geom.tiles
+    c_out, cpg_in = u.shape[0], u.shape[1]
+    # (batch, tile, tile, groups, out-per-group, in-per-group, n, n).
+    vg = v.reshape(nb, groups, cpg_in, t, t, n, n).transpose(0, 3, 4, 1, 2, 5, 6)
+    x_exp = np.broadcast_to(vg[:, :, :, :, None],
+                            (nb, t, t, groups, c_out // groups, cpg_in, n, n))
+    w_exp = np.broadcast_to(u.reshape(x_exp.shape[3:]), x_exp.shape)
+    acc = mul(x_exp, w_exp).sum(axis=5, dtype=x.dtype)
+    prods = acc.reshape(nb, t, t, c_out, n, n).transpose(0, 3, 1, 2, 4, 5)
+    y = np.einsum("ij,notujk,lk->notuil", at, prods, at, dtype=x.dtype)
+    full = y.transpose(0, 1, 2, 4, 3, 5).reshape(nb, c_out, t * m, t * m)
+    return np.ascontiguousarray(full[:, :, :m_out, :m_out])
 
 
 def winograd_guard(basis: WinogradBasis, u_real: np.ndarray, groups: int,

@@ -94,6 +94,19 @@ def test_describe_malformed_json_exit_parse(runner, tmp_path):
     assert "byte offset" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["describe", "--zoo", "toynet:dense:abc"],
+    ["describe", "--zoo", "toynet:dense:0"],
+    ["winograd", "--zoo", "toynet:dense:16", "--tiles", "4,x"],
+    ["bench-op", "--op", "dense", "--sizes", "8,y"],
+])
+def test_integer_options_exit_parse_before_any_work(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert "expects integers of at least 1" in result.output
+    assert "dense,8," not in result.output  # bench-op ran no size
+
+
 def test_winograd_command_writes_graph_and_report(runner, toynet_file, tmp_path):
     out = tmp_path / "rw.json"
     rep = tmp_path / "tiles.json"

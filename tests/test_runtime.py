@@ -1110,7 +1110,7 @@ def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
 
     def record_run(engine, input_share):
         shares[engine.party] = (input_share, {
-            pl.name: engine.weight(pl) for pl in engine.plan.layers
+            pl.name: engine.weight(pl, idx) for idx, pl in enumerate(engine.plan.layers)
             if pl.kind in ("conv2d", "fully-connected")})
         return run(engine, input_share)
 
@@ -1135,23 +1135,46 @@ def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
 
 def test_dealer_files_and_transcripts_match_their_pins(tmp_path):
     # Any change to the dealer's PRG draw order or to the bytes an open
-    # sends moves these pins.
+    # sends moves these pins.  The plain xop graph has no tagged conv; the
+    # two rewritten graphs send 13 tagged convs each (10 at tile 4, 3 at
+    # tile 6) through the transform kernel, depthwise in xop and dense in
+    # dense.  Per case: both .dlr files, then the client's and the model
+    # owner's sent digests.
     import hashlib
 
-    g = model_zoo("shufflenetv2", CellVariant.XOP, 32, seed=3)
-    stores = generate_material(build_plan(g, with_weights=False), 9)
-    pins = ("3431532616f5705d7e60ff5693fe182fb86b440727a1cd60035afd34e70bf2f1",
-            "2a8459d4ad2bf97dc51f07d3f85e6a694b047664096be2b57a42e75233677835")
-    for store, pin in zip(stores, pins):
-        path = tmp_path / f"party{store.party}.dlr"
-        write_material(store, str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == pin
-    run = secure_infer_local(g, _random_input(g.input_shape, 10), seed=9,
-                             materials=stores)
-    assert np.array_equal(run.output.words, run.clear_reference.words)
-    client = "db4e2c39606311baf6f7c9155d15369603bf211b319a6731a39fe5a0ac047f86"
-    model = "aa64d17a911654f9e219dc5170dcbe2be14b6592676fd46193584c841f386ac4"
-    assert (run.client.sent_digest, run.model.sent_digest) == (client, model)
+    from xconv2pc.winograd import rewrite_winograd
+
+    cases = {
+        (CellVariant.XOP, False): (
+            "3431532616f5705d7e60ff5693fe182fb86b440727a1cd60035afd34e70bf2f1",
+            "2a8459d4ad2bf97dc51f07d3f85e6a694b047664096be2b57a42e75233677835",
+            "db4e2c39606311baf6f7c9155d15369603bf211b319a6731a39fe5a0ac047f86",
+            "aa64d17a911654f9e219dc5170dcbe2be14b6592676fd46193584c841f386ac4"),
+        (CellVariant.XOP, True): (
+            "422d1133510b792e77791c692a3f8f5660e96ac872527082365b76b5ab05cbe9",
+            "4857ed2b43d768b4c7b348d32e9bbaa9072eb773767763b20427eff46e01cec1",
+            "a296877f441ba3c8c42e6a6c00f7c874b90d1b00c7b02657155d82fb9fbc9500",
+            "560941ef74df1c52d36a660bd3377e41967dda918974861a59b75bbe3727961f"),
+        (CellVariant.DENSE, True): (
+            "3f682e1906145d7673b13c8fe02155c1661bb635bcac9e6ef203be98436ef2ad",
+            "89b353792d2a7644549342327b16ed9f4411408928e9858ed99f1afde94ef239",
+            "675f38b3b37f1c869a0274759674bd9065fc6ae4b547c1730db8ec33b8e3a208",
+            "8eff73d6619d4d5a7a73e6323d938381da4191d0f85802e37263c87e2e73a553"),
+    }
+    for (variant, rewrite), pins in cases.items():
+        g = model_zoo("shufflenetv2", variant, 32, seed=3)
+        if rewrite:
+            g, _ = rewrite_winograd(g)
+        stores = generate_material(build_plan(g, with_weights=False), 9)
+        for store, pin in zip(stores, pins):
+            path = tmp_path / f"party{store.party}.dlr"
+            write_material(store, str(path))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pin, variant
+        run = secure_infer_local(g, _random_input(g.input_shape, 10), seed=9,
+                                 materials=stores)
+        assert np.array_equal(run.output.words, run.clear_reference.words)
+        assert (run.client.sent_digest, run.model.sent_digest) == pins[2:], variant
+        del stores, run
 
 
 def _tcp_pair():

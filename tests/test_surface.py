@@ -11,9 +11,10 @@ it is on the allowlist below with the reason it stays:
 
 Everything is matched by name alone, not by what the name resolves to: a
 call to any function called ``f`` counts for every ``f``, and a field
-counts as read when an attribute, a variable or a string of its name is
-read (``getattr`` takes strings).  So the scan can miss a setting that
-hides behind a same-named function, but it does not flag one that is used.
+counts as read only when an attribute of its name is read, on any object
+(a ``getattr`` with a string does not count; such a field needs an
+allowlist entry).  So the scan can miss a setting that hides behind a
+same-named function, and flags no field read as an attribute.
 A call that spreads ``*args`` or ``**kwargs`` counts as passing every
 parameter, and so does a function taken as a value rather than called,
 since it may be called under any name; a bare name that its module binds
@@ -171,15 +172,9 @@ def _fields() -> set:
 
 
 def _reads() -> set:
-    """Every attribute, variable and identifier string read in src/ and perfbench/."""
-    reads = set()
-    for tree in _trees("src", "perfbench"):
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-                reads.add(_name(node))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                reads.add(node.value)
-    return reads
+    """Every attribute read in src/ and perfbench/."""
+    return {node.attr for tree in _trees("src", "perfbench") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 @lru_cache(maxsize=None)

@@ -21,20 +21,26 @@ from xconv2pc.plan import build_plan, execute_plan_clear
 from xconv2pc.ring import FixedPointConfig, RingTensor, encode_fixed, mask_words, truncate_signed
 from xconv2pc.winograd import (
     UnsupportedTransformError,
+    basis_for_tile,
     choose_tile,
     mult_counts,
     rewrite_winograd,
+    transform_conv,
     transform_filter_real,
     winograd_basis,
-    winograd_conv2d,
     winograd_guard,
 )
 from xconv2pc.zoo import model_zoo
 
 
-def gamma_first_order(p) -> float:
+def gamma_first_order(p, k) -> float:
     """First-order padding-overhead bound 1 + 2(1 - k/n)/tiles of a tiling plan."""
-    return 1.0 + 2.0 * (1.0 - p.k / p.n) / p.tiles
+    return 1.0 + 2.0 * (1.0 - k / p.n) / p.tiles
+
+
+def last_tile(p, m_out, k) -> int:
+    """Input extent the last tile of a tiling plan actually needs."""
+    return m_out - (p.tiles - 1) * p.step + k - 1
 
 
 def _spec(g, name):
@@ -117,10 +123,10 @@ def test_paper_scale_constants_318():
     assert p.beta1 == 102_400
     assert p.beta2 == 230_400
     assert p.tiles == 80
-    assert p.last_tile == 4
+    assert last_tile(p, 318, 3) == 4
     assert abs(p.gamma - (480 / 478) ** 2) < 1e-12
     assert p.gamma == pytest.approx(1.00840, abs=5e-5)
-    assert p.gamma <= gamma_first_order(p) == pytest.approx(1.0125)
+    assert p.gamma <= gamma_first_order(p, 3) == pytest.approx(1.0125)
 
 
 def test_single_tile_degenerate_case():
@@ -164,13 +170,13 @@ def test_gamma_exact_ratio_and_remainder_bound(m_out, k, n):
     if n <= k:
         return
     p = mult_counts(m_out, k, n)
-    unpadded = ((p.tiles - 1) * n + p.last_tile) ** 2
+    unpadded = ((p.tiles - 1) * n + last_tile(p, m_out, k)) ** 2
     assert p.gamma == pytest.approx(p.beta2 / unpadded, rel=1e-12)
     # The exact overhead (1-x)^-2 sits above its linearization 1+2x by the
     # remainder x^2(3-2x)/(1-x)^2, which stays under 8x^2 while x <= 1/2.
     x_max = (1.0 - k / n) / p.tiles
     if x_max <= 0.5:
-        assert p.gamma <= gamma_first_order(p) + 8.0 * x_max * x_max + 1e-12
+        assert p.gamma <= gamma_first_order(p, k) + 8.0 * x_max * x_max + 1e-12
 
 
 def test_gamma_below_first_order_in_operating_regime():
@@ -179,8 +185,8 @@ def test_gamma_below_first_order_in_operating_regime():
     for n in (4, 6):
         for m_out in range(6, 321):
             p = mult_counts(m_out, 3, n)
-            if p.last_tile > 3:
-                assert p.gamma <= gamma_first_order(p) + 1e-12, (m_out, n)
+            if last_tile(p, m_out, 3) > 3:
+                assert p.gamma <= gamma_first_order(p, 3) + 1e-12, (m_out, n)
 
 
 # -- kernels ----------------------------------------------------------------------
@@ -204,12 +210,19 @@ def direct_conv(x, w, pad=0, groups=1):
     return out
 
 
+def float_transform_conv(x, w, n, padding=0):
+    """Float transform convolution with n x n tiles, through the shared kernel."""
+    basis = basis_for_tile(n, w.shape[-1])
+    return transform_conv(x, transform_filter_real(w, basis), basis, padding, 1,
+                          np.multiply)
+
+
 def test_delta_filter_float_is_crop():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 1, 10, 10))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    out = winograd_conv2d(x, w, 4)
+    out = float_transform_conv(x, w, 4)
     assert np.allclose(out[0, 0], x[0, 0, 1:-1, 1:-1], atol=1e-10)
 
 
@@ -217,7 +230,7 @@ def test_float_matches_direct_33x33():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 4, 33, 33))
     w = rng.standard_normal((5, 4, 3, 3))
-    got = winograd_conv2d(x, w, 6)
+    got = float_transform_conv(x, w, 6)
     ref = direct_conv(x, w)
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-8
 
@@ -228,7 +241,7 @@ def test_float_matches_direct_random_sizes(n, hw):
     rng = np.random.default_rng(hw * n)
     x = rng.standard_normal((2, 3, hw, hw))
     w = rng.standard_normal((4, 3, 3, 3))
-    got = winograd_conv2d(x, w, n, padding=1)
+    got = float_transform_conv(x, w, n, padding=1)
     ref = direct_conv(x, w, pad=1)
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-8
 

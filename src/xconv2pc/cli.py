@@ -361,13 +361,14 @@ def verify(graph_path, zoo_spec, bitwidth, scale, seed, trials, material_dir):
         m1 = load_material(os.path.join(material_dir, "party1.dlr"))
         verify_material_pair(m0, m1, g.cfg)
         click.echo("dealer material pair verifies")
+    plan = build_plan(g, with_weights=True)
     failures = 0
     for t in range(trials):
         trial_seed = seed + 1000 * t + 17
         rng = np.random.default_rng(np.random.SeedSequence(entropy=trial_seed,
                                                            spawn_key=(300,)))
         x = rng.uniform(-1.0, 1.0, size=g.input_shape)
-        result = secure_infer_local(g, x, seed=trial_seed)
+        result = secure_infer_local(g, x, seed=trial_seed, plan=plan)
         ok = np.array_equal(result.output.words, result.clear_reference.words)
         click.echo(f"trial {t}: {'ok' if ok else 'MISMATCH'}")
         failures += 0 if ok else 1
@@ -421,11 +422,12 @@ def bench_op(op_name, sizes, seed, out_path):
     rows = ["op,size,mults,payload_bytes"]
     for size in [_positive_int(s, "--sizes") for s in sizes.split(",")]:
         g = bench_graph(op_name, size, seed=seed)
-        mults = sum(count_mults(g).values())
+        plan = build_plan(g, with_weights=True)
+        mults = plan.requirements().mul_triples
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                            spawn_key=(301, size)))
         x = rng.uniform(-1.0, 1.0, size=g.input_shape)
-        result = secure_infer_local(g, x, seed=seed + size)
+        result = secure_infer_local(g, x, seed=seed + size, plan=plan)
         sent = result.client.ledger.total_sent
         rows.append(f"{op_name},{size},{mults},{sent}")
         click.echo(rows[-1])
@@ -475,12 +477,13 @@ def report(graph_path, zoo_spec, bitwidth, scale, seed, fmt, out_path,
               show_default=True)
 @click.option("--winograd/--no-winograd", "with_wino", default=False,
               help="Add transform-rewritten rows.")
-@click.option("--size", default=320, show_default=True)
+@click.option("--size", default="320", show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--baseline", default="DD", show_default=True)
 @_cli_errors
 def compare(backbones, variants, with_wino, size, seed, baseline):
     """Cost table across backbone x variant (x transform) combinations."""
+    size = _positive_int(size, "--size")
     pairs = []
     for bb in backbones.split(","):
         for var in variants.split(","):

@@ -233,17 +233,24 @@ def _abs_rowsum(w: np.ndarray) -> float:
     return float(np.abs(w).sum(axis=tuple(range(1, w.ndim))).max())
 
 
-def _tolerated_ceiling(folded: Graph, cfg: FixedPointConfig) -> float:
-    """Largest activation promise every accumulator in the graph can absorb."""
-    budget = float(1 << (cfg.bitwidth - 1 - 2 * cfg.scale))
-    ceiling = float("inf")
+def _weight_bounds(folded: Graph) -> dict:
+    """(largest absolute row sum, largest absolute bias) of each conv and fc."""
+    bounds = {}
     for spec in folded.layers:
         w = folded.weights.get(f"{spec.name}.weight")
         if w is None or spec.kind not in ("conv2d", "fully-connected"):
             continue
         bias = folded.weights.get(f"{spec.name}.bias")
         bias_max = float(np.abs(bias).max()) if bias is not None else 0.0
-        rowsum = _abs_rowsum(w)
+        bounds[spec.name] = (_abs_rowsum(w), bias_max)
+    return bounds
+
+
+def _tolerated_ceiling(bounds: dict, cfg: FixedPointConfig) -> float:
+    """Largest activation promise every accumulator in the graph can absorb."""
+    budget = float(1 << (cfg.bitwidth - 1 - 2 * cfg.scale))
+    ceiling = float("inf")
+    for rowsum, bias_max in bounds.values():
         if rowsum > 0:
             ceiling = min(ceiling, 0.98 * (budget - bias_max) / rowsum)
     if ceiling < 1.0:
@@ -296,8 +303,10 @@ def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
     shapes = infer_shapes(g)
     cfg = g.cfg
     ceiling = ACTIVATION_CEILING
+    bounds = {}
     if with_weights:
-        ceiling = min(ceiling, _tolerated_ceiling(g, cfg))
+        bounds = _weight_bounds(g)
+        ceiling = min(ceiling, _tolerated_ceiling(bounds, cfg))
     layers = []
 
     for spec in g.layers:
@@ -320,10 +329,8 @@ def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
             elif w_real is not None:
                 pl.payload["weight"] = encode_fixed(w_real, cfg)
             if w_real is not None:
-                bias_max = (float(np.abs(bias_real).max())
-                            if bias_real is not None else 0.0)
-                _check_headroom(ceiling * _abs_rowsum(w_real) + bias_max, cfg,
-                                spec.name)
+                rowsum, bias_max = bounds[spec.name]
+                _check_headroom(ceiling * rowsum + bias_max, cfg, spec.name)
                 if bias_real is not None:
                     pl.payload["bias_ring"] = _encode_double_scale(bias_real, cfg)
 

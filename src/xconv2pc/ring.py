@@ -14,6 +14,7 @@ nearest would not.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -108,15 +109,21 @@ def encode_fixed(x: np.ndarray, cfg: FixedPointConfig) -> RingTensor:
     equals the arbitrary-precision floor of the float's value.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scaled = np.floor(arr * float(1 << cfg.scale))
-    if not np.all(np.isfinite(scaled)):
-        raise FixedPointOverflowError("non-finite value in fixed-point encode")
-    limit = float(1 << (cfg.bitwidth - 1))
-    if np.any(scaled >= limit) or np.any(scaled < -limit):
-        raise FixedPointOverflowError(
-            f"value exceeds signed range of {cfg.bitwidth}-bit ring at scale {cfg.scale}"
-        )
-    return RingTensor.from_signed(scaled.astype(np.int64), cfg.bitwidth)
+    scaled = np.multiply(arr, float(1 << cfg.scale), out=np.empty(arr.shape))
+    np.floor(scaled, out=scaled)
+    if scaled.size:
+        # min and max carry any NaN, and an infinity is an extreme.
+        lo, hi = float(scaled.min()), float(scaled.max())
+        if math.isnan(lo) or math.isinf(lo) or math.isinf(hi):
+            raise FixedPointOverflowError("non-finite value in fixed-point encode")
+        limit = float(1 << (cfg.bitwidth - 1))
+        if hi >= limit or lo < -limit:
+            raise FixedPointOverflowError(
+                f"value exceeds signed range of {cfg.bitwidth}-bit ring at scale {cfg.scale}"
+            )
+    words = scaled.astype(np.int64).view(_WORD)
+    words &= _WORD(cfg.mask)
+    return RingTensor(words, cfg.bitwidth)
 
 
 def decode_fixed(t: RingTensor, cfg: FixedPointConfig) -> np.ndarray:

@@ -192,16 +192,18 @@ class LocalRun:
 
 def secure_infer_local(graph: Graph, x, seed: int = 0,
                        materials: tuple = None,
-                       compare_clear: bool = True) -> LocalRun:
+                       compare_clear: bool = True,
+                       plan: FixedPlan = None) -> LocalRun:
     """Full two-party execution over an in-process duplex transport.
 
     The dealer phase, both online parties, and (optionally) the clear
     fixed-point reference all run from one seed; the reference output is
     what the reconstructed secure output must equal bit for bit.  When the
     client fails on the model party's abort, the model party's error, the
-    root cause, is raised.
+    root cause, is raised.  ``plan`` is the graph's weighted plan, when the
+    caller has already built it; otherwise it is built here.
     """
-    plan0 = build_plan(graph, with_weights=True)
+    plan0 = plan if plan is not None else build_plan(graph, with_weights=True)
     plan1 = build_plan(graph, with_weights=False)
     if not isinstance(x, RingTensor):
         x = encode_fixed(np.asarray(x, dtype=np.float64), graph.cfg)

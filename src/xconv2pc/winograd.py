@@ -219,9 +219,34 @@ def choose_tile(m_out: int, k: int, candidates=TILE_CANDIDATES) -> int:
 
 
 def transform_filter_real(w: np.ndarray, basis: WinogradBasis) -> np.ndarray:
-    """g @ W @ g^T per channel pair, real arithmetic (the weight owner's side)."""
+    """g @ W @ g^T per channel pair, real arithmetic (the weight owner's side).
+
+    Each output is summed from 0.0 over j, then k, of (g[i,j] W[j,k]) g[l,k]:
+    the order of ``np.einsum("ij,ocjk,lk->ocil", ...)``, so the float64 bits,
+    and with them the encoded weight words, are those einsum gives.  A
+    matrix-product order rounds differently, and a weight on a coarse grid
+    can then land on the other side of a 2^-scale boundary.  Each step runs
+    over all out x in channel pairs at once, which is what makes it fast.
+    """
     g = basis.g_float()
-    return np.einsum("ij,ocjk,lk->ocil", g, w.astype(np.float64), g)
+    n, r = g.shape
+    c_out, c_in = w.shape[:2]
+    # (j, k, channel pair): every step below reads one contiguous row.
+    wt = np.ascontiguousarray(w.reshape(c_out * c_in, r, r).transpose(1, 2, 0),
+                              dtype=np.float64)
+    acc = np.zeros((n, n, c_out * c_in))
+    gw = np.empty(c_out * c_in)
+    term = np.empty(c_out * c_in)
+    for j in range(r):
+        for k in range(r):
+            for i in range(n):
+                np.multiply(g[i, j], wt[j, k], out=gw)
+                for l in range(n):
+                    np.multiply(gw, g[l, k], out=term)
+                    acc[i, l] += term
+    u = np.empty((c_out, c_in, n, n))
+    u.reshape(c_out * c_in, n, n).transpose(1, 2, 0)[...] = acc
+    return u
 
 
 def transform_conv(x: np.ndarray, u: np.ndarray, basis: WinogradBasis,

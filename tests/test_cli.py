@@ -99,6 +99,7 @@ def test_describe_malformed_json_exit_parse(runner, tmp_path):
     ["describe", "--zoo", "toynet:dense:0"],
     ["winograd", "--zoo", "toynet:dense:16", "--tiles", "4,x"],
     ["bench-op", "--op", "dense", "--sizes", "8,y"],
+    ["compare", "--backbones", "toynet", "--variants", "dense", "--size", "0"],
 ])
 def test_integer_options_exit_parse_before_any_work(runner, args):
     result = runner.invoke(main, args)
@@ -143,6 +144,25 @@ def test_infer_and_verify_roundtrip(runner, toynet_file, tmp_path):
                                   "--trials", "3", "--seed", "9"])
     assert result.exit_code == 0, result.output
     assert "all 3 trials bitwise-equal" in result.output
+
+
+def test_verify_builds_the_weighted_plan_once(runner, toynet_file, monkeypatch):
+    import xconv2pc.cli as cli_mod
+    import xconv2pc.runtime.session as session_mod
+
+    weighted = []
+
+    def counting(build):
+        def wrapper(graph, with_weights=True):
+            weighted.append(with_weights)
+            return build(graph, with_weights=with_weights)
+        return wrapper
+
+    monkeypatch.setattr(cli_mod, "build_plan", counting(cli_mod.build_plan))
+    monkeypatch.setattr(session_mod, "build_plan", counting(session_mod.build_plan))
+    result = runner.invoke(main, ["verify", "--graph", toynet_file, "--trials", "3"])
+    assert result.exit_code == 0, result.output
+    assert weighted.count(True) == 1 and weighted.count(False) == 3
 
 
 def test_infer_rejects_an_input_word_outside_the_ring(runner, toynet_file, tmp_path):

@@ -88,6 +88,60 @@ def test_encode_overflow_rejected():
     encode_fixed(np.array([127.0]), small)  # fits
 
 
+@pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf], [0.5, -np.inf],
+                                    [np.nan, np.inf, 1e300]])
+def test_encode_non_finite_rejected(values):
+    with pytest.raises(FixedPointOverflowError, match="non-finite value"):
+        encode_fixed(np.array(values), CFG)
+
+
+def test_encode_overflow_to_infinity_is_non_finite():
+    # 1e308 * 2^23 overflows float64 before the range check sees it.
+    with np.errstate(over="ignore"), \
+            pytest.raises(FixedPointOverflowError, match="non-finite value"):
+        encode_fixed(np.array([1e308]), CFG)
+
+
+def test_encode_signed_range_bounds():
+    # Scaled to exactly 2^59 is out; exactly -2^59 is the most negative
+    # word; the nearest float64 inside each bound encodes.
+    top = float(1 << 36)  # 2^59 / 2^23
+    with pytest.raises(FixedPointOverflowError, match="exceeds signed range"):
+        encode_fixed(np.array([top]), CFG)
+    with pytest.raises(FixedPointOverflowError, match="exceeds signed range"):
+        encode_fixed(np.array([-top - 2.0**-10]), CFG)
+    words = encode_fixed(np.array([-top, np.nextafter(top, 0), np.nextafter(-top, 0)]),
+                         CFG).words
+    assert words.tolist() == [1 << 59, (1 << 59) - 64, (1 << 59) + 64]
+    # On a 40-bit ring at scale 8 the words next to each bound are exact.
+    small = FixedPointConfig(bitwidth=40, scale=8)
+    edge = float(1 << 31)
+    with pytest.raises(FixedPointOverflowError, match="exceeds signed range"):
+        encode_fixed(np.array([edge]), small)
+    words = encode_fixed(np.array([edge - 2.0**-8, -edge, -edge + 2.0**-8]), small).words
+    assert words.tolist() == [(1 << 39) - 1, 1 << 39, (1 << 39) + 1]
+
+
+def test_encode_negative_zero_is_zero():
+    assert encode_fixed(np.array([-0.0, 0.0]), CFG).words.tolist() == [0, 0]
+
+
+def test_encode_empty_and_zero_d():
+    empty = encode_fixed(np.zeros((0, 3)), CFG)
+    assert empty.shape == (0, 3) and empty.words.dtype == np.uint64
+    # RingTensor keeps at least one axis, so a 0-d input encodes as (1,).
+    assert encode_fixed(np.array(1.5), CFG).words.tolist() == [3 << 22]
+    assert encode_fixed(-2.25, CFG).words.tolist() == [(1 << 60) - (9 << 21)]
+
+
+def test_encode_transposed_input_gives_c_contiguous_words():
+    x = (np.arange(12.0).reshape(3, 4) / 7 - 0.8).T
+    t = encode_fixed(x, CFG)
+    assert t.shape == (4, 3) and t.words.flags.c_contiguous
+    assert np.array_equal(t.words, encode_fixed(np.ascontiguousarray(x), CFG).words)
+    assert t.words[1, 0].item() == (1 << 60) - 5512514
+
+
 # -- elementwise arithmetic ---------------------------------------------------
 
 

@@ -6,6 +6,7 @@ integer-grid samples are kept as belt-and-braces.  Counting formulas are
 checked against their closed forms and the frozen constants.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xconv2pc.errors import FixedPointOverflowError
-from xconv2pc.graph import INPUT, CellVariant, GraphBuilder
+from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, fold_batchnorm
 from xconv2pc.clear import infer_float
 from xconv2pc.costs import count_mults
 from xconv2pc.plan import build_plan, execute_plan_clear
@@ -299,6 +300,54 @@ def test_fixed_headroom_guard_rejects_fat_scale():
     with pytest.raises(FixedPointOverflowError):
         winograd_guard(basis, u, 1, 4.0, cfg)
     winograd_guard(basis, u, 1, 1.0, FixedPointConfig())  # default fits
+
+
+# Zoo graphs that build at 16 px and 32 px: densenet121 pools its map to
+# nothing at 16 px, and resnet18's shuffle cell puts a batchnorm where
+# folding cannot take it.
+_ZOO_AT = [(bb, var, px)
+           for bb in ("densenet121", "resnet50", "resnet18", "mobilenetv3l",
+                      "shufflenetv2")
+           for var in CellVariant for px in (16, 32)
+           if not (bb == "densenet121" and px == 16)
+           and not (bb == "resnet18" and var is CellVariant.SHUFFLE)]
+
+
+def test_filter_transform_is_einsum_bit_for_bit():
+    # np.einsum's summation order is what fixes the float64 bits the weight
+    # words are encoded from; the filter transform must reproduce it, not
+    # round close to it, on every tagged layer the zoo rewrites.
+    tagged = 0
+    for bb, var, px in _ZOO_AT:
+        g = fold_batchnorm(rewrite_winograd(model_zoo(bb, var, px, seed=5))[0])
+        for spec in g.layers:
+            if not spec.attrs.get("winograd"):
+                continue
+            w = g.weights[f"{spec.name}.weight"]
+            basis = basis_for_tile(spec.attrs["tile"], spec.attrs["kernel"])
+            gf = basis.g_float()
+            got = transform_filter_real(w, basis)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.einsum("ij,ocjk,lk->ocil", gf, w, gf)), \
+                (bb, var, px, spec.name)
+            tagged += 1
+    assert tagged > 500
+
+
+def test_weighted_plan_words_match_their_pin():
+    # Every payload word of the weight owner's plan, layer by layer; any
+    # change to the filter transform's rounding or to the encoding moves it.
+    g, _ = rewrite_winograd(model_zoo("shufflenetv2", CellVariant.DENSE, 32, seed=3))
+    h = hashlib.sha256()
+    for pl in build_plan(g, with_weights=True).layers:
+        for key in sorted(pl.payload):
+            value = pl.payload[key]
+            if isinstance(value, RingTensor):
+                h.update(value.words.tobytes())
+            elif isinstance(value, int):
+                h.update(np.uint64(value).tobytes())
+    assert h.hexdigest() == (
+        "d86254cab2fdb9b8b3e065b0f2adefb3f1357753f9b3a7394b1f91195657dbb8")
 
 
 # -- rewrite pass -----------------------------------------------------------------

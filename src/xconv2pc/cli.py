@@ -302,8 +302,7 @@ def run(graph_path, zoo_spec, bitwidth, scale, seed, role, listen_ep,
     if ledger_path:
         result.ledger.to_csv(ledger_path)
     click.echo(f"{role} done; sent {result.ledger.total_sent:,} payload bytes "
-               f"in {sum(e.rounds for e in result.ledger.entries.values())} rounds; "
-               f"transcript {result.sent_digest[:16]}")
+               f"in {sum(e.rounds for e in result.ledger.entries.values())} rounds")
 
 
 def _free_port() -> int:

@@ -104,15 +104,19 @@ class MaterialStore:
     def __post_init__(self):
         self.cursors = {"mul": 0, "aux": 0, "trunc": 0, "cmp": 0, "bool": 0}
 
-    def take(self, kind: str, n: int) -> tuple:
-        """The next n entries of each of the kind's streams, in file order."""
+    def take(self, kind: str, n: int, layer: str) -> tuple:
+        """The next n entries of each of the kind's streams, in file order.
+
+        ``layer`` names the plan layer taking them, for the error raised
+        when a stream runs out.
+        """
         names = _NAMES[kind]
         cur = self.cursors[kind]
         end = cur + n
         if end > len(self.arrays[names[0]]):
             raise MaterialError(
-                f"dealer material exhausted: stream {kind!r} needs {end}, "
-                f"holds {len(self.arrays[names[0]])}")
+                f"dealer material exhausted at layer {layer}, op {kind}: stream "
+                f"{kind!r} needs {end}, holds {len(self.arrays[names[0]])}")
         self.cursors[kind] = end
         return tuple(self.arrays[name][cur:end] for name in names)
 

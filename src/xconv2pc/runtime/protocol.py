@@ -76,7 +76,6 @@ from .wire import (
     CommLedger,
     Frame,
     SESSION_TAG,
-    TranscriptRecorder,
     Transport,
 )
 
@@ -121,7 +120,6 @@ class PartyEngine:
         self.transport = transport
         self.material = material
         self.ledger = CommLedger()
-        self.transcript = TranscriptRecorder()
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(100 + party,)))
         self.bitwidth = plan.cfg.bitwidth
@@ -132,7 +130,6 @@ class PartyEngine:
 
     def _send(self, frame: Frame, layer: str, op: str) -> None:
         self.transport.send(frame)
-        self.transcript.on_send(frame)
         self.ledger.record_send(layer, op, len(frame.payload))
 
     def _recv(self, expect_opcode: int, expect_tag: int, layer: str, op: str) -> Frame:
@@ -203,7 +200,7 @@ class PartyEngine:
         pos = 0
         while pos < n:
             m = min(plan_mod.BEAVER_CHUNK, n - pos)
-            a, b, c = self.material.take(kind, m)
+            a, b, c = self.material.take(kind, m, layer)
             mine = np.empty(2 * m, dtype=_U64)
             for s in range(0, m, _SLICE):
                 t = min(s + _SLICE, m)
@@ -255,7 +252,7 @@ class PartyEngine:
         """
         d = MERGE_DIGITS
         n = sum(lt.shape[1] for lt, _, _ in groups)
-        (words,) = self.material.take("bool", MERGE_RECORD * n)
+        (words,) = self.material.take("bool", MERGE_RECORD * n, layer)
         rec = words.reshape(n, MERGE_RECORD).T.copy()
         x = np.zeros((2 * d, n), _U64)
         read = np.zeros((2 * d, n), bool)
@@ -380,7 +377,7 @@ class PartyEngine:
         """
         flat = x.reshape(-1)
         if neg is None:
-            r_arith, u, tables, abg = self.material.take("cmp", flat.size)
+            r_arith, u, tables, abg = self.material.take("cmp", flat.size, layer)
             c = self._open_words((flat + r_arith) & self.mask, tag, layer,
                                  "mask-open")
             neg = self.less_than_mask([self._sign_job(c, tables, (abg, u))],
@@ -401,13 +398,13 @@ class PartyEngine:
         s = self.plan.cfg.scale
         n = x.size
         flat = x.reshape(-1)
-        r_arith, r_shift, u, tables, abg = self.material.take("trunc", n)
+        r_arith, r_shift, u, tables, abg = self.material.take("trunc", n, layer)
         masked = np.empty(2 * n if sign else n, dtype=_U64)
         np.add(flat, r_arith, out=masked[:n])
         if self.party == 0:
             masked[:n] += _U64(1 << (self.bitwidth - 1))
         if sign:
-            q_arith, q_u, q_tables, q_abg = self.material.take("cmp", n)
+            q_arith, q_u, q_tables, q_abg = self.material.take("cmp", n, layer)
             np.add(flat, q_arith, out=masked[n:])
         masked &= self.mask
         opened = self._open_words(masked, tag, layer, "mask-open")

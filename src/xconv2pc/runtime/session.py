@@ -6,7 +6,8 @@ output.  The dealer is offline: it materializes both parties' randomness
 files from the session seed before the online phase.  Every random draw
 in a session derives from that one seed through domain-separated
 sub-streams, so a (seed, input) pair pins the whole transcript byte for
-byte.
+byte.  The parties do not digest it; a test that pins it wraps their
+transports in ``wire.TranscriptRecorder``.
 
 Set-up is the hello, then the output open and the sync end the session.
 Each hello carries a 16-byte seed: the client's weight shares expand from
@@ -14,8 +15,10 @@ party 0's and party 0's input share from the client's, so no tensor is sent.
 Once the hellos agree, each party checks that its dealer file was made for
 its role and the graph from the session seed, and aborts the session if
 not.
-After the sync each party checks its own ledger, row by row, against the
-bytes and rounds the plan predicts (``check_ledger``).
+After the hellos, a party that fails with an engine error other than the
+peer's abort sends an abort frame naming the error before it raises, so
+its peer stops too.  After the sync each party checks its own ledger, row
+by row, against the bytes and rounds the plan predicts (``check_ledger``).
 """
 
 from __future__ import annotations
@@ -25,11 +28,18 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import HandshakeError, MaterialError, TransportError, VerificationError
+from ..errors import (
+    HandshakeError,
+    MaterialError,
+    TransportError,
+    VerificationError,
+    XConvError,
+)
 from ..graph import Graph
 from ..plan import FixedPlan, build_plan, execute_plan_clear, predict_ledger
 from ..ring import RingTensor, encode_fixed, mask_words
@@ -134,11 +144,23 @@ def check_ledger(plan: FixedPlan, party: int, ledger) -> None:
                 f"in {pr} rounds, measured {mb} B in {mr} rounds")
 
 
+@contextmanager
+def _aborting_peer(engine: PartyEngine):
+    """Send the peer an abort naming any engine error raised inside, then
+    re-raise it; the peer's own abort is not answered."""
+    try:
+        yield
+    except ProtocolAbort:
+        raise
+    except XConvError as e:
+        engine.abort(f"{type(e).__name__}: {e}")
+        raise
+
+
 @dataclass
 class SessionResult:
     output: RingTensor          # client side only; None on the model side
     ledger: object
-    sent_digest: str            # SHA-256 of the frames this party sent
 
 
 def run_model_party(plan: FixedPlan, transport: Transport,
@@ -146,15 +168,17 @@ def run_model_party(plan: FixedPlan, transport: Transport,
     """Party 0: contributes weights, learns nothing."""
     engine = PartyEngine(0, plan, transport, material, rng_seed=seed)
     own_seed, client_seed = handshake(engine, seed)
-    engine.distribute_weights(own_seed)
-    x_share = uniform(prg(client_seed, 0), tuple(plan.input_shape), plan.cfg.bitwidth)
-    out_share = engine.run(x_share)
-    engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
-                       np.ascontiguousarray(out_share, dtype="<u8"),
-                       "session", "output-open")
-    engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
-    check_ledger(plan, 0, engine.ledger)
-    return SessionResult(None, engine.ledger, engine.transcript.sent_digest)
+    with _aborting_peer(engine):
+        engine.distribute_weights(own_seed)
+        x_share = uniform(prg(client_seed, 0), tuple(plan.input_shape),
+                          plan.cfg.bitwidth)
+        out_share = engine.run(x_share)
+        engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
+                           np.ascontiguousarray(out_share, dtype="<u8"),
+                           "session", "output-open")
+        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
+        check_ledger(plan, 0, engine.ledger)
+    return SessionResult(None, engine.ledger)
 
 
 def run_client_party(plan: FixedPlan, transport: Transport,
@@ -165,17 +189,18 @@ def run_client_party(plan: FixedPlan, transport: Transport,
         raise HandshakeError(f"input shape {x.shape} != plan {plan.input_shape}")
     engine = PartyEngine(1, plan, transport, material, rng_seed=seed)
     own_seed, model_seed = handshake(engine, seed)
-    engine.distribute_weights(model_seed)
-    other = uniform(prg(own_seed, 0), tuple(x.shape), plan.cfg.bitwidth)
-    out_share = engine.run(mask_words(x.words - other, plan.cfg.bitwidth))
-    raw = engine.recv_oneway(OP_OPEN_OUTPUT, SESSION_TAG, "session",
-                             "output-open")
-    peer_out = np.frombuffer(raw, dtype="<u8").reshape(out_share.shape)
-    output = RingTensor(mask_words(out_share + peer_out, plan.cfg.bitwidth),
-                        plan.cfg.bitwidth)
-    engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
-    check_ledger(plan, 1, engine.ledger)
-    return SessionResult(output, engine.ledger, engine.transcript.sent_digest)
+    with _aborting_peer(engine):
+        engine.distribute_weights(model_seed)
+        other = uniform(prg(own_seed, 0), tuple(x.shape), plan.cfg.bitwidth)
+        out_share = engine.run(mask_words(x.words - other, plan.cfg.bitwidth))
+        raw = engine.recv_oneway(OP_OPEN_OUTPUT, SESSION_TAG, "session",
+                                 "output-open")
+        peer_out = np.frombuffer(raw, dtype="<u8").reshape(out_share.shape)
+        output = RingTensor(mask_words(out_share + peer_out, plan.cfg.bitwidth),
+                            plan.cfg.bitwidth)
+        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
+        check_ledger(plan, 1, engine.ledger)
+    return SessionResult(output, engine.ledger)
 
 
 # -- in-process orchestration -------------------------------------------------------

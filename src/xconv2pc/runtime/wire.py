@@ -8,9 +8,9 @@ is sent as it is, without a copy, so the sender must never write it again
 after the send (in process the peer reads that very memory).  The
 ledger counts payload bytes only; the 10 header bytes per frame are
 deliberately excluded so that measured traffic stays exactly proportional
-to the protocol's element counts.  Each party keeps one transcript digest,
-SHA-256 over the encoded frames it sends; the frames it receives are its
-peer's sent stream, so every byte is hashed once, by its sender.
+to the protocol's element counts.  Nothing on the online path hashes a
+frame: tests that pin a session's transcript wrap each party's transport
+in a ``TranscriptRecorder``, which digests the encoded frames it sends.
 
 Protocol version 4 (version 3's open-bool carried the AND differences of
 a pairwise digit tree and three-word gates); opcodes:
@@ -233,15 +233,28 @@ class SocketTransport(Transport):
             pass
 
 
-class TranscriptRecorder:
-    """Running SHA-256 of the encoded frames this party sends, for regression.
+class TranscriptRecorder(Transport):
+    """A transport that keeps a running SHA-256 of the frames it sends.
 
-    A party digests only its own sends: what it receives is the peer's
-    sent stream, which the peer digests, so each byte is hashed once.
+    It forwards every frame to and from ``inner``; a test wraps both
+    parties' transports in one each to pin a session's transcript.  Only
+    sends are digested: what a party receives is its peer's sent stream,
+    which the peer's recorder digests, so each byte is hashed once.
     """
 
-    def __init__(self):
+    def __init__(self, inner: Transport):
+        self.inner = inner
         self._sent = hashlib.sha256()
+
+    def send(self, frame: Frame) -> None:
+        self.inner.send(frame)
+        self.on_send(frame)
+
+    def recv(self) -> Frame:
+        return self.inner.recv()
+
+    def close(self) -> None:
+        self.inner.close()
 
     def on_send(self, frame: Frame) -> None:
         self._sent.update(frame.header())

@@ -19,3 +19,25 @@ def child_kwargs():
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return {"cwd": REPO_ROOT,
             "env": dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))}
+
+
+@pytest.fixture()
+def transcripts(monkeypatch):
+    """Transcript recorders around every in-process session the test runs.
+
+    Wraps both ends of each ``QueueTransport.pair`` in a
+    ``TranscriptRecorder`` and returns the list of (client, model)
+    recorders, one per pair, in the order the pairs were made.
+    """
+    from xconv2pc.runtime.wire import QueueTransport, TranscriptRecorder
+
+    pair = QueueTransport.pair
+    sessions = []
+
+    def recorded_pair():
+        model, client = (TranscriptRecorder(t) for t in pair())
+        sessions.append((client, model))
+        return model, client
+
+    monkeypatch.setattr(QueueTransport, "pair", staticmethod(recorded_pair))
+    return sessions

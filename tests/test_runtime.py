@@ -261,9 +261,9 @@ def test_material_merge_record_flip_detected(word):
 def test_material_exhaustion_raises():
     plan = _StubPlan(mul=10)
     m0, _ = generate_material(plan, 8)
-    m0.take("mul", 8)
-    with pytest.raises(MaterialError, match="exhausted"):
-        m0.take("mul", 8)
+    m0.take("mul", 8, "conv1")
+    with pytest.raises(MaterialError, match="exhausted at layer fc, op mul"):
+        m0.take("mul", 8, "fc")
 
 
 # -- bit packing -----------------------------------------------------------------
@@ -739,19 +739,22 @@ def test_deep_zoo_fixed_inference_stays_in_range():
         assert np.abs(q - f).max() < 1e-3, backbone
 
 
-def test_transcript_determinism_and_seed_sensitivity():
+def test_transcript_determinism_and_seed_sensitivity(transcripts):
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=37)
     x = _random_input((1, 3, 16, 16), 38)
-    a = secure_infer_local(g, x, seed=39)
-    b = secure_infer_local(g, x, seed=39)
-    c = secure_infer_local(g, x, seed=40)
-    assert a.client.sent_digest == b.client.sent_digest
-    assert a.model.sent_digest == b.model.sent_digest
-    assert a.client.sent_digest != c.client.sent_digest
-    assert a.model.sent_digest != c.model.sent_digest
+    for seed in (39, 39, 40):
+        secure_infer_local(g, x, seed=seed)
+    (a_client, a_model), (b_client, b_model), (c_client, c_model) = (
+        [r.sent_digest for r in s] for s in transcripts)
+    assert a_client == b_client
+    assert a_model == b_model
+    assert a_client != c_client
+    assert a_model != c_model
 
 
 def test_transcripts_hash_each_sent_byte_once(monkeypatch):
+    # A session run as it is hashes no frame; one whose transports are
+    # wrapped in recorders hashes each byte it sends once, by its sender.
     import hashlib
     import types
 
@@ -780,7 +783,15 @@ def test_transcripts_hash_each_sent_byte_once(monkeypatch):
     monkeypatch.setattr(wire, "hashlib", types.SimpleNamespace(sha256=CountingSha256))
     monkeypatch.setattr(QueueTransport, "send", counting_send)
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=37)
-    run = secure_infer_local(g, _random_input((1, 3, 16, 16), 38), seed=39)
+    x = _random_input((1, 3, 16, 16), 38)
+    secure_infer_local(g, x, seed=39)
+    assert frames[0] > 0 and hashed[0] == 0
+
+    frames[0] = 0
+    pair = QueueTransport.pair
+    monkeypatch.setattr(QueueTransport, "pair", staticmethod(
+        lambda: tuple(wire.TranscriptRecorder(t) for t in pair())))
+    run = secure_infer_local(g, x, seed=39)
     ledgers = (run.client.ledger, run.model.ledger)
     assert frames[0] > 0
     assert hashed[0] == sum(led.total_sent for led in ledgers) + 10 * frames[0]
@@ -1133,7 +1144,7 @@ def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
         assert np.array_equal(w1, uniform(prg(seeds[0][0], idx), w1.shape, 60))
 
 
-def test_dealer_files_and_transcripts_match_their_pins(tmp_path):
+def test_dealer_files_and_transcripts_match_their_pins(tmp_path, transcripts):
     # Any change to the dealer's PRG draw order or to the bytes an open
     # sends moves these pins.  The plain xop graph has no tagged conv; the
     # two rewritten graphs send 13 tagged convs each (10 at tile 4, 3 at
@@ -1173,7 +1184,7 @@ def test_dealer_files_and_transcripts_match_their_pins(tmp_path):
         run = secure_infer_local(g, _random_input(g.input_shape, 10), seed=9,
                                  materials=stores)
         assert np.array_equal(run.output.words, run.clear_reference.words)
-        assert (run.client.sent_digest, run.model.sent_digest) == pins[2:], variant
+        assert tuple(r.sent_digest for r in transcripts[-1]) == pins[2:], variant
         del stores, run
 
 
@@ -1282,6 +1293,38 @@ def test_session_fails_cleanly_on_short_material():
     with pytest.raises(MaterialError):
         secure_infer_local(g, _random_input((1, 3, 16, 16), 46), seed=45,
                            materials=materials)
+
+
+def test_a_party_short_of_material_stops_both_parties_on_its_error():
+    # Only party 0's mul streams are one triple short.  Party 0 fails at
+    # the last layer that multiplies and sends an abort naming its error;
+    # the client, waiting on party 0's open, ends on that abort, and the
+    # root cause is raised.  A thread bounds the call, so a party left
+    # waiting on its peer fails the test rather than hanging it.
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=44)
+    plan = build_plan(g, with_weights=True)
+    m0, m1 = generate_material(plan, 45)
+    for name in ("mul_a", "mul_b", "mul_c"):
+        m0.arrays[name] = m0.arrays[name][:-1]
+    last = [pl.name for pl in plan.layers if pl.mults][-1]
+    raised = {}
+
+    def call():
+        try:
+            secure_infer_local(g, _random_input(g.input_shape, 46), seed=45,
+                               materials=(m0, m1), plan=plan)
+        except Exception as e:
+            raised["error"] = e
+
+    th = threading.Thread(target=call, daemon=True)
+    th.start()
+    th.join(timeout=5)
+    assert not th.is_alive(), "a party still waits on its peer after 5 s"
+    err = raised["error"]
+    assert isinstance(err, MaterialError)
+    assert f"exhausted at layer {last}, op mul" in str(err)
+    assert isinstance(err.__cause__, ProtocolAbort)
+    assert str(err.__cause__) == f"MaterialError: {err}"
 
 
 def test_session_rejects_material_dealt_for_the_other_party():

@@ -43,10 +43,10 @@ def test_transcript_digest_equals_hash_of_encoded_frames():
     frames = [Frame(OP_OPEN_MASKED, 3, bytes(range(40))),
               Frame(1, 0xFFFFFFFF, b""),
               Frame(7, 9, b"\x5a" * 1000)]
-    sender, receiver = TranscriptRecorder(), TranscriptRecorder()
+    sender, receiver = (TranscriptRecorder(t) for t in QueueTransport.pair())
     for f in frames:
-        sender.on_send(f)
-        receiver.on_recv(f)
+        sender.send(f)
+        assert receiver.recv() == f
     want = hashlib.sha256(b"".join(f.encode() for f in frames)).hexdigest()
     assert sender.sent_digest == want
     assert receiver.sent_digest == hashlib.sha256().hexdigest()
@@ -102,7 +102,8 @@ def test_socket_sends_an_array_payload_larger_than_the_socket_buffers():
 
     def side(party, sock):
         sock.settimeout(30)
-        engines[party] = e = PartyEngine(party, plan, SocketTransport(sock), None)
+        engines[party] = e = PartyEngine(party, plan,
+                                         TranscriptRecorder(SocketTransport(sock)), None)
         got[party] = bytes(e.exchange(OP_OPEN_MASKED, 5, words[party], "l",
                                       "mul-open"))
         e.transport.close()
@@ -121,7 +122,7 @@ def test_socket_sends_an_array_payload_larger_than_the_socket_buffers():
         assert got[p] == words[1 - p].tobytes()
         row = e.ledger.entries["l", "mul-open"]
         assert row.bytes_sent == row.bytes_recv == nbytes
-        assert e.transcript.sent_digest == hashlib.sha256(frames[p]).hexdigest()
+        assert e.transport.sent_digest == hashlib.sha256(frames[p]).hexdigest()
 
 
 def test_ledger_rows_and_csv():

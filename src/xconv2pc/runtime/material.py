@@ -124,10 +124,8 @@ class MaterialStore:
         return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
 
 
-def prg(seed, domain: int) -> np.random.Generator:
-    """The PRG of dealer material and set-up shares; ``seed`` is an int or bytes."""
-    if isinstance(seed, bytes):
-        seed = int.from_bytes(seed, "little")
+def prg(seed: int, domain: int) -> np.random.Generator:
+    """The PRG of dealer material."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(domain,)))
 

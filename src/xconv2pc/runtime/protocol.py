@@ -6,7 +6,7 @@ clear and secure execution, and the engine is that walker's backend:
 ``mul`` is a Beaver multiplication, ``relu`` and ``truncate`` are the
 protocols below, ``add_bias`` adds a public bias to the model owner's
 share only, ``note_local`` writes a zero-byte ledger row, and ``weight``
-returns the party's share of the layer's weights.
+returns the party's share (W, 0) of the layer's weights, drawing nothing.
 
 Linear steps (adds, concatenation, permutations, public scaling, the
 integer transforms of tagged convolutions) act on each party's share
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import errors
 from .. import plan as plan_mod
 from ..errors import TransportError, XConvError
 from ..plan import MERGE_DIGITS, MERGE_RECORD, FixedPlan, lt_digits, merge_groups, run_plan
@@ -65,9 +66,7 @@ from .material import (
     MaterialStore,
     e_products,
     gate_bits,
-    prg,
     select_table_bits,
-    uniform,
 )
 from .wire import (
     OP_ABORT,
@@ -84,7 +83,14 @@ _SLICE = 1 << 16  # elements per step of a Beaver chunk's local work
 
 
 class ProtocolAbort(XConvError):
-    """Peer sent an abort frame."""
+    """Peer sent an abort frame; a reason "<error class>: ..." exits with
+    that class's family, any other reason 1."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        cls = getattr(errors, reason.partition(":")[0], None)
+        if isinstance(cls, type) and issubclass(cls, XConvError):
+            self.exit_code = cls.exit_code
 
 
 # -- bit packing -------------------------------------------------------------------
@@ -114,17 +120,14 @@ class PartyEngine:
     """Executes a fixed plan over one transport with one material store."""
 
     def __init__(self, party: int, plan: FixedPlan, transport: Transport,
-                 material: MaterialStore, rng_seed: int = 0):
+                 material: MaterialStore):
         self.party = party
         self.plan = plan
         self.transport = transport
         self.material = material
         self.ledger = CommLedger()
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=rng_seed, spawn_key=(100 + party,)))
         self.bitwidth = plan.cfg.bitwidth
         self.mask = _U64(plan.cfg.mask)
-        self._weight_seed = None
 
     # -- framing ------------------------------------------------------------
 
@@ -448,23 +451,20 @@ class PartyEngine:
         self.ledger.note_local(layer, op)
 
     def weight(self, pl, tag: int) -> np.ndarray:
-        """This party's weight share, expanded as the layer runs and not kept.
+        """This party's share of the layer's weights: (W, 0).
 
-        Both parties expand P = uniform(prg(seed, tag)) for the layer's plan
-        index; the client's share is P, the model owner's W - P.
+        The model owner's share is its plan's words as they are, the
+        client's a broadcast zero that allocates nothing.  Beaver's opened
+        e = W - b stays masked by the dealer's b, as under any sharing.
         """
-        p = uniform(prg(self._weight_seed, tag), _weight_shape(pl), self.bitwidth)
         if self.party == 0:
-            np.subtract(pl.payload["weight"].words, p, out=p)
-            p &= self.mask
-        return p
+            return pl.payload["weight"].words
+        return np.broadcast_to(_U64(0), _weight_shape(pl))
 
     # -- session steps ---------------------------------------------------------------
 
-    def distribute_weights(self, seed: bytes) -> None:
-        """Keep party 0's hello seed, from which ``weight`` expands the
-        shares; sends nothing."""
-        self._weight_seed = seed
+    def distribute_weights(self) -> None:
+        """A no-op, never called; perfbench/spans.py wraps it by name."""
 
     def run(self, input_share: np.ndarray) -> np.ndarray:
         """Execute every plan layer; returns this party's output share."""

@@ -10,8 +10,8 @@ byte.  The parties do not digest it; a test that pins it wraps their
 transports in ``wire.TranscriptRecorder``.
 
 Set-up is the hello, then the output open and the sync end the session.
-Each hello carries a 16-byte seed: the client's weight shares expand from
-party 0's and party 0's input share from the client's, so no tensor is sent.
+No share is drawn or sent: the weights enter as (W, 0) and the input as
+(0, x), and the dealer's triples mask what Beaver's openings show.
 Once the hellos agree, each party checks that its dealer file was made for
 its role and the graph from the session seed, and aborts the session if
 not.
@@ -43,7 +43,7 @@ from ..errors import (
 from ..graph import Graph
 from ..plan import FixedPlan, build_plan, execute_plan_clear, predict_ledger
 from ..ring import RingTensor, encode_fixed, mask_words
-from .material import MaterialStore, generate_material, prg, uniform
+from .material import MaterialStore, generate_material
 from .protocol import PartyEngine, ProtocolAbort
 from .wire import (
     OP_HELLO,
@@ -56,30 +56,29 @@ from .wire import (
     Transport,
 )
 
-# version, bit-width, scale, graph hash, seed commitment, share seed
-_HELLO = struct.Struct("<HBB32s8s16s")
+# version, bit-width, scale, graph hash, seed commitment
+_HELLO = struct.Struct("<HBB32s8s")
 
 MODEL_JOIN_TIMEOUT = 600.0  # seconds secure_infer_local waits for the model party
 
 
-def _hello_payload(plan: FixedPlan, seed: int, share_seed: bytes) -> bytes:
+def _hello_payload(plan: FixedPlan, seed: int) -> bytes:
     import hashlib
 
     commit = hashlib.sha256(struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)).digest()[:8]
     return _HELLO.pack(PROTOCOL_VERSION, plan.cfg.bitwidth, plan.cfg.scale,
-                       bytes.fromhex(plan.graph_hash), commit, share_seed)
+                       bytes.fromhex(plan.graph_hash), commit)
 
 
-def handshake(engine: PartyEngine, seed: int) -> tuple:
-    """Check version, ring, graph and seed; returns (own, peer's) share seed.
+def handshake(engine: PartyEngine, seed: int) -> None:
+    """Check version, ring, graph and seed.
 
     Once the hellos agree, also check that this party's dealer material
     was made for its role and this graph, and dealt from the session seed,
     as every caller deals it (MaterialError); a graph the peer does not
     share fails first, as a HandshakeError.
     """
-    own_seed = engine.rng.bytes(16)
-    mine = _hello_payload(engine.plan, seed, own_seed)
+    mine = _hello_payload(engine.plan, seed)
     try:
         theirs = engine.exchange(OP_HELLO, SESSION_TAG, mine, "session", "hello")
     except ProtocolAbort as e:
@@ -87,7 +86,7 @@ def handshake(engine: PartyEngine, seed: int) -> tuple:
     if len(theirs) != _HELLO.size:
         engine.abort("malformed hello")
         raise HandshakeError("malformed hello from peer")
-    v, bw, sc, ghash, commit, peer_seed = _HELLO.unpack(theirs)
+    v, bw, sc, ghash, commit = _HELLO.unpack(theirs)
     ours = _HELLO.unpack(mine)
     if v != PROTOCOL_VERSION:
         engine.abort("version mismatch")
@@ -103,17 +102,16 @@ def handshake(engine: PartyEngine, seed: int) -> tuple:
         raise HandshakeError("session seed commitment mismatch")
     m = engine.material
     if m.party != engine.party:
-        engine.abort("material mismatch")
+        engine.abort("MaterialError: material mismatch")
         raise MaterialError(f"dealer material is party {m.party}'s, this is "
                             f"party {engine.party}")
     if m.graph_hash != ours[3]:
-        engine.abort("material mismatch")
+        engine.abort("MaterialError: material mismatch")
         raise MaterialError("dealer material was dealt for another graph")
     if m.seed != seed:
-        engine.abort("material mismatch")
+        engine.abort("MaterialError: material mismatch")
         raise MaterialError(f"dealer material was dealt from seed {m.seed}, the "
                             f"session runs from seed {seed}")
-    return own_seed, peer_seed
 
 
 def expected_ledger(plan: FixedPlan, party: int) -> dict:
@@ -166,13 +164,10 @@ class SessionResult:
 def run_model_party(plan: FixedPlan, transport: Transport,
                     material: MaterialStore, seed: int) -> SessionResult:
     """Party 0: contributes weights, learns nothing."""
-    engine = PartyEngine(0, plan, transport, material, rng_seed=seed)
-    own_seed, client_seed = handshake(engine, seed)
+    engine = PartyEngine(0, plan, transport, material)
+    handshake(engine, seed)
     with _aborting_peer(engine):
-        engine.distribute_weights(own_seed)
-        x_share = uniform(prg(client_seed, 0), tuple(plan.input_shape),
-                          plan.cfg.bitwidth)
-        out_share = engine.run(x_share)
+        out_share = engine.run(np.zeros(plan.input_shape, dtype=np.uint64))
         engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
                            np.ascontiguousarray(out_share, dtype="<u8"),
                            "session", "output-open")
@@ -187,12 +182,10 @@ def run_client_party(plan: FixedPlan, transport: Transport,
     """Party 1: contributes the input, reconstructs the output."""
     if tuple(x.shape) != tuple(plan.input_shape):
         raise HandshakeError(f"input shape {x.shape} != plan {plan.input_shape}")
-    engine = PartyEngine(1, plan, transport, material, rng_seed=seed)
-    own_seed, model_seed = handshake(engine, seed)
+    engine = PartyEngine(1, plan, transport, material)
+    handshake(engine, seed)
     with _aborting_peer(engine):
-        engine.distribute_weights(model_seed)
-        other = uniform(prg(own_seed, 0), tuple(x.shape), plan.cfg.bitwidth)
-        out_share = engine.run(mask_words(x.words - other, plan.cfg.bitwidth))
+        out_share = engine.run(x.words)
         raw = engine.recv_oneway(OP_OPEN_OUTPUT, SESSION_TAG, "session",
                                  "output-open")
         peer_out = np.frombuffer(raw, dtype="<u8").reshape(out_share.shape)

@@ -12,9 +12,9 @@ to the protocol's element counts.  Nothing on the online path hashes a
 frame: tests that pin a session's transcript wrap each party's transport
 in a ``TranscriptRecorder``, which digests the encoded frames it sends.
 
-Protocol version 4 (version 3's open-bool carried the AND differences of
-a pairwise digit tree and three-word gates); opcodes:
-  1 hello: version, ring, graph hash, seed commitment, 16-byte share seed
+Protocol version 5 (version 4's hello added a 16-byte share seed); opcodes:
+  1 hello, 44 bytes: version (2), bit-width, scale (1 each), graph hash
+    (32), seed commitment (8)
   2 open-masked-values: Beaver differences and masked values
   3 open-bool: the masked digit bits of a merge round, or the f and v
     words of every comparison gate
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from ..errors import TransportError
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 OP_HELLO = 1
 OP_OPEN_MASKED = 2

@@ -26,7 +26,7 @@ moves its multiplication count by under 3%.
 from __future__ import annotations
 
 from .errors import ShapeError
-from .graph import CellVariant, Graph, GraphBuilder, INPUT
+from .graph import CellVariant, Graph, GraphBuilder, INPUT, infer_shapes
 from .ring import FixedPointConfig
 
 BACKBONES = ("densenet121", "resnet50", "resnet18", "mobilenetv3l",
@@ -36,7 +36,8 @@ NUM_CLASSES = 1000  # classifier width; toynet keeps min(NUM_CLASSES, 10)
 
 def model_zoo(backbone: str, variant: CellVariant, input_size: int = 320,
               seed: int = 0, cfg: FixedPointConfig = None) -> Graph:
-    """Build a shape-valid graph for the requested backbone/variant pair."""
+    """Build a shape-valid graph for the requested backbone/variant pair;
+    ShapeError names the first layer an input size leaves no shape."""
     if isinstance(variant, str):
         variant = CellVariant.parse(variant)
     builders = {
@@ -55,7 +56,9 @@ def model_zoo(backbone: str, variant: CellVariant, input_size: int = 320,
     b = GraphBuilder((1, 3, input_size, input_size), cfg=cfg, seed=seed,
                      metadata={"backbone": backbone, "variant": variant.value})
     make(b, variant, input_size)
-    return b.build()
+    graph = b.build()
+    infer_shapes(graph)
+    return graph
 
 
 # -- shared pieces --------------------------------------------------------------

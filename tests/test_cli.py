@@ -86,6 +86,12 @@ def test_describe_channel_mismatch_exit_shape(runner, tmp_path):
     assert "error: c2: expects 8 input channels, got 4" in result.output
 
 
+def test_describe_zoo_size_without_valid_shapes_exits_shape(runner):
+    result = runner.invoke(main, ["describe", "--zoo", "densenet121:xop:16"])
+    assert result.exit_code == ShapeError.exit_code == 3
+    assert "larger than map 1x1" in result.output
+
+
 def test_describe_malformed_json_exit_parse(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -347,6 +347,16 @@ def test_zoo_variants_validate_at_small_size(backbone):
         infer_shapes(g)
 
 
+@pytest.mark.parametrize("size", [8, 16, 24])
+def test_zoo_rejects_a_size_that_leaves_a_layer_no_shape(size):
+    # densenet121's transitions pool its map to 1x1 below 32 px; the zoo
+    # raises at build time, not at the first shape inference downstream.
+    for variant in CellVariant:
+        with pytest.raises(ShapeError, match="pool: window 2 larger than map 1x1"):
+            model_zoo("densenet121", variant, size, seed=2)
+    infer_shapes(model_zoo("densenet121", CellVariant.XOP, 32, seed=2))
+
+
 def test_densenet_conv_dominates_linear_mults():
     from xconv2pc.costs import mult_split
 

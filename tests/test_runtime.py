@@ -98,8 +98,8 @@ def run_two(fn, plan, seed=0):
     """Run fn(engine) on both parties concurrently; returns both results."""
     m0, m1 = generate_material(plan, seed)
     t0, t1 = QueueTransport.pair()
-    e0 = PartyEngine(0, plan, t0, m0, rng_seed=seed)
-    e1 = PartyEngine(1, plan, t1, m1, rng_seed=seed)
+    e0 = PartyEngine(0, plan, t0, m0)
+    e1 = PartyEngine(1, plan, t1, m1)
     out = {}
     err = {}
 
@@ -132,9 +132,8 @@ def _split(x, rng):
 
 
 def test_share_low_bits_uniform_chi_square():
-    # The expansion the client's weight shares and party 0's input share
-    # are drawn from.
-    s0 = uniform(prg(bytes(range(16)), 0), 1_000_000, 60)
+    # The expansion every dealer share is drawn from.
+    s0 = uniform(prg(17, 0), 1_000_000, 60)
     low = (s0 & np.uint64(0xFF)).astype(np.int64)
     counts = np.bincount(low, minlength=256)
     expected = low.size / 256
@@ -798,9 +797,20 @@ def test_transcripts_hash_each_sent_byte_once(monkeypatch):
 
 
 @given(st.data())
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_random_graph_structures_bitwise(data):
-    """Property: any well-formed layer stack reconstructs the clear bits."""
+    """Property: any well-formed layer stack reconstructs the clear bits.
+
+    Besides chains of convs, ReLUs, shuffles and pools, a draw may hold a
+    stride-2 conv, a depthwise conv, an add join whose conv output a ReLU
+    also reads, and a final fully-connected layer, and may run its
+    eligible convs as transform convs and open its products in Beaver
+    chunks small enough that a layer's products span several.
+    """
+    from unittest import mock
+
+    from xconv2pc.winograd import rewrite_winograd
+
     c = data.draw(st.sampled_from([2, 4, 6]), label="channels")
     hw = data.draw(st.sampled_from([6, 8, 10]), label="hw")
     seed = data.draw(st.integers(0, 2**16), label="seed")
@@ -808,9 +818,9 @@ def test_random_graph_structures_bitwise(data):
     cur, cur_c, cur_hw = INPUT, c, hw
     n_layers = data.draw(st.integers(2, 5), label="depth")
     for i in range(n_layers):
-        menu = ["conv", "relu", "shuffle", "pw"]
+        menu = ["conv", "relu", "shuffle", "pw", "dw", "add"]
         if cur_hw >= 4:
-            menu += ["maxpool", "avgpool"]
+            menu += ["maxpool", "avgpool", "sconv"]
         if cur_c % 2 == 0:
             menu.append("gconv")
         kind = data.draw(st.sampled_from(menu), label=f"layer{i}")
@@ -819,12 +829,21 @@ def test_random_graph_structures_bitwise(data):
             out_c = data.draw(st.sampled_from([2, 3, 4]), label=f"oc{i}")
             cur = b.conv(name, cur, cur_c, out_c, 3)
             cur_c = out_c
+        elif kind == "sconv":
+            out_c = data.draw(st.sampled_from([2, 3, 4]), label=f"oc{i}")
+            cur = b.conv(name, cur, cur_c, out_c, 3, stride=2)
+            cur_c, cur_hw = out_c, (cur_hw + 1) // 2
         elif kind == "pw":
             out_c = data.draw(st.sampled_from([2, 4, 6]), label=f"oc{i}")
             cur = b.conv(name, cur, cur_c, out_c, 1, padding=0)
             cur_c = out_c
         elif kind == "gconv":
             cur = b.conv(name, cur, cur_c, cur_c, 3, groups=2)
+        elif kind == "dw":
+            cur = b.conv(name, cur, cur_c, cur_c, 3, groups=cur_c)
+        elif kind == "add":
+            t = b.conv(f"{name}c", cur, cur_c, cur_c, 3)
+            cur = b.add(name, cur, t, b.relu(f"{name}r", t))
         elif kind == "relu":
             cur = b.relu(name, cur)
         elif kind == "shuffle":
@@ -835,9 +854,16 @@ def test_random_graph_structures_bitwise(data):
         elif kind == "avgpool":
             cur = b.avgpool(name, cur, 2, 2)
             cur_hw //= 2
+    if data.draw(st.booleans(), label="fc"):
+        out = data.draw(st.integers(1, 4), label="out")
+        b.fc("fc", cur, cur_c * cur_hw * cur_hw, out)
     g = b.build()
+    if data.draw(st.booleans(), label="winograd"):
+        g, _ = rewrite_winograd(g)
     x = _random_input((1, c, hw, hw), seed ^ 0x5A5A)
-    run = secure_infer_local(g, x, seed=seed + 9)
+    chunk = data.draw(st.sampled_from([plan_mod.BEAVER_CHUNK, 257]), label="chunk")
+    with mock.patch.object(plan_mod, "BEAVER_CHUNK", chunk):
+        run = secure_infer_local(g, x, seed=seed + 9)
     assert np.array_equal(run.output.words, run.clear_reference.words)
 
 
@@ -1093,31 +1119,29 @@ def test_handshake_rejects_version_1_and_unknown_versions(old):
 
     plan = build_plan(model_zoo("toynet", CellVariant.DENSE, 16, seed=47),
                       with_weights=False)
-    hello = session._hello_payload(plan, 48, bytes(16))
-    # Version 1's hello is the same fields without the share seed, 44 bytes;
-    # version 3's has this layout but merges digits in a pairwise tree.
-    bad = struct.pack("<H", 1 if old else 3) + hello[2:44 if old else None]
-    assert len(bad) == (44 if old else 60)
-    t0, t1 = QueueTransport.pair()
-    peer = PartyEngine(0, plan, t0, None, rng_seed=48)
-    th = threading.Thread(target=peer.exchange, daemon=True,
-                          args=(OP_HELLO, SESSION_TAG, bad, "session", "hello"))
-    th.start()
-    with pytest.raises(HandshakeError):
-        session.handshake(PartyEngine(1, plan, t1, None, rng_seed=48), 48)
-    th.join(timeout=30)
-    assert not th.is_alive()
+    hello = session._hello_payload(plan, 48)
+    # Version 1's hello had version 5's 44-byte layout.  Version 4's
+    # carried a 16-byte share seed more: whole, it is malformed; cut to 44
+    # bytes, its version is refused.
+    bad = struct.pack("<H", 1 if old else 4) + hello[2:]
+    assert len(hello) == len(bad) == 44
+    for payload in (bad,) if old else (bad, bad + bytes(16)):
+        t0, t1 = QueueTransport.pair()
+        peer = PartyEngine(0, plan, t0, None)
+        th = threading.Thread(target=peer.exchange, daemon=True,
+                              args=(OP_HELLO, SESSION_TAG, payload, "session", "hello"))
+        th.start()
+        with pytest.raises(HandshakeError):
+            session.handshake(PartyEngine(1, plan, t1, None), 48)
+        th.join(timeout=30)
+        assert not th.is_alive()
 
 
-def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
-    from xconv2pc.runtime.material import prg, uniform
-
-    seeds, shares = {}, {}
-    handshake, run = session.handshake, PartyEngine.run
-
-    def record_handshake(engine, seed):
-        seeds[engine.party] = handshake(engine, seed)
-        return seeds[engine.party]
+def test_set_up_shares_are_the_weights_and_the_input_beside_zeros(monkeypatch):
+    # The weights enter as (W, 0) and the input as (0, x): the client's
+    # weight shares and the model owner's input share are zeros, no PRG is
+    # drawn once the dealer is done, and the shares reconstruct W and x.
+    shares, run = {}, PartyEngine.run
 
     def record_run(engine, input_share):
         shares[engine.party] = (input_share, {
@@ -1125,23 +1149,64 @@ def test_set_up_shares_expand_from_the_hello_seeds(monkeypatch):
             if pl.kind in ("conv2d", "fully-connected")})
         return run(engine, input_share)
 
-    monkeypatch.setattr(session, "handshake", record_handshake)
+    def no_prg(*args):
+        raise AssertionError("a PRG was drawn online")
+
     monkeypatch.setattr(PartyEngine, "run", record_run)
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=49)
     x = _random_input(g.input_shape, 50)
-    out = secure_infer_local(g, x, seed=51)
+    stores = generate_material(build_plan(g, with_weights=False), 51)
+    monkeypatch.setattr(np.random, "default_rng", no_prg)
+    out = secure_infer_local(g, x, seed=51, materials=stores)
     assert np.array_equal(out.output.words, out.clear_reference.words)
-    # Each party's own seed is the other's peer seed.
-    assert seeds[0] == seeds[1][::-1] and seeds[0][0] != seeds[0][1]
-    assert np.array_equal(_recon(shares[0][0], shares[1][0]),
-                          encode_fixed(x, g.cfg).words)
-    weighted = [(idx, pl) for idx, pl in enumerate(out.plan.layers)
-                if pl.kind in ("conv2d", "fully-connected")]
-    assert weighted and set(shares[0][1]) == {pl.name for _, pl in weighted}
-    for idx, pl in weighted:
-        w0, w1 = shares[0][1][pl.name], shares[1][1][pl.name]
-        assert np.array_equal(_recon(w0, w1), pl.payload["weight"].words)
-        assert np.array_equal(w1, uniform(prg(seeds[0][0], idx), w1.shape, 60))
+    (x0, w0), (x1, w1) = shares[0], shares[1]
+    assert not x0.any()
+    assert np.array_equal(_recon(x0, x1), encode_fixed(x, g.cfg).words)
+    weighted = [pl for pl in out.plan.layers if pl.kind in ("conv2d", "fully-connected")]
+    assert weighted and set(w0) == set(w1) == {pl.name for pl in weighted}
+    for pl in weighted:
+        words = pl.payload["weight"].words
+        assert w1[pl.name].shape == words.shape and not w1[pl.name].any()
+        assert w1[pl.name].strides == (0,) * words.ndim   # allocates nothing
+        assert np.array_equal(_recon(w0[pl.name], w1[pl.name]), words)
+
+
+def test_weights_stay_masked_in_every_opened_difference(monkeypatch):
+    # Same graph, weights and input under two dealer seeds.  Party 0 opens
+    # d = x - a and e = W - b; its payloads move with the dealer's masks,
+    # and no e-half shows the layer's weight words.
+    opened, weights = [], []
+    exchange, mul = PartyEngine.exchange, PartyEngine.mul
+
+    def record_exchange(engine, opcode, tag, payload, layer, op):
+        if engine.party == 0 and op == "mul-open":
+            opened[-1].setdefault(layer, []).append(np.array(payload, dtype=np.uint64))
+        return exchange(engine, opcode, tag, payload, layer, op)
+
+    def record_mul(engine, x, y, tag, layer):
+        if engine.party == 0:
+            weights[-1].setdefault(layer, []).append(np.ascontiguousarray(y).reshape(-1))
+        return mul(engine, x, y, tag, layer)
+
+    monkeypatch.setattr(PartyEngine, "exchange", record_exchange)
+    monkeypatch.setattr(PartyEngine, "mul", record_mul)
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=55)
+    x = _random_input(g.input_shape, 56)
+    for seed in (57, 58):
+        opened.append({})
+        weights.append({})
+        run = secure_infer_local(g, x, seed=seed)
+        assert np.array_equal(run.output.words, run.clear_reference.words)
+    assert opened[0] and opened[0].keys() == opened[1].keys() == weights[0].keys()
+    for layer, payloads in opened[0].items():
+        for a, b in zip(payloads, opened[1][layer]):
+            m = a.size // 2
+            assert not np.array_equal(a[:m], b[:m]) and not np.array_equal(a[m:], b[m:])
+        w = np.concatenate(weights[0][layer])
+        assert np.array_equal(w, np.concatenate(weights[1][layer]))
+        for run_payloads in (payloads, opened[1][layer]):
+            e = np.concatenate([p[p.size // 2:] for p in run_payloads])
+            assert e.shape == w.shape and not np.any(e == w), layer
 
 
 def test_dealer_files_and_transcripts_match_their_pins(tmp_path, transcripts):
@@ -1159,18 +1224,18 @@ def test_dealer_files_and_transcripts_match_their_pins(tmp_path, transcripts):
         (CellVariant.XOP, False): (
             "3431532616f5705d7e60ff5693fe182fb86b440727a1cd60035afd34e70bf2f1",
             "2a8459d4ad2bf97dc51f07d3f85e6a694b047664096be2b57a42e75233677835",
-            "db4e2c39606311baf6f7c9155d15369603bf211b319a6731a39fe5a0ac047f86",
-            "aa64d17a911654f9e219dc5170dcbe2be14b6592676fd46193584c841f386ac4"),
+            "4386c29f0b458204eb868fb1ac0b0789705f263e9c75b05baa3ea6815b1b9f72",
+            "13a26f227a590539d4a3a9cfb36fb4ad4c6a1694bdcab4d1e728141940b09538"),
         (CellVariant.XOP, True): (
             "422d1133510b792e77791c692a3f8f5660e96ac872527082365b76b5ab05cbe9",
             "4857ed2b43d768b4c7b348d32e9bbaa9072eb773767763b20427eff46e01cec1",
-            "a296877f441ba3c8c42e6a6c00f7c874b90d1b00c7b02657155d82fb9fbc9500",
-            "560941ef74df1c52d36a660bd3377e41967dda918974861a59b75bbe3727961f"),
+            "49652e57347134cf155ed8acbaf78cb02c2e884762fcd49d2cfaa9aba5f13bac",
+            "0bbdb1ca128585aff992e37c09b5aa80cec9624989de737fa694cc2c9500ab46"),
         (CellVariant.DENSE, True): (
             "3f682e1906145d7673b13c8fe02155c1661bb635bcac9e6ef203be98436ef2ad",
             "89b353792d2a7644549342327b16ed9f4411408928e9858ed99f1afde94ef239",
-            "675f38b3b37f1c869a0274759674bd9065fc6ae4b547c1730db8ec33b8e3a208",
-            "8eff73d6619d4d5a7a73e6323d938381da4191d0f85802e37263c87e2e73a553"),
+            "c7eb73895cb5d18faa8568d2fdc195c41f0a1af876c33b9624c915c514fff8f1",
+            "e65defcbed1192bd9c881456f0dcaba37ad615a17ae4e4ca35159e0ba8af0c5d"),
     }
     for (variant, rewrite), pins in cases.items():
         g = model_zoo("shufflenetv2", variant, 32, seed=3)
@@ -1327,6 +1392,53 @@ def test_a_party_short_of_material_stops_both_parties_on_its_error():
     assert str(err.__cause__) == f"MaterialError: {err}"
 
 
+def test_a_tcp_peer_short_of_material_stops_its_peer_with_the_material_exit_code():
+    # As above, over loopback TCP: the client ends on party 0's abort, and
+    # the abort carries the exit family of the error it names, 6.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=44)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 45)
+    for name in ("mul_a", "mul_b", "mul_c"):
+        m0.arrays[name] = m0.arrays[name][:-1]
+    x = encode_fixed(_random_input(g.input_shape, 46), g.cfg)
+    t0, t1 = _tcp_pair()
+    raised = {}
+
+    def party(name, fn, *args):
+        try:
+            fn(*args)
+        except Exception as e:
+            raised[name] = e
+
+    threads = [threading.Thread(target=party, daemon=True, args=args) for args in (
+        ("model", run_model_party, plan0, t0, m0, 45),
+        ("client", run_client_party, plan1, t1, m1, 45, x))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=5)
+    for t in (t0, t1):
+        t.close()
+    assert not any(th.is_alive() for th in threads), "a party still runs after 5 s"
+    assert isinstance(raised["model"], MaterialError)
+    assert isinstance(raised["client"], ProtocolAbort)
+    assert raised["client"].exit_code == MaterialError.exit_code == 6
+    assert str(raised["client"]).startswith("MaterialError: dealer material exhausted")
+
+
+@pytest.mark.parametrize("reason, code", [
+    ("VerificationError: ledger", 7),
+    ("KeyError: 'x'", 1),
+    ("EXIT_PARSE: not a class", 1),
+    ("material mismatch", 1),
+])
+def test_an_abort_exits_with_the_family_of_the_error_it_names(reason, code):
+    assert ProtocolAbort(reason).exit_code == code
+
+
 def test_session_rejects_material_dealt_for_the_other_party():
     # Two stores of party 1's material, so the cursors stay apart.
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=7)
@@ -1379,6 +1491,7 @@ def test_session_rejects_material_from_two_dealer_seeds(transport):
     assert not th.is_alive()
     assert isinstance(errors.get("model"), ProtocolAbort)
     assert "material mismatch" in str(errors["model"])
+    assert errors["model"].exit_code == MaterialError.exit_code
     # In process the client's own error is the root cause that is raised.
     with pytest.raises(MaterialError, match="seed 8"):
         secure_infer_local(g, _random_input(g.input_shape, 8), seed=7,

@@ -61,13 +61,11 @@ class LayerSpec:
 class Graph:
     """Immutable-by-convention DAG of layers plus real-valued weights."""
 
-    def __init__(self, layers, input_shape, cfg: FixedPointConfig,
-                 weights=None, metadata=None):
+    def __init__(self, layers, input_shape, cfg: FixedPointConfig, weights=None):
         self.layers = list(layers)
         self.input_shape = tuple(int(v) for v in input_shape)
         self.cfg = cfg
         self.weights = dict(weights or {})
-        self.metadata = dict(metadata or {})
         self._check_structure()
 
     def _check_structure(self) -> None:
@@ -217,21 +215,14 @@ def channel_shuffle(x: np.ndarray, perm) -> np.ndarray:
 class GraphBuilder:
     """Incremental constructor that also initializes weights from one seed."""
 
-    def __init__(self, input_shape, cfg: FixedPointConfig = None, seed: int = 0,
-                 metadata=None):
+    def __init__(self, input_shape, cfg: FixedPointConfig = None, seed: int = 0):
         self.input_shape = tuple(input_shape)
         self.cfg = cfg or FixedPointConfig()
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.layers = []
         self.weights = {}
-        self.metadata = dict(metadata or {})
-        self.metadata.setdefault("seed", seed)
-        self._names = {INPUT}
 
     def _register(self, layer: LayerSpec) -> str:
-        if layer.name in self._names:
-            raise ValueError(f"duplicate layer name {layer.name!r}")
-        self._names.add(layer.name)
         self.layers.append(layer)
         return layer.name
 
@@ -292,8 +283,7 @@ class GraphBuilder:
         return self._register(LayerSpec(name, "shuffle", [src], {"perm": perm}))
 
     def build(self) -> Graph:
-        return Graph(self.layers, self.input_shape, self.cfg,
-                     weights=self.weights, metadata=self.metadata)
+        return Graph(self.layers, self.input_shape, self.cfg, weights=self.weights)
 
     # -- cells -----------------------------------------------------------
 
@@ -349,8 +339,7 @@ class GraphBuilder:
 def cell_graph(variant: CellVariant, c_in: int, c_mid: int, c_out: int,
                hw: int, seed: int = 0) -> Graph:
     """A standalone stride-1 cell graph, handy for benches and equivalence runs."""
-    b = GraphBuilder((1, c_in, hw, hw), seed=seed,
-                     metadata={"backbone": "cell", "variant": variant.value})
+    b = GraphBuilder((1, c_in, hw, hw), seed=seed)
     b.expand_cell(variant, INPUT, c_in, c_mid, c_out)
     return b.build()
 
@@ -366,11 +355,6 @@ def fold_batchnorm(graph: Graph) -> Graph:
     on a normalization-free graph returns an equivalent copy (idempotent).
     """
     bn_layers = [l for l in graph.layers if l.kind == "batchnorm"]
-    if not bn_layers:
-        return Graph([LayerSpec(l.name, l.kind, list(l.inputs), dict(l.attrs))
-                      for l in graph.layers],
-                     graph.input_shape, graph.cfg, graph.weights, graph.metadata)
-
     by_name = {l.name: l for l in graph.layers}
     consumers = {}
     for l in graph.layers:
@@ -379,7 +363,6 @@ def fold_batchnorm(graph: Graph) -> Graph:
 
     weights = dict(graph.weights)
     rename = {}
-    folded = set()
     for bn in bn_layers:
         src = bn.inputs[0]
         prod = by_name.get(src)
@@ -399,17 +382,14 @@ def fold_batchnorm(graph: Graph) -> Graph:
         old_bias = weights.get(f"{src}.bias", np.zeros(w.shape[0]))
         weights[f"{src}.bias"] = (old_bias - mean) * scale + beta
         rename[bn.name] = src
-        folded.add(bn.name)
 
     new_layers = []
     for l in graph.layers:
-        if l.name in folded:
+        if l.name in rename:
             continue
         inputs = [rename.get(s, s) for s in l.inputs]
         attrs = dict(l.attrs)
         if l.kind in ("conv2d", "fully-connected"):
             attrs["bias"] = True if f"{l.name}.bias" in weights else attrs.get("bias", False)
         new_layers.append(LayerSpec(l.name, l.kind, inputs, attrs))
-    meta = dict(graph.metadata)
-    meta["batchnorm_folded"] = True
-    return Graph(new_layers, graph.input_shape, graph.cfg, weights, meta)
+    return Graph(new_layers, graph.input_shape, graph.cfg, weights)

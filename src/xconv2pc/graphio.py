@@ -1,7 +1,8 @@
 """Graph description files.
 
 JSON document with a ``layers`` array (kind, attributes, input names),
-``input_shape``, ``fixedpoint`` settings, and optional weight blobs.
+``input_shape``, ``fixedpoint`` settings, and optional weight blobs; the
+``metadata`` key of files from older versions is ignored.
 Weights ride as ring-tensor serializations (base64 in-document, or a
 relative file reference), encoded at the graph's own scale; loading
 decodes them back to the real domain.  One save/load roundtrip therefore
@@ -33,7 +34,6 @@ def graph_to_doc(graph: Graph) -> dict:
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "metadata": dict(graph.metadata),
         "input_shape": list(graph.input_shape),
         "fixedpoint": {"bitwidth": graph.cfg.bitwidth, "scale": graph.cfg.scale},
         "layers": [
@@ -78,8 +78,7 @@ def doc_to_graph(doc: dict, base_dir: str = ".") -> Graph:
                 raise ParseError(f"weight blob {name!r} has neither data nor ref")
             t, t_cfg = deserialize_tensor(raw)
             weights[name] = decode_fixed(t, t_cfg)
-        return Graph(layers, doc["input_shape"], cfg, weights,
-                     doc.get("metadata") or {})
+        return Graph(layers, doc["input_shape"], cfg, weights)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed graph document: {e}") from e
 

@@ -444,26 +444,21 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
     does the same ring work on clear residues and on one party's additive
     share.  ``ops`` supplies only what differs:
 
-      mul(x, y, tag, layer)           elementwise product of equal-shape words
-      relu(x, tag, layer, neg=None)   max(signed(x), 0)
-      truncate(x, tag, layer, sign=False)
-                                      arithmetic shift by the working scale
-      add_bias(pre, b, layer)         add the layer's public double-scale bias
-      note_local(layer, op)           mark a communication-free step
-      weight(pl, tag)                 the layer's (possibly transformed) weights
+      mul(x, y, tag, layer)     elementwise product of equal-shape words
+      relu(x, tag, layer)       max(signed(x), 0)
+      truncate(x, tag, layer)   arithmetic shift by the working scale
+      add_bias(pre, b, layer)   add the layer's public double-scale bias
+      note_local(layer, op)     mark a communication-free step
+      weight(pl, tag)           the layer's (possibly transformed) weights
 
     ``tag`` is the layer's index in the plan.  Conv and fc layers hand
     ``mul`` one broadcast over all groups, so the secure backend opens one
-    batch per layer.  At a layer marked ``relu_sign``, ``truncate(...,
-    sign=True)`` returns the shifted words and the backend's form of
-    [signed(pre) < 0]; the walker hands that to the reading ReLU as
-    ``neg``, which a backend may use instead of testing the sign itself.
-    Maxpool folds window positions as b + relu(a - b), one ``relu`` call
-    per level of a pairwise tree.
+    batch per layer.  Maxpool folds window positions as b + relu(a - b),
+    one ``relu`` call per level of a pairwise tree.  The walker carries only
+    words; the engine keeps the sign shares of ``relu_sign`` layers itself.
     """
     mask = _U64(plan.cfg.mask)
     env = {INPUT: x}
-    signs = {}
     for idx, pl in enumerate(plan.layers):
         src = [env[s] for s in pl.inputs]
         name = pl.name
@@ -480,7 +475,7 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
                 b = pl.payload["bias_ring"].words
                 pre = ops.add_bias(pre, b.reshape((1, -1) if fc else (1, -1, 1, 1)),
                                    name)
-            out = _truncate(pre, pl, idx, ops, signs)
+            out = ops.truncate(pre, idx, name)
         elif pl.kind in ("avgpool", "global-avgpool"):
             if pl.kind == "avgpool":
                 win, stride = pl.attrs["window"], pl.attrs["stride"]
@@ -491,9 +486,9 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
                 summed = src[0].sum(axis=(2, 3), keepdims=True, dtype=_U64) & mask
             ops.note_local(name, "public-scale")
             pre = (summed * _U64(pl.payload["inv_area_ring"])) & mask
-            out = _truncate(pre, pl, idx, ops, signs)
+            out = ops.truncate(pre, idx, name)
         elif pl.kind == "relu":
-            out = ops.relu(src[0], idx, name, neg=signs.pop(pl.inputs[0], None))
+            out = ops.relu(src[0], idx, name)
         elif pl.kind == "maxpool":
             out = _maxpool(src[0], pl.attrs, idx, name, ops, mask)
         elif pl.kind == "shuffle":
@@ -512,13 +507,6 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
             raise ShapeError(f"cannot execute layer kind {pl.kind!r}")
         env[name] = out
     return env
-
-
-def _truncate(pre, pl: PlanLayer, tag: int, ops, signs: dict) -> np.ndarray:
-    if not pl.relu_sign:
-        return ops.truncate(pre, tag, pl.name)
-    out, signs[pl.name] = ops.truncate(pre, tag, pl.name, sign=True)
-    return out
 
 
 def _conv_direct(x, w, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
@@ -588,7 +576,9 @@ def ring_relu(x: RingTensor) -> RingTensor:
 
 
 class ClearOps:
-    """`run_plan` backend on plain residues: the bits secure runs must hit."""
+    """`run_plan` backend on plain residues: the bits secure runs must hit.
+
+    A ReLU tests its own input's sign; the engine's fused ReLU is checked on it."""
 
     def __init__(self, cfg: FixedPointConfig):
         self.cfg = cfg
@@ -599,14 +589,11 @@ class ClearOps:
         prod &= self.mask
         return prod
 
-    def relu(self, x, tag, layer, neg=None):
-        # `neg` is ignored: the clear side tests the sign on its own input,
-        # so the bitwise gate checks the sign identity the engine relies on.
+    def relu(self, x, tag, layer):
         return ring_relu(RingTensor(x, self.cfg.bitwidth)).words
 
-    def truncate(self, x, tag, layer, sign=False):
-        out = truncate_signed(RingTensor(x, self.cfg.bitwidth), self.cfg.scale).words
-        return (out, None) if sign else out
+    def truncate(self, x, tag, layer):
+        return truncate_signed(RingTensor(x, self.cfg.bitwidth), self.cfg.scale).words
 
     def add_bias(self, pre, b, layer):
         return (pre + b) & self.mask

@@ -7,6 +7,8 @@ clear and secure execution, and the engine is that walker's backend:
 protocols below, ``add_bias`` adds a public bias to the model owner's
 share only, ``note_local`` writes a zero-byte ledger row, and ``weight``
 returns the party's share (W, 0) of the layer's weights, drawing nothing.
+A truncation whose sole reader is a ReLU also shares its input's sign, and
+the engine keeps that share until the ReLU takes it.
 
 Linear steps (adds, concatenation, permutations, public scaling, the
 integer transforms of tagged convolutions) act on each party's share
@@ -128,6 +130,7 @@ class PartyEngine:
         self.ledger = CommLedger()
         self.bitwidth = plan.cfg.bitwidth
         self.mask = _U64(plan.cfg.mask)
+        self._signs = {}  # [signed(x) < 0] shares a truncation kept for its ReLU
 
     # -- framing ------------------------------------------------------------
 
@@ -433,12 +436,17 @@ class PartyEngine:
     def mul(self, x: np.ndarray, y: np.ndarray, tag: int, layer: str) -> np.ndarray:
         return self.beaver(x, y, tag, layer)
 
-    def relu(self, x: np.ndarray, tag: int, layer: str,
-             neg: np.ndarray = None) -> np.ndarray:
+    def relu(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
+        """``relu_shares``, fed the sign share kept for its input, if any."""
+        neg = self._signs.pop(self.plan.layers[tag].inputs[0], None)
         return self.relu_shares(x, tag, layer, neg=neg)
 
-    def truncate(self, x: np.ndarray, tag: int, layer: str, sign: bool = False):
-        return self.truncate_shares(x, tag, layer, sign=sign)
+    def truncate(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
+        """``truncate_shares``; a ``relu_sign`` layer keeps its sign share."""
+        if not self.plan.layers[tag].relu_sign:
+            return self.truncate_shares(x, tag, layer)
+        out, self._signs[layer] = self.truncate_shares(x, tag, layer, sign=True)
+        return out
 
     def add_bias(self, pre: np.ndarray, b: np.ndarray, layer: str) -> np.ndarray:
         """Public constant: only the model owner adds it to its share."""

@@ -76,7 +76,8 @@ def handshake(engine: PartyEngine, seed: int) -> None:
     Once the hellos agree, also check that this party's dealer material
     was made for its role and this graph, and dealt from the session seed,
     as every caller deals it (MaterialError); a graph the peer does not
-    share fails first, as a HandshakeError.
+    share fails first, as a HandshakeError.  The abort reasons are generic:
+    a local message may name this party's dealer seed, which stays private.
     """
     mine = _hello_payload(engine.plan, seed)
     try:

@@ -381,6 +381,4 @@ def rewrite_winograd(graph, candidates=TILE_CANDIDATES):
                     beta1=counts.beta1, beta2=counts.beta2, dense=counts.dense,
                     gamma=counts.gamma))
         new_layers.append(LayerSpec(layer.name, layer.kind, list(layer.inputs), attrs))
-    rewritten = Graph(new_layers, graph.input_shape, graph.cfg,
-                      graph.weights, dict(graph.metadata, winograd=True))
-    return rewritten, decisions
+    return Graph(new_layers, graph.input_shape, graph.cfg, graph.weights), decisions

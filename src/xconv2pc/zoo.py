@@ -53,8 +53,7 @@ def model_zoo(backbone: str, variant: CellVariant, input_size: int = 320,
     except KeyError:
         raise ValueError(f"unsupported backbone {backbone!r}; "
                          f"choose from {BACKBONES}") from None
-    b = GraphBuilder((1, 3, input_size, input_size), cfg=cfg, seed=seed,
-                     metadata={"backbone": backbone, "variant": variant.value})
+    b = GraphBuilder((1, 3, input_size, input_size), cfg=cfg, seed=seed)
     make(b, variant, input_size)
     graph = b.build()
     infer_shapes(graph)

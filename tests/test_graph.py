@@ -204,6 +204,14 @@ def test_validate_reports_group_divisibility():
         infer_shapes(b.build())
 
 
+def test_builder_rejects_a_duplicate_layer_name_at_build():
+    b = GraphBuilder((1, 3, 8, 8), seed=0)
+    r = b.relu("r", INPUT)
+    b.relu("r", r)
+    with pytest.raises(ShapeError, match="duplicate layer name 'r'"):
+        b.build()
+
+
 # -- interpreters --------------------------------------------------------------
 
 
@@ -306,9 +314,14 @@ def test_fold_random_bn_float_equivalent():
 
 
 def test_fold_is_idempotent():
+    # Folding a graph with no batchnorm returns an equal copy that shares
+    # no layer, attribute or input list with it.
     g = fold_batchnorm(_bn_graph())
     g2 = fold_batchnorm(g)
-    assert [l.name for l in g2.layers] == [l.name for l in g.layers]
+    assert g2.structural_hash() == g.structural_hash()
+    for a, b in zip(g2.layers, g.layers):
+        assert a is not b and a.attrs is not b.attrs and a.inputs is not b.inputs
+    assert g2.weights.keys() == g.weights.keys()
     for k in g.weights:
         assert np.array_equal(g.weights[k], g2.weights[k])
 

@@ -91,7 +91,7 @@ def _transform(g, name, tile):
     for l in g.layers:
         attrs = dict(l.attrs, winograd=True, tile=tile) if l.name == name else dict(l.attrs)
         layers.append(LayerSpec(l.name, l.kind, list(l.inputs), attrs))
-    return Graph(layers, g.input_shape, g.cfg, g.weights, g.metadata)
+    return Graph(layers, g.input_shape, g.cfg, g.weights)
 
 
 def run_two(fn, plan, seed=0):
@@ -803,13 +803,16 @@ def test_random_graph_structures_bitwise(data):
 
     Besides chains of convs, ReLUs, shuffles and pools, a draw may hold a
     stride-2 conv, a depthwise conv, an add join whose conv output a ReLU
-    also reads, and a final fully-connected layer, and may run its
-    eligible convs as transform convs and open its products in Beaver
-    chunks small enough that a layer's products span several.
+    also reads, a concat join read by a ReLU (not fused), two fused
+    conv->ReLU pairs interleaved so each truncation's sign share waits
+    while other layers run, and a final fully-connected layer.  It may run
+    its eligible convs as transform convs, on the default tiles or on 6
+    alone, and open its products in Beaver chunks small enough that a
+    layer's products span several.
     """
     from unittest import mock
 
-    from xconv2pc.winograd import rewrite_winograd
+    from xconv2pc.winograd import TILE_CANDIDATES, rewrite_winograd
 
     c = data.draw(st.sampled_from([2, 4, 6]), label="channels")
     hw = data.draw(st.sampled_from([6, 8, 10]), label="hw")
@@ -818,7 +821,7 @@ def test_random_graph_structures_bitwise(data):
     cur, cur_c, cur_hw = INPUT, c, hw
     n_layers = data.draw(st.integers(2, 5), label="depth")
     for i in range(n_layers):
-        menu = ["conv", "relu", "shuffle", "pw", "dw", "add"]
+        menu = ["conv", "relu", "shuffle", "pw", "dw", "add", "cat", "fork"]
         if cur_hw >= 4:
             menu += ["maxpool", "avgpool", "sconv"]
         if cur_c % 2 == 0:
@@ -844,6 +847,14 @@ def test_random_graph_structures_bitwise(data):
         elif kind == "add":
             t = b.conv(f"{name}c", cur, cur_c, cur_c, 3)
             cur = b.add(name, cur, t, b.relu(f"{name}r", t))
+        elif kind == "cat":
+            t = b.conv(f"{name}c", cur, cur_c, 2, 3)
+            cat = b.concat(name, t, b.shuffle(f"{name}s", cur, cur_c))
+            cur, cur_c = b.relu(f"{name}r", cat), cur_c + 2
+        elif kind == "fork":
+            t = b.conv(f"{name}a", cur, cur_c, cur_c, 3)
+            u = b.conv(f"{name}b", cur, cur_c, cur_c, 1, padding=0)
+            cur = b.add(name, b.relu(f"{name}ra", t), b.relu(f"{name}rb", u))
         elif kind == "relu":
             cur = b.relu(name, cur)
         elif kind == "shuffle":
@@ -858,8 +869,9 @@ def test_random_graph_structures_bitwise(data):
         out = data.draw(st.integers(1, 4), label="out")
         b.fc("fc", cur, cur_c * cur_hw * cur_hw, out)
     g = b.build()
-    if data.draw(st.booleans(), label="winograd"):
-        g, _ = rewrite_winograd(g)
+    tiles = data.draw(st.sampled_from([None, TILE_CANDIDATES, (6,)]), label="tiles")
+    if tiles:
+        g, _ = rewrite_winograd(g, candidates=tiles)
     x = _random_input((1, c, hw, hw), seed ^ 0x5A5A)
     chunk = data.draw(st.sampled_from([plan_mod.BEAVER_CHUNK, 257]), label="chunk")
     with mock.patch.object(plan_mod, "BEAVER_CHUNK", chunk):
@@ -1429,6 +1441,67 @@ def test_a_tcp_peer_short_of_material_stops_its_peer_with_the_material_exit_code
     assert str(raised["client"]).startswith("MaterialError: dealer material exhausted")
 
 
+class _TagRewriter:
+    """A transport that rewrites the layer tag of the ``nth`` frame it sends
+    with tag ``tag``, so its peer receives a frame it did not expect."""
+
+    def __init__(self, inner, tag, nth):
+        self.inner, self.tag, self.left = inner, tag, nth
+
+    def send(self, frame):
+        from xconv2pc.runtime.wire import Frame
+
+        if frame.layer_tag == self.tag:
+            self.left -= 1
+            if self.left == 0:
+                frame = Frame(frame.opcode, self.tag + 1, frame.payload)
+        self.inner.send(frame)
+
+    def recv(self):
+        return self.inner.recv()
+
+
+@pytest.mark.parametrize("transport", ["queue", "tcp"])
+def test_a_desynced_frame_stops_both_parties_with_the_transport_exit_code(transport):
+    # Party 0's second frame at conv2, its truncation's mask open, arrives
+    # under conv2's tag plus one.  The client names the layer and the op it
+    # was at and aborts; party 0, waiting on the client's half of that
+    # open, ends on the abort with the transport family's exit code, 5.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=44)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 45)
+    x = encode_fixed(_random_input(g.input_shape, 46), g.cfg)
+    tag = [pl.name for pl in plan0.layers].index("conv2")
+    t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
+    raised = {}
+
+    def party(name, fn, *args):
+        try:
+            fn(*args)
+        except Exception as e:
+            raised[name] = e
+
+    threads = [threading.Thread(target=party, daemon=True, args=args) for args in (
+        ("model", run_model_party, plan0, _TagRewriter(t0, tag, 2), m0, 45),
+        ("client", run_client_party, plan1, t1, m1, 45, x))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=5)
+    for t in (t0, t1):
+        t.close()
+    assert not any(th.is_alive() for th in threads), "a party still runs after 5 s"
+    err = raised["client"]
+    assert isinstance(err, TransportError)
+    assert str(err).startswith("protocol desync at conv2/mask-open:")
+    assert isinstance(raised["model"], ProtocolAbort)
+    assert str(raised["model"]) == f"TransportError: {err}"
+    assert raised["model"].exit_code == TransportError.exit_code == 5
+
+
 @pytest.mark.parametrize("reason, code", [
     ("VerificationError: ledger", 7),
     ("KeyError: 'x'", 1),
@@ -1490,7 +1563,8 @@ def test_session_rejects_material_from_two_dealer_seeds(transport):
         t.close()
     assert not th.is_alive()
     assert isinstance(errors.get("model"), ProtocolAbort)
-    assert "material mismatch" in str(errors["model"])
+    # The peer learns the family, not the detail: no dealer seed crosses.
+    assert str(errors["model"]) == "MaterialError: material mismatch"
     assert errors["model"].exit_code == MaterialError.exit_code
     # In process the client's own error is the root cause that is raised.
     with pytest.raises(MaterialError, match="seed 8"):

@@ -175,6 +175,26 @@ def test_graph_doc_without_weights():
     assert back.structural_hash() == g.structural_hash()
 
 
+def test_graph_files_carry_no_metadata_and_old_files_still_load(tmp_path):
+    # Files written before graphs lost their metadata carry a "metadata"
+    # key; the reader ignores it, so such a file loads as the same graph.
+    import json
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=5)
+    p = tmp_path / "toy.json"
+    save_graph(g, str(p))
+    doc = json.loads(p.read_text())
+    assert "metadata" not in doc
+    new = load_graph(str(p))
+    doc["metadata"] = {"backbone": "toynet", "variant": "dense", "seed": 5}
+    p.write_text(json.dumps(doc))
+    old = load_graph(str(p))
+    assert old.structural_hash() == new.structural_hash() == g.structural_hash()
+    assert set(old.weights) == set(new.weights)
+    for k in new.weights:
+        assert np.array_equal(old.weights[k], new.weights[k])
+
+
 def test_graph_file_ref_blob(tmp_path):
     from xconv2pc.ring import encode_fixed, serialize_tensor
     import json

@@ -44,6 +44,7 @@ from .runtime.material import generate_material, load_material, verify_material_
 from .runtime.session import (
     connect_with_retry,
     listen_once,
+    load_party_material,
     run_client_party,
     run_model_party,
     secure_infer_local,
@@ -274,7 +275,6 @@ def run(graph_path, zoo_spec, bitwidth, scale, seed, role, listen_ep,
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     if material_path is None:
         raise ParseError("party roles need --material FILE")
-    material = load_material(material_path)
     if role == "party0":
         plan = build_plan(g, with_weights=True)
         if listen_ep is None:
@@ -282,6 +282,7 @@ def run(graph_path, zoo_spec, bitwidth, scale, seed, role, listen_ep,
         host, port = _parse_endpoint(listen_ep)
         transport = listen_once(host, port)
         try:
+            material = load_party_material(material_path, transport)
             result = run_model_party(plan, transport, material, seed)
         finally:
             transport.close()
@@ -293,6 +294,7 @@ def run(graph_path, zoo_spec, bitwidth, scale, seed, role, listen_ep,
         transport = connect_with_retry(host, port)
         x = _load_input(input_path, plan.input_shape, g.cfg, seed)
         try:
+            material = load_party_material(material_path, transport)
             result = run_client_party(plan, transport, material, seed, x)
         finally:
             transport.close()

@@ -50,6 +50,7 @@ match its contents is rejected before any use.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -135,31 +136,64 @@ def uniform(rng, shape, bitwidth) -> np.ndarray:
     return rng.integers(0, 1 << bitwidth, size=shape, dtype=_U64)
 
 
-def _digits(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """(N,) words -> (N, lt_digits(n_bits)) digits of their low n_bits."""
-    shifts = _U64(DIGIT_BITS) * np.arange(lt_digits(n_bits), dtype=_U64)
-    low = values & _U64((1 << n_bits) - 1)
-    return ((low[:, None] >> shifts) & _U64(_ROW - 1)).astype(_U32)
+@functools.lru_cache(maxsize=32)
+def _digit_rows(widths: tuple) -> tuple:
+    """Where ``_digits`` finds each digit: its row among the values' low
+    and high 32-bit halves, its shift within that half and its width's
+    mask, as columns that act on whole rows."""
+    half, shift, top = [], [], []
+    for j, n_bits in enumerate(widths):
+        for d in range(lt_digits(n_bits)):
+            half.append(j + len(widths) * (d // 8))
+            shift.append(DIGIT_BITS * (d % 8))
+            top.append((1 << min(DIGIT_BITS, n_bits - DIGIT_BITS * d)) - 1)
+    return (np.array(half), np.array(shift, _U32)[:, None],
+            np.array(top, _U32)[:, None])
+
+
+def _digits(values: np.ndarray, widths: tuple) -> np.ndarray:
+    """(J, N) words -> (D, N) digits of row j's low widths[j] bits.
+
+    Each row's lt_digits(widths[j]) digits, lowest first, follow one
+    another in row order, so D is the sum of those counts.
+    """
+    half, shift, top = _digit_rows(widths)
+    halves = np.concatenate([values, values >> _U64(32)]).astype(_U32)
+    out = halves[half]
+    out >>= shift
+    out &= top
+    return out
 
 
 def digit_tables(r: np.ndarray, n_bits: int) -> np.ndarray:
     """(N,) masks -> (N, lt_digits(n_bits)) table words of their low n_bits."""
-    eq = _U32(1) << _digits(r, n_bits)
-    return (eq - _U32(1)) | (eq << _U32(_ROW))
+    eq = _U32(1) << _digits(r[None], (n_bits,))
+    return np.ascontiguousarray(((eq - _U32(1)) | (eq << _U32(_ROW))).T)
 
 
-def select_table_bits(tables: np.ndarray, c: np.ndarray, n_bits: int) -> np.ndarray:
-    """One party's shares of [c_j < r_j] and [c_j = r_j], as (2, digits, N) bits.
+def select_table_bits(tables: tuple, c: np.ndarray, widths: tuple) -> np.ndarray:
+    """One party's shares of [c_j < r_j] and [c_j = r_j] for a batch of jobs.
 
-    ``tables`` holds the party's table shares for r, ``c`` the public
-    values; picking bit c_j of each share sends nothing.
+    Job j compares the low widths[j] bits of row j of the (J, N) public
+    ``c`` with the mask behind ``tables[j]``, the party's (N, digits)
+    table shares.  Shifting each table word right by its public digit c_j
+    picks the entries at c_j, which sends nothing.  Returns (2, D, N)
+    0/1 bytes, lt then eq, the jobs' digits in the order ``_digits``
+    gives.
     """
-    if tables.shape[1] != lt_digits(n_bits):
-        raise MaterialError(
-            f"a {n_bits}-bit comparison reads {lt_digits(n_bits)} table digits "
-            f"per element, the material holds {tables.shape[1]}")
-    picked = tables >> _digits(c, n_bits)
-    return np.stack([picked, picked >> _U32(_ROW)]).transpose(0, 2, 1) & _U32(1)
+    for tab, n_bits in zip(tables, widths):
+        if tab.shape[1] != lt_digits(n_bits):
+            raise MaterialError(
+                f"a {n_bits}-bit comparison reads {lt_digits(n_bits)} table digits "
+                f"per element, the material holds {tab.shape[1]}")
+    picked = np.empty((sum(t.shape[1] for t in tables), c.shape[1]), _U32)
+    np.concatenate([t.T for t in tables], out=picked)     # digit-major rows
+    picked >>= _digits(c, widths)
+    picked &= _U32(1 | 1 << _ROW)
+    bits = np.empty((2,) + picked.shape, _U8)
+    np.copyto(bits[0], picked, casting="unsafe")                # the low byte
+    np.greater_equal(picked, _U32(1 << _ROW), out=bits[1].view(bool))
+    return bits
 
 
 def _sign_tables(r: np.ndarray, bitwidth: int) -> np.ndarray:
@@ -176,10 +210,14 @@ def _sign_tables(r: np.ndarray, bitwidth: int) -> np.ndarray:
     return tab
 
 
-def gate_bits(rec: np.ndarray) -> tuple:
-    """A gate record's bytes -> its five bits, as 0/1 bytes: the masks of
-    the gate inputs L0, E1, L1 and E2 (bits 0 to 3), then g."""
-    return tuple((rec >> _U8(k)) & _U8(1) for k in range(5))
+def gate_bits(rec: np.ndarray) -> np.ndarray:
+    """(...) gate bytes -> (5, ...) bytes, nonzero where the record's bit
+    is set: the masks of the gate inputs L0, E1, L1 and E2 (bits 0 to 3),
+    then g."""
+    return rec & _GATE_BITS.reshape((5,) + (1,) * rec.ndim)
+
+
+_GATE_BITS = _U8(1) << np.arange(5, dtype=_U8)
 
 
 def gate_values(rec: np.ndarray) -> np.ndarray:

@@ -42,6 +42,18 @@ comparison of at most 3 digits needs the gate alone.  Every consumption
 count is a pure function of layer shapes, so both parties and the dealer
 agree on cursor positions by construction.
 
+A batch of comparisons (a truncation's borrow, wrap and sign tests, or
+one ReLU's or maxpool level's sign tests) runs as one vectorized pass
+over all its jobs and digit groups, whatever their widths.  One shift
+over digit-major rows selects every job's table bits and one
+``packbits`` packs them, so the batch's state is a single array of
+packed rows.  Each merge open and the gate gather their inputs from that
+array, and the next state from the merged rows, with index tables that
+depend only on the jobs' widths and are built once per width tuple
+(``_lt_layout``).  The gate's masks and its local finish also run once
+for all jobs.  The opened words, their order and the records each group
+takes are those of evaluating the groups job by job, lowest first.
+
 Round costs follow from the plan: ``plan.predict_ledger`` gives every
 layer's bytes and rounds per op, and each session checks its ledger
 against it.  A truncation takes 3 rounds (the mask open, the merge and
@@ -56,6 +68,9 @@ and the sign bit of x is  msb(c) XOR msb(r) XOR [low(c) < low(r)].
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from .. import errors
@@ -66,7 +81,6 @@ from .material import (
     MERGE_MASKS,
     MERGE_SUBSETS,
     MaterialStore,
-    e_products,
     gate_bits,
     select_table_bits,
 )
@@ -82,37 +96,45 @@ from .wire import (
 
 _U64 = np.uint64
 _SLICE = 1 << 16  # elements per step of a Beaver chunk's local work
+_V_PLACE = np.array([1, 2, 4, 8], np.uint8)  # the gate's v from its four opened bits
 
 
 class ProtocolAbort(XConvError):
     """Peer sent an abort frame; a reason "<error class>: ..." exits with
-    that class's family, any other reason 1."""
+    that class's family (``family``), any other reason 1."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
         cls = getattr(errors, reason.partition(":")[0], None)
-        if isinstance(cls, type) and issubclass(cls, XConvError):
+        self.family = cls if isinstance(cls, type) and issubclass(cls, XConvError) else None
+        if self.family is not None:
             self.exit_code = cls.exit_code
+
+
+def send_abort(transport: Transport, reason: str) -> None:
+    """Tell the peer this party stops, if the transport still carries it."""
+    try:
+        transport.send(Frame(OP_ABORT, SESSION_TAG, reason.encode()))
+    except TransportError:
+        pass
 
 
 # -- bit packing -------------------------------------------------------------------
 
 
 def pack_bitplanes(bits: np.ndarray) -> np.ndarray:
-    """(..., N) of 0/1 -> (..., ceil(N/64)) packed words, element e at bit e&63."""
+    """(..., N) bits (any nonzero is 1) -> (..., ceil(N/64)) packed words,
+    element e at bit e&63."""
     n = bits.shape[-1]
-    w = -(-n // 64)
-    padded = np.zeros(bits.shape[:-1] + (w * 64,), dtype=np.uint8)
-    padded[..., :n] = bits.astype(np.uint8)
-    packed = np.packbits(padded, axis=-1, bitorder="little")
-    return np.ascontiguousarray(packed).view("<u8").astype(_U64)
+    packed = np.zeros(bits.shape[:-1] + (8 * -(-n // 64),), np.uint8)
+    packed[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8")
 
 
 def unpack_bitplanes(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of pack_bitplanes; returns (..., n) uint8 bits."""
-    raw = np.ascontiguousarray(words.astype("<u8")).view(np.uint8)
-    bits = np.unpackbits(raw, axis=-1, bitorder="little")
-    return bits[..., :n]
+    raw = np.ascontiguousarray(words, "<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
 
 
 # -- the engine --------------------------------------------------------------------
@@ -173,10 +195,7 @@ class PartyEngine:
         return frame.payload
 
     def abort(self, reason: str) -> None:
-        try:
-            self.transport.send(Frame(OP_ABORT, SESSION_TAG, reason.encode()))
-        except TransportError:
-            pass
+        send_abort(self.transport, reason)
 
     # -- arithmetic primitives -----------------------------------------------
 
@@ -242,114 +261,89 @@ class PartyEngine:
         peer = self.exchange(OP_OPEN_BOOL, tag, flat, layer, "bool-open")
         return flat ^ np.frombuffer(peer, dtype="<u8").reshape(flat.shape)
 
-    def _merge(self, groups: list, tag: int, layer: str) -> tuple:
-        """One merge open: shares of each digit group's lt and eq.
+    def _merge(self, state: np.ndarray, rnd: MergeRound, tag: int,
+               layer: str) -> np.ndarray:
+        """One merge open over the packed rows of ``state``.
 
-        ``groups`` holds (lt, eq, lowest): (k, W) share words of k >= 2
-        digits, lowest first.  A group takes one merge record per word
-        (``material.MERGE_SUBSETS``), its digits at the record's top k.
-        Each digit bit x it reads is opened as X = x ^ m for the record's
-        mask m; then every monomial of lt and eq, a product of x = X ^ m,
-        expands into a XOR of public products of X with the record's
-        shares of the mask products, so no further message is needed.
-        Mask words of digits a group lacks, or of the lowest group's
-        unread E, are zeroed, and those digits enter as the public L = 0,
-        E = 1.  Returns each group's (lt, eq) words.
+        ``rnd`` (see ``merge_round``) names the groups of k >= 2 digits,
+        lowest first, and the rows of their lt and eq bits.  A group takes
+        one merge record per word (``material.MERGE_SUBSETS``), its digits
+        at the record's top k.  Each digit bit x it reads is opened as
+        X = x ^ m for the record's mask m; then every monomial of lt and
+        eq, a product of x = X ^ m, expands into a XOR of public products
+        of X with the record's shares of the mask products, so no further
+        message is needed.  Mask words of digits a group lacks, or of the
+        lowest group's unread E, are zeroed, and those digits enter as the
+        public L = 0, E = 1.  Returns (2G, W) rows: each group's lt, then
+        each group's eq.
         """
-        d = MERGE_DIGITS
-        n = sum(lt.shape[1] for lt, _, _ in groups)
-        (words,) = self.material.take("bool", MERGE_RECORD * n, layer)
-        rec = words.reshape(n, MERGE_RECORD).T.copy()
-        x = np.zeros((2 * d, n), _U64)
-        read = np.zeros((2 * d, n), bool)
-        pos = 0
-        for lt, eq, lowest in groups:
-            k, w = lt.shape
-            cols = slice(pos, pos + w)
-            x[d - k:d, cols], x[2 * d - k:, cols] = lt, eq
-            read[d - k:d, cols] = read[2 * d - k + lowest:, cols] = True
-            rec[(_READS & ~read[:, pos]).any(axis=1), cols] = 0
-            pos += w
-        mine = (x ^ rec[MERGE_MASKS])[read]
-        public = np.zeros_like(x)
-        public[d:] = ~_U64(0)
-        public[read] = self._open_bool(mine, tag, layer)
-
-        # Coefficient of each mask product (the empty one first) in lt and
-        # eq: the public product of the monomial's other bits.
-        prod_e = np.concatenate([e_products(public[d:]), np.zeros((1, n), _U64)])
-        below = [np.zeros(n, _U64)]     # lt of the public bits under digit t
-        for t in range(d):
-            below.append(public[t] ^ (public[d + t] & below[-1]))
-        below.append(np.full(n, ~_U64(0)))
-        shares = np.concatenate([np.full((1, n), ~_U64(0) if self.party == 0 else 0,
-                                         _U64), rec])
-        lt = prod_e[_LT_E]
-        lt &= np.stack(below)[_LT_B]
-        lt &= shares
-        eq = prod_e[_EQ_E]
-        eq &= shares
-        ends = np.cumsum([g[0].shape[1] for g in groups])[:-1]
-        return list(zip(np.split(np.bitwise_xor.reduce(lt), ends),
-                        np.split(np.bitwise_xor.reduce(eq), ends)))
+        n_groups, w = rnd.groups, state.shape[1]
+        (words,) = self.material.take("bool", MERGE_RECORD * n_groups * w, layer)
+        # Row 0 is this party's share of the constant 1, then the records.
+        shares = np.empty((1 + MERGE_RECORD, n_groups, w), _U64)
+        shares[0] = ~_U64(0) if self.party == 0 else 0
+        shares[1:] = words.reshape(n_groups, w, MERGE_RECORD).transpose(2, 0, 1)
+        shares[rnd.unread] = 0
+        mine = state[rnd.src]
+        mine ^= shares[_MASK_ROW[rnd.slot], rnd.group]
+        # Public rows (``_PUBLIC``): the products of the E in each bitmask,
+        # a zero row, then L0..L4; an unread L is 0 and an unread E is 1.
+        public = np.empty((_PUBLIC, n_groups, w), _U64)
+        public[:_ZERO] = ~_U64(0)
+        public[_ZERO:] = 0
+        public[_DIGIT_ROW[rnd.slot], rnd.group] = self._open_bool(mine, tag, layer)
+        public = public.reshape(_PUBLIC, -1)
+        for i in range(1, MERGE_DIGITS):
+            np.bitwise_and(public[1:1 << i], public[1 << i],
+                           out=public[(1 << i) + 1:2 << i])
+        below = np.bitwise_xor.reduce(public[_BELOW_L] & public[_BELOW_E], axis=1)
+        terms = public[_TERMS]                  # (2, 1 + MERGE_RECORD, G W)
+        terms[0] &= below[_LT_B]
+        terms &= shares.reshape(1 + MERGE_RECORD, -1)
+        return np.bitwise_xor.reduce(terms, axis=1).reshape(2 * n_groups, w)
 
     def less_than_mask(self, jobs: list, tag: int, layer: str) -> np.ndarray:
-        """Additive shares of [c < r] XOR flip for each job.
+        """Additive shares of [c < r] XOR flip for each job, in one pass.
 
-        A job is (c_pub, tables, gate, n_bits, flip): this party's share of
-        the dealer's digit tables for the low n_bits of r, its gate record
-        (bytes of five mask bits and the (N, 16) u shares) and a public bit
-        flip (0 or per element).  Selecting at each public digit c_j gives
-        shares of [c_j < r_j] and [c_j = r_j] without a message (see
-        ``material.select_table_bits``), packed into 64-element words.
+        A job is (c_pub, tables, gate, n_bits, flip): n public values, this
+        party's share of the dealer's digit tables for the low n_bits of r,
+        its gate record (bytes of five mask bits and the (n, 16) u shares)
+        and a public bit flip (0 or per element).  All jobs compare the
+        same n elements.  ``material.select_table_bits`` picks every job's
+        shares of [c_j < r_j] and [c_j = r_j] at its public digits in one
+        shift, without a message, and one ``pack_bitplanes`` packs them
+        into 64-element words: the batch's state is one array of packed
+        rows, every job's lt digits, then their eq digits, then a zero row.
         While a job has more than three digit groups, one open merges them
-        in groups of up to five (``plan.merge_groups``, ``_merge``).  The
-        gate then closes the three left, lowest first (L0), (L1, E1) and
-        (L2, E2), as lt = L2 ^ h(L0, E1, L1, E2): f = L2 ^ g and v =
-        (L0, E1, L1, E2) ^ masks are opened, and ``bits_to_arith``
-        finishes f ^ flip ^ u_v locally.  A job with fewer groups enters
-        zeros for the missing lower ones.  All jobs share each open, so
-        the rounds are those of the widest job alone.  Returns the jobs'
-        shares concatenated in job order.
+        in groups of up to five (``plan.merge_groups``, ``_merge``) and a
+        gather forms the next state.  The gate then closes the three left,
+        lowest first (L0), (L1, E1) and (L2, E2), as lt = L2 ^ h(L0, E1,
+        L1, E2): f = L2 ^ g and v = (L0, E1, L1, E2) ^ masks are opened,
+        and ``bits_to_arith`` finishes f ^ flip ^ u_v locally.  A job with
+        fewer groups enters zeros for the missing lower ones.  The gathers
+        are a pure function of the jobs' widths (``_lt_layout``), and all
+        jobs share each open, so the rounds are those of the widest job
+        alone.  Returns the jobs' shares concatenated in job order.
         """
-        lts, eqs = [], []
-        for c_pub, tables, _, n_bits, _ in jobs:
-            lt, eq = pack_bitplanes(select_table_bits(tables, c_pub, n_bits))
-            lts.append(lt)
-            eqs.append(eq)
-
-        while any(len(lt) > 3 for lt in lts):
-            todo = [(j, merge_groups(len(lt))) for j, lt in enumerate(lts) if len(lt) > 3]
-            groups = []
-            for j, sizes in todo:
-                for i, lo, k in _spans(sizes):
-                    if k > 1:
-                        groups.append((lts[j][lo:lo + k], eqs[j][lo:lo + k], i == 0))
-            merged = iter(self._merge(groups, tag, layer))
-            for j, sizes in todo:
-                units = [next(merged) if k > 1 else (lts[j][lo], eqs[j][lo])
-                         for _, lo, k in _spans(sizes)]
-                lts[j], eqs[j] = (np.stack(rows) for rows in zip(*units))
-
-        gates = []
-        for (c_pub, _, (rec, _), _, _), lt, eq in zip(jobs, lts, eqs):
-            rows = np.zeros((5, lt.shape[1]), _U64)        # L0, E1, L1, E2, L2
-            for (row_lt, row_eq), i in zip(((4, 3), (2, 1), (0, None)),
-                                           range(len(lt) - 1, -1, -1)):
-                rows[row_lt] = lt[i]
-                if row_eq is not None:
-                    rows[row_eq] = eq[i]
-            gates.append(rows ^ pack_bitplanes(np.stack(gate_bits(rec))))
-        opened = self._open_bool(np.concatenate(gates, axis=1), tag, layer)
-
-        out, pos = [], 0
-        for (c_pub, _, (_, u), _, flip), rows in zip(jobs, gates):
-            w = rows.shape[1]
-            bits = unpack_bitplanes(opened[:, pos:pos + w], c_pub.size)
-            pos += w
-            v = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
-            out.append(self.bits_to_arith(bits[4] ^ flip, u[np.arange(c_pub.size), v]))
-        return np.concatenate(out)
+        c_pub, tables, gates, widths, flips = zip(*jobs)
+        rounds, gate_rows = _lt_layout(widths)
+        n = c_pub[0].size
+        bits = select_table_bits(tables, np.stack(c_pub), widths)
+        state = pack_bitplanes(bits.reshape(-1, n))
+        state = np.concatenate([state, np.zeros((1, state.shape[1]), _U64)])
+        for rnd, after in rounds:
+            state = np.concatenate([state, self._merge(state, rnd, tag, layer)])[after]
+        masked = state[gate_rows]                       # (5, jobs, W)
+        masked ^= pack_bitplanes(gate_bits(np.stack([rec for rec, _ in gates])))
+        bits = unpack_bitplanes(self._open_bool(masked, tag, layer), n)
+        v = np.einsum("kjn,k->jn", bits[:4], _V_PLACE)
+        f = bits[4]
+        u = np.empty(v.shape, _U64)
+        pos = np.arange(n)
+        for j, ((_, u_j), flip) in enumerate(zip(gates, flips)):
+            u[j] = u_j[pos, v[j]]
+            f[j] ^= flip
+        return self.bits_to_arith(f, u).reshape(-1)
 
     def bits_to_arith(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Additive shares of f XOR u for public bits f and shared bits u.
@@ -479,25 +473,21 @@ class PartyEngine:
         return run_plan(self.plan, input_share, self)[self.plan.output_name]
 
 
-def _spans(sizes: tuple):
-    """(index, first digit, digits) of each group of ``sizes``, lowest first."""
-    lo = 0
-    for i, k in enumerate(sizes):
-        yield i, lo, k
-        lo += k
-
-
 def _merge_tables() -> tuple:
-    """Index tables of ``PartyEngine._merge``, one row per mask product.
+    """Index tables of ``PartyEngine._merge``'s local finish.
 
-    Rows are the empty product, then ``MERGE_SUBSETS``.  Product L_l E_a
-    sits only in L_l's monomial of lt, with coefficient the public product
-    of the E above l outside a.  Product E_a, lowest digit t, sits in
-    every lt monomial L_s E_(s+1..) with s < t, so its coefficient is the
-    public product of the E from t up outside a times the public lt of the
-    digits under t (``below[t]``); in eq its coefficient is the public
-    product of the E outside a.  Index 32 of the E products is zero, and
-    ``below[6]`` all ones.  Last, the digit bits each product reads.
+    Its public rows are the products of the opened E in each 5-bit mask
+    (row 0 the empty product, a single E its own row), a zero row at
+    ``_ZERO``, then L0..L4.  ``below[t]``, the public lt of the digits
+    under t, is the XOR over s < t of L_s times the E strictly between
+    s and t; ``below[6]`` is all ones.  Each mask product, the empty one
+    first and then ``MERGE_SUBSETS``, has one term in lt and one in eq.
+    Product L_l E_a sits only in L_l's monomial of lt, with coefficient
+    the public product of the E above l outside a.  Product E_a, lowest
+    digit t, sits in every lt monomial L_s E_(s+1..) with s < t, so its
+    coefficient is the public product of the E from t up outside a times
+    ``below[t]``; in eq its coefficient is the public product of the E
+    outside a.  Last, the digit bits each product reads.
     """
     d, full = MERGE_DIGITS, (1 << MERGE_DIGITS) - 1
     lt_e, lt_b, eq_e = [], [], []
@@ -506,12 +496,110 @@ def _merge_tables() -> tuple:
         lt_e.append(full & ~((1 << t) - 1) ^ a)
         lt_b.append(d + 1 if l < d else t)
         eq_e.append(full + 1 if l < d else full ^ a)
+    below_l = np.full((d + 2, d), full + 1)      # the zero row: no term
+    below_e = np.zeros((d + 2, d), int)
+    for t in range(d + 1):
+        for s in range(t):
+            below_l[t, s] = full + 2 + s
+            below_e[t, s] = (1 << t) - (2 << s)
+    below_l[d + 1, 0] = 0                         # the empty product: ones
     reads = np.array([[l == v for v in range(d)] + [a >> e & 1 for e in range(d)]
                       for l, a in MERGE_SUBSETS], bool)
-    return np.array(lt_e), np.array(lt_b), np.array(eq_e), reads
+    return np.array([lt_e, eq_e]), np.array(lt_b), below_l, below_e, reads
 
 
-_LT_E, _LT_B, _EQ_E, _READS = _merge_tables()
+_TERMS, _LT_B, _BELOW_L, _BELOW_E, _READS = _merge_tables()
+_ZERO = 1 << MERGE_DIGITS
+_PUBLIC = _ZERO + 1 + MERGE_DIGITS
+# Per record digit, L0..L4 then E0..E4: its row among the public rows, and
+# its mask's row in a party's record shares (row 0 is the constant).
+_DIGIT_ROW = np.array([_ZERO + 1 + t for t in range(MERGE_DIGITS)]
+                      + [1 << t for t in range(MERGE_DIGITS)])
+_MASK_ROW = 1 + MERGE_MASKS
+
+
+class MergeRound(NamedTuple):
+    """Index tables of one merge open (``PartyEngine._merge``).
+
+    The opened bits are listed in the open's order: record digit slot
+    first (L0..L4, then E0..E4), then group.
+    """
+
+    src: np.ndarray    # (K,) state row of each opened bit
+    slot: np.ndarray   # (K,) its record digit: 0..4 for L0..L4, 5..9 for E0..E4
+    group: np.ndarray  # (K,) its group
+    groups: int        # G
+    unread: tuple      # (share row, group) of each mask product a group does not read
+
+
+def merge_round(groups: tuple) -> MergeRound:
+    """The ``MergeRound`` of groups given as (lt rows, eq rows, lowest).
+
+    A group of k digits lists its k state rows of each, lowest digit
+    first, and sits at the record's top k digits; the lowest group of a
+    comparison reads no E of its lowest digit.
+    """
+    d = MERGE_DIGITS
+    read = np.zeros((2 * d, len(groups)), bool)
+    src = np.zeros((2 * d, len(groups)), np.intp)
+    for g, (lt, eq, lowest) in enumerate(groups):
+        k = len(lt)
+        src[d - k:d, g], src[2 * d - k:, g] = lt, eq
+        read[d - k:d, g] = read[2 * d - k + lowest:, g] = True
+    slot, group = np.nonzero(read)
+    word, unread = np.nonzero((_READS[:, None, :] & ~read.T).any(axis=2))
+    return MergeRound(*_frozen((src[slot, group], slot, group)), len(groups),
+                      _frozen((1 + word, unread)))
+
+
+@functools.lru_cache(maxsize=32)
+def _lt_layout(widths: tuple) -> tuple:
+    """The gathers of a comparison batch, a pure function of its widths.
+
+    A state holds the packed rows of each job's digit groups: every
+    job's lt rows in job order, then their eq rows, then a zero row.
+    Returns the merge opens, each a ``MergeRound`` with the state rows
+    the next state gathers from the state and the merged rows after it,
+    and the (5, jobs) state rows of the gate inputs L0, E1, L1, E2 and
+    L2, the zero row for a group a job lacks.
+    """
+    units = [lt_digits(w) for w in widths]
+    rounds = []
+    while max(units) > 3:
+        total = sum(units)
+        plans = [merge_groups(u) if u > 3 else (1,) * u for u in units]
+        n_groups = sum(k > 1 for sizes in plans for k in sizes)
+        merged = 2 * total + 1      # the merged lt rows, then their eq rows
+        groups, lt_next, eq_next, lo = [], [], [], 0
+        for sizes in plans:
+            for i, k in enumerate(sizes):
+                if k > 1:
+                    lt_next.append(merged + len(groups))
+                    eq_next.append(merged + n_groups + len(groups))
+                    groups.append((range(lo, lo + k), range(total + lo, total + lo + k),
+                                   i == 0))
+                else:
+                    lt_next.append(lo)
+                    eq_next.append(total + lo)
+                lo += k
+        rounds.append((merge_round(tuple(groups)),
+                       _frozen(np.array(lt_next + eq_next + [2 * total]))))
+        units = [len(sizes) for sizes in plans]
+    total, zero = sum(units), 2 * sum(units)
+    gate, start = [], 0
+    for u in units:
+        lt = [start + u - i if i <= u else zero for i in (3, 2, 1)]    # L0, L1, L2
+        eq = [row + total if row != zero else zero for row in lt]
+        gate.append((lt[0], eq[1], lt[1], eq[2], lt[2]))
+        start += u
+    return tuple(rounds), _frozen(np.array(gate).T)
+
+
+def _frozen(arrays):
+    """Mark an index table, or each array of a tuple of them, read-only."""
+    for a in arrays if isinstance(arrays, tuple) else (arrays,):
+        a.setflags(write=False)
+    return arrays
 
 
 def _weight_shape(pl):

@@ -17,8 +17,11 @@ its role and the graph from the session seed, and aborts the session if
 not.
 After the hellos, a party that fails with an engine error other than the
 peer's abort sends an abort frame naming the error before it raises, so
-its peer stops too.  After the sync each party checks its own ledger, row
-by row, against the bytes and rounds the plan predicts (``check_ledger``).
+its peer stops too.  Before the sync each party checks its own ledger,
+row by row, against the bytes and rounds the plan predicts
+(``check_ledger``), so that a mismatch reaches a peer waiting in the sync
+as an abort.  A party whose dealer file fails to load once the peer is
+connected aborts the peer the same way (``load_party_material``).
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from ..errors import (
 from ..graph import Graph
 from ..plan import FixedPlan, build_plan, execute_plan_clear, predict_ledger
 from ..ring import RingTensor, encode_fixed, mask_words
-from .material import MaterialStore, generate_material
-from .protocol import PartyEngine, ProtocolAbort
+from .material import MaterialStore, generate_material, load_material
+from .protocol import PartyEngine, ProtocolAbort, send_abort
 from .wire import (
     OP_HELLO,
     OP_OPEN_OUTPUT,
@@ -83,6 +86,8 @@ def handshake(engine: PartyEngine, seed: int) -> None:
     try:
         theirs = engine.exchange(OP_HELLO, SESSION_TAG, mine, "session", "hello")
     except ProtocolAbort as e:
+        if e.family is not None:    # the peer failed before its hello
+            raise
         raise HandshakeError(f"peer aborted during handshake: {e}") from e
     if len(theirs) != _HELLO.size:
         engine.abort("malformed hello")
@@ -131,10 +136,15 @@ def expected_ledger(plan: FixedPlan, party: int) -> dict:
 
 
 def check_ledger(plan: FixedPlan, party: int, ledger) -> None:
-    """Raise VerificationError at the first row that leaves the prediction."""
+    """Raise VerificationError at the first row that leaves the prediction.
+
+    The sync row is not compared: the check runs before the sync.
+    """
     want = expected_ledger(plan, party)
     got = {key: (e.bytes_sent, e.rounds) for key, e in ledger.entries.items()
            if e.bytes_sent or e.rounds}
+    for rows in (want, got):
+        rows.pop(("session", "sync"), None)
     for key in sorted(want.keys() | got.keys()):
         if want.get(key) != got.get(key):
             (pb, pr), (mb, mr) = want.get(key, (0, 0)), got.get(key, (0, 0))
@@ -172,8 +182,8 @@ def run_model_party(plan: FixedPlan, transport: Transport,
         engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
                            np.ascontiguousarray(out_share, dtype="<u8"),
                            "session", "output-open")
-        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
         check_ledger(plan, 0, engine.ledger)
+        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
     return SessionResult(None, engine.ledger)
 
 
@@ -192,9 +202,23 @@ def run_client_party(plan: FixedPlan, transport: Transport,
         peer_out = np.frombuffer(raw, dtype="<u8").reshape(out_share.shape)
         output = RingTensor(mask_words(out_share + peer_out, plan.cfg.bitwidth),
                             plan.cfg.bitwidth)
-        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
         check_ledger(plan, 1, engine.ledger)
+        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
     return SessionResult(output, engine.ledger)
+
+
+def load_party_material(path: str, transport: Transport) -> MaterialStore:
+    """This party's dealer file, loaded once the peer is connected.
+
+    A file that fails to load aborts the peer before either hello, so the
+    peer ends with the material exit code too rather than waiting for a
+    party that will not come.  The reason is generic, as in ``handshake``.
+    """
+    try:
+        return load_material(path)
+    except MaterialError:
+        send_abort(transport, "MaterialError: dealer material unusable")
+        raise
 
 
 # -- in-process orchestration -------------------------------------------------------

@@ -420,3 +420,55 @@ def test_party_material_mismatch_exit_code(tmp_path, toynet_file, child_kwargs):
     assert srv.returncode == EXIT_MATERIAL, srv_err
     assert "party 1's, this is party 0" in srv_err
     assert cli.returncode != 0, cli.stderr
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bad", ["party0", "party1"])
+def test_a_dealer_file_failing_its_digest_ends_both_parties_with_the_material_exit_code(
+        tmp_path, toynet_file, child_kwargs, bad):
+    # The party holding the flipped file loads it once its peer is
+    # connected, fails the digest and aborts; the peer, in its hello,
+    # exits with the same code within seconds, not after its 60 s wait.
+    import socket
+    import time
+
+    mat = tmp_path / "mat"
+    rc = subprocess.run([sys.executable, "-m", "xconv2pc", "dealer", "--graph",
+                         toynet_file, "--seed", "2", "--material", str(mat)],
+                        **child_kwargs, capture_output=True, text=True,
+                        timeout=CHILD_TIMEOUT)
+    assert rc.returncode == 0, rc.stderr
+    path = mat / f"{bad}.dlr"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 1
+    path.write_bytes(bytes(blob))
+    s = socket.socket()
+    s.bind(("127.0.0.1", 0))
+    port = s.getsockname()[1]
+    s.close()
+    common = ["--graph", toynet_file, "--seed", "2"]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "xconv2pc", "run", "--role", role, endpoint,
+         f"127.0.0.1:{port}", "--material", str(mat / f"{role}.dlr")] + common,
+        **child_kwargs, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for role, endpoint in (("party0", "--listen"), ("party1", "--connect"))]
+    ended = {}
+    try:
+        deadline = time.monotonic() + CHILD_TIMEOUT
+        while len(ended) < 2 and time.monotonic() < deadline:
+            for i, p in enumerate(procs):
+                if i not in ended and p.poll() is not None:
+                    ended[i] = time.monotonic()
+            time.sleep(0.05)
+    finally:
+        errs = []
+        for p in procs:
+            if p.poll() is None:  # still waiting: end it
+                p.kill()
+            errs.append(p.communicate()[1])
+    assert len(ended) == 2, errs
+    assert abs(ended[0] - ended[1]) < 5, errs
+    for p, err in zip(procs, errs):
+        assert p.returncode == EXIT_MATERIAL, err
+    bad_err = errs[int(bad[-1])]
+    assert "dealer material failed its integrity check" in bad_err

@@ -55,6 +55,7 @@ from xconv2pc.runtime.protocol import (
     PartyEngine,
     ProtocolAbort,
     _flat_slice,
+    merge_round,
     pack_bitplanes,
     unpack_bitplanes,
 )
@@ -495,9 +496,13 @@ def test_less_than_mixed_widths_share_two_rounds(monkeypatch):
     merged = ([], [])
     merge = PartyEngine._merge
 
-    def record(engine, groups, tag, layer):
-        merged[engine.party].append([(len(lt), low) for lt, _, low in groups])
-        return merge(engine, groups, tag, layer)
+    def record(engine, state, rnd, tag, layer):
+        # A group of k digits opens its k L bits, and its k E bits less
+        # one if it is the lowest group of its job.
+        slots = [rnd.slot[rnd.group == g] for g in range(rnd.groups)]
+        merged[engine.party].append(
+            [(int((s < 5).sum()), int((s >= 5).sum()) == (s < 5).sum() - 1) for s in slots])
+        return merge(engine, state, rnd, tag, layer)
 
     monkeypatch.setattr(PartyEngine, "_merge", record)
     r0, r1, e0, e1 = run_two(
@@ -533,14 +538,15 @@ def test_merge_truth_table_over_every_digit_state():
     words = -(-n // 64)
     plan = _StubPlan(bool_words=2 * MERGE_RECORD * words)
 
+    # Both groups read the same five digits: rows 0-4 hold lt, 5-9 eq.
+    rnd = merge_round(((range(5), range(5, 10), True), (range(5), range(5, 10), False)))
+
     def fn(engine):
-        lt, eq = shares[engine.party]
-        return engine._merge([(lt, eq, True), (lt, eq, False)], 0, "t")
+        return engine._merge(np.concatenate(shares[engine.party]), rnd, 0, "t")
 
     out0, out1, e0, e1 = run_two(fn, plan, seed=112)
-    (lt_low, _), (lt_up, eq_up) = (
-        [unpack_bitplanes(a ^ b, n) for a, b in zip(g0, g1)]
-        for g0, g1 in zip(out0, out1))
+    # Rows: each group's lt, then each group's eq.
+    lt_low, lt_up, _, eq_up = unpack_bitplanes(out0 ^ out1, n)
     assert np.array_equal(lt_low, want_lt)            # the lowest group's role
     assert np.array_equal(lt_up, want_lt)             # an upper group's role
     assert np.array_equal(eq_up, want_eq)
@@ -580,6 +586,46 @@ def test_gate_truth_table_over_every_input():
         # f and v, five words per 64 elements, in one round.
         assert _layer_rounds(e.ledger, "t") == {"bool-open": 1}
         assert e.ledger.entries["t", "bool-open"].bytes_sent == 5 * 8 * rec.size // 64
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_less_than_batches_reconstruct_and_cost_what_lt_cost_says(data):
+    """Property: any batch of one to three jobs, each of 1 to 61 bits with
+    no flip, a scalar flip or a flip per element, over 1 to 200 elements,
+    reconstructs [c < r] ^ flip, books the bytes and rounds ``lt_cost``
+    gives, and leaves the boolean cursor on the batch's merge records."""
+    widths = data.draw(st.lists(st.integers(1, 61), min_size=1, max_size=3), label="widths")
+    n = data.draw(st.integers(1, 200), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    jobs, want = ([], []), []
+    for n_bits in widths:
+        top = (1 << n_bits) - 1
+        r = rng.integers(0, top, size=n, endpoint=True, dtype=np.uint64)
+        c = rng.integers(0, top, size=n, endpoint=True, dtype=np.uint64)
+        # Some elements equal r, or differ from it in the lowest digit only.
+        near = rng.integers(0, 3, size=n)
+        c = np.where(near == 0, r, c)
+        c = np.where(near == 1, (r & ~np.uint64(15)) | (c & np.uint64(15)), c) & np.uint64(top)
+        flip = data.draw(st.sampled_from(["none", "scalar", "each"]), label="flip")
+        flip = {"none": 0, "scalar": 1,
+                "each": rng.integers(0, 2, size=n, dtype=np.uint8)}[flip]
+        tab = digit_tables(r, n_bits)
+        t0 = rng.integers(0, 2**32, size=tab.shape, dtype=np.uint32)
+        gates = _gate_shares(n, rng)
+        jobs[0].append((c, t0, gates[0], n_bits, flip))
+        jobs[1].append((c, tab ^ t0, gates[1], n_bits, flip))
+        want.append((c < r) ^ np.asarray(flip, bool))
+    costs = [lt_cost(n, w) for w in widths]
+    plan = _StubPlan(bool_words=sum(cost.bool_words for cost in costs))
+    r0, r1, e0, e1 = run_two(
+        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=n)
+    assert np.array_equal(_recon(r0, r1), np.concatenate(want).astype(np.uint64))
+    for e in (e0, e1):
+        assert _layer_rounds(e.ledger, "t") == {"bool-open": max(c.rounds for c in costs)}
+        assert e.ledger.entries["t", "bool-open"].bytes_sent == sum(
+            8 * c.open_words + 40 * c.gate_words for c in costs)
+        assert e.material.cursors["bool"] == plan.requirements().bool_words
 
 
 # -- secure sessions -----------------------------------------------------------------
@@ -805,7 +851,10 @@ def test_random_graph_structures_bitwise(data):
     stride-2 conv, a depthwise conv, an add join whose conv output a ReLU
     also reads, a concat join read by a ReLU (not fused), two fused
     conv->ReLU pairs interleaved so each truncation's sign share waits
-    while other layers run, and a final fully-connected layer.  It may run
+    while other layers run, nested joins (a join that reads a join while
+    the skip around both stays open), skips left open across later layers
+    and joined by an add or a concat, several open at once, and a final
+    fully-connected layer.  It may run
     its eligible convs as transform convs, on the default tiles or on 6
     alone, and open its products in Beaver chunks small enough that a
     layer's products span several.
@@ -819,13 +868,18 @@ def test_random_graph_structures_bitwise(data):
     seed = data.draw(st.integers(0, 2**16), label="seed")
     b = GraphBuilder((1, c, hw, hw), seed=seed)
     cur, cur_c, cur_hw = INPUT, c, hw
+    skips = []      # (layer, channels, hw) left open for a later join
     n_layers = data.draw(st.integers(2, 5), label="depth")
     for i in range(n_layers):
-        menu = ["conv", "relu", "shuffle", "pw", "dw", "add", "cat", "fork"]
+        menu = ["conv", "relu", "shuffle", "pw", "dw", "add", "cat", "fork", "nest",
+                "open"]
         if cur_hw >= 4:
             menu += ["maxpool", "avgpool", "sconv"]
         if cur_c % 2 == 0:
             menu.append("gconv")
+        joinable = [k for k, (_, _, s_hw) in enumerate(skips) if s_hw == cur_hw]
+        if joinable:
+            menu.append("join")
         kind = data.draw(st.sampled_from(menu), label=f"layer{i}")
         name = f"l{i}"
         if kind == "conv":
@@ -855,6 +909,18 @@ def test_random_graph_structures_bitwise(data):
             t = b.conv(f"{name}a", cur, cur_c, cur_c, 3)
             u = b.conv(f"{name}b", cur, cur_c, cur_c, 1, padding=0)
             cur = b.add(name, b.relu(f"{name}ra", t), b.relu(f"{name}rb", u))
+        elif kind == "nest":
+            j = b.add(f"{name}j", cur, b.conv(f"{name}a", cur, cur_c, cur_c, 3))
+            k = b.add(f"{name}k", j, b.conv(f"{name}b", j, cur_c, cur_c, 1, padding=0))
+            cur = b.add(name, k, cur)
+        elif kind == "open":
+            skips.append((cur, cur_c, cur_hw))
+        elif kind == "join":
+            src, src_c, _ = skips.pop(data.draw(st.sampled_from(joinable), label=f"skip{i}"))
+            if src_c == cur_c and data.draw(st.booleans(), label=f"add{i}"):
+                cur = b.add(name, cur, src)
+            else:
+                cur, cur_c = b.concat(name, cur, src), cur_c + src_c
         elif kind == "relu":
             cur = b.relu(name, cur)
         elif kind == "shuffle":
@@ -865,6 +931,9 @@ def test_random_graph_structures_bitwise(data):
         elif kind == "avgpool":
             cur = b.avgpool(name, cur, 2, 2)
             cur_hw //= 2
+    for i, (src, src_c, src_hw) in enumerate(skips):     # close what is left
+        if src_hw == cur_hw:
+            cur, cur_c = b.concat(f"close{i}", cur, src), cur_c + src_c
     if data.draw(st.booleans(), label="fc"):
         out = data.draw(st.integers(1, 4), label="out")
         b.fc("fc", cur, cur_c * cur_hw * cur_hw, out)
@@ -1359,6 +1428,58 @@ def test_both_parties_catch_a_conversion_split_in_two_opens(transport, monkeypat
     for p in (0, 1):
         assert errors[p] == (f"party {p} ledger at relu1/aux-open: predicted "
                              f"{want} B in 1 rounds, measured {want} B in 2 rounds")
+
+
+@pytest.mark.parametrize("transport", ["queue", "tcp"])
+def test_a_ledger_mismatch_on_one_party_stops_both_with_the_verification_exit_code(
+        transport, monkeypatch):
+    # Only party 0 books relu1's auxiliary open as two rounds: same frames,
+    # same bits, one more round in its own ledger alone.  Its check runs
+    # before the sync and raises; the client, whose ledger is right, waits
+    # in the sync and ends on the abort with the verification exit code, 7.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    beaver = PartyEngine.beaver
+
+    def misbooked(engine, x, y, tag, layer, kind="mul"):
+        out = beaver(engine, x, y, tag, layer, kind)
+        if engine.party == 0 and layer == "relu1":
+            engine.ledger.bump_round(layer, f"{kind}-open")
+        return out
+
+    monkeypatch.setattr(PartyEngine, "beaver", misbooked)
+    t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=52)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 53)
+    x = encode_fixed(_random_input(g.input_shape, 54), g.cfg)
+    raised = {}
+
+    def party(name, fn, *args):
+        try:
+            fn(*args)
+        except Exception as e:
+            raised[name] = e
+
+    threads = [threading.Thread(target=party, daemon=True, args=args) for args in (
+        ("model", run_model_party, plan0, t0, m0, 53),
+        ("client", run_client_party, plan1, t1, m1, 53, x))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=5)
+    for t in (t0, t1):
+        t.close()
+    assert not any(th.is_alive() for th in threads), "a party still runs after 5 s"
+    want = session.expected_ledger(plan0, 0)["relu1", "aux-open"][0]
+    err = raised["model"]
+    assert isinstance(err, VerificationError)
+    assert str(err) == (f"party 0 ledger at relu1/aux-open: predicted {want} B in "
+                        f"1 rounds, measured {want} B in 2 rounds")
+    assert isinstance(raised["client"], ProtocolAbort)
+    assert str(raised["client"]) == f"VerificationError: {err}"
+    assert raised["client"].exit_code == VerificationError.exit_code == 7
 
 
 def test_session_fails_cleanly_on_short_material():

@@ -3,13 +3,14 @@
 Secret-by-secret ring multiplications are the unit that costs online
 traffic; everything data-independent (adds, permutes, public scaling, the
 integer transform steps of tagged convolutions) counts zero.  Every count
-comes from ``plan.footprint``, the function the plan sizes its layers
-with, applied to the graph's own layers (so an unfolded batchnorm is
-charged too).  A layer's byte estimate is its multiplications at the
-modeled stack's 1.2 KB each, plus the exact bytes this engine sends for
-its truncations and comparisons.  A report also carries the plan's exact
-per-layer prediction (``pred_bytes``) and, from a session ledger, the
-measurement (``meas_bytes``).
+comes from ``plan.schedule``, the schedule the plan is built from,
+applied to the graph as it stands (so an unfolded batchnorm is charged
+too).  A layer's byte estimate (``est_bytes``) is its multiplications at
+the modeled stack's 1228.8 B each, plus the bytes ``plan.predict_ledger``
+books for it other than its multiplication opens.  Those are booked on the
+rows the plan's exact prediction (``pred_bytes``) and a session ledger's
+measurement (``meas_bytes``) book them on: a fused ReLU's comparison
+under the truncating layer that sends it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .graph import CellVariant, Graph, infer_shapes
-from .plan import build_plan, footprint, predict_ledger
+from .graph import CellVariant, Graph
+from .plan import build_plan, predict_ledger, schedule
 
 CONV = "conv"
 OTHER_LINEAR = "other-linear"
@@ -48,17 +49,9 @@ def _category(kind: str) -> str:
     return NONLINEAR if kind in ("relu", "maxpool") else OTHER_LINEAR
 
 
-def _footprints(graph: Graph):
-    """(layer, footprint) for every layer of the graph as it stands."""
-    shapes = infer_shapes(graph)
-    for layer in graph.layers:
-        yield layer, footprint(layer.kind, layer.attrs, shapes[layer.name],
-                               graph.cfg)
-
-
 def count_mults(graph: Graph) -> dict:
     """Exact per-layer secret-multiplication counts, keyed by layer name."""
-    return {layer.name: fp["mults"] for layer, fp in _footprints(graph)}
+    return {pl.name: pl.mults for pl in schedule(graph)}
 
 
 @dataclass
@@ -87,25 +80,27 @@ class CommEstimate:
 def estimate_comm(graph: Graph) -> CommEstimate:
     """Per-layer byte estimate: modeled multiplications plus engine bytes.
 
-    Each party sends 8 B per opened mask (one per truncated or compared
-    element), 16 B per auxiliary triple (two opened words), 8 B per opened
-    merge word and 40 B per gate word (five): exactly the engine's
-    non-multiplication bytes for the layer, though a ReLU fused into a
-    truncation books them under the truncating layer.
+    Each layer is charged ``BYTES_PER_MULT`` per multiplication, plus the
+    bytes its ``predict_ledger`` rows other than mul-open send: exactly
+    what this engine sends for its truncations and comparisons, on the
+    rows a session ledger books them.
     """
+    layers = schedule(graph)
+    engine_bytes = dict.fromkeys((pl.name for pl in layers), 0)
+    for (layer, op), (nbytes, _) in predict_ledger(layers, graph.cfg).items():
+        if op != "mul-open":
+            engine_bytes[layer] += nbytes
     reports = []
     totals = {CONV: 0.0, OTHER_LINEAR: 0.0, NONLINEAR: 0.0}
-    for layer, fp in _footprints(graph):
-        engine_bytes = (8 * (fp["trunc_elems"] + fp["cmp_elems"])
-                        + 16 * fp["aux_triples"] + 8 * fp["open_words"]
-                        + 40 * fp["gate_words"])
-        est = fp["mults"] * BYTES_PER_MULT + engine_bytes
-        category = _category(layer.kind)
+    for pl in layers:
+        est = pl.mults * BYTES_PER_MULT + engine_bytes[pl.name]
+        category = _category(pl.kind)
         totals[category] += est
         reports.append(LayerCostReport(
-            layer=layer.name, kind=layer.kind, category=category,
-            mults=fp["mults"], est_bytes=est,
-            extra={k: v for k, v in fp.items() if k != "mults"}))
+            layer=pl.name, kind=pl.kind, category=category, mults=pl.mults,
+            est_bytes=est, extra={"trunc_elems": pl.trunc_elems,
+                                  "cmp_elems": pl.cmp_elems,
+                                  "bool_words": pl.bool_words}))
     return CommEstimate(reports=reports, totals=totals,
                         total_bytes=sum(totals.values()),
                         total_mults=sum(r.mults for r in reports))
@@ -114,8 +109,8 @@ def estimate_comm(graph: Graph) -> CommEstimate:
 def mult_split(graph: Graph) -> dict:
     """Multiplication totals by category plus conv share of linear."""
     by_cat = {CONV: 0, OTHER_LINEAR: 0, NONLINEAR: 0}
-    for layer, fp in _footprints(graph):
-        by_cat[_category(layer.kind)] += fp["mults"]
+    for pl in schedule(graph):
+        by_cat[_category(pl.kind)] += pl.mults
     linear = by_cat[CONV] + by_cat[OTHER_LINEAR]
     return {
         "conv": by_cat[CONV],
@@ -201,7 +196,7 @@ def merge_predicted(reports: list, graph: Graph) -> list:
     """
     plan = build_plan(graph, with_weights=False)
     pred = dict.fromkeys((pl.name for pl in plan.layers), 0)
-    for (layer, _), (nbytes, _) in predict_ledger(plan).items():
+    for (layer, _), (nbytes, _) in predict_ledger(plan.layers, plan.cfg).items():
         pred[layer] += nbytes
     for r in reports:
         r.pred_bytes = pred.get(r.layer)

@@ -20,12 +20,11 @@ construction, which is the equivalence the whole artifact is built
 around.
 
 Resource counts (multiplications, truncated elements, comparisons,
-auxiliary triples, merge-record words, opened merge words, gate words)
-depend only on shapes and attributes, never on weight values, so the
-weight-less party derives the same schedule from the public
-architecture.  ``footprint`` computes them
-for one layer, for the plan and the cost model alike, and
-``predict_ledger`` turns them into the bytes and rounds every run books.
+merge-record words) depend only on shapes and attributes, never on weight
+values, so the weight-less party derives the same schedule from the
+public architecture.  ``schedule`` computes them for every layer of a
+graph, for the plan and the cost model alike, and ``predict_ledger``
+turns them into the bytes and rounds every run books.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def _sign_batches(kind: str, attrs: dict, out_elems: int) -> list:
 def footprint(kind: str, attrs: dict, out_shape: tuple, cfg: FixedPointConfig) -> dict:
     """Dealer material one layer consumes, from its kind, attributes and shape.
 
-    Returns mults, trunc_elems, cmp_elems, aux_triples and the ``lt_cost``
-    fields bool_words, open_words and gate_words.  A truncated element
+    Returns mults, trunc_elems, cmp_elems and bool_words, the merge-record
+    words of the ``lt_cost`` of each comparison.  A truncated element
     takes two comparisons (borrow and wrap), a compared one a sign test;
     each comparison ends in a dealer gate that yields its bit as an
     additive share, and a compared element spends one auxiliary triple on
@@ -171,10 +170,8 @@ def footprint(kind: str, attrs: dict, out_shape: tuple, cfg: FixedPointConfig) -
         raise ShapeError(f"cannot plan layer kind {kind!r}")
     if trunc:
         lts = [lt_cost(trunc, cfg.scale), lt_cost(trunc, cfg.bitwidth)]
-    fp = {"mults": mults, "trunc_elems": trunc, "cmp_elems": cmp, "aux_triples": cmp}
-    for key in ("bool_words", "open_words", "gate_words"):
-        fp[key] = sum(getattr(c, key) for c in lts)
-    return fp
+    return {"mults": mults, "trunc_elems": trunc, "cmp_elems": cmp,
+            "bool_words": sum(c.bool_words for c in lts)}
 
 
 @dataclass
@@ -189,12 +186,33 @@ class PlanLayer:
     mults: int = 0
     trunc_elems: int = 0
     cmp_elems: int = 0
-    aux_triples: int = 0
     bool_words: int = 0
-    open_words: int = 0
-    gate_words: int = 0
     relu_sign: bool = False  # truncation also yields its sole reader ReLU's sign
     payload: dict = field(default_factory=dict)  # ring weights, party-0 side only
+
+
+def schedule(graph: Graph) -> list:
+    """The shape-only plan layers of a graph as it stands.
+
+    Each layer gets its output shape and ``footprint``; nothing is folded
+    and no weight is read, so an unfolded batchnorm is scheduled too.  An
+    arithmetic shift keeps the sign, so a ReLU that alone reads a
+    truncating layer takes its sign test from that layer's truncation
+    (``relu_sign``).
+    """
+    shapes = infer_shapes(graph)
+    layers = [PlanLayer(name=spec.name, kind=spec.kind, inputs=list(spec.inputs),
+                        attrs=dict(spec.attrs), out_shape=shapes[spec.name],
+                        **footprint(spec.kind, spec.attrs, shapes[spec.name],
+                                    graph.cfg))
+              for spec in graph.layers]
+    readers = Counter(src for pl in layers for src in pl.inputs)
+    truncating = {pl.name: pl for pl in layers if pl.trunc_elems}
+    for pl in layers:
+        src = truncating.get(pl.inputs[0]) if pl.kind == "relu" else None
+        if src is not None and readers[src.name] == 1:
+            src.relu_sign = True
+    return layers
 
 
 @dataclass
@@ -222,7 +240,7 @@ class FixedPlan:
     def requirements(self) -> PlanRequirements:
         return PlanRequirements(
             mul_triples=sum(l.mults for l in self.layers),
-            aux_triples=sum(l.aux_triples for l in self.layers),
+            aux_triples=sum(l.cmp_elems for l in self.layers),
             trunc_units=sum(l.trunc_elems for l in self.layers),
             cmp_tuples=sum(l.cmp_elems for l in self.layers),
             bool_words=sum(l.bool_words for l in self.layers),
@@ -277,6 +295,9 @@ WINOGRAD_INPUT_BOUND = 8.0
 def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
     """Compile a graph into a fixed-point plan.
 
+    The layers are the ``schedule`` of the batchnorm-folded graph; this
+    adds their encoded weights and scaling constants.
+
     The overflow guard is inductive: assuming every decoded activation
     stays within ``ACTIVATION_CEILING``, each multiplication-bearing layer
     is checked to fit its double-scale accumulator; the clear executor
@@ -300,59 +321,44 @@ def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
     stated safety margin on the interactive path.
     """
     g = fold_batchnorm(graph)
-    shapes = infer_shapes(g)
+    layers = schedule(g)
+    shapes = {INPUT: g.input_shape, **{pl.name: pl.out_shape for pl in layers}}
     cfg = g.cfg
     ceiling = ACTIVATION_CEILING
     bounds = {}
     if with_weights:
         bounds = _weight_bounds(g)
         ceiling = min(ceiling, _tolerated_ceiling(bounds, cfg))
-    layers = []
 
-    for spec in g.layers:
-        out_shape = shapes[spec.name]
-        pl = PlanLayer(name=spec.name, kind=spec.kind, inputs=list(spec.inputs),
-                       attrs=dict(spec.attrs), out_shape=out_shape,
-                       **footprint(spec.kind, spec.attrs, out_shape, cfg))
-
-        if spec.kind in ("conv2d", "fully-connected"):
-            w_real = g.weights.get(f"{spec.name}.weight") if with_weights else None
-            bias_real = g.weights.get(f"{spec.name}.bias") if with_weights else None
-            if spec.attrs.get("winograd"):
-                basis = basis_for_tile(spec.attrs["tile"], spec.attrs["kernel"])
+    for pl in layers:
+        if pl.kind in ("conv2d", "fully-connected"):
+            w_real = g.weights.get(f"{pl.name}.weight") if with_weights else None
+            bias_real = g.weights.get(f"{pl.name}.bias") if with_weights else None
+            if pl.attrs.get("winograd"):
+                basis = basis_for_tile(pl.attrs["tile"], pl.attrs["kernel"])
                 pl.payload["basis"] = basis
                 if w_real is not None:
                     u_real = transform_filter_real(w_real, basis)
-                    winograd_guard(basis, u_real, spec.attrs.get("groups", 1),
+                    winograd_guard(basis, u_real, pl.attrs.get("groups", 1),
                                    min(ceiling, WINOGRAD_INPUT_BOUND), cfg)
                     pl.payload["weight"] = encode_fixed(u_real, cfg)
             elif w_real is not None:
                 pl.payload["weight"] = encode_fixed(w_real, cfg)
             if w_real is not None:
-                rowsum, bias_max = bounds[spec.name]
-                _check_headroom(ceiling * rowsum + bias_max, cfg, spec.name)
+                rowsum, bias_max = bounds[pl.name]
+                _check_headroom(ceiling * rowsum + bias_max, cfg, pl.name)
                 if bias_real is not None:
                     pl.payload["bias_ring"] = _encode_double_scale(bias_real, cfg)
 
-        elif spec.kind in ("avgpool", "global-avgpool"):
-            if spec.kind == "avgpool":
-                area = spec.attrs["window"] ** 2
+        elif pl.kind in ("avgpool", "global-avgpool"):
+            if pl.kind == "avgpool":
+                area = pl.attrs["window"] ** 2
             else:
-                in_shape = shapes[spec.inputs[0]]
+                in_shape = shapes[pl.inputs[0]]
                 area = in_shape[2] * in_shape[3]
             pl.payload["inv_area_ring"] = int(
                 encode_fixed(np.array([1.0 / area]), cfg).words[0])
-            _check_headroom(ceiling * 1.01, cfg, spec.name)
-        layers.append(pl)
-
-    # An arithmetic shift keeps the sign, so a ReLU that alone reads a
-    # truncating layer takes its sign test from that layer's truncation.
-    readers = Counter(src for pl in layers for src in pl.inputs)
-    truncating = {pl.name: pl for pl in layers if pl.trunc_elems}
-    for pl in layers:
-        src = truncating.get(pl.inputs[0]) if pl.kind == "relu" else None
-        if src is not None and readers[src.name] == 1:
-            src.relu_sign = True
+            _check_headroom(ceiling * 1.01, cfg, pl.name)
 
     return FixedPlan(cfg=cfg, input_shape=g.input_shape, layers=layers,
                      output_name=g.output_name, graph_hash=graph.structural_hash(),
@@ -362,8 +368,9 @@ def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
 BEAVER_CHUNK = 1 << 22  # elements per opened Beaver batch; caps peak memory
 
 
-def predict_ledger(plan: FixedPlan) -> dict:
-    """(bytes sent, rounds) of every nonzero (layer, op) ledger row of a run.
+def predict_ledger(layers: list, cfg: FixedPointConfig) -> dict:
+    """(bytes sent, rounds) of every nonzero (layer, op) ledger row of a run
+    of ``layers``, a plan's or a ``schedule``'s.
 
     Every layer row is a symmetric open, so both parties book the same.
     Per row:
@@ -380,7 +387,6 @@ def predict_ledger(plan: FixedPlan) -> dict:
     truncation's frames and books only its sign-bit product; any other
     ReLU, and each maxpool tree level, is one batch of comparisons.
     """
-    cfg = plan.cfg
     sign_bits = cfg.bitwidth - 1
     rows = {}
 
@@ -397,8 +403,8 @@ def predict_ledger(plan: FixedPlan) -> dict:
         book(layer, "bool-open", sum(8 * c.open_words + 40 * c.gate_words for c in lts),
              max(c.rounds for c in lts))
 
-    signed = {pl.name for pl in plan.layers if pl.relu_sign}
-    for pl in plan.layers:
+    signed = {pl.name for pl in layers if pl.relu_sign}
+    for pl in layers:
         book(pl.name, "mul-open", 16 * pl.mults, chunks(pl.mults))
         if pl.trunc_elems:
             n = pl.trunc_elems

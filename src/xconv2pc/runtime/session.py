@@ -127,7 +127,7 @@ def expected_ledger(plan: FixedPlan, party: int) -> dict:
     (the model owner sends its output share, the client receives it) and
     the empty sync.
     """
-    rows = predict_ledger(plan)
+    rows = predict_ledger(plan.layers, plan.cfg)
     out = next(pl.out_shape for pl in plan.layers if pl.name == plan.output_name)
     rows["session", "hello"] = (_HELLO.size, 1)
     rows["session", "output-open"] = (8 * math.prod(out) if party == 0 else 0, 1)
@@ -283,15 +283,9 @@ def secure_infer_local(graph: Graph, x, seed: int = 0,
         raise errors["model"]
     if m0.cursors != m1.cursors:
         raise TransportError("parties consumed dealer material unevenly")
-    if self_dealt:
-        req = plan0.requirements()
-        expected = {"mul": req.mul_triples, "aux": req.aux_triples,
-                    "trunc": req.trunc_units, "cmp": req.cmp_tuples,
-                    "bool": req.bool_words}
-        if m0.cursors != expected:
-            raise TransportError(
-                f"material consumption {m0.cursors} != sized requirement "
-                f"{expected}")
+    if self_dealt and m0.cursors != m0.counts():
+        raise TransportError(f"material consumption {m0.cursors} != dealt "
+                             f"{m0.counts()}")
 
     clear = None
     if compare_clear:

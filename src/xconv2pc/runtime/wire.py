@@ -99,7 +99,10 @@ class CommLedger:
         self.entries: dict = {}
 
     def _entry(self, layer: str, op: str) -> LedgerEntry:
-        return self.entries.setdefault((layer, op), LedgerEntry())
+        entry = self.entries.get((layer, op))
+        if entry is None:
+            entry = self.entries[layer, op] = LedgerEntry()
+        return entry
 
     def record_send(self, layer: str, op: str, nbytes: int) -> None:
         self._entry(layer, op).bytes_sent += nbytes

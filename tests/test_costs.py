@@ -20,7 +20,7 @@ from xconv2pc.costs import (
     mult_split,
 )
 from xconv2pc.graph import INPUT, CellVariant, GraphBuilder, cell_graph, fold_batchnorm
-from xconv2pc.plan import build_plan
+from xconv2pc.plan import build_plan, lt_cost
 from xconv2pc.runtime.session import secure_infer_local
 from xconv2pc.winograd import rewrite_winograd
 from xconv2pc.zoo import model_zoo
@@ -86,12 +86,14 @@ def test_estimate_mult_component_is_1_2288_gb():
     # wrap (15 digits as 5, 5, 5).
     trunc = report.extra["trunc_elems"]
     words = -(-trunc // 64)
-    assert trunc == 250_000 and report.extra["aux_triples"] == 0
-    assert report.extra["gate_words"] == 2 * words
-    assert report.extra["open_words"] == (7 + 29) * words
+    assert trunc == 250_000 and report.extra["cmp_elems"] == 0
+    borrow, wrap = lt_cost(trunc, 23), lt_cost(trunc, 60)
+    open_words = borrow.open_words + wrap.open_words
+    gate_words = borrow.gate_words + wrap.gate_words
+    assert gate_words == 2 * words
+    assert open_words == (7 + 29) * words
     assert report.est_bytes - 1.2288e9 == pytest.approx(
-        8 * trunc + 8 * report.extra["open_words"]
-        + 40 * report.extra["gate_words"])
+        8 * trunc + 8 * open_words + 40 * gate_words)
 
 
 def test_densenet_conv_share_of_linear_bytes():
@@ -109,25 +111,21 @@ def test_zeroing_relu_constant_moves_densenet_under_5pct():
 
 def test_default_profile_is_the_measured_engine():
     # Beyond the modeled multiplications, each layer's estimate is the
-    # bytes this engine sends for it; a fused ReLU's rows sit under the
-    # truncating layer it reads, so the two are compared as one group.
+    # bytes this engine sends for it, booked on the layer the ledger books
+    # them on: a fused ReLU's comparison under the truncating layer.
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=0)
     x = np.random.default_rng(1).uniform(-1, 1, g.input_shape)
     run = secure_infer_local(g, x, seed=2)
-    signed = {pl.name for pl in run.plan.layers if pl.relu_sign}
-    group = {pl.name: pl.inputs[0] for pl in run.plan.layers
-             if pl.kind == "relu" and pl.inputs[0] in signed}
-    assert group == {"relu1": "conv1", "relu2": "conv2"}
-    estimated, measured = {}, {}
-    for r in estimate_comm(g).reports:
-        key = group.get(r.layer, r.layer)
-        engine_bytes = round(r.est_bytes - r.mults * BYTES_PER_MULT)
-        estimated[key] = estimated.get(key, 0) + engine_bytes
+    assert {pl.name for pl in run.plan.layers if pl.relu_sign} == {"conv1", "conv2"}
+    estimated = {r.layer: round(r.est_bytes - r.mults * BYTES_PER_MULT)
+                 for r in estimate_comm(g).reports}
+    measured = dict.fromkeys(estimated, 0)
     for (layer, op), e in run.client.ledger.entries.items():
         if layer != "session" and op != "mul-open":
-            key = group.get(layer, layer)
-            measured[key] = measured.get(key, 0) + e.bytes_sent
+            measured[layer] += e.bytes_sent
     assert estimated == measured
+    relu1 = next(pl for pl in run.plan.layers if pl.name == "relu1")
+    assert estimated["relu1"] == 16 * relu1.cmp_elems  # its sign-bit product alone
 
 
 def test_batchnorm_counts_as_other_linear_until_folded():
@@ -178,6 +176,20 @@ def test_compare_variants_headline_reductions():
     assert by["SX"].mults * 15 < by["DD"].mults
     assert by["R'D"].mults >= 4 * by["R'F"].mults
     assert by["SX"].reduction_vs_baseline > 15
+
+
+def test_compare_variants_pins_the_paper_rows_at_320():
+    # mults and est_bytes of four rows of the paper's table, bit for bit.
+    rows = compare_variants(
+        [("densenet121", "dense", False), ("densenet121", "xop", False),
+         ("shufflenetv2", "xop", False), ("shufflenetv2", "dense", True)],
+        input_size=320, graph_hook=lambda g: rewrite_winograd(g)[0])
+    assert {r.mnemonic: (r.mults, r.est_bytes) for r in rows} == {
+        "DD": (5_788_211_200, 7113008683328.0),
+        "DX": (2_052_121_600, 2522223926848.0),
+        "SX": (243_049_600, 298836204736.0),
+        "SDW": (750_406_528, 922275341862.4001),
+    }
 
 
 def test_emit_empty_report_header_only():

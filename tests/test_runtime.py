@@ -1004,8 +1004,8 @@ def test_multi_chunk_grouped_conv_session(monkeypatch):
             assert led.entries[(pl.name, "mul-open")].rounds == -(-pl.mults // chunk)
             assert led.entries[pl.name, "mul-open"].bytes_sent == 16 * pl.mults
         # The session's own ledger check passed on the same patched chunk.
-        assert plan_mod.predict_ledger(run.plan)[pl.name, "mul-open"] == (
-            16 * pl.mults, -(-pl.mults // chunk))
+        rows = plan_mod.predict_ledger(run.plan.layers, run.plan.cfg)
+        assert rows[pl.name, "mul-open"] == (16 * pl.mults, -(-pl.mults // chunk))
 
 
 def test_flat_slice_matches_contiguous_copy():
@@ -1348,6 +1348,27 @@ def _tcp_pair():
     return SocketTransport(conn), SocketTransport(cli)
 
 
+def _run_both(*parties) -> dict:
+    """Run each (name, party function, *args) in a thread for at most 5 s;
+    return what each raised."""
+    raised = {}
+
+    def party(name, fn, *args):
+        try:
+            fn(*args)
+        except Exception as e:
+            raised[name] = e
+
+    threads = [threading.Thread(target=party, daemon=True, args=args)
+               for args in parties]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=5)
+    assert not any(th.is_alive() for th in threads), "a party still runs after 5 s"
+    return raised
+
+
 @pytest.mark.parametrize("transport", ["queue", "tcp"])
 def test_set_up_sends_no_share_frames(transport, monkeypatch):
     from xconv2pc.runtime.session import run_client_party, run_model_party
@@ -1454,24 +1475,13 @@ def test_a_ledger_mismatch_on_one_party_stops_both_with_the_verification_exit_co
     plan1 = build_plan(g, with_weights=False)
     m0, m1 = generate_material(plan0, 53)
     x = encode_fixed(_random_input(g.input_shape, 54), g.cfg)
-    raised = {}
-
-    def party(name, fn, *args):
-        try:
-            fn(*args)
-        except Exception as e:
-            raised[name] = e
-
-    threads = [threading.Thread(target=party, daemon=True, args=args) for args in (
-        ("model", run_model_party, plan0, t0, m0, 53),
-        ("client", run_client_party, plan1, t1, m1, 53, x))]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=5)
-    for t in (t0, t1):
-        t.close()
-    assert not any(th.is_alive() for th in threads), "a party still runs after 5 s"
+    try:
+        raised = _run_both(
+            ("model", run_model_party, plan0, t0, m0, 53),
+            ("client", run_client_party, plan1, t1, m1, 53, x))
+    finally:
+        for t in (t0, t1):
+            t.close()
     want = session.expected_ledger(plan0, 0)["relu1", "aux-open"][0]
     err = raised["model"]
     assert isinstance(err, VerificationError)
@@ -1538,28 +1548,87 @@ def test_a_tcp_peer_short_of_material_stops_its_peer_with_the_material_exit_code
         m0.arrays[name] = m0.arrays[name][:-1]
     x = encode_fixed(_random_input(g.input_shape, 46), g.cfg)
     t0, t1 = _tcp_pair()
-    raised = {}
-
-    def party(name, fn, *args):
-        try:
-            fn(*args)
-        except Exception as e:
-            raised[name] = e
-
-    threads = [threading.Thread(target=party, daemon=True, args=args) for args in (
-        ("model", run_model_party, plan0, t0, m0, 45),
-        ("client", run_client_party, plan1, t1, m1, 45, x))]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=5)
-    for t in (t0, t1):
-        t.close()
-    assert not any(th.is_alive() for th in threads), "a party still runs after 5 s"
+    try:
+        raised = _run_both(
+            ("model", run_model_party, plan0, t0, m0, 45),
+            ("client", run_client_party, plan1, t1, m1, 45, x))
+    finally:
+        for t in (t0, t1):
+            t.close()
     assert isinstance(raised["model"], MaterialError)
     assert isinstance(raised["client"], ProtocolAbort)
     assert raised["client"].exit_code == MaterialError.exit_code == 6
     assert str(raised["client"]).startswith("MaterialError: dealer material exhausted")
+
+
+def test_tcp_parties_holding_different_graphs_both_stop_with_the_handshake_exit_code():
+    # The client's fc has no bias: same footprint, another graph hash.  Each
+    # party reads the other's hello, finds the hash differs and stops.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=44)
+    other = model_zoo("toynet", CellVariant.DENSE, 16, seed=44)
+    _spec(other, "fc").attrs["bias"] = False
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(other, with_weights=False)
+    m0, m1 = generate_material(plan0, 45)
+    x = encode_fixed(_random_input(g.input_shape, 46), g.cfg)
+    t0, t1 = _tcp_pair()
+    try:
+        raised = _run_both(
+            ("model", run_model_party, plan0, t0, m0, 45),
+            ("client", run_client_party, plan1, t1, m1, 45, x))
+    finally:
+        for t in (t0, t1):
+            t.close()
+    for name in ("model", "client"):
+        err = raised[name]
+        assert isinstance(err, HandshakeError), (name, err)
+        assert str(err) == "graph hash mismatch: parties hold different architectures"
+        assert err.exit_code == 4
+
+
+class _ClosingAt:
+    """A transport that closes its socket where it would send the ``nth``
+    frame with tag ``tag``, as a party killed mid-layer leaves it."""
+
+    def __init__(self, inner, tag, nth):
+        self.inner, self.tag, self.left = inner, tag, nth
+
+    def send(self, frame):
+        if frame.layer_tag == self.tag:
+            self.left -= 1
+            if self.left == 0:
+                self.inner.close()
+        self.inner.send(frame)
+
+    def recv(self):
+        return self.inner.recv()
+
+
+def test_a_tcp_peer_whose_socket_closes_mid_layer_stops_its_peer_with_the_transport_exit_code():
+    # Party 0's socket closes at conv2's mask open, after its products are
+    # opened.  The client, waiting on that open, reads the end of the stream.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=44)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 45)
+    x = encode_fixed(_random_input(g.input_shape, 46), g.cfg)
+    tag = [pl.name for pl in plan0.layers].index("conv2")
+    t0, t1 = _tcp_pair()
+    try:
+        raised = _run_both(
+            ("model", run_model_party, plan0, _ClosingAt(t0, tag, 2), m0, 45),
+            ("client", run_client_party, plan1, t1, m1, 45, x))
+    finally:
+        for t in (t0, t1):
+            t.close()
+    assert isinstance(raised["model"], TransportError)
+    err = raised["client"]
+    assert isinstance(err, TransportError), err
+    assert err.exit_code == 5
 
 
 class _TagRewriter:
@@ -1597,24 +1666,13 @@ def test_a_desynced_frame_stops_both_parties_with_the_transport_exit_code(transp
     x = encode_fixed(_random_input(g.input_shape, 46), g.cfg)
     tag = [pl.name for pl in plan0.layers].index("conv2")
     t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
-    raised = {}
-
-    def party(name, fn, *args):
-        try:
-            fn(*args)
-        except Exception as e:
-            raised[name] = e
-
-    threads = [threading.Thread(target=party, daemon=True, args=args) for args in (
-        ("model", run_model_party, plan0, _TagRewriter(t0, tag, 2), m0, 45),
-        ("client", run_client_party, plan1, t1, m1, 45, x))]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=5)
-    for t in (t0, t1):
-        t.close()
-    assert not any(th.is_alive() for th in threads), "a party still runs after 5 s"
+    try:
+        raised = _run_both(
+            ("model", run_model_party, plan0, _TagRewriter(t0, tag, 2), m0, 45),
+            ("client", run_client_party, plan1, t1, m1, 45, x))
+    finally:
+        for t in (t0, t1):
+            t.close()
     err = raised["client"]
     assert isinstance(err, TransportError)
     assert str(err).startswith("protocol desync at conv2/mask-open:")

@@ -1,7 +1,7 @@
 """Dealer-side correlated randomness: generation, files, consumption.
 
-The dealer knows the plan's exact resource footprint and emits one file
-per party holding five kinds of sequential streams:
+The dealer knows the plan's exact resource footprint and deals each
+party five kinds of sequential streams, in one file per party:
 
 1. multiplication triples (a, b, c = a*b), one per secret multiplication,
 2. auxiliary arithmetic triples for the sign-bit products of the
@@ -41,11 +41,25 @@ additive shares of the 16 ring values u_v = g ^ h(v ^ masks), h(L0, E1,
 L1, E2) = E2 (L1 ^ E1 L0).  Once f = L2 ^ g and v are open,
 lt = f ^ u_v = f + (1 - 2f) u_v.
 
-Format version 4; version 3 held three-bit gates with four u values and
-AND triples for a pairwise digit tree.  Identical seeds give
-byte-identical files.  Both parties consume with lockstep cursors;
-running past the end raises, and a file whose trailing digest does not
-match its contents is rejected before any use.
+Format version 5: a file is a 128-byte header, the streams its party
+does not expand, then the SHA-256 of everything before it.  The header
+holds the magic, the version, the party, the table digits per truncation
+unit and per comparison tuple, the ring bit-width, the dealer seed, the
+graph hash, the element count of each cursor kind and the party's 32-byte
+PRG key.  The dealer draws the two keys independently from its seed, at a
+domain no stream uses.  Stream i in file order of the party holding key
+k is drawn from prg(k, i), and ``load_material`` expands it at load,
+never online.  Party 0 expands every stream, so its file is the header
+and the digest.  Party 1 expands mul_a, mul_b, aux_a, aux_b, trunc_r and
+cmp_r, and stores the rest: c1 = (a0 + a1)(b0 + b1) - c0 for both triple
+kinds, then the corrections that make the pair's sums (or XORs) the
+shifted masks, the tables, the gate records and their u values, and the
+merge records.  Version 4 stored every stream of both parties; version 3
+held three-bit gates with four u values and AND triples for a pairwise
+digit tree.  Identical seeds give byte-identical files.  Both parties
+consume with lockstep cursors; running past the end raises, and a file
+whose trailing digest does not match its contents is rejected before any
+use.
 """
 
 from __future__ import annotations
@@ -69,10 +83,12 @@ _U8 = np.uint8
 _ROW = 1 << DIGIT_BITS  # bits per table row; lt and eq rows share a 32-bit word
 
 MATERIAL_MAGIC = b"DLR1"
-MATERIAL_VERSION = 4
+MATERIAL_VERSION = 5
+KEY_BYTES = 32
 # magic, version, party, table digits per truncation unit and per
-# comparison tuple, seed, graph hash, element count per cursor kind.
-_HEADER = struct.Struct("<4sBBBBQ32s5Q")
+# comparison tuple, ring bit-width, seed, graph hash, element count per
+# cursor kind, the party's PRG key; 128 bytes, so every stream starts aligned.
+_HEADER = struct.Struct(f"<4s5B7xQ32s5Q{KEY_BYTES}s")
 
 # Streams in file order, with the cursor kind that sizes each; wider words
 # come first so every stream starts aligned.
@@ -90,7 +106,11 @@ _ENTRY = {"trunc_u": ("<u8", (2, 16)), "cmp_u": ("<u8", (16,)),
           "trunc_gate": ("u1", (2,)), "cmp_gate": ("u1", ())}
 _KINDS = ("mul", "aux", "trunc", "cmp", "bool")
 _NAMES = {kind: tuple(name for name, k in _STREAMS if k == kind) for kind in _KINDS}
+_INDEX = {name: i for i, (name, _) in enumerate(_STREAMS)}
+# The streams each party expands from its key; its file stores the others.
+_EXPANDED = (tuple(_INDEX), ("mul_a", "mul_b", "aux_a", "aux_b", "trunc_r", "cmp_r"))
 _SAMPLE = 4096  # leading entries of each stream verify_material_pair checks
+_CHUNK = 1 << 16  # words per step of the dealer's product corrections
 
 
 @dataclass
@@ -101,6 +121,8 @@ class MaterialStore:
     seed: int
     graph_hash: bytes
     arrays: dict
+    key: bytes          # the party's PRG key, from which it expands its streams
+    bitwidth: int
 
     def __post_init__(self):
         self.cursors = {"mul": 0, "aux": 0, "trunc": 0, "cmp": 0, "bool": 0}
@@ -125,15 +147,42 @@ class MaterialStore:
         return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
 
 
-def prg(seed: int, domain: int) -> np.random.Generator:
+def prg(seed: int, *domain: int) -> np.random.Generator:
     """The PRG of dealer material."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(domain,)))
+                                                        spawn_key=domain))
 
 
 def uniform(rng, shape, bitwidth) -> np.ndarray:
-    """Uniform ring words of ``shape`` (a count or a tuple) from ``rng``."""
-    return rng.integers(0, 1 << bitwidth, size=shape, dtype=_U64)
+    """Uniform ring words of ``shape`` (a count or a tuple) from ``rng``: one
+    64-bit draw each, cut to its low ``bitwidth`` bits."""
+    words = rng.integers(0, 1 << 64, size=shape, dtype=_U64)
+    if bitwidth < 64:
+        words &= _U64((1 << bitwidth) - 1)
+    return words
+
+
+def _layout(counts: dict, trunc_digits: int, cmp_digits: int) -> dict:
+    """Stream name -> (dtype, shape), in file order."""
+    widths = {"trunc_tab": (trunc_digits,), "cmp_tab": (cmp_digits,)}
+    out = {}
+    for name, kind in _STREAMS:
+        dt, entry = _ENTRY.get(name, ("<u8", ()))
+        out[name] = (np.dtype(dt),
+                     (counts[kind],) + (widths[name] if entry is None else entry))
+    return out
+
+
+def _expand(key: bytes, name: str, shape: tuple, bitwidth: int) -> np.ndarray:
+    """Stream ``name`` of the party holding ``key``: uniform entries of the
+    stream's dtype (ring words, merge words, table words or gate bytes)."""
+    rng = prg(int.from_bytes(key, "little"), _INDEX[name])
+    dt = _ENTRY.get(name, ("<u8",))[0]
+    if dt == "u1":
+        return rng.integers(0, 32, size=shape, dtype=_U8)
+    if dt == "<u4":
+        return rng.integers(0, 1 << 32, size=shape, dtype=_U32)
+    return uniform(rng, shape, 64 if name == "bool_merge" else bitwidth)
 
 
 @functools.lru_cache(maxsize=32)
@@ -275,89 +324,109 @@ def merge_products(masks: np.ndarray) -> np.ndarray:
 def generate_material(plan: FixedPlan, seed: int) -> tuple:
     """Dealer preprocessing for one session; returns both parties' stores.
 
-    Party 0's share of each value array is drawn and subtracted (or XORed)
-    into the array in place, which becomes party 1's share; what derives
-    from the values is computed first, and the PRG draws keep their order.
+    Each party's key-derived streams are expanded as ``load_material``
+    expands them.  Party 1's other streams are the corrections that make
+    each pair's sum (or XOR) the dealt value: a product of the expanded
+    masks, something derived from them, or a record of the dealer's own
+    masks, drawn from ``prg(seed, 1)``.  Each correction is computed in the
+    array that holds it, the triples' one chunk at a time, and party 0's
+    share of a value is expanded only once the value is computed, so the
+    value's temporaries never sit beside it.
     """
     req = plan.requirements()
     cfg = plan.cfg
     mask = _U64(cfg.mask)
-    ghash = bytes.fromhex(plan.graph_hash)
-
-    def arith_pair(values, rng):
-        s0 = uniform(rng, values.shape, cfg.bitwidth)
-        values -= s0
-        values &= mask
-        return s0, values
-
-    def table_pair(tab, rng):
-        s0 = rng.integers(0, 1 << 32, size=tab.shape, dtype=_U32, endpoint=False)
-        tab ^= s0
-        return s0, tab
-
-    def gate_pair(shape, rng, prefix):
-        rec = rng.integers(0, 32, size=shape, dtype=_U8)
-        s0 = rng.integers(0, 32, size=shape, dtype=_U8)
-        u = gate_values(rec)
-        rec ^= s0
-        p0[f"{prefix}_gate"], p1[f"{prefix}_gate"] = s0, rec
-        p0[f"{prefix}_u"], p1[f"{prefix}_u"] = arith_pair(u, rng)
-
-    p0, p1 = {}, {}
-
-    for domain, prefix, n in ((1, "mul", req.mul_triples), (2, "aux", req.aux_triples)):
-        rng = prg(seed, domain)
-        a = uniform(rng, n, cfg.bitwidth)
-        b = uniform(rng, n, cfg.bitwidth)
-        c = a * b
-        c &= mask
-        for name, vals in zip("abc", (a, b, c)):
-            p0[f"{prefix}_{name}"], p1[f"{prefix}_{name}"] = arith_pair(vals, rng)
-
-    rng = prg(seed, 3)
-    r = uniform(rng, req.trunc_units, cfg.bitwidth)
-    shifted = r >> _U64(cfg.scale)
-    tab = np.concatenate([digit_tables(r, cfg.scale), digit_tables(r, cfg.bitwidth)],
-                         axis=1)
-    p0["trunc_r"], p1["trunc_r"] = arith_pair(r, rng)
-    p0["trunc_shift"], p1["trunc_shift"] = arith_pair(shifted, rng)
-    p0["trunc_tab"], p1["trunc_tab"] = table_pair(tab, rng)
-    gate_pair((req.trunc_units, 2), rng, "trunc")
-
-    rng = prg(seed, 4)
-    r = uniform(rng, req.cmp_tuples, cfg.bitwidth)
-    tab = _sign_tables(r, cfg.bitwidth)
-    p0["cmp_r"], p1["cmp_r"] = arith_pair(r, rng)
-    p0["cmp_tab"], p1["cmp_tab"] = table_pair(tab, rng)
-    gate_pair(req.cmp_tuples, rng, "cmp")
-
-    rng = prg(seed, 5)
     records, rest = divmod(req.bool_words, MERGE_RECORD)
     if rest:
         raise MaterialError(f"{req.bool_words} boolean words are not whole "
                             f"{MERGE_RECORD}-word merge records")
-    words = merge_products(uniform(rng, (2 * MERGE_DIGITS, records), 64)).T.reshape(-1)
-    s0 = uniform(rng, words.shape, 64)
-    words ^= s0
-    p0["bool_merge"], p1["bool_merge"] = s0, words
+    counts = (req.mul_triples, req.aux_triples, req.trunc_units, req.cmp_tuples,
+              req.bool_words)
+    layout = _layout(dict(zip(_KINDS, counts)),
+                     lt_digits(cfg.scale) + lt_digits(cfg.bitwidth),
+                     lt_digits(cfg.bitwidth - 1))
+    keys = tuple(prg(seed, 0, party).bytes(KEY_BYTES) for party in (0, 1))
+    p0 = {}
+    p1 = {name: _expand(keys[1], name, layout[name][1], cfg.bitwidth)
+          for name in _EXPANDED[1]}
 
-    return MaterialStore(0, seed, ghash, p0), MaterialStore(1, seed, ghash, p1)
+    def share0(name):
+        p0[name] = _expand(keys[0], name, layout[name][1], cfg.bitwidth)
+        return p0[name]
+
+    def dealt(name):
+        values = share0(name) + p1[name]
+        values &= mask
+        return values
+
+    def arith(name, values):
+        values -= share0(name)
+        values &= mask
+        p1[name] = values
+
+    def xor(name, values):
+        values ^= share0(name)
+        p1[name] = values
+
+    # c1 = (a0 + a1)(b0 + b1) - c0, a chunk at a time through one reused
+    # buffer; a fresh temporary per chunk fragments the heap (10 MiB more
+    # peak resident memory in an in-process session).
+    buf = np.empty(_CHUNK, _U64)
+    for prefix in ("mul", "aux"):
+        a0, b0, c0 = (share0(f"{prefix}_{s}") for s in "abc")
+        a1, b1 = p1[f"{prefix}_a"], p1[f"{prefix}_b"]
+        c1 = p1[f"{prefix}_c"] = np.empty_like(c0)
+        for lo in range(0, len(c0), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            c, bsum = c1[part], buf[:len(c1[part])]
+            np.add(a0[part], a1[part], out=c)
+            np.add(b0[part], b1[part], out=bsum)
+            c *= bsum
+            c -= c0[part]
+            c &= mask
+    del buf
+
+    rng = prg(seed, 1)
+
+    def gates(prefix):
+        rec = rng.integers(0, 32, size=layout[f"{prefix}_gate"][1], dtype=_U8)
+        arith(f"{prefix}_u", gate_values(rec))
+        xor(f"{prefix}_gate", rec)
+
+    r = dealt("trunc_r")
+    arith("trunc_shift", r >> _U64(cfg.scale))
+    xor("trunc_tab", np.concatenate([digit_tables(r, cfg.scale),
+                                     digit_tables(r, cfg.bitwidth)], axis=1))
+    gates("trunc")
+    r = dealt("cmp_r")
+    xor("cmp_tab", _sign_tables(r, cfg.bitwidth))
+    gates("cmp")
+    del r
+    xor("bool_merge",
+        merge_products(uniform(rng, (2 * MERGE_DIGITS, records), 64)).T.reshape(-1))
+
+    ghash = bytes.fromhex(plan.graph_hash)
+    return tuple(MaterialStore(party, seed, ghash, {name: p[name] for name in layout},
+                               keys[party], cfg.bitwidth) for party, p in enumerate((p0, p1)))
 
 
 # -- files -----------------------------------------------------------------------
 
 
 def write_material(store: MaterialStore, path: str) -> None:
-    """Header, streams, then their SHA-256; each stream is written from its buffer."""
+    """Header, the streams the party does not expand, then their SHA-256;
+    each stream is written from its buffer."""
     counts = store.counts()
     head = _HEADER.pack(MATERIAL_MAGIC, MATERIAL_VERSION, store.party,
                         store.arrays["trunc_tab"].shape[1],
-                        store.arrays["cmp_tab"].shape[1], store.seed,
-                        store.graph_hash, *(counts[k] for k in _KINDS))
+                        store.arrays["cmp_tab"].shape[1], store.bitwidth, store.seed,
+                        store.graph_hash, *(counts[k] for k in _KINDS), store.key)
     digest = hashlib.sha256(head)
     with open(path, "wb") as f:
         f.write(head)
         for name, _ in _STREAMS:
+            if name in _EXPANDED[store.party]:
+                continue
             a = store.arrays[name]
             buf = memoryview(np.ascontiguousarray(a, a.dtype.newbyteorder("<")))
             digest.update(buf)
@@ -366,7 +435,8 @@ def write_material(store: MaterialStore, path: str) -> None:
 
 
 def load_material(path: str) -> MaterialStore:
-    """Read a material file into one buffer; the streams are views of it."""
+    """Read a material file into one buffer; the stored streams are views of
+    it, and the others are expanded from the party's key."""
     try:
         with open(path, "rb") as f:
             blob = bytearray(os.fstat(f.fileno()).st_size)
@@ -377,27 +447,28 @@ def load_material(path: str) -> MaterialStore:
         raise MaterialError("not a dealer material file")
     if hashlib.sha256(memoryview(blob)[:-32]).digest() != blob[-32:]:
         raise MaterialError("dealer material failed its integrity check")
-    (_, version, party, trunc_digits, cmp_digits, seed, ghash,
-     *counts) = _HEADER.unpack_from(blob)
+    (_, version, party, trunc_digits, cmp_digits, bitwidth, seed, ghash,
+     *counts, key) = _HEADER.unpack_from(blob)
     if version != MATERIAL_VERSION:
         raise MaterialError(f"unsupported material version {version}")
-    counts = dict(zip(_KINDS, counts))
-    widths = {"trunc_tab": (trunc_digits,), "cmp_tab": (cmp_digits,)}
-    layout = []
-    for name, kind in _STREAMS:
-        dt, entry = _ENTRY.get(name, ("<u8", ()))
-        layout.append((name, np.dtype(dt),
-                       (counts[kind],) + (widths[name] if entry is None else entry)))
+    if party not in (0, 1):
+        raise MaterialError(f"dealer material for party {party}")
+    layout = _layout(dict(zip(_KINDS, counts)), trunc_digits, cmp_digits)
+    stored = {name: spec for name, spec in layout.items()
+              if name not in _EXPANDED[party]}
     body = len(blob) - _HEADER.size - 32
-    if body != sum(dt.itemsize * math.prod(shape) for _, dt, shape in layout):
+    if body != sum(dt.itemsize * math.prod(shape) for dt, shape in stored.values()):
         raise MaterialError("dealer material stream lengths are inconsistent")
     arrays, off = {}, _HEADER.size
-    for name, dt, shape in layout:
+    for name, (dt, shape) in layout.items():
+        if name not in stored:
+            arrays[name] = _expand(key, name, shape, bitwidth)
+            continue
         n = math.prod(shape)
         arrays[name] = np.frombuffer(blob, dt, n, off).astype(
             dt.newbyteorder("="), copy=False).reshape(shape)
         off += dt.itemsize * n
-    return MaterialStore(party, seed, ghash, arrays)
+    return MaterialStore(party, seed, ghash, arrays, key, bitwidth)
 
 
 def verify_material_pair(m0: MaterialStore, m1: MaterialStore,

@@ -157,11 +157,30 @@ class PartyEngine:
     # -- framing ------------------------------------------------------------
 
     def _send(self, frame: Frame, layer: str, op: str) -> None:
-        self.transport.send(frame)
+        try:
+            self.transport.send(frame)
+        except TransportError as e:
+            if isinstance(e.__cause__, ConnectionError):
+                self._raise_peer_abort()
+            raise TransportError(f"{e} at {layer}/{op}") from e
         self.ledger.record_send(layer, op, len(frame.payload))
 
+    def _raise_peer_abort(self) -> None:
+        """Raise the abort a peer sent before it closed the connection, if
+        the stream, read to its end, holds one."""
+        while True:
+            try:
+                frame = self.transport.recv()
+            except TransportError:
+                return
+            if frame.opcode == OP_ABORT:
+                raise ProtocolAbort(frame.payload.decode("utf-8", "replace"))
+
     def _recv(self, expect_opcode: int, expect_tag: int, layer: str, op: str) -> Frame:
-        frame = self.transport.recv()
+        try:
+            frame = self.transport.recv()
+        except TransportError as e:
+            raise TransportError(f"{e} at {layer}/{op}") from e
         if frame.opcode == OP_ABORT:
             raise ProtocolAbort(frame.payload.decode("utf-8", "replace"))
         if frame.opcode != expect_opcode or frame.layer_tag != expect_tag:

@@ -314,8 +314,11 @@ def listen_once(host: str, port: int, timeout: float = 60.0) -> SocketTransport:
 
 
 def connect_with_retry(host: str, port: int, timeout: float = 60.0) -> SocketTransport:
+    """Dial until the peer listens: the pause between attempts starts at
+    5 ms and doubles up to 0.1 s, so a peer that listens soon is met soon."""
     deadline = time.monotonic() + timeout
     last = None
+    pause = 0.005
     while time.monotonic() < deadline:
         try:
             sock = socket.create_connection((host, port), timeout=5)
@@ -323,5 +326,6 @@ def connect_with_retry(host: str, port: int, timeout: float = 60.0) -> SocketTra
             return SocketTransport(sock)
         except OSError as e:
             last = e
-            time.sleep(0.1)
+            time.sleep(pause)
+            pause = min(2 * pause, 0.1)
     raise TransportError(f"cannot reach {host}:{port}: {last}")

@@ -211,7 +211,9 @@ class SocketTransport(Transport):
         except OSError as e:
             raise TransportError(f"send failed: {e}") from e
 
-    def _read_into(self, buf: bytearray) -> bytearray:
+    def _read_into(self, buf: bytearray, starts_frame: bool) -> bytearray:
+        """Fill ``buf``; a close before its first byte is a clean one when
+        ``buf`` starts a frame."""
         view = memoryview(buf)
         while view:
             try:
@@ -219,15 +221,17 @@ class SocketTransport(Transport):
             except OSError as e:
                 raise TransportError(f"recv failed: {e}") from e
             if not n:
-                raise TransportError("peer disconnected mid-frame")
+                raise TransportError(
+                    "peer closed the connection" if starts_frame and len(view) == len(buf)
+                    else "peer disconnected mid-frame")
             view = view[n:]
         return buf
 
     def recv(self) -> Frame:
         """Each frame is read into one buffer of its announced length."""
-        header = self._read_into(bytearray(HEADER_SIZE))
+        header = self._read_into(bytearray(HEADER_SIZE), True)
         length = struct.unpack_from("<I", header)[0]
-        return decode_frame(header, self._read_into(bytearray(length)))
+        return decode_frame(header, self._read_into(bytearray(length), False))
 
     def close(self) -> None:
         try:

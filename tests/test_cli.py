@@ -193,7 +193,7 @@ def test_dealer_and_verify_material(runner, toynet_file, tmp_path):
     assert result.exit_code == 0, result.output
     # Corrupt one file: the integrity check must fail with the material code.
     blob = bytearray((mat / "party0.dlr").read_bytes())
-    blob[500] ^= 0xFF
+    blob[-40] ^= 0xFF                   # a byte of party 0's key
     (mat / "party0.dlr").write_bytes(bytes(blob))
     result = runner.invoke(main, ["verify", "--graph", toynet_file,
                                   "--trials", "1", "--seed", "4",

@@ -40,6 +40,7 @@ from xconv2pc.ring import (
 )
 from xconv2pc import plan as plan_mod
 from xconv2pc.runtime.material import (
+    KEY_BYTES,
     MERGE_MASKS,
     digit_tables,
     gate_values,
@@ -64,6 +65,7 @@ from xconv2pc.runtime.wire import QueueTransport, ledgers_mirror
 from xconv2pc.zoo import model_zoo
 
 CFG = FixedPointConfig()
+HEADER_BYTES = 128  # a .dlr header, the party's key included
 
 
 class _StubPlan:
@@ -179,12 +181,13 @@ def test_material_triples_reconstruct_to_products():
 
 
 def test_material_corruption_detected(tmp_path):
+    # A flipped bit in party 1's first stored stream, c1.
     plan = _StubPlan(mul=100)
-    m0, _ = generate_material(plan, 7)
+    _, m1 = generate_material(plan, 7)
     p = tmp_path / "m.dlr"
-    write_material(m0, str(p))
+    write_material(m1, str(p))
     blob = bytearray(p.read_bytes())
-    blob[120] ^= 0x40
+    blob[HEADER_BYTES + 8 * 17] ^= 0x40
     p.write_bytes(bytes(blob))
     with pytest.raises(MaterialError, match="integrity"):
         load_material(str(p))
@@ -197,12 +200,82 @@ def test_material_version_1_rejected(tmp_path):
     p = tmp_path / "m.dlr"
     write_material(m0, str(p))
     blob = bytearray(p.read_bytes()[:-32])
-    assert blob[4] == 4
-    for old in (1, 2, 3):               # well-formed files of the old formats
+    assert blob[4] == 5
+    for old in (1, 2, 3, 4):            # well-formed files of the old formats
         blob[4] = old
         p.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
         with pytest.raises(MaterialError, match=f"version {old}"):
             load_material(str(p))
+
+
+# Every stream kind, merge records and both table widths included.
+_EVERY_KIND = dict(mul=1000, aux=100, trunc=50, cmp=50, bool_words=8 * MERGE_RECORD)
+# The streams party 1 expands from its key; it stores the other ten.
+_PARTY1_EXPANDED = {"mul_a", "mul_b", "aux_a", "aux_b", "trunc_r", "cmp_r"}
+
+
+def test_material_files_load_to_the_dealt_streams(tmp_path):
+    stores = generate_material(_StubPlan(**_EVERY_KIND), 21)
+    loaded = []
+    for store in stores:
+        p = tmp_path / f"party{store.party}.dlr"
+        write_material(store, str(p))
+        got = load_material(str(p))
+        assert got.arrays.keys() == store.arrays.keys()
+        for name, want in store.arrays.items():
+            a = got.arrays[name]
+            assert a.dtype == want.dtype and a.shape == want.shape, name
+            assert np.array_equal(a, want), name
+        assert (got.party, got.seed, got.graph_hash, got.key, got.bitwidth) == (
+            store.party, store.seed, store.graph_hash, store.key, store.bitwidth)
+        loaded.append(got)
+    verify_material_pair(*loaded, CFG)
+
+
+def test_material_file_sizes(tmp_path):
+    sizes = {}
+    for name, req in (("none", {}), ("small", dict(mul=10)), ("every", _EVERY_KIND)):
+        for store in generate_material(_StubPlan(**req), 22):
+            p = tmp_path / f"{name}{store.party}.dlr"
+            write_material(store, str(p))
+            sizes[name, store.party] = p.stat().st_size
+            if store.party == 1:
+                stored = sum(a.nbytes for stream, a in store.arrays.items()
+                             if stream not in _PARTY1_EXPANDED)
+                assert sizes[name, 1] == HEADER_BYTES + stored + 32, name
+    # Party 0's file is its header and digest, whatever the plan.
+    assert sizes["none", 0] == sizes["small", 0] == sizes["every", 0] == HEADER_BYTES + 32
+
+
+@pytest.mark.parametrize("party", [0, 1])
+def test_material_key_flip_and_truncation_rejected_before_use(tmp_path, party):
+    store = generate_material(_StubPlan(**_EVERY_KIND), 23)[party]
+    p = tmp_path / "m.dlr"
+    write_material(store, str(p))
+    good = p.read_bytes()
+    key_at = good.index(store.key)
+    assert key_at == HEADER_BYTES - KEY_BYTES
+    damaged = {"key": good[:key_at + 5] + bytes([good[key_at + 5] ^ 1]) + good[key_at + 6:],
+               "truncated": good[:-1], "cut to its header": good[:HEADER_BYTES]}
+    if party == 1:                      # the first byte of the trunc_u corrections
+        at = HEADER_BYTES + 8 * (1000 + 100 + 50)
+        damaged["correction"] = good[:at] + bytes([good[at] ^ 0x80]) + good[at + 1:]
+    for what, blob in damaged.items():
+        p.write_bytes(blob)
+        with pytest.raises(MaterialError, match="integrity|not a dealer material"):
+            load_material(str(p))
+    p.write_bytes(good)
+    assert np.array_equal(load_material(str(p)).arrays["mul_a"], store.arrays["mul_a"])
+
+
+def test_material_keys_are_distinct_and_follow_the_seed():
+    plan = _StubPlan(mul=10)
+    k = {seed: tuple(s.key for s in generate_material(plan, seed)) for seed in (30, 31)}
+    for seed in (30, 31):
+        assert len(k[seed][0]) == len(k[seed][1]) == KEY_BYTES
+        assert k[seed][0] != k[seed][1]
+    assert k[30][0] != k[31][0] and k[30][1] != k[31][1]
+    assert k[30] == tuple(s.key for s in generate_material(plan, 30))
 
 
 @pytest.mark.parametrize("bit", [2, 12, 20])          # lt and eq entries; the
@@ -1303,20 +1376,20 @@ def test_dealer_files_and_transcripts_match_their_pins(tmp_path, transcripts):
 
     cases = {
         (CellVariant.XOP, False): (
-            "3431532616f5705d7e60ff5693fe182fb86b440727a1cd60035afd34e70bf2f1",
-            "2a8459d4ad2bf97dc51f07d3f85e6a694b047664096be2b57a42e75233677835",
-            "4386c29f0b458204eb868fb1ac0b0789705f263e9c75b05baa3ea6815b1b9f72",
-            "13a26f227a590539d4a3a9cfb36fb4ad4c6a1694bdcab4d1e728141940b09538"),
+            "e67a1f696a6965821640f7033e0ac195fcf9979ef5a9ee3f142715a23c7bc8c3",
+            "7cb823f2b985340f89cf20f37c6091661bc7f734c417c08e10b465f53bf4f8b5",
+            "9804d3b0f68570a9e305326734e928c0d30879ced38e62605deb1dce8696e760",
+            "bca0a38da336b5b5acb316ca9156313a9389f73b24472345f89fb07edf1683c8"),
         (CellVariant.XOP, True): (
-            "422d1133510b792e77791c692a3f8f5660e96ac872527082365b76b5ab05cbe9",
-            "4857ed2b43d768b4c7b348d32e9bbaa9072eb773767763b20427eff46e01cec1",
-            "49652e57347134cf155ed8acbaf78cb02c2e884762fcd49d2cfaa9aba5f13bac",
-            "0bbdb1ca128585aff992e37c09b5aa80cec9624989de737fa694cc2c9500ab46"),
+            "9b5f9113fa5104b313883bb5e369666948d0647b3f7809049dc6c8a40b0c4ff1",
+            "0a58cb9a0fab7a2cc93022fc9b6c2efc8c5da06beb4a1eb9e7d8c5a9de8aab74",
+            "2d5a299aa0cf992e01a757bfa7065def851d3f3e729ad6b370eb9cc614d3957f",
+            "8e15280d015e1b87b4d9fb284bcf0a9ed96024f0ab7fe09ded217b2b0b1f4550"),
         (CellVariant.DENSE, True): (
-            "3f682e1906145d7673b13c8fe02155c1661bb635bcac9e6ef203be98436ef2ad",
-            "89b353792d2a7644549342327b16ed9f4411408928e9858ed99f1afde94ef239",
-            "c7eb73895cb5d18faa8568d2fdc195c41f0a1af876c33b9624c915c514fff8f1",
-            "e65defcbed1192bd9c881456f0dcaba37ad615a17ae4e4ca35159e0ba8af0c5d"),
+            "83789b1c0bd85860e61e739344686a018510a227ab24ed6a641cdb987486ae4b",
+            "8633cd63b4dacab18ce314606cfbe91a868616bd22f0f3f5edf8fc9b863de710",
+            "d17103e2253ab69198d67225ec0b6f6b8acffed82ce0d58f42fe561c61e5750b",
+            "b15bdf404204e49470f83c01c7068c4828965c5d85934214bb966dfe99ed6115"),
     }
     for (variant, rewrite), pins in cases.items():
         g = model_zoo("shufflenetv2", variant, 32, seed=3)
@@ -1625,10 +1698,41 @@ def test_a_tcp_peer_whose_socket_closes_mid_layer_stops_its_peer_with_the_transp
     finally:
         for t in (t0, t1):
             t.close()
-    assert isinstance(raised["model"], TransportError)
+    # Each error names the layer and the op it stopped at; the client's
+    # stream ended at a frame boundary, not inside a frame.
+    err = raised["model"]
+    assert isinstance(err, TransportError), err
+    assert str(err).startswith("send failed") and str(err).endswith(" at conv2/mask-open")
     err = raised["client"]
     assert isinstance(err, TransportError), err
+    assert str(err) == "peer closed the connection at conv2/mask-open"
     assert err.exit_code == 5
+
+
+def test_a_send_that_fails_on_a_peer_that_aborted_and_closed_reports_the_abort():
+    # The client aborts and closes before the model owner's hello, as a
+    # client whose dealer file fails its digest does.  The hello's send
+    # then fails on the closed connection; the abort waiting in the stream
+    # is what the model owner reports, with its family's exit code.
+    import time
+
+    from xconv2pc.runtime.protocol import send_abort
+    from xconv2pc.runtime.session import run_model_party
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=44)
+    plan0 = build_plan(g, with_weights=True)
+    m0, _ = generate_material(plan0, 45)
+    t0, t1 = _tcp_pair()
+    try:
+        send_abort(t1, "MaterialError: dealer material unusable")
+        t1.close()
+        t0.sock.sendall(b"\0")         # the closed peer answers with a reset
+        time.sleep(0.1)
+        with pytest.raises(ProtocolAbort) as err:
+            run_model_party(plan0, t0, m0, 45)
+    finally:
+        t0.close()
+    assert err.value.family is MaterialError and err.value.exit_code == 6
 
 
 class _TagRewriter:

@@ -86,6 +86,27 @@ def test_socket_transport_roundtrip():
     assert reply == Frame(9, 1, b"pong")
 
 
+@pytest.mark.parametrize("sent, reason", [
+    (b"", "peer closed the connection"),              # at a frame boundary
+    (Frame(8, 0, b"ping").encode()[:3], "peer disconnected mid-frame"),
+    (Frame(8, 0, b"ping").encode()[:-1], "peer disconnected mid-frame"),
+])
+def test_socket_close_names_where_the_stream_ended(sent, reason):
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    a = socket.create_connection(srv.getsockname())
+    b, _ = srv.accept()
+    srv.close()
+    a.sendall(sent)
+    a.close()
+    t = SocketTransport(b)
+    with pytest.raises(TransportError) as err:
+        t.recv()
+    t.close()
+    assert str(err.value) == reason
+
+
 def test_socket_sends_an_array_payload_larger_than_the_socket_buffers():
     from xconv2pc.plan import build_plan
     from xconv2pc.runtime.protocol import PartyEngine

@@ -95,9 +95,13 @@ def _load_input(path, plan_shape, cfg, seed) -> RingTensor:
         if t_cfg != cfg:
             raise ParseError("input tensor fixed-point config mismatch")
         return t
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(300,)))
-    return encode_fixed(rng.uniform(-1.0, 1.0, size=plan_shape), cfg)
+    return encode_fixed(_random_input(plan_shape, seed), cfg)
+
+
+def _random_input(shape, seed) -> np.ndarray:
+    """Reals in [-1, 1) drawn from ``seed``: the input when none is given."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(300,)))
+    return rng.uniform(-1.0, 1.0, size=shape)
 
 
 @click.group()
@@ -275,32 +279,23 @@ def run(graph_path, zoo_spec, bitwidth, scale, seed, role, listen_ep,
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     if material_path is None:
         raise ParseError("party roles need --material FILE")
-    if role == "party0":
-        plan = build_plan(g, with_weights=True)
-        if listen_ep is None:
-            raise ParseError("party0 needs --listen host:port")
-        host, port = _parse_endpoint(listen_ep)
-        transport = listen_once(host, port)
-        try:
-            material = load_party_material(material_path, transport)
-            result = run_model_party(plan, transport, material, seed)
-        finally:
-            transport.close()
-    else:
-        plan = build_plan(g, with_weights=False)
-        if connect_ep is None:
-            raise ParseError("party1 needs --connect host:port")
-        host, port = _parse_endpoint(connect_ep)
-        transport = connect_with_retry(host, port)
-        x = _load_input(input_path, plan.input_shape, g.cfg, seed)
-        try:
-            material = load_party_material(material_path, transport)
-            result = run_client_party(plan, transport, material, seed, x)
-        finally:
-            transport.close()
-        if out_path:
-            with open(out_path, "wb") as f:
-                f.write(serialize_tensor(result.output, g.cfg))
+    model = role == "party0"
+    plan = build_plan(g, with_weights=model)
+    endpoint = listen_ep if model else connect_ep
+    if endpoint is None:
+        raise ParseError(f"{role} needs {'--listen' if model else '--connect'} host:port")
+    host, port = _parse_endpoint(endpoint)
+    transport = listen_once(host, port) if model else connect_with_retry(host, port)
+    try:
+        x = None if model else _load_input(input_path, plan.input_shape, g.cfg, seed)
+        material = load_party_material(material_path, transport)
+        result = (run_model_party(plan, transport, material, seed) if model
+                  else run_client_party(plan, transport, material, seed, x))
+    finally:
+        transport.close()
+    if out_path and not model:
+        with open(out_path, "wb") as f:
+            f.write(serialize_tensor(result.output, g.cfg))
     if ledger_path:
         result.ledger.to_csv(ledger_path)
     click.echo(f"{role} done; sent {result.ledger.total_sent:,} payload bytes "
@@ -366,9 +361,7 @@ def verify(graph_path, zoo_spec, bitwidth, scale, seed, trials, material_dir):
     failures = 0
     for t in range(trials):
         trial_seed = seed + 1000 * t + 17
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=trial_seed,
-                                                           spawn_key=(300,)))
-        x = rng.uniform(-1.0, 1.0, size=g.input_shape)
+        x = _random_input(g.input_shape, trial_seed)
         result = secure_infer_local(g, x, seed=trial_seed, plan=plan)
         ok = np.array_equal(result.output.words, result.clear_reference.words)
         click.echo(f"trial {t}: {'ok' if ok else 'MISMATCH'}")

@@ -2,7 +2,8 @@
 
 A graph is a DAG of named layers over a single input, NCHW feature maps
 throughout.  Layers reference producers by name; the reserved name
-``input`` denotes the graph input.  Construction keeps layers in
+``input`` denotes the graph input, and ``session`` names a secure
+session's own ledger rows and frames.  Construction keeps layers in
 topological order, so interpreters and the secure engine can walk the
 list directly.
 
@@ -73,7 +74,9 @@ class Graph:
         for layer in self.layers:
             if layer.kind not in KINDS:
                 raise ShapeError(f"layer {layer.name!r}: unknown kind {layer.kind!r}")
-            if layer.name in seen or layer.name == INPUT:
+            if layer.name in (INPUT, "session"):
+                raise ShapeError(f"layer name {layer.name!r} is reserved")
+            if layer.name in seen:
                 raise ShapeError(f"duplicate layer name {layer.name!r}")
             for src in layer.inputs:
                 if src not in seen:
@@ -86,9 +89,9 @@ class Graph:
             raise ShapeError(f"graph must have exactly one output, found {outputs}")
         self.output_name = outputs[0]
 
-    def structural_hash(self) -> str:
-        """Digest of the public architecture (weights excluded)."""
-        doc = {
+    def architecture(self) -> dict:
+        """The public architecture as a JSON document (weights excluded)."""
+        return {
             "input_shape": list(self.input_shape),
             "fixedpoint": {"bitwidth": self.cfg.bitwidth, "scale": self.cfg.scale},
             "layers": [
@@ -97,7 +100,11 @@ class Graph:
                 for l in self.layers
             ],
         }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+    def structural_hash(self) -> str:
+        """Digest of the public architecture."""
+        blob = json.dumps(self.architecture(), sort_keys=True,
+                          separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()
 
 

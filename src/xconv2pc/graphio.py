@@ -17,7 +17,7 @@ import json
 import os
 
 from .errors import ParseError
-from .graph import Graph, LayerSpec, _jsonable
+from .graph import Graph, LayerSpec
 from .ring import (
     FixedPointConfig,
     decode_fixed,
@@ -31,17 +31,7 @@ FORMAT_VERSION = 1
 
 
 def graph_to_doc(graph: Graph) -> dict:
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "input_shape": list(graph.input_shape),
-        "fixedpoint": {"bitwidth": graph.cfg.bitwidth, "scale": graph.cfg.scale},
-        "layers": [
-            {"name": l.name, "kind": l.kind, "inputs": list(l.inputs),
-             "attrs": _jsonable(l.attrs)}
-            for l in graph.layers
-        ],
-    }
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, **graph.architecture()}
     if graph.weights:
         blobs = {}
         for name, values in graph.weights.items():

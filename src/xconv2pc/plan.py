@@ -450,14 +450,14 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
     does the same ring work on clear residues and on one party's additive
     share.  ``ops`` supplies only what differs:
 
-      mul(x, y, tag, layer)     elementwise product of equal-shape words
-      relu(x, tag, layer)       max(signed(x), 0)
-      truncate(x, tag, layer)   arithmetic shift by the working scale
-      add_bias(pre, b, layer)   add the layer's public double-scale bias
-      note_local(layer, op)     mark a communication-free step
-      weight(pl, tag)           the layer's (possibly transformed) weights
+      mul(x, y, pl)         elementwise product of equal-shape words
+      relu(x, pl)           max(signed(x), 0)
+      truncate(x, pl)       arithmetic shift by the working scale
+      add_bias(pre, b, pl)  add the layer's public double-scale bias
+      note_local(pl, op)    mark a communication-free step
+      weight(pl)            the layer's (possibly transformed) weights
 
-    ``tag`` is the layer's index in the plan.  Conv and fc layers hand
+    ``pl`` is the ``PlanLayer`` being run.  Conv and fc layers hand
     ``mul`` one broadcast over all groups, so the secure backend opens one
     batch per layer.  Maxpool folds window positions as b + relu(a - b),
     one ``relu`` call per level of a pairwise tree.  The walker carries only
@@ -465,23 +465,21 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
     """
     mask = _U64(plan.cfg.mask)
     env = {INPUT: x}
-    for idx, pl in enumerate(plan.layers):
+    for pl in plan.layers:
         src = [env[s] for s in pl.inputs]
-        name = pl.name
         if pl.kind in ("conv2d", "fully-connected"):
-            w = ops.weight(pl, idx)
+            w = ops.weight(pl)
             fc = pl.kind == "fully-connected"
             if fc:
-                pre = _fc(src[0], w, idx, name, ops, mask)
+                pre = _fc(src[0], w, pl, ops, mask)
             elif pl.attrs.get("winograd"):
-                pre = _conv_winograd(src[0], w, pl, idx, ops, mask)
+                pre = _conv_winograd(src[0], w, pl, ops, mask)
             else:
-                pre = _conv_direct(src[0], w, pl.attrs, idx, name, ops, mask)
+                pre = _conv_direct(src[0], w, pl, ops, mask)
             if "bias_ring" in pl.payload:
                 b = pl.payload["bias_ring"].words
-                pre = ops.add_bias(pre, b.reshape((1, -1) if fc else (1, -1, 1, 1)),
-                                   name)
-            out = ops.truncate(pre, idx, name)
+                pre = ops.add_bias(pre, b.reshape((1, -1) if fc else (1, -1, 1, 1)), pl)
+            out = ops.truncate(pre, pl)
         elif pl.kind in ("avgpool", "global-avgpool"):
             if pl.kind == "avgpool":
                 win, stride = pl.attrs["window"], pl.attrs["stride"]
@@ -490,36 +488,36 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
                 summed = acc.sum(axis=(-2, -1), dtype=_U64) & mask
             else:
                 summed = src[0].sum(axis=(2, 3), keepdims=True, dtype=_U64) & mask
-            ops.note_local(name, "public-scale")
+            ops.note_local(pl, "public-scale")
             pre = (summed * _U64(pl.payload["inv_area_ring"])) & mask
-            out = ops.truncate(pre, idx, name)
+            out = ops.truncate(pre, pl)
         elif pl.kind == "relu":
-            out = ops.relu(src[0], idx, name)
+            out = ops.relu(src[0], pl)
         elif pl.kind == "maxpool":
-            out = _maxpool(src[0], pl.attrs, idx, name, ops, mask)
+            out = _maxpool(src[0], pl, ops, mask)
         elif pl.kind == "shuffle":
             perm = np.asarray(pl.attrs["perm"], dtype=np.intp)
-            ops.note_local(name, "shuffle")
+            ops.note_local(pl, "shuffle")
             out = np.ascontiguousarray(src[0][:, perm])
         elif pl.kind == "add":
             out = src[0]
             for t in src[1:]:
                 out = (out + t) & mask
-            ops.note_local(name, "add")
+            ops.note_local(pl, "add")
         elif pl.kind == "concat":
-            ops.note_local(name, "concat")
+            ops.note_local(pl, "concat")
             out = np.concatenate(src, axis=1)
         else:
             raise ShapeError(f"cannot execute layer kind {pl.kind!r}")
-        env[name] = out
+        env[pl.name] = out
     return env
 
 
-def _conv_direct(x, w, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
-    k = attrs["kernel"]
-    stride = attrs.get("stride", 1)
-    padding = attrs.get("padding", 0)
-    groups = attrs.get("groups", 1)
+def _conv_direct(x, w, pl: PlanLayer, ops, mask) -> np.ndarray:
+    k = pl.attrs["kernel"]
+    stride = pl.attrs.get("stride", 1)
+    padding = pl.attrs.get("padding", 0)
+    groups = pl.attrs.get("groups", 1)
     nb = x.shape[0]
     patches = conv_patches(x, k, stride, padding)
     oh, ow = patches.shape[2], patches.shape[3]
@@ -533,32 +531,31 @@ def _conv_direct(x, w, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarr
     x_exp = np.broadcast_to(pg[:, :, None, :],
                             (pg.shape[0], groups, cpg_out, pg.shape[2]))
     w_exp = np.broadcast_to(wg[None], x_exp.shape)
-    prod = ops.mul(x_exp, w_exp, tag, layer)
+    prod = ops.mul(x_exp, w_exp, pl)
     acc = prod.sum(axis=-1, dtype=_U64) & mask
     return acc.reshape(nb, oh, ow, groups * cpg_out).transpose(0, 3, 1, 2)
 
 
-def _conv_winograd(x, u, pl: PlanLayer, tag: int, ops, mask) -> np.ndarray:
-    ops.note_local(pl.name, "wg-input-transform")
+def _conv_winograd(x, u, pl: PlanLayer, ops, mask) -> np.ndarray:
+    ops.note_local(pl, "wg-input-transform")
     out = transform_conv(x, u, pl.payload["basis"], pl.attrs.get("padding", 0),
-                         pl.attrs.get("groups", 1),
-                         lambda a, b: ops.mul(a, b, tag, pl.name))
-    ops.note_local(pl.name, "wg-output-transform")
+                         pl.attrs.get("groups", 1), lambda a, b: ops.mul(a, b, pl))
+    ops.note_local(pl, "wg-output-transform")
     out &= mask
     return out
 
 
-def _fc(x, w, tag: int, layer: str, ops, mask) -> np.ndarray:
+def _fc(x, w, pl: PlanLayer, ops, mask) -> np.ndarray:
     flat = x.reshape(x.shape[0], -1)
     x_exp = np.broadcast_to(flat[:, None, :], (flat.shape[0], w.shape[0], flat.shape[1]))
     w_exp = np.broadcast_to(w[None], x_exp.shape)
-    return ops.mul(x_exp, w_exp, tag, layer).sum(axis=-1, dtype=_U64) & mask
+    return ops.mul(x_exp, w_exp, pl).sum(axis=-1, dtype=_U64) & mask
 
 
-def _maxpool(x, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
-    win, stride = attrs["window"], attrs["stride"]
+def _maxpool(x, pl: PlanLayer, ops, mask) -> np.ndarray:
+    win, stride = pl.attrs["window"], pl.attrs["stride"]
     if win == 1:
-        ops.note_local(layer, "subsample")
+        ops.note_local(pl, "subsample")
         return np.ascontiguousarray(x[:, :, ::stride, ::stride])
     patches = np.lib.stride_tricks.sliding_window_view(
         x, (win, win), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -569,7 +566,7 @@ def _maxpool(x, attrs: dict, tag: int, layer: str, ops, mask) -> np.ndarray:
     while len(level) > 1:
         half = len(level) // 2
         a, b = level[:half], level[half:2 * half]
-        rel = ops.relu((a - b) & mask, tag, layer)
+        rel = ops.relu((a - b) & mask, pl)
         level = np.concatenate([(b + rel) & mask, level[2 * half:]])
     return level[0]
 
@@ -590,24 +587,24 @@ class ClearOps:
         self.cfg = cfg
         self.mask = _U64(cfg.mask)
 
-    def mul(self, x, y, tag, layer):
+    def mul(self, x, y, pl):
         prod = x * y
         prod &= self.mask
         return prod
 
-    def relu(self, x, tag, layer):
+    def relu(self, x, pl):
         return ring_relu(RingTensor(x, self.cfg.bitwidth)).words
 
-    def truncate(self, x, tag, layer):
+    def truncate(self, x, pl):
         return truncate_signed(RingTensor(x, self.cfg.bitwidth), self.cfg.scale).words
 
-    def add_bias(self, pre, b, layer):
+    def add_bias(self, pre, b, pl):
         return (pre + b) & self.mask
 
-    def note_local(self, layer, op):
+    def note_local(self, pl, op):
         pass
 
-    def weight(self, pl, tag):
+    def weight(self, pl):
         return pl.payload["weight"].words
 
 

@@ -81,19 +81,12 @@ class RingTensor:
     def shape(self) -> tuple:
         return self.words.shape
 
-    @property
-    def size(self) -> int:
-        return self.words.size
-
     def signed(self) -> np.ndarray:
         """Signed (two's complement) reading as int64."""
         if self.bitwidth == _FULL_BITS:
             return self.words.view(np.int64)
         shift = _WORD(_FULL_BITS - self.bitwidth)
         return ((self.words << shift).view(np.int64)) >> np.int64(_FULL_BITS - self.bitwidth)
-
-    def reshape(self, shape) -> "RingTensor":
-        return RingTensor(self.words.reshape(shape), self.bitwidth)
 
     def __repr__(self) -> str:
         return f"RingTensor(shape={self.shape}, bitwidth={self.bitwidth})"

@@ -2,13 +2,19 @@
 
 The engine does not walk the plan itself.  ``PartyEngine.run`` hands the
 plan to ``plan.run_plan``, which codes every layer's linear steps once for
-clear and secure execution, and the engine is that walker's backend:
-``mul`` is a Beaver multiplication, ``relu`` and ``truncate`` are the
-protocols below, ``add_bias`` adds a public bias to the model owner's
-share only, ``note_local`` writes a zero-byte ledger row, and ``weight``
-returns the party's share (W, 0) of the layer's weights, drawing nothing.
-A truncation whose sole reader is a ReLU also shares its input's sign, and
-the engine keeps that share until the ReLU takes it.
+clear and secure execution, and the engine is that walker's backend,
+handed each step's ``PlanLayer``: ``mul`` is a Beaver multiplication,
+``relu`` and ``truncate`` are the protocols below, ``add_bias`` adds a
+public bias to the model owner's share only, ``note_local`` writes a
+zero-byte ledger row, and ``weight`` returns the party's share (W, 0) of
+the layer's weights, drawing nothing.  A truncation whose sole reader is a
+ReLU also shares its input's sign, and the engine keeps that share until
+the ReLU takes it.
+
+Below the backend, every op names its layer by name alone, as the ledger,
+material errors and traces do.  Each frame's layer tag is derived from that
+name where the frame is built or checked: a plan layer's index in the plan,
+and ``SESSION_TAG`` for the session's own frames, named ``"session"``.
 
 Linear steps (adds, concatenation, permutations, public scaling, the
 integer transforms of tagged convolutions) act on each party's share
@@ -152,6 +158,9 @@ class PartyEngine:
         self.ledger = CommLedger()
         self.bitwidth = plan.cfg.bitwidth
         self.mask = _U64(plan.cfg.mask)
+        # Each frame's layer tag: a plan layer's index, or the session's.
+        self._tags = {pl.name: i for i, pl in enumerate(plan.layers)}
+        self._tags["session"] = SESSION_TAG
         self._signs = {}  # [signed(x) < 0] shares a truncation kept for its ReLU
 
     # -- framing ------------------------------------------------------------
@@ -176,7 +185,8 @@ class PartyEngine:
             if frame.opcode == OP_ABORT:
                 raise ProtocolAbort(frame.payload.decode("utf-8", "replace"))
 
-    def _recv(self, expect_opcode: int, expect_tag: int, layer: str, op: str) -> Frame:
+    def _recv(self, expect_opcode: int, layer: str, op: str) -> Frame:
+        expect_tag = self._tags[layer]
         try:
             frame = self.transport.recv()
         except TransportError as e:
@@ -191,25 +201,24 @@ class PartyEngine:
         self.ledger.record_recv(layer, op, len(frame.payload))
         return frame
 
-    def exchange(self, opcode: int, tag: int, payload, layer: str, op: str):
+    def exchange(self, opcode: int, payload, layer: str, op: str):
         """Symmetric opening: model owner writes first, client reads first."""
-        frame = Frame(opcode, tag, payload)
+        frame = Frame(opcode, self._tags[layer], payload)
         if self.party == 0:
             self._send(frame, layer, op)
-            peer = self._recv(opcode, tag, layer, op)
+            peer = self._recv(opcode, layer, op)
         else:
-            peer = self._recv(opcode, tag, layer, op)
+            peer = self._recv(opcode, layer, op)
             self._send(frame, layer, op)
         self.ledger.bump_round(layer, op)
         return peer.payload
 
-    def send_oneway(self, opcode: int, tag: int, payload: bytes, layer: str,
-                    op: str) -> None:
-        self._send(Frame(opcode, tag, payload), layer, op)
+    def send_oneway(self, opcode: int, payload: bytes, layer: str, op: str) -> None:
+        self._send(Frame(opcode, self._tags[layer], payload), layer, op)
         self.ledger.bump_round(layer, op)
 
-    def recv_oneway(self, opcode: int, tag: int, layer: str, op: str) -> bytes:
-        frame = self._recv(opcode, tag, layer, op)
+    def recv_oneway(self, opcode: int, layer: str, op: str) -> bytes:
+        frame = self._recv(opcode, layer, op)
         self.ledger.bump_round(layer, op)
         return frame.payload
 
@@ -218,14 +227,13 @@ class PartyEngine:
 
     # -- arithmetic primitives -----------------------------------------------
 
-    def _open_words(self, shares: np.ndarray, tag: int, layer: str,
-                    op: str) -> np.ndarray:
+    def _open_words(self, shares: np.ndarray, layer: str, op: str) -> np.ndarray:
         flat = np.ascontiguousarray(shares, dtype="<u8")
-        peer = self.exchange(OP_OPEN_MASKED, tag, flat, layer, op)
+        peer = self.exchange(OP_OPEN_MASKED, flat, layer, op)
         other = np.frombuffer(peer, dtype="<u8").reshape(flat.shape)
         return (flat + other) & self.mask
 
-    def beaver(self, x: np.ndarray, y: np.ndarray, tag: int, layer: str,
+    def beaver(self, x: np.ndarray, y: np.ndarray, layer: str,
                kind: str = "mul") -> np.ndarray:
         """Pairwise secret multiplication of equal-shape share arrays.
 
@@ -251,7 +259,7 @@ class PartyEngine:
                 for half, v, w in ((mine[s:t], x, a), (mine[m + s:m + t], y, b)):
                     np.subtract(_flat_slice(v, pos + s, t - s), w[s:t], out=half)
                     half &= self.mask
-            peer = np.frombuffer(self.exchange(OP_OPEN_MASKED, tag, mine, layer,
+            peer = np.frombuffer(self.exchange(OP_OPEN_MASKED, mine, layer,
                                                f"{kind}-open"), dtype="<u8")
             d_buf, e_buf = np.empty((2, min(m, _SLICE)), dtype=_U64)
             for s in range(0, m, _SLICE):      # mod 2^64; the ring mask comes last
@@ -274,14 +282,13 @@ class PartyEngine:
 
     # -- boolean circuit -------------------------------------------------------
 
-    def _open_bool(self, words: np.ndarray, tag: int, layer: str) -> np.ndarray:
+    def _open_bool(self, words: np.ndarray, layer: str) -> np.ndarray:
         """Open XOR-shared (masked) words in one frame."""
         flat = np.ascontiguousarray(words, dtype="<u8")
-        peer = self.exchange(OP_OPEN_BOOL, tag, flat, layer, "bool-open")
+        peer = self.exchange(OP_OPEN_BOOL, flat, layer, "bool-open")
         return flat ^ np.frombuffer(peer, dtype="<u8").reshape(flat.shape)
 
-    def _merge(self, state: np.ndarray, rnd: MergeRound, tag: int,
-               layer: str) -> np.ndarray:
+    def _merge(self, state: np.ndarray, rnd: MergeRound, layer: str) -> np.ndarray:
         """One merge open over the packed rows of ``state``.
 
         ``rnd`` (see ``merge_round``) names the groups of k >= 2 digits,
@@ -310,7 +317,7 @@ class PartyEngine:
         public = np.empty((_PUBLIC, n_groups, w), _U64)
         public[:_ZERO] = ~_U64(0)
         public[_ZERO:] = 0
-        public[_DIGIT_ROW[rnd.slot], rnd.group] = self._open_bool(mine, tag, layer)
+        public[_DIGIT_ROW[rnd.slot], rnd.group] = self._open_bool(mine, layer)
         public = public.reshape(_PUBLIC, -1)
         for i in range(1, MERGE_DIGITS):
             np.bitwise_and(public[1:1 << i], public[1 << i],
@@ -321,7 +328,7 @@ class PartyEngine:
         terms &= shares.reshape(1 + MERGE_RECORD, -1)
         return np.bitwise_xor.reduce(terms, axis=1).reshape(2 * n_groups, w)
 
-    def less_than_mask(self, jobs: list, tag: int, layer: str) -> np.ndarray:
+    def less_than_mask(self, jobs: list, layer: str) -> np.ndarray:
         """Additive shares of [c < r] XOR flip for each job, in one pass.
 
         A job is (c_pub, tables, gate, n_bits, flip): n public values, this
@@ -351,10 +358,10 @@ class PartyEngine:
         state = pack_bitplanes(bits.reshape(-1, n))
         state = np.concatenate([state, np.zeros((1, state.shape[1]), _U64)])
         for rnd, after in rounds:
-            state = np.concatenate([state, self._merge(state, rnd, tag, layer)])[after]
+            state = np.concatenate([state, self._merge(state, rnd, layer)])[after]
         masked = state[gate_rows]                       # (5, jobs, W)
         masked ^= pack_bitplanes(gate_bits(np.stack([rec for rec, _ in gates])))
-        bits = unpack_bitplanes(self._open_bool(masked, tag, layer), n)
+        bits = unpack_bitplanes(self._open_bool(masked, layer), n)
         v = np.einsum("kjn,k->jn", bits[:4], _V_PLACE)
         f = bits[4]
         u = np.empty(v.shape, _U64)
@@ -387,8 +394,7 @@ class PartyEngine:
         top = ((c >> _U64(low_bits)) & _U64(1)).astype(np.uint8)
         return c & _U64((1 << low_bits) - 1), tables, gate, low_bits, top
 
-    def relu_shares(self, x: np.ndarray, tag: int, layer: str,
-                    neg: np.ndarray = None) -> np.ndarray:
+    def relu_shares(self, x: np.ndarray, layer: str, neg: np.ndarray = None) -> np.ndarray:
         """max(signed(x), 0) on flat share words, exactly.
 
         ``neg``, an additive share of [signed(x) < 0] computed by the
@@ -397,15 +403,12 @@ class PartyEngine:
         flat = x.reshape(-1)
         if neg is None:
             r_arith, u, tables, abg = self.material.take("cmp", flat.size, layer)
-            c = self._open_words((flat + r_arith) & self.mask, tag, layer,
-                                 "mask-open")
-            neg = self.less_than_mask([self._sign_job(c, tables, (abg, u))],
-                                      tag, layer)
-        prod = self.beaver(flat, neg, tag, layer, kind="aux")
+            c = self._open_words((flat + r_arith) & self.mask, layer, "mask-open")
+            neg = self.less_than_mask([self._sign_job(c, tables, (abg, u))], layer)
+        prod = self.beaver(flat, neg, layer, kind="aux")
         return ((flat - prod) & self.mask).reshape(x.shape)
 
-    def truncate_shares(self, x: np.ndarray, tag: int, layer: str,
-                        sign: bool = False):
+    def truncate_shares(self, x: np.ndarray, layer: str, sign: bool = False):
         """Faithful arithmetic shift by the working scale, exactly.
 
         With ``sign`` it also returns an additive share of [signed(x) < 0]
@@ -426,14 +429,14 @@ class PartyEngine:
             q_arith, q_u, q_tables, q_abg = self.material.take("cmp", n, layer)
             np.add(flat, q_arith, out=masked[n:])
         masked &= self.mask
-        opened = self._open_words(masked, tag, layer, "mask-open")
+        opened = self._open_words(masked, layer, "mask-open")
         c = opened[:n]
         ds = lt_digits(s)
         jobs = [(c & _U64((1 << s) - 1), tables[:, :ds], (abg[:, 0], u[:, 0]), s, 0),
                 (c, tables[:, ds:], (abg[:, 1], u[:, 1]), self.bitwidth, 0)]
         if sign:
             jobs.append(self._sign_job(opened[n:], q_tables, (q_abg, q_u)))
-        arith = self.less_than_mask(jobs, tag, layer)
+        arith = self.less_than_mask(jobs, layer)
         borrow, wrap = arith[:n], arith[n:2 * n]
         res = (_U64(1 << (self.bitwidth - s)) * wrap - r_shift - borrow) & self.mask
         if self.party == 0:
@@ -446,32 +449,32 @@ class PartyEngine:
     # Each call goes through the attribute at call time, so wrappers
     # installed on the class see every use.
 
-    def mul(self, x: np.ndarray, y: np.ndarray, tag: int, layer: str) -> np.ndarray:
-        return self.beaver(x, y, tag, layer)
+    def mul(self, x: np.ndarray, y: np.ndarray, pl) -> np.ndarray:
+        return self.beaver(x, y, pl.name)
 
-    def relu(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
+    def relu(self, x: np.ndarray, pl) -> np.ndarray:
         """``relu_shares``, fed the sign share kept for its input, if any."""
-        neg = self._signs.pop(self.plan.layers[tag].inputs[0], None)
-        return self.relu_shares(x, tag, layer, neg=neg)
+        neg = self._signs.pop(pl.inputs[0], None)
+        return self.relu_shares(x, pl.name, neg=neg)
 
-    def truncate(self, x: np.ndarray, tag: int, layer: str) -> np.ndarray:
+    def truncate(self, x: np.ndarray, pl) -> np.ndarray:
         """``truncate_shares``; a ``relu_sign`` layer keeps its sign share."""
-        if not self.plan.layers[tag].relu_sign:
-            return self.truncate_shares(x, tag, layer)
-        out, self._signs[layer] = self.truncate_shares(x, tag, layer, sign=True)
+        if not pl.relu_sign:
+            return self.truncate_shares(x, pl.name)
+        out, self._signs[pl.name] = self.truncate_shares(x, pl.name, sign=True)
         return out
 
-    def add_bias(self, pre: np.ndarray, b: np.ndarray, layer: str) -> np.ndarray:
+    def add_bias(self, pre: np.ndarray, b: np.ndarray, pl) -> np.ndarray:
         """Public constant: only the model owner adds it to its share."""
         if self.party != 0:
             return pre
-        self.ledger.note_local(layer, "bias")
+        self.ledger.note_local(pl.name, "bias")
         return (pre + b) & self.mask
 
-    def note_local(self, layer: str, op: str) -> None:
-        self.ledger.note_local(layer, op)
+    def note_local(self, pl, op: str) -> None:
+        self.ledger.note_local(pl.name, op)
 
-    def weight(self, pl, tag: int) -> np.ndarray:
+    def weight(self, pl) -> np.ndarray:
         """This party's share of the layer's weights: (W, 0).
 
         The model owner's share is its plan's words as they are, the

@@ -54,7 +54,6 @@ from .wire import (
     OP_SYNC,
     PROTOCOL_VERSION,
     QueueTransport,
-    SESSION_TAG,
     SocketTransport,
     Transport,
 )
@@ -84,7 +83,7 @@ def handshake(engine: PartyEngine, seed: int) -> None:
     """
     mine = _hello_payload(engine.plan, seed)
     try:
-        theirs = engine.exchange(OP_HELLO, SESSION_TAG, mine, "session", "hello")
+        theirs = engine.exchange(OP_HELLO, mine, "session", "hello")
     except ProtocolAbort as e:
         if e.family is not None:    # the peer failed before its hello
             raise
@@ -179,11 +178,10 @@ def run_model_party(plan: FixedPlan, transport: Transport,
     handshake(engine, seed)
     with _aborting_peer(engine):
         out_share = engine.run(np.zeros(plan.input_shape, dtype=np.uint64))
-        engine.send_oneway(OP_OPEN_OUTPUT, SESSION_TAG,
-                           np.ascontiguousarray(out_share, dtype="<u8"),
+        engine.send_oneway(OP_OPEN_OUTPUT, np.ascontiguousarray(out_share, dtype="<u8"),
                            "session", "output-open")
         check_ledger(plan, 0, engine.ledger)
-        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
+        engine.exchange(OP_SYNC, b"", "session", "sync")
     return SessionResult(None, engine.ledger)
 
 
@@ -197,13 +195,12 @@ def run_client_party(plan: FixedPlan, transport: Transport,
     handshake(engine, seed)
     with _aborting_peer(engine):
         out_share = engine.run(x.words)
-        raw = engine.recv_oneway(OP_OPEN_OUTPUT, SESSION_TAG, "session",
-                                 "output-open")
+        raw = engine.recv_oneway(OP_OPEN_OUTPUT, "session", "output-open")
         peer_out = np.frombuffer(raw, dtype="<u8").reshape(out_share.shape)
         output = RingTensor(mask_words(out_share + peer_out, plan.cfg.bitwidth),
                             plan.cfg.bitwidth)
         check_ledger(plan, 1, engine.ledger)
-        engine.exchange(OP_SYNC, SESSION_TAG, b"", "session", "sync")
+        engine.exchange(OP_SYNC, b"", "session", "sync")
     return SessionResult(output, engine.ledger)
 
 

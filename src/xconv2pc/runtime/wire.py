@@ -2,7 +2,10 @@
 
 Every protocol message is a length-prefixed frame: payload length (32-bit
 little-endian), opcode (16-bit), layer tag (32-bit), then the payload as
-raw bytes (ring elements travel as 64-bit little-endian words).  A
+raw bytes (ring elements travel as 64-bit little-endian words).  The
+engine derives a frame's layer tag from the name of the layer it serves:
+the layer's index in the plan, or ``SESSION_TAG`` for the session's
+frames.  A
 payload may be any C-contiguous buffer, an ndarray of words included; it
 is sent as it is, without a copy, so the sender must never write it again
 after the send (in process the peer reads that very memory).  The
@@ -67,9 +70,6 @@ class Frame:
 
     def header(self) -> bytes:
         return _HEADER.pack(len(self.payload), self.opcode, self.layer_tag)
-
-    def encode(self) -> bytes:
-        return self.header() + self.payload
 
 
 def decode_frame(header: bytes, payload: bytes) -> Frame:

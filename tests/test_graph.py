@@ -212,6 +212,17 @@ def test_builder_rejects_a_duplicate_layer_name_at_build():
         b.build()
 
 
+@pytest.mark.parametrize("name", ["input", "session"])
+def test_builder_rejects_a_reserved_layer_name_at_build(name):
+    # A layer called "session" would share its ledger rows with the
+    # session's hello, output open and sync.
+    b = GraphBuilder((1, 3, 8, 8), seed=0)
+    b.relu(name, INPUT)
+    with pytest.raises(ShapeError, match=f"layer name '{name}' is reserved") as err:
+        b.build()
+    assert err.value.exit_code == 3
+
+
 # -- interpreters --------------------------------------------------------------
 
 

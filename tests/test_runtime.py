@@ -74,6 +74,7 @@ class _StubPlan:
     def __init__(self, cfg=CFG, **req):
         self.cfg = cfg
         self.graph_hash = "00" * 32
+        self.layers = [LayerSpec("t", "relu", [INPUT])]  # frames under "t" carry tag 0
         self._req = PlanRequirements(
             mul_triples=req.get("mul", 0), aux_triples=req.get("aux", 0),
             trunc_units=req.get("trunc", 0), cmp_tuples=req.get("cmp", 0),
@@ -363,7 +364,7 @@ def test_beaver_random_vs_clear_oracle():
     y_sh = _split(y, rng)
 
     def fn(engine):
-        return engine.beaver(x_sh[engine.party], y_sh[engine.party], 0, "t")
+        return engine.beaver(x_sh[engine.party], y_sh[engine.party], "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(mul=n), seed=11)
     assert np.array_equal(_recon(r0, r1), ring_mul(x, y).words)
@@ -377,7 +378,7 @@ def test_beaver_zero_and_one():
     y_sh = _split(other, rng)
 
     def fn(engine):
-        return engine.beaver(x_sh[engine.party], y_sh[engine.party], 0, "t")
+        return engine.beaver(x_sh[engine.party], y_sh[engine.party], "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(mul=2), seed=13)
     got = _recon(r0, r1)
@@ -392,7 +393,7 @@ def test_beaver_bytes_are_16_per_mult():
     x_sh = _split(x, rng)
 
     def fn(engine):
-        return engine.beaver(x_sh[engine.party], x_sh[engine.party], 0, "t")
+        return engine.beaver(x_sh[engine.party], x_sh[engine.party], "t")
 
     _, _, e0, e1 = run_two(fn, _StubPlan(mul=n), seed=15)
     assert e0.ledger.entries["t", "mul-open"].bytes_sent == 16 * n
@@ -414,7 +415,7 @@ def test_beaver_open_holds_its_payloads_and_a_few_slices():
     out = {}
 
     def side(e):
-        out[e.party] = e.beaver(x_sh[e.party], y_sh[e.party], 0, "t")
+        out[e.party] = e.beaver(x_sh[e.party], y_sh[e.party], "t")
 
     tracemalloc.start()
     try:
@@ -462,7 +463,7 @@ def test_secure_truncate_examples_and_bulk():
     req = dict(trunc=n, bool_words=lt_cost(n, 23).bool_words + lt_cost(n, 60).bool_words)
 
     def fn(engine):
-        return engine.truncate_shares(x_sh[engine.party], 0, "t")
+        return engine.truncate_shares(x_sh[engine.party], "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(**req), seed=17)
     got = _recon(r0, r1)
@@ -483,7 +484,7 @@ def test_secure_relu_examples_and_bulk():
     req = dict(cmp=n, aux=n, bool_words=lt_cost(n, 59).bool_words)
 
     def fn(engine):
-        return engine.relu_shares(x_sh[engine.party], 0, "t")
+        return engine.relu_shares(x_sh[engine.party], "t")
 
     r0, r1, *_ = run_two(fn, _StubPlan(**req), seed=19)
     got = _recon(r0, r1)
@@ -546,7 +547,7 @@ def test_less_than_edge_values(n_bits):
     n = len(want)
     plan = _StubPlan(bool_words=lt_cost(n, n_bits).bool_words)
     r0, r1, e0, e1 = run_two(
-        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=n_bits)
+        lambda e: e.less_than_mask(jobs[e.party], "t"), plan, seed=n_bits)
     assert np.array_equal(_recon(r0, r1), want.astype(np.uint64))
     # The gate alone for at most 3 digits, one merge before it for 4 to
     # 15, two for 16; the gate opens f and four v bits.
@@ -569,17 +570,17 @@ def test_less_than_mixed_widths_share_two_rounds(monkeypatch):
     merged = ([], [])
     merge = PartyEngine._merge
 
-    def record(engine, state, rnd, tag, layer):
+    def record(engine, state, rnd, layer):
         # A group of k digits opens its k L bits, and its k E bits less
         # one if it is the lowest group of its job.
         slots = [rnd.slot[rnd.group == g] for g in range(rnd.groups)]
         merged[engine.party].append(
             [(int((s < 5).sum()), int((s >= 5).sum()) == (s < 5).sum() - 1) for s in slots])
-        return merge(engine, state, rnd, tag, layer)
+        return merge(engine, state, rnd, layer)
 
     monkeypatch.setattr(PartyEngine, "_merge", record)
     r0, r1, e0, e1 = run_two(
-        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=107)
+        lambda e: e.less_than_mask(jobs[e.party], "t"), plan, seed=107)
     assert np.array_equal(_recon(r0, r1), want.astype(np.uint64))
     # One merge open: the borrow's lowest 4 of 6 digits, then the three
     # 5-digit groups of each 15-digit job; then one gate open for all three.
@@ -615,7 +616,7 @@ def test_merge_truth_table_over_every_digit_state():
     rnd = merge_round(((range(5), range(5, 10), True), (range(5), range(5, 10), False)))
 
     def fn(engine):
-        return engine._merge(np.concatenate(shares[engine.party]), rnd, 0, "t")
+        return engine._merge(np.concatenate(shares[engine.party]), rnd, "t")
 
     out0, out1, e0, e1 = run_two(fn, plan, seed=112)
     # Rows: each group's lt, then each group's eq.
@@ -653,7 +654,7 @@ def test_gate_truth_table_over_every_input():
             [(c, tab ^ t0, (rec ^ g0, (u - u0) & np.uint64(2**60 - 1)), 12, flip)])
     want = l2 ^ (e2 & (l1 ^ (e1 & l0))) ^ p
     r0, r1, *engines = run_two(
-        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), _StubPlan(), seed=109)
+        lambda e: e.less_than_mask(jobs[e.party], "t"), _StubPlan(), seed=109)
     assert np.array_equal(_recon(r0, r1), want.astype(np.uint64))
     for e in engines:
         # f and v, five words per 64 elements, in one round.
@@ -692,7 +693,7 @@ def test_less_than_batches_reconstruct_and_cost_what_lt_cost_says(data):
     costs = [lt_cost(n, w) for w in widths]
     plan = _StubPlan(bool_words=sum(cost.bool_words for cost in costs))
     r0, r1, e0, e1 = run_two(
-        lambda e: e.less_than_mask(jobs[e.party], 0, "t"), plan, seed=n)
+        lambda e: e.less_than_mask(jobs[e.party], "t"), plan, seed=n)
     assert np.array_equal(_recon(r0, r1), np.concatenate(want).astype(np.uint64))
     for e in (e0, e1):
         assert _layer_rounds(e.ledger, "t") == {"bool-open": max(c.rounds for c in costs)}
@@ -1269,7 +1270,7 @@ def test_handshake_rejects_mismatched_graphs():
 def test_handshake_rejects_version_1_and_unknown_versions(old):
     import struct
 
-    from xconv2pc.runtime.wire import OP_HELLO, SESSION_TAG
+    from xconv2pc.runtime.wire import OP_HELLO
 
     plan = build_plan(model_zoo("toynet", CellVariant.DENSE, 16, seed=47),
                       with_weights=False)
@@ -1283,7 +1284,7 @@ def test_handshake_rejects_version_1_and_unknown_versions(old):
         t0, t1 = QueueTransport.pair()
         peer = PartyEngine(0, plan, t0, None)
         th = threading.Thread(target=peer.exchange, daemon=True,
-                              args=(OP_HELLO, SESSION_TAG, payload, "session", "hello"))
+                              args=(OP_HELLO, payload, "session", "hello"))
         th.start()
         with pytest.raises(HandshakeError):
             session.handshake(PartyEngine(1, plan, t1, None), 48)
@@ -1299,7 +1300,7 @@ def test_set_up_shares_are_the_weights_and_the_input_beside_zeros(monkeypatch):
 
     def record_run(engine, input_share):
         shares[engine.party] = (input_share, {
-            pl.name: engine.weight(pl, idx) for idx, pl in enumerate(engine.plan.layers)
+            pl.name: engine.weight(pl) for pl in engine.plan.layers
             if pl.kind in ("conv2d", "fully-connected")})
         return run(engine, input_share)
 
@@ -1332,15 +1333,15 @@ def test_weights_stay_masked_in_every_opened_difference(monkeypatch):
     opened, weights = [], []
     exchange, mul = PartyEngine.exchange, PartyEngine.mul
 
-    def record_exchange(engine, opcode, tag, payload, layer, op):
+    def record_exchange(engine, opcode, payload, layer, op):
         if engine.party == 0 and op == "mul-open":
             opened[-1].setdefault(layer, []).append(np.array(payload, dtype=np.uint64))
-        return exchange(engine, opcode, tag, payload, layer, op)
+        return exchange(engine, opcode, payload, layer, op)
 
-    def record_mul(engine, x, y, tag, layer):
+    def record_mul(engine, x, y, pl):
         if engine.party == 0:
-            weights[-1].setdefault(layer, []).append(np.ascontiguousarray(y).reshape(-1))
-        return mul(engine, x, y, tag, layer)
+            weights[-1].setdefault(pl.name, []).append(np.ascontiguousarray(y).reshape(-1))
+        return mul(engine, x, y, pl)
 
     monkeypatch.setattr(PartyEngine, "exchange", record_exchange)
     monkeypatch.setattr(PartyEngine, "mul", record_mul)
@@ -1487,12 +1488,12 @@ def test_both_parties_catch_a_conversion_split_in_two_opens(transport, monkeypat
 
     beaver = PartyEngine.beaver
 
-    def in_halves(engine, x, y, tag, layer, kind="mul"):
+    def in_halves(engine, x, y, layer, kind="mul"):
         if layer != "relu1":
-            return beaver(engine, x, y, tag, layer, kind)
+            return beaver(engine, x, y, layer, kind)
         h = x.size // 2
-        return np.concatenate([beaver(engine, x[:h], y[:h], tag, layer, kind),
-                               beaver(engine, x[h:], y[h:], tag, layer, kind)])
+        return np.concatenate([beaver(engine, x[:h], y[:h], layer, kind),
+                               beaver(engine, x[h:], y[h:], layer, kind)])
 
     monkeypatch.setattr(PartyEngine, "beaver", in_halves)
     t0, t1 = QueueTransport.pair() if transport == "queue" else _tcp_pair()
@@ -1535,8 +1536,8 @@ def test_a_ledger_mismatch_on_one_party_stops_both_with_the_verification_exit_co
 
     beaver = PartyEngine.beaver
 
-    def misbooked(engine, x, y, tag, layer, kind="mul"):
-        out = beaver(engine, x, y, tag, layer, kind)
+    def misbooked(engine, x, y, layer, kind="mul"):
+        out = beaver(engine, x, y, layer, kind)
         if engine.party == 0 and layer == "relu1":
             engine.ledger.bump_round(layer, f"{kind}-open")
         return out
@@ -1659,6 +1660,93 @@ def test_tcp_parties_holding_different_graphs_both_stop_with_the_handshake_exit_
         assert isinstance(err, HandshakeError), (name, err)
         assert str(err) == "graph hash mismatch: parties hold different architectures"
         assert err.exit_code == 4
+
+
+@pytest.mark.parametrize("mismatch", ["ring", "seed"])
+def test_tcp_parties_on_another_ring_or_seed_both_stop_with_the_handshake_exit_code(mismatch):
+    # "ring": the client's plan differs from the model owner's in its scale
+    # alone.  "seed": both hold one dealing's files, but the client runs
+    # from another session seed.  Either way each party reads the other's
+    # hello and stops before any layer.
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=62)
+    other = g
+    if mismatch == "ring":
+        other = model_zoo("toynet", CellVariant.DENSE, 16, seed=62,
+                          cfg=FixedPointConfig(scale=g.cfg.scale - 1))
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(other, with_weights=False)
+    m0, m1 = generate_material(plan0, 63)
+    x = encode_fixed(_random_input(g.input_shape, 64), other.cfg)
+    t0, t1 = _tcp_pair()
+    try:
+        raised = _run_both(
+            ("model", run_model_party, plan0, t0, m0, 63),
+            ("client", run_client_party, plan1, t1, m1, 63 + (mismatch == "seed"), x))
+    finally:
+        for t in (t0, t1):
+            t.close()
+    reason = {"ring": "fixed-point configuration mismatch",
+              "seed": "session seed commitment mismatch"}[mismatch]
+    for name in ("model", "client"):
+        err = raised[name]
+        assert isinstance(err, HandshakeError), (name, err)
+        assert str(err) == reason
+        assert err.exit_code == 4
+    assert m0.cursors == m1.cursors == {kind: 0 for kind in m0.cursors}
+
+
+class _Recording:
+    """A transport that notes the opcode, layer tag and payload size of
+    each frame it sends."""
+
+    def __init__(self, inner):
+        self.inner, self.sent = inner, []
+
+    def send(self, frame):
+        self.sent.append((frame.opcode, frame.layer_tag, len(frame.payload)))
+        self.inner.send(frame)
+
+    def recv(self):
+        return self.inner.recv()
+
+    def close(self):
+        self.inner.close()
+
+
+def test_each_layer_frame_carries_its_plan_index_and_session_frames_the_session_tag():
+    from xconv2pc.runtime.session import run_client_party, run_model_party
+    from xconv2pc.runtime.wire import OP_HELLO, OP_OPEN_OUTPUT, OP_SYNC, SESSION_TAG
+
+    g = model_zoo("toynet", CellVariant.DENSE, 16, seed=65)
+    plan0 = build_plan(g, with_weights=True)
+    plan1 = build_plan(g, with_weights=False)
+    m0, m1 = generate_material(plan0, 66)
+    x = encode_fixed(_random_input(g.input_shape, 67), g.cfg)
+    t0, t1 = (_Recording(t) for t in QueueTransport.pair())
+    assert not _run_both(("model", run_model_party, plan0, t0, m0, 66),
+                         ("client", run_client_party, plan1, t1, m1, 66, x))
+    # Each open sends one frame per round, so a layer's predicted rows give
+    # its frames and their bytes; the session checked its ledger against
+    # the same prediction.
+    index = {pl.name: i for i, pl in enumerate(plan0.layers)}
+    for party, t in enumerate((t0, t1)):
+        want, frames = {}, []
+        for (layer, _), (nbytes, rounds) in session.expected_ledger(plan0, party).items():
+            if layer != "session":
+                b, k = want.get(index[layer], (0, 0))
+                want[index[layer]] = (b + nbytes, k + rounds)
+        got = {}
+        for _, tag, nbytes in t.sent:
+            if tag != SESSION_TAG:
+                frames.append(tag)
+                b, k = got.get(tag, (0, 0))
+                got[tag] = (b + nbytes, k + 1)
+        assert got == want and frames == sorted(frames), party
+        output = [(OP_OPEN_OUTPUT, 8 * 10)] if party == 0 else []
+        assert [(op, n) for op, tag, n in t.sent if tag == SESSION_TAG] == (
+            [(OP_HELLO, 44)] + output + [(OP_SYNC, 0)]), party
 
 
 class _ClosingAt:

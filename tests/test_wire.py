@@ -26,7 +26,7 @@ from xconv2pc.zoo import model_zoo
 
 def test_frame_roundtrip():
     f = Frame(OP_OPEN_MASKED, 7, b"\x01\x02\x03")
-    raw = f.encode()
+    raw = f.header() + bytes(f.payload)
     assert len(raw) == HEADER_SIZE + 3
     back = decode_frame(raw[:HEADER_SIZE], raw[HEADER_SIZE:])
     assert back == f
@@ -34,7 +34,7 @@ def test_frame_roundtrip():
 
 def test_frame_length_mismatch_rejected():
     f = Frame(OP_OPEN_MASKED, 7, b"abcd")
-    raw = f.encode()
+    raw = f.header() + bytes(f.payload)
     with pytest.raises(TransportError):
         decode_frame(raw[:HEADER_SIZE], raw[HEADER_SIZE:-1])
 
@@ -47,7 +47,7 @@ def test_transcript_digest_equals_hash_of_encoded_frames():
     for f in frames:
         sender.send(f)
         assert receiver.recv() == f
-    want = hashlib.sha256(b"".join(f.encode() for f in frames)).hexdigest()
+    want = hashlib.sha256(b"".join(f.header() + bytes(f.payload) for f in frames)).hexdigest()
     assert sender.sent_digest == want
     assert receiver.sent_digest == hashlib.sha256().hexdigest()
 
@@ -88,8 +88,8 @@ def test_socket_transport_roundtrip():
 
 @pytest.mark.parametrize("sent, reason", [
     (b"", "peer closed the connection"),              # at a frame boundary
-    (Frame(8, 0, b"ping").encode()[:3], "peer disconnected mid-frame"),
-    (Frame(8, 0, b"ping").encode()[:-1], "peer disconnected mid-frame"),
+    ((Frame(8, 0, b"ping").header() + b"ping")[:3], "peer disconnected mid-frame"),
+    ((Frame(8, 0, b"ping").header() + b"ping")[:-1], "peer disconnected mid-frame"),
 ])
 def test_socket_close_names_where_the_stream_ended(sent, reason):
     srv = socket.socket()
@@ -125,8 +125,7 @@ def test_socket_sends_an_array_payload_larger_than_the_socket_buffers():
         sock.settimeout(30)
         engines[party] = e = PartyEngine(party, plan,
                                          TranscriptRecorder(SocketTransport(sock)), None)
-        got[party] = bytes(e.exchange(OP_OPEN_MASKED, 5, words[party], "l",
-                                      "mul-open"))
+        got[party] = bytes(e.exchange(OP_OPEN_MASKED, words[party], "fc", "mul-open"))
         e.transport.close()
 
     th = threading.Thread(target=lambda: side(0, srv.accept()[0]), daemon=True)
@@ -138,12 +137,14 @@ def test_socket_sends_an_array_payload_larger_than_the_socket_buffers():
     th.join(timeout=30)
     srv.close()
     assert not th.is_alive()
-    frames = [Frame(OP_OPEN_MASKED, 5, w.tobytes()).encode() for w in words]
+    frames = [Frame(OP_OPEN_MASKED, 5, w.tobytes()) for w in words]   # fc is toynet's layer 5
     for p, e in engines.items():
         assert got[p] == words[1 - p].tobytes()
-        row = e.ledger.entries["l", "mul-open"]
+        row = e.ledger.entries["fc", "mul-open"]
         assert row.bytes_sent == row.bytes_recv == nbytes
-        assert e.transport.sent_digest == hashlib.sha256(frames[p]).hexdigest()
+        f = frames[p]
+        assert e.transport.sent_digest == hashlib.sha256(
+            f.header() + bytes(f.payload)).hexdigest()
 
 
 def test_ledger_rows_and_csv():

@@ -26,7 +26,7 @@ def _float_conv(x, w, b, attrs):
     if attrs.get("winograd"):
         basis = basis_for_tile(attrs["tile"], attrs["kernel"])
         out = transform_conv(x, transform_filter_real(w, basis), basis, padding,
-                             groups, np.multiply)
+                             groups, lambda a, b, axis: np.multiply(a, b).sum(axis=axis))
     else:
         patches = conv_patches(x, attrs["kernel"], stride, padding)
         perg_in = x.shape[1] // groups

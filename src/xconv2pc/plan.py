@@ -11,8 +11,8 @@ linear step (conv patches, the grouped broadcast, sums, public scaling,
 permutes, adds, concats) is written there once, and a tagged
 convolution's tiling and integer transforms are
 ``winograd.transform_conv``, the kernel the float reference runs too.  A
-backend supplies the rest: the elementwise product, relu, truncation, the
-bias add, the zero-byte ledger rows and the weights.
+backend supplies the rest: the summed elementwise product, relu,
+truncation, the bias add, the zero-byte ledger rows and the weights.
 ``ClearOps`` below works on plain residues; the two-party
 ``PartyEngine`` works on one party's additive share.  Running the same
 plan through both therefore yields bit-identical results by
@@ -366,6 +366,7 @@ def build_plan(graph: Graph, with_weights: bool = True) -> FixedPlan:
 
 
 BEAVER_CHUNK = 1 << 22  # elements per opened Beaver batch; caps peak memory
+SLICE = 1 << 16  # elements per step of a product's local work
 
 
 def predict_ledger(layers: list, cfg: FixedPointConfig) -> dict:
@@ -450,18 +451,22 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
     does the same ring work on clear residues and on one party's additive
     share.  ``ops`` supplies only what differs:
 
-      mul(x, y, pl)         elementwise product of equal-shape words
-      relu(x, pl)           max(signed(x), 0)
-      truncate(x, pl)       arithmetic shift by the working scale
-      add_bias(pre, b, pl)  add the layer's public double-scale bias
-      note_local(pl, op)    mark a communication-free step
-      weight(pl)            the layer's (possibly transformed) weights
+      mul_sum(x, y, axis, pl)  products of equal-shape words, summed over axis
+      relu(x, pl)              max(signed(x), 0)
+      truncate(x, pl)          arithmetic shift by the working scale
+      add_bias(pre, b, pl)     add the layer's public double-scale bias
+      note_local(pl, op)       mark a communication-free step
+      weight(pl)               the layer's (possibly transformed) weights
 
     ``pl`` is the ``PlanLayer`` being run.  Conv and fc layers hand
-    ``mul`` one broadcast over all groups, so the secure backend opens one
-    batch per layer.  Maxpool folds window positions as b + relu(a - b),
-    one ``relu`` call per level of a pairwise tree.  The walker carries only
-    words; the engine keeps the sign shares of ``relu_sign`` layers itself.
+    ``mul_sum`` one broadcast over all groups, so the secure backend opens
+    one batch per layer; direct convs and fc layers sum over the last axis,
+    transform convs over the in-channel axis.  Both backends add the
+    products into the sums a slice at a time (``ProductSum``), so no
+    layer's whole product array is ever held.  Maxpool folds window
+    positions as b + relu(a - b), one ``relu`` call per level of a pairwise
+    tree.  The walker carries only words; the engine keeps the sign shares
+    of ``relu_sign`` layers itself.
     """
     mask = _U64(plan.cfg.mask)
     env = {INPUT: x}
@@ -471,11 +476,11 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
             w = ops.weight(pl)
             fc = pl.kind == "fully-connected"
             if fc:
-                pre = _fc(src[0], w, pl, ops, mask)
+                pre = _fc(src[0], w, pl, ops)
             elif pl.attrs.get("winograd"):
                 pre = _conv_winograd(src[0], w, pl, ops, mask)
             else:
-                pre = _conv_direct(src[0], w, pl, ops, mask)
+                pre = _conv_direct(src[0], w, pl, ops)
             if "bias_ring" in pl.payload:
                 b = pl.payload["bias_ring"].words
                 pre = ops.add_bias(pre, b.reshape((1, -1) if fc else (1, -1, 1, 1)), pl)
@@ -513,7 +518,7 @@ def run_plan(plan: FixedPlan, x: np.ndarray, ops) -> dict:
     return env
 
 
-def _conv_direct(x, w, pl: PlanLayer, ops, mask) -> np.ndarray:
+def _conv_direct(x, w, pl: PlanLayer, ops) -> np.ndarray:
     k = pl.attrs["kernel"]
     stride = pl.attrs.get("stride", 1)
     padding = pl.attrs.get("padding", 0)
@@ -531,25 +536,25 @@ def _conv_direct(x, w, pl: PlanLayer, ops, mask) -> np.ndarray:
     x_exp = np.broadcast_to(pg[:, :, None, :],
                             (pg.shape[0], groups, cpg_out, pg.shape[2]))
     w_exp = np.broadcast_to(wg[None], x_exp.shape)
-    prod = ops.mul(x_exp, w_exp, pl)
-    acc = prod.sum(axis=-1, dtype=_U64) & mask
+    acc = ops.mul_sum(x_exp, w_exp, -1, pl)
     return acc.reshape(nb, oh, ow, groups * cpg_out).transpose(0, 3, 1, 2)
 
 
 def _conv_winograd(x, u, pl: PlanLayer, ops, mask) -> np.ndarray:
     ops.note_local(pl, "wg-input-transform")
     out = transform_conv(x, u, pl.payload["basis"], pl.attrs.get("padding", 0),
-                         pl.attrs.get("groups", 1), lambda a, b: ops.mul(a, b, pl))
+                         pl.attrs.get("groups", 1),
+                         lambda a, b, axis: ops.mul_sum(a, b, axis, pl))
     ops.note_local(pl, "wg-output-transform")
     out &= mask
     return out
 
 
-def _fc(x, w, pl: PlanLayer, ops, mask) -> np.ndarray:
+def _fc(x, w, pl: PlanLayer, ops) -> np.ndarray:
     flat = x.reshape(x.shape[0], -1)
     x_exp = np.broadcast_to(flat[:, None, :], (flat.shape[0], w.shape[0], flat.shape[1]))
     w_exp = np.broadcast_to(w[None], x_exp.shape)
-    return ops.mul(x_exp, w_exp, pl).sum(axis=-1, dtype=_U64) & mask
+    return ops.mul_sum(x_exp, w_exp, -1, pl)
 
 
 def _maxpool(x, pl: PlanLayer, ops, mask) -> np.ndarray:
@@ -571,6 +576,81 @@ def _maxpool(x, pl: PlanLayer, ops, mask) -> np.ndarray:
     return level[0]
 
 
+# -- products summed over one axis ------------------------------------------------
+
+
+def flat_blocks(shape: tuple, pos: int, m: int):
+    """Leading-axis blocks of the flat elements [pos, pos + m) of ``shape``.
+
+    Yields (index, start, stop): ``a[index]`` is a block of an array ``a``
+    of that shape, and its elements are those at offsets [start, stop) from
+    pos, in C order.  Whole rows form one block and a partial row at either
+    end is split the same way one axis down, so a strided or broadcast view
+    is read in place, in at most two blocks per axis and one in the middle.
+    """
+    row = math.prod(shape[1:])
+    r, off = divmod(pos, row)
+    head = min(-off % row, m)       # the end of a row already begun
+    if head:
+        for idx, s, t in flat_blocks(shape[1:], off, head):
+            yield (r,) + idx, s, t
+        r += 1
+    rows, tail = divmod(m - head, row)
+    if rows:
+        yield (slice(r, r + rows),), head, head + rows * row
+    if tail:
+        for idx, s, t in flat_blocks(shape[1:], 0, tail):
+            yield (r + rows,) + idx, m - tail + s, m - tail + t
+
+
+def slice_steps(pos: int, m: int, group: int):
+    """(start, stop) offsets from pos of ``SLICE``-element steps over [pos, pos + m).
+
+    A step that is not the last ends on a multiple of ``group`` where a group
+    fits in a slice, so it holds whole groups.
+    """
+    s = 0
+    while s < m:
+        t = min(m, s + SLICE)
+        if t < m and group <= SLICE:
+            t -= (pos + t) % group
+        yield s, t
+        s = t
+
+
+class ProductSum:
+    """The sums over one axis of an elementwise product, modulo 2^64.
+
+    The product, of ``shape``, is (outer, rows, inner) around the summed
+    axis, and a group is one outer index: rows x inner consecutive elements
+    of its flat C order.  ``add`` takes any segment of that order, split by
+    ``flat_blocks`` on (outer, rows, inner): its whole groups are summed in
+    one reduction, and a partial group at either end piece by piece, as
+    whole rows and a partial row.  ``slice_steps`` with ``group`` keeps the
+    partial groups to chunk edges.  ``result`` reduces the sums modulo 2^l.
+    """
+
+    def __init__(self, shape: tuple, axis: int):
+        axis %= len(shape)
+        self.shape = shape[:axis] + shape[axis + 1:]
+        self.dims = (math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+        self.group = self.dims[1] * self.dims[2]
+        self.acc = np.zeros((self.dims[0], self.dims[2]), _U64)
+
+    def add(self, z: np.ndarray, p: int) -> None:
+        """Add the product's flat elements [p, p + z.size), given as z."""
+        for idx, i, j in flat_blocks(self.dims, p, z.size):
+            k = idx[-1].stop - idx[-1].start
+            blk = z[i:j].reshape((k,) + self.dims[len(idx):])
+            if len(idx) < 3:            # whole groups or whole rows: sum the rows
+                blk = blk.sum(axis=2 - len(idx))
+            self.acc[idx[:1] + idx[2:]] += blk
+
+    def result(self, mask) -> np.ndarray:
+        self.acc &= mask
+        return self.acc.reshape(self.shape)
+
+
 # -- clear fixed-point execution ------------------------------------------------
 
 
@@ -587,10 +667,16 @@ class ClearOps:
         self.cfg = cfg
         self.mask = _U64(cfg.mask)
 
-    def mul(self, x, y, pl):
-        prod = x * y
-        prod &= self.mask
-        return prod
+    def mul_sum(self, x, y, axis, pl):
+        """The product sum, a slice of products at a time."""
+        total = ProductSum(x.shape, axis)
+        z = np.empty(min(x.size, SLICE), _U64)
+        for s, t in slice_steps(0, x.size, total.group):
+            for idx, i, j in flat_blocks(x.shape, s, t - s):
+                blk = x[idx]
+                np.multiply(blk, y[idx], out=z[i:j].reshape(blk.shape))
+            total.add(z[:t - s], s)
+        return total.result(self.mask)
 
     def relu(self, x, pl):
         return ring_relu(RingTensor(x, self.cfg.bitwidth)).words

@@ -3,11 +3,12 @@
 The engine does not walk the plan itself.  ``PartyEngine.run`` hands the
 plan to ``plan.run_plan``, which codes every layer's linear steps once for
 clear and secure execution, and the engine is that walker's backend,
-handed each step's ``PlanLayer``: ``mul`` is a Beaver multiplication,
-``relu`` and ``truncate`` are the protocols below, ``add_bias`` adds a
-public bias to the model owner's share only, ``note_local`` writes a
-zero-byte ledger row, and ``weight`` returns the party's share (W, 0) of
-the layer's weights, drawing nothing.  A truncation whose sole reader is a
+handed each step's ``PlanLayer``: ``mul_sum`` is a Beaver multiplication
+whose products are summed as they are opened, ``relu`` and ``truncate``
+are the protocols below, ``add_bias`` adds a public bias to the model
+owner's share only, ``note_local`` writes a zero-byte ledger row, and
+``weight`` returns the party's share (W, 0) of the layer's weights,
+drawing nothing.  A truncation whose sole reader is a
 ReLU also shares its input's sign, and the engine keeps that share until
 the ReLU takes it.
 
@@ -82,7 +83,17 @@ import numpy as np
 from .. import errors
 from .. import plan as plan_mod
 from ..errors import TransportError, XConvError
-from ..plan import MERGE_DIGITS, MERGE_RECORD, FixedPlan, lt_digits, merge_groups, run_plan
+from ..plan import (
+    MERGE_DIGITS,
+    MERGE_RECORD,
+    FixedPlan,
+    ProductSum,
+    flat_blocks,
+    lt_digits,
+    merge_groups,
+    run_plan,
+    slice_steps,
+)
 from .material import (
     MERGE_MASKS,
     MERGE_SUBSETS,
@@ -101,7 +112,6 @@ from .wire import (
 )
 
 _U64 = np.uint64
-_SLICE = 1 << 16  # elements per step of a Beaver chunk's local work
 _V_PLACE = np.array([1, 2, 4, 8], np.uint8)  # the gate's v from its four opened bits
 
 
@@ -162,6 +172,7 @@ class PartyEngine:
         self._tags = {pl.name: i for i, pl in enumerate(plan.layers)}
         self._tags["session"] = SESSION_TAG
         self._signs = {}  # [signed(x) < 0] shares a truncation kept for its ReLU
+        self._scratch = np.empty((3, plan_mod.SLICE), _U64)  # beaver's d, e and z
 
     # -- framing ------------------------------------------------------------
 
@@ -234,40 +245,47 @@ class PartyEngine:
         return (flat + other) & self.mask
 
     def beaver(self, x: np.ndarray, y: np.ndarray, layer: str,
-               kind: str = "mul") -> np.ndarray:
+               kind: str = "mul", axis: int = None) -> np.ndarray:
         """Pairwise secret multiplication of equal-shape share arrays.
 
-        ``kind`` names the triple stream, "mul" or "aux", and the ledger op
-        is its open.  Inputs may be broadcast views.  Each ``BEAVER_CHUNK``
-        of m products writes and masks x - a and y - b into one fresh (2m,)
-        payload, slice by slice, sends it as it is, and finishes z =
-        c + d b + e a (+ d e on party 0, as d b + e (a + d)) into the output
-        in ``_SLICE``-element steps, d and e in two reused slice buffers:
-        beyond the output, a chunk holds the two parties' payloads and two
-        slices.
+        Returns the products, or with ``axis`` their sums over that axis
+        (``plan.ProductSum``).  ``kind`` names the triple stream, "mul" or
+        "aux", and the ledger op is its open.  Inputs may be broadcast
+        views.  Each ``BEAVER_CHUNK`` of m products, in the inputs' flat
+        order, writes x - a and y - b straight from the inputs' blocks
+        (``plan.flat_blocks``) into one fresh (2m,) payload and masks it,
+        slice by slice, and sends it as it is.  It then finishes z = c +
+        d b + e a (+ d e on party 0, as d b + e (a + d)) in ``SLICE``-element
+        steps, d, e and z in the engine's three reused slice buffers, and
+        adds each step's z into the sums (or writes it to the output).
+        Beyond the output, a chunk holds the two parties' payloads.
         """
-        shape = x.shape
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=_U64)
+        shape, n = x.shape, x.size
+        total = None if axis is None else ProductSum(shape, axis)
+        out = np.empty(n, dtype=_U64) if total is None else None
         pos = 0
         while pos < n:
             m = min(plan_mod.BEAVER_CHUNK, n - pos)
             a, b, c = self.material.take(kind, m, layer)
             mine = np.empty(2 * m, dtype=_U64)
-            for s in range(0, m, _SLICE):
-                t = min(s + _SLICE, m)
-                for half, v, w in ((mine[s:t], x, a), (mine[m + s:m + t], y, b)):
-                    np.subtract(_flat_slice(v, pos + s, t - s), w[s:t], out=half)
+            for s in range(0, m, plan_mod.SLICE):
+                t = min(s + plan_mod.SLICE, m)
+                blocks = list(flat_blocks(shape, pos + s, t - s))
+                for half, v, w in ((mine[s:t], x, a[s:t]), (mine[m + s:m + t], y, b[s:t])):
+                    for idx, i, j in blocks:
+                        blk = v[idx]
+                        np.subtract(blk, w[i:j].reshape(blk.shape),
+                                    out=half[i:j].reshape(blk.shape))
                     half &= self.mask
             peer = np.frombuffer(self.exchange(OP_OPEN_MASKED, mine, layer,
                                                f"{kind}-open"), dtype="<u8")
-            d_buf, e_buf = np.empty((2, min(m, _SLICE)), dtype=_U64)
-            for s in range(0, m, _SLICE):      # mod 2^64; the ring mask comes last
-                t = min(s + _SLICE, m)
-                d, e = d_buf[:t - s], e_buf[:t - s]
+            for s, t in slice_steps(pos, m, 1 if total is None else total.group):
+                d, e, z = self._scratch[:, :t - s]     # mod 2^64; the ring mask comes last
+                if total is None:
+                    z = out[pos + s:pos + t]
                 np.add(mine[s:t], peer[s:t], out=d)
                 np.add(mine[m + s:m + t], peer[m + s:m + t], out=e)
-                z = np.multiply(d, b[s:t], out=out[pos + s:pos + t])
+                np.multiply(d, b[s:t], out=z)
                 z += c[s:t]
                 if self.party == 0:
                     d += a[s:t]
@@ -275,10 +293,13 @@ class PartyEngine:
                 else:
                     e *= a[s:t]
                 z += e
-                z &= self.mask
+                if total is None:
+                    z &= self.mask
+                else:
+                    total.add(z, pos + s)
             del mine, peer
             pos += m
-        return out.reshape(shape)
+        return out.reshape(shape) if total is None else total.result(self.mask)
 
     # -- boolean circuit -------------------------------------------------------
 
@@ -449,8 +470,8 @@ class PartyEngine:
     # Each call goes through the attribute at call time, so wrappers
     # installed on the class see every use.
 
-    def mul(self, x: np.ndarray, y: np.ndarray, pl) -> np.ndarray:
-        return self.beaver(x, y, pl.name)
+    def mul_sum(self, x: np.ndarray, y: np.ndarray, axis: int, pl) -> np.ndarray:
+        return self.beaver(x, y, pl.name, axis=axis)
 
     def relu(self, x: np.ndarray, pl) -> np.ndarray:
         """``relu_shares``, fed the sign share kept for its input, if any."""
@@ -632,27 +653,3 @@ def _weight_shape(pl):
     k = a["tile"] if a.get("winograd") else a["kernel"]
     return (a["out_channels"], a["in_channels"] // a.get("groups", 1), k, k)
 
-
-def _flat_slice(arr: np.ndarray, pos: int, m: int) -> np.ndarray:
-    """arr.reshape(-1)[pos:pos+m]: a view of a contiguous arr, else a copy.
-
-    The copy touches only the slice's elements: the whole leading-axis rows
-    in one step, a partial row at either end by recursion into it, so a
-    broadcast view costs m elements however long its rows are.
-    """
-    if arr.flags.c_contiguous:
-        return arr.reshape(-1)[pos:pos + m]
-    row = arr.size // arr.shape[0]
-    r, off = divmod(pos, row)
-    head = min(-off % row, m)       # the end of a row already begun
-    r += off > 0
-    if head == m:
-        return _flat_slice(arr[r - 1], off, m)
-    rows, tail = divmod(m - head, row)
-    out = np.empty(m, dtype=arr.dtype)
-    if head:
-        out[:head] = _flat_slice(arr[r - 1], off, head)
-    out[head:m - tail].reshape((rows,) + arr.shape[1:])[...] = arr[r:r + rows]
-    if tail:
-        out[m - tail:] = _flat_slice(arr[r + rows], 0, tail)
-    return out

@@ -16,8 +16,8 @@ input.  7-tap transforms are rejected: their bases carry fractions that
 lose too much precision in fixed point.
 
 ``transform_conv`` is the one tiled transform convolution: the float
-reference runs it on reals with ``np.multiply``, and the plan walker on
-ring words with the backend's secret product.
+reference runs it on reals with a plain product sum, and the plan walker
+on ring words with the backend's secret one.
 """
 
 from __future__ import annotations
@@ -227,6 +227,9 @@ def transform_filter_real(w: np.ndarray, basis: WinogradBasis) -> np.ndarray:
     matrix-product order rounds differently, and a weight on a coarse grid
     can then land on the other side of a 2^-scale boundary.  Each step runs
     over all out x in channel pairs at once, which is what makes it fast.
+    A term with a zero tap, g[i,j] or g[l,k], is skipped: it is +-0.0 for a
+    finite weight, and adding +-0.0 leaves an accumulator that starts at
+    +0.0 as it is.
     """
     g = basis.g_float()
     n, r = g.shape
@@ -239,9 +242,9 @@ def transform_filter_real(w: np.ndarray, basis: WinogradBasis) -> np.ndarray:
     term = np.empty(c_out * c_in)
     for j in range(r):
         for k in range(r):
-            for i in range(n):
+            for i in np.flatnonzero(g[:, j]):
                 np.multiply(g[i, j], wt[j, k], out=gw)
-                for l in range(n):
+                for l in np.flatnonzero(g[:, k]):
                     np.multiply(gw, g[l, k], out=term)
                     acc[i, l] += term
     u = np.empty((c_out, c_in, n, n))
@@ -250,15 +253,17 @@ def transform_filter_real(w: np.ndarray, basis: WinogradBasis) -> np.ndarray:
 
 
 def transform_conv(x: np.ndarray, u: np.ndarray, basis: WinogradBasis,
-                   padding: int, groups: int, mul) -> np.ndarray:
+                   padding: int, groups: int, mul_sum) -> np.ndarray:
     """Tiled transform convolution, stride 1, of square maps on any dtype.
 
     ``u`` is the transformed filter (out, in per group, n, n) and
-    ``mul(a, b)`` the elementwise product of equal-shape arrays; all groups'
-    products go to it in one broadcast.  On float64 this is the real
-    convolution to rounding error.  On uint64 ring words every step is
-    exact modulo 2^64, and reducing modulo 2^l is a ring homomorphism, so
-    the caller masks the result once.
+    ``mul_sum(a, b, axis)`` the elementwise products of equal-shape arrays
+    summed over ``axis``, here the in-channel axis 5 of (batch, tile, tile,
+    groups, out per group, in per group, n, n); all groups' products go to
+    it in one broadcast.  On float64 this is the real convolution to
+    rounding error.  On uint64 ring words every step is exact modulo 2^64,
+    and reducing modulo 2^l is a ring homomorphism, so the caller masks the
+    result once.
     """
     n, k, m = basis.n, basis.r, basis.m
     m_out = x.shape[2] + 2 * padding - k + 1
@@ -278,7 +283,7 @@ def transform_conv(x: np.ndarray, u: np.ndarray, basis: WinogradBasis,
     x_exp = np.broadcast_to(vg[:, :, :, :, None],
                             (nb, t, t, groups, c_out // groups, cpg_in, n, n))
     w_exp = np.broadcast_to(u.reshape(x_exp.shape[3:]), x_exp.shape)
-    acc = mul(x_exp, w_exp).sum(axis=5, dtype=x.dtype)
+    acc = mul_sum(x_exp, w_exp, 5)
     prods = acc.reshape(nb, t, t, c_out, n, n).transpose(0, 3, 1, 2, 4, 5)
     y = np.einsum("ij,notujk,lk->notuil", at, prods, at, dtype=x.dtype)
     full = y.transpose(0, 1, 2, 4, 3, 5).reshape(nb, c_out, t * m, t * m)

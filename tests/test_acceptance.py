@@ -114,7 +114,8 @@ def _float_transform_conv(x, w, n, pad):
     from xconv2pc.winograd import basis_for_tile, transform_conv, transform_filter_real
 
     basis = basis_for_tile(n, w.shape[-1])
-    return transform_conv(x, transform_filter_real(w, basis), basis, pad, 1, np.multiply)
+    return transform_conv(x, transform_filter_real(w, basis), basis, pad, 1,
+                          lambda a, b, axis: np.multiply(a, b).sum(axis=axis))
 
 
 def test_criterion_3_float_equivalence_200_convs():

@@ -25,9 +25,11 @@ from xconv2pc.clear import infer_fixed, infer_float
 from xconv2pc.costs import count_mults
 from xconv2pc.plan import (
     MERGE_RECORD,
+    ClearOps,
     PlanRequirements,
     build_plan,
     execute_plan_clear,
+    flat_blocks,
     lt_cost,
     lt_digits,
 )
@@ -55,7 +57,6 @@ from xconv2pc.runtime import session
 from xconv2pc.runtime.protocol import (
     PartyEngine,
     ProtocolAbort,
-    _flat_slice,
     merge_round,
     pack_bitplanes,
     unpack_bitplanes,
@@ -432,6 +433,105 @@ def test_beaver_open_holds_its_payloads_and_a_few_slices():
     # the local work beyond them runs in 64 K-element slices, and 4 MiB
     # holds eight slices of words.
     assert peak <= 2 * (16 * n + 8 * n + (4 << 20))
+
+
+def _summed_operands(case, rng):
+    """Operands shaped as ``run_plan`` hands them to ``mul_sum``, and the axis.
+
+    "direct" is (positions, groups, out per group, in x k x k), summed over
+    the last axis in groups of 27; "winograd" is (batch, tile, tile, groups,
+    out per group, in per group, n, n), summed over the in-channel axis 5 in
+    groups of 5 x 16.  x broadcasts over the out channels, the weights over
+    the positions or tiles.
+    """
+    if case == "direct":
+        xs, ws, shape, axis = (50, 2, 1, 27), (1, 2, 3, 27), (50, 2, 3, 27), -1
+    else:
+        xs, ws, shape, axis = ((1, 3, 3, 1, 1, 5, 4, 4), (1, 1, 1, 1, 4, 5, 4, 4),
+                               (1, 3, 3, 1, 4, 5, 4, 4), 5)
+    x = rng.integers(0, 2**60, size=xs, dtype=np.uint64)
+    w = rng.integers(0, 2**60, size=ws, dtype=np.uint64)
+    return x, w, shape, axis
+
+
+@pytest.mark.parametrize("chunk,step", [(plan_mod.BEAVER_CHUNK, plan_mod.SLICE),
+                                        (1000, 61), (997, 160)])
+@pytest.mark.parametrize("case", ["direct", "winograd"])
+def test_summed_beaver_is_the_clear_product_sum_bit_for_bit(case, chunk, step, monkeypatch):
+    # Chunks of 1000 and 997 end inside groups; slices of 61 hold no whole
+    # winograd group, slices of 160 two of them, and both split direct ones.
+    monkeypatch.setattr(plan_mod, "BEAVER_CHUNK", chunk)
+    monkeypatch.setattr(plan_mod, "SLICE", step)
+    rng = np.random.default_rng(17)
+    x, w, shape, axis = _summed_operands(case, rng)
+    n = math.prod(shape)
+    x_sh = _split(RingTensor(x, 60), rng)
+    w_sh = _split(RingTensor(w, 60), rng)
+
+    def fn(engine):
+        p = engine.party
+        return engine.beaver(np.broadcast_to(x_sh[p], shape),
+                             np.broadcast_to(w_sh[p], shape), "t", axis=axis)
+
+    r0, r1, e0, e1 = run_two(fn, _StubPlan(mul=n), seed=18)
+    xb, wb = np.broadcast_to(x, shape), np.broadcast_to(w, shape)
+    want = (xb * wb).sum(axis=axis) & np.uint64(2**60 - 1)
+    assert r0.shape == r1.shape == want.shape
+    assert np.array_equal(_recon(r0, r1), want)
+    assert np.array_equal(ClearOps(CFG).mul_sum(xb, wb, axis, None), want)
+    for e in (e0, e1):
+        row = e.ledger.entries["t", "mul-open"]
+        assert (row.bytes_sent, row.rounds) == (16 * n, -(-n // chunk))
+
+
+def test_summed_products_hold_no_product_array():
+    import tracemalloc
+
+    # An fc-shaped sum of n = 2^20 products into 1,024 outputs.  Its whole
+    # product array would take 8 MiB per party, the clear side's as well.
+    b, o, i = 16, 64, 1024
+    n, shape = b * o * i, (b, o, i)
+    rng = np.random.default_rng(19)
+    x = rng.integers(0, 2**60, size=(b, 1, i), dtype=np.uint64)
+    w = rng.integers(0, 2**60, size=(o, i), dtype=np.uint64)
+    want = (np.broadcast_to(x, shape) * w).sum(axis=-1) & np.uint64(2**60 - 1)
+    out_bytes, slice_bytes = 8 * b * o, 8 * plan_mod.SLICE
+    tracemalloc.start()
+    try:
+        got = ClearOps(CFG).mul_sum(np.broadcast_to(x, shape), np.broadcast_to(w, shape),
+                                    -1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= out_bytes + slice_bytes + (1 << 20)
+
+    x_sh = _split(RingTensor(x, 60), rng)
+    w_sh = (w, np.broadcast_to(np.uint64(0), w.shape))      # (W, 0), as in a session
+    plan = _StubPlan(mul=n)
+    m0, m1 = generate_material(plan, 20)
+    t0, t1 = QueueTransport.pair()
+    engines = (PartyEngine(0, plan, t0, m0), PartyEngine(1, plan, t1, m1))
+    out = {}
+
+    def side(e):
+        out[e.party] = e.beaver(np.broadcast_to(x_sh[e.party], shape),
+                                np.broadcast_to(w_sh[e.party], shape), "t", axis=-1)
+
+    tracemalloc.start()
+    try:
+        th = threading.Thread(target=side, args=(engines[0],), daemon=True)
+        th.start()
+        side(engines[1])
+        th.join(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not th.is_alive()
+    assert np.array_equal(_recon(out[0], out[1]), want)
+    # Per party: its (2n,) payload (16 B per product), the sums and its
+    # three reused slice buffers; 1 MiB covers the rest.
+    assert peak <= 2 * (16 * n + out_bytes + 3 * slice_bytes) + (1 << 20)
 
 
 def test_dealer_peak_is_its_shares_and_at_most_one_stream():
@@ -1017,7 +1117,9 @@ def test_random_graph_structures_bitwise(data):
         g, _ = rewrite_winograd(g, candidates=tiles)
     x = _random_input((1, c, hw, hw), seed ^ 0x5A5A)
     chunk = data.draw(st.sampled_from([plan_mod.BEAVER_CHUNK, 257]), label="chunk")
-    with mock.patch.object(plan_mod, "BEAVER_CHUNK", chunk):
+    step = data.draw(st.sampled_from([plan_mod.SLICE, 61]), label="slice")
+    with mock.patch.object(plan_mod, "BEAVER_CHUNK", chunk), \
+            mock.patch.object(plan_mod, "SLICE", step):
         run = secure_infer_local(g, x, seed=seed + 9)
     assert np.array_equal(run.output.words, run.clear_reference.words)
 
@@ -1082,7 +1184,9 @@ def test_multi_chunk_grouped_conv_session(monkeypatch):
         assert rows[pl.name, "mul-open"] == (16 * pl.mults, -(-pl.mults // chunk))
 
 
-def test_flat_slice_matches_contiguous_copy():
+def test_flat_blocks_subtract_matches_contiguous_copy():
+    # Beaver writes x - a into its payload block by block, straight from the
+    # (broadcast) view: no block is a copy, and together they are the slice.
     rng = np.random.default_rng(76)
     base = rng.integers(0, 2**60, size=(3, 1, 5, 4), dtype=np.uint64)
     views = [
@@ -1101,8 +1205,14 @@ def test_flat_slice_matches_contiguous_copy():
         for pos in range(flat.size):
             for m in (1, 2, 5, 17, 61, flat.size):
                 m = min(m, flat.size - pos)
-                assert np.array_equal(_flat_slice(arr, pos, m),
-                                      flat[pos:pos + m]), (arr.shape, pos, m)
+                w = rng.integers(0, 2**60, size=m, dtype=np.uint64)
+                out = np.full(m, 7, dtype=np.uint64)
+                for idx, i, j in flat_blocks(arr.shape, pos, m):
+                    blk = arr[idx]
+                    assert np.shares_memory(blk, base)
+                    np.subtract(blk, w[i:j].reshape(blk.shape),
+                                out=out[i:j].reshape(blk.shape))
+                assert np.array_equal(out, flat[pos:pos + m] - w), (arr.shape, pos, m)
 
 
 def _client_rounds_from_plan(plan):
@@ -1331,20 +1441,20 @@ def test_weights_stay_masked_in_every_opened_difference(monkeypatch):
     # d = x - a and e = W - b; its payloads move with the dealer's masks,
     # and no e-half shows the layer's weight words.
     opened, weights = [], []
-    exchange, mul = PartyEngine.exchange, PartyEngine.mul
+    exchange, mul_sum = PartyEngine.exchange, PartyEngine.mul_sum
 
     def record_exchange(engine, opcode, payload, layer, op):
         if engine.party == 0 and op == "mul-open":
             opened[-1].setdefault(layer, []).append(np.array(payload, dtype=np.uint64))
         return exchange(engine, opcode, payload, layer, op)
 
-    def record_mul(engine, x, y, pl):
+    def record_mul(engine, x, y, axis, pl):
         if engine.party == 0:
             weights[-1].setdefault(pl.name, []).append(np.ascontiguousarray(y).reshape(-1))
-        return mul(engine, x, y, pl)
+        return mul_sum(engine, x, y, axis, pl)
 
     monkeypatch.setattr(PartyEngine, "exchange", record_exchange)
-    monkeypatch.setattr(PartyEngine, "mul", record_mul)
+    monkeypatch.setattr(PartyEngine, "mul_sum", record_mul)
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=55)
     x = _random_input(g.input_shape, 56)
     for seed in (57, 58):
@@ -1488,9 +1598,9 @@ def test_both_parties_catch_a_conversion_split_in_two_opens(transport, monkeypat
 
     beaver = PartyEngine.beaver
 
-    def in_halves(engine, x, y, layer, kind="mul"):
+    def in_halves(engine, x, y, layer, kind="mul", axis=None):
         if layer != "relu1":
-            return beaver(engine, x, y, layer, kind)
+            return beaver(engine, x, y, layer, kind, axis)
         h = x.size // 2
         return np.concatenate([beaver(engine, x[:h], y[:h], layer, kind),
                                beaver(engine, x[h:], y[h:], layer, kind)])
@@ -1536,8 +1646,8 @@ def test_a_ledger_mismatch_on_one_party_stops_both_with_the_verification_exit_co
 
     beaver = PartyEngine.beaver
 
-    def misbooked(engine, x, y, layer, kind="mul"):
-        out = beaver(engine, x, y, layer, kind)
+    def misbooked(engine, x, y, layer, kind="mul", axis=None):
+        out = beaver(engine, x, y, layer, kind, axis)
         if engine.party == 0 and layer == "relu1":
             engine.ledger.bump_round(layer, f"{kind}-open")
         return out

@@ -215,7 +215,7 @@ def float_transform_conv(x, w, n, padding=0):
     """Float transform convolution with n x n tiles, through the shared kernel."""
     basis = basis_for_tile(n, w.shape[-1])
     return transform_conv(x, transform_filter_real(w, basis), basis, padding, 1,
-                          np.multiply)
+                          lambda a, b, axis: np.multiply(a, b).sum(axis=axis))
 
 
 def test_delta_filter_float_is_crop():
@@ -332,6 +332,38 @@ def test_filter_transform_is_einsum_bit_for_bit():
                 (bb, var, px, spec.name)
             tagged += 1
     assert tagged > 500
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_filter_transform_is_einsum_bit_for_bit_at_signed_zeros_subnormals_and_huge(n):
+    # The transform skips terms with a zero tap; each would add +-0.0, so
+    # the bits stay einsum's at the values where a float sum is delicate:
+    # signed zeros (an all -0.0 filter too), subnormals, and weights whose
+    # terms overflow to inf.
+    basis = basis_for_tile(n, 3)
+    gf = basis.g_float()
+    taps = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7e308, -3.0]
+    rng = np.random.default_rng(6)
+    for w in (np.full((2, 3, 3, 3), -0.0), np.zeros((1, 1, 3, 3)),
+              np.array(taps * 6).reshape(2, 3, 3, 3),
+              rng.choice(taps, size=(3, 4, 3, 3))):
+        with np.errstate(over="ignore"):
+            got = transform_filter_real(w, basis)
+            want = np.einsum("ij,ocjk,lk->ocil", gf, w, gf)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_transform_weight_fails_the_plan_build(bad):
+    # A skipped zero tap would have made 0 x inf = nan; the weight still
+    # reaches the nonzero taps, so the build fails as it did with the term.
+    b = GraphBuilder((1, 2, 8, 8), seed=1)
+    b.conv("c", INPUT, 2, 3, 3, padding=1, bias=False)
+    b.weights["c.weight"][1, 1, 2, 0] = bad
+    g, _ = rewrite_winograd(b.build(), candidates=(4,))
+    msg = "non-finite value" if np.isnan(bad) else "no usable activation range"
+    with pytest.raises(FixedPointOverflowError, match=msg):
+        build_plan(g)
 
 
 def test_weighted_plan_words_match_their_pin():

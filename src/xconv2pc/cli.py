@@ -40,7 +40,7 @@ from .ring import (
     encode_fixed,
     serialize_tensor,
 )
-from .runtime.material import generate_material, load_material, verify_material_pair, write_material
+from .runtime.material import deal_material, load_material, verify_material_pair
 from .runtime.session import (
     connect_with_retry,
     listen_once,
@@ -210,12 +210,10 @@ def dealer(graph_path, zoo_spec, bitwidth, scale, seed, material_dir):
     """Generate both parties' preprocessed randomness files."""
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     plan = build_plan(g, with_weights=False)
-    m0, m1 = generate_material(plan, seed)
     os.makedirs(material_dir, exist_ok=True)
     p0 = os.path.join(material_dir, "party0.dlr")
     p1 = os.path.join(material_dir, "party1.dlr")
-    write_material(m0, p0)
-    write_material(m1, p1)
+    deal_material(plan, seed, (p0, p1))
     req = plan.requirements()
     click.echo(f"wrote {p0} and {p1} "
                f"(mul={req.mul_triples:,} aux={req.aux_triples:,} "

@@ -60,6 +60,26 @@ digit tree.  Identical seeds give byte-identical files.  Both parties
 consume with lockstep cursors; running past the end raises, and a file
 whose trailing digest does not match its contents is rejected before any
 use.
+
+Material lives in files, not in process memory.  The dealer works kind
+by kind and ``_CHUNK`` entries at a time, fewer where entries are wide
+(``_deal``): each chunk draws both parties' expanded shares and computes
+party 1's corrections from them, so no whole stream is ever held.
+``deal_material`` writes the chunks into the two files.
+``generate_material`` and ``load_material`` write each party's 16
+streams, in ``_layout`` order and each from a page boundary, into that
+party's spill: a private file in ``tempfile.gettempdir()`` (``TMPDIR``),
+unlinked as it is made, so a crashed run leaves nothing behind.  A
+store's arrays are views of its spill, mapped shared.  ``take`` drops
+the whole pages that earlier takes consumed (``MADV_DONTNEED``) once
+``_RELEASE`` bytes of a stream are pending, so a party keeps only the
+material in use resident.  A dropped page that is read again faults its
+bytes back in from the spill: an early drop costs time, never bits.
+``load_material`` copies the file's stored streams into the spill as it
+hashes them, and expands the party's own streams only once the digest
+matches.  The user's file is never mapped, so the digest covers exactly
+the bytes the session reads, and a file rewritten later cannot fault a
+running party.  None of this moves a byte of format 5.
 """
 
 from __future__ import annotations
@@ -67,8 +87,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import mmap
 import os
 import struct
+import tempfile
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +134,21 @@ _INDEX = {name: i for i, (name, _) in enumerate(_STREAMS)}
 # The streams each party expands from its key; its file stores the others.
 _EXPANDED = (tuple(_INDEX), ("mul_a", "mul_b", "aux_a", "aux_b", "trunc_r", "cmp_r"))
 _SAMPLE = 4096  # leading entries of each stream verify_material_pair checks
-_CHUNK = 1 << 16  # words per step of the dealer's product corrections
+# Entries per step of dealing and of expansion; a multiple of 4, so each
+# step of gate bytes draws whole 32-bit words, as one whole draw does.
+# A step writes 512 KiB of each word stream, which the page cache keeps in
+# folios that large, so the online phase maps a spill in few faults.
+_CHUNK = 1 << 16
+_WIDE = 1 << 21  # bytes of a step's widest stream: fewer entries where they are wide
+_PAGE = mmap.PAGESIZE
+_RELEASE = 1 << 20  # consumed bytes of a stream that take drops at once
+_BLOCK = 1 << 20  # bytes per read or write of a file or spill
 
 
 @dataclass
 class MaterialStore:
-    """One party's preprocessed randomness with consumption cursors."""
+    """One party's preprocessed randomness with consumption cursors; its
+    arrays are views of its spill."""
 
     party: int
     seed: int
@@ -123,6 +156,7 @@ class MaterialStore:
     arrays: dict
     key: bytes          # the party's PRG key, from which it expands its streams
     bitwidth: int
+    spill: "_Spill"
 
     def __post_init__(self):
         self.cursors = {"mul": 0, "aux": 0, "trunc": 0, "cmp": 0, "bool": 0}
@@ -131,7 +165,8 @@ class MaterialStore:
         """The next n entries of each of the kind's streams, in file order.
 
         ``layer`` names the plan layer taking them, for the error raised
-        when a stream runs out.
+        when a stream runs out.  The pages that earlier takes consumed are
+        dropped once ``_RELEASE`` bytes of a stream are pending.
         """
         names = _NAMES[kind]
         cur = self.cursors[kind]
@@ -141,10 +176,109 @@ class MaterialStore:
                 f"dealer material exhausted at layer {layer}, op {kind}: stream "
                 f"{kind!r} needs {end}, holds {len(self.arrays[names[0]])}")
         self.cursors[kind] = end
+        for name in names:
+            self.spill.release(name, cur)
         return tuple(self.arrays[name][cur:end] for name in names)
 
     def counts(self) -> dict:
         return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
+
+
+class _Spill:
+    """One party's streams in a private file, unlinked as it is made.
+
+    The streams follow one another in ``_layout`` order, each from a page
+    boundary.  Chunks are written with ``pwrite``; ``mapped`` then maps the
+    file shared and returns the streams as views of the map, whose pages
+    ``release`` drops.
+    """
+
+    def __init__(self, layout: dict):
+        self.layout = layout
+        self.entry = {name: dt.itemsize * math.prod(shape[1:])
+                      for name, (dt, shape) in layout.items()}
+        self.offsets, end = {}, 0
+        for name, (_, shape) in layout.items():
+            self.offsets[name] = end
+            end += -(-self.entry[name] * shape[0] // _PAGE) * _PAGE
+        self.size = max(end, _PAGE)         # a map needs a nonempty file
+        self.released = dict.fromkeys(layout, 0)  # bytes dropped per stream
+        self.file = tempfile.TemporaryFile(buffering=0)
+        self.close = weakref.finalize(self, self.file.close)  # at the latest when dropped
+        self.map = None
+
+    def write(self, name: str, at: int, chunk: np.ndarray) -> None:
+        """Entries ``at`` onwards of stream ``name``."""
+        self.copy(name, at * self.entry[name],
+                  np.ascontiguousarray(chunk, self.layout[name][0]))
+
+    def copy(self, name: str, at: int, data) -> None:
+        """Bytes ``at`` onwards of stream ``name``."""
+        _pwrite(self.file.fileno(), data, self.offsets[name] + at)
+
+    def expand(self, key: bytes, names: tuple, bitwidth: int) -> None:
+        """Draw streams ``names`` from ``key``, a step (``_step``) at a time."""
+        for name, rng in _key_streams(key, names).items():
+            shape = self.layout[name][1]
+            step = _step(self.layout, (name,))
+            for lo in range(0, shape[0], step):
+                n = min(step, shape[0] - lo)
+                self.write(name, lo, _draw(rng, name, (n,) + shape[1:], bitwidth))
+
+    def read(self, name: str, nbytes: int, buf: memoryview):
+        """The first ``nbytes`` of stream ``name``, read a ``buf`` at a time."""
+        return _blocks(self.file.fileno(), self.offsets[name], nbytes, buf)
+
+    def mapped(self) -> dict:
+        """Map the spill; stream name -> its array, a view of the map."""
+        os.ftruncate(self.file.fileno(), self.size)
+        self.map = mmap.mmap(self.file.fileno(), self.size)
+        return {name: np.frombuffer(self.map, dt, math.prod(shape),
+                                    self.offsets[name]).reshape(shape)
+                for name, (dt, shape) in self.layout.items()}
+
+    def release(self, name: str, consumed: int) -> None:
+        """Drop the whole pages of stream ``name``'s first ``consumed``
+        entries not dropped yet, once there are ``_RELEASE`` bytes of them."""
+        upto = consumed * self.entry[name] // _PAGE * _PAGE
+        done = self.released[name]
+        if upto - done >= _RELEASE:
+            self.map.madvise(mmap.MADV_DONTNEED, self.offsets[name] + done, upto - done)
+            self.released[name] = upto
+
+
+@contextmanager
+def _closed_on_error(spills: list):
+    """Close the spills made inside if it raises."""
+    try:
+        yield spills
+    except BaseException:
+        for spill in spills:
+            spill.close()
+        raise
+
+
+def _pwrite(fd: int, data, at: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        n = os.pwrite(fd, view, at)
+        view, at = view[n:], at + n
+
+
+def _blocks(fd: int, at: int, nbytes: int, buf: memoryview):
+    """Bytes ``at`` to ``at + nbytes`` of ``fd``, read into ``buf`` a block at
+    a time; each view yielded is valid until the next."""
+    end = at + nbytes
+    while at < end:
+        view = buf[:min(len(buf), end - at)]
+        got = 0
+        while got < len(view):
+            n = os.preadv(fd, [view[got:]], at + got)
+            if not n:
+                raise MaterialError("dealer material ended early")
+            got += n
+        yield view
+        at += len(view)
 
 
 def prg(seed: int, *domain: int) -> np.random.Generator:
@@ -173,16 +307,35 @@ def _layout(counts: dict, trunc_digits: int, cmp_digits: int) -> dict:
     return out
 
 
-def _expand(key: bytes, name: str, shape: tuple, bitwidth: int) -> np.ndarray:
-    """Stream ``name`` of the party holding ``key``: uniform entries of the
-    stream's dtype (ring words, merge words, table words or gate bytes)."""
-    rng = prg(int.from_bytes(key, "little"), _INDEX[name])
+def _step(layout: dict, names) -> int:
+    """Entries per step over streams ``names``: ``_CHUNK``, or fewer, a
+    multiple of 4, where that would hold more than ``_WIDE`` bytes of one."""
+    widest = max(layout[n][0].itemsize * math.prod(layout[n][1][1:]) for n in names)
+    return min(_CHUNK, max(4, _WIDE // widest // 4 * 4))
+
+
+def _key_streams(key: bytes, names) -> dict:
+    """Stream name -> the generator the party holding ``key`` draws it from."""
+    entropy = int.from_bytes(key, "little")
+    return {name: prg(entropy, _INDEX[name]) for name in names}
+
+
+def _draw(rng, name: str, shape: tuple, bitwidth: int) -> np.ndarray:
+    """The next entries of stream ``name`` from ``rng``: uniform entries of
+    the stream's dtype (ring words, merge words, table words or gate bytes)."""
     dt = _ENTRY.get(name, ("<u8",))[0]
     if dt == "u1":
         return rng.integers(0, 32, size=shape, dtype=_U8)
     if dt == "<u4":
         return rng.integers(0, 1 << 32, size=shape, dtype=_U32)
     return uniform(rng, shape, 64 if name == "bool_merge" else bitwidth)
+
+
+def _advanced(rng, steps: int) -> np.random.Generator:
+    """A generator that draws what ``rng`` draws after ``steps`` 64-bit words."""
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits.advance(steps))
 
 
 @functools.lru_cache(maxsize=32)
@@ -321,21 +474,23 @@ def merge_products(masks: np.ndarray) -> np.ndarray:
     return e_products(masks[MERGE_DIGITS:])[_SUB_A] & heads[_SUB_L]
 
 
-def generate_material(plan: FixedPlan, seed: int) -> tuple:
-    """Dealer preprocessing for one session; returns both parties' stores.
+def _deal(plan: FixedPlan, seed: int) -> tuple:
+    """The stream layout, both parties' keys, and the dealing itself.
 
-    Each party's key-derived streams are expanded as ``load_material``
-    expands them.  Party 1's other streams are the corrections that make
-    each pair's sum (or XOR) the dealt value: a product of the expanded
-    masks, something derived from them, or a record of the dealer's own
-    masks, drawn from ``prg(seed, 1)``.  Each correction is computed in the
-    array that holds it, the triples' one chunk at a time, and party 0's
-    share of a value is expanded only once the value is computed, so the
-    value's temporaries never sit beside it.
+    The dealing yields (stream, first entry, party 0's chunk, party 1's
+    chunk), kind by kind and a step (``_step``) at a time, the merge words
+    in whole records.  Each party's key-derived streams are drawn as
+    ``load_material`` expands them.  Party 1's other streams are the
+    corrections that make each pair's sum (or XOR) the dealt value: a
+    product of the expanded masks, something derived from them, or a
+    record of the dealer's own masks, drawn from ``prg(seed, 1)``.  The
+    chunks of a stream hold the words of one whole draw: 64- and 32-bit
+    draws split anywhere, gate bytes at multiples of 4, and the (10,
+    records) merge masks are drawn row by row, each from a copy of the
+    dealer's generator advanced to the row's start.
     """
     req = plan.requirements()
     cfg = plan.cfg
-    mask = _U64(cfg.mask)
     records, rest = divmod(req.bool_words, MERGE_RECORD)
     if rest:
         raise MaterialError(f"{req.bool_words} boolean words are not whole "
@@ -346,129 +501,203 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
                      lt_digits(cfg.scale) + lt_digits(cfg.bitwidth),
                      lt_digits(cfg.bitwidth - 1))
     keys = tuple(prg(seed, 0, party).bytes(KEY_BYTES) for party in (0, 1))
-    p0 = {}
-    p1 = {name: _expand(keys[1], name, layout[name][1], cfg.bitwidth)
-          for name in _EXPANDED[1]}
+    return layout, keys, _dealt_chunks(layout, keys, prg(seed, 1), records, cfg)
 
-    def share0(name):
-        p0[name] = _expand(keys[0], name, layout[name][1], cfg.bitwidth)
-        return p0[name]
 
-    def dealt(name):
-        values = share0(name) + p1[name]
-        values &= mask
-        return values
+def _dealt_chunks(layout: dict, keys: tuple, dealer, records: int,
+                  cfg: FixedPointConfig):
+    mask = _U64(cfg.mask)
+    rngs = (_key_streams(keys[0], layout), _key_streams(keys[1], _EXPANDED[1]))
 
-    def arith(name, values):
-        values -= share0(name)
-        values &= mask
-        p1[name] = values
+    def gates(prefix, s0, s1):
+        rec = dealer.integers(0, 32, size=s0[f"{prefix}_gate"].shape, dtype=_U8)
+        u = gate_values(rec)
+        u -= s0[f"{prefix}_u"]
+        u &= mask
+        s1[f"{prefix}_u"] = u
+        s1[f"{prefix}_gate"] = rec ^ s0[f"{prefix}_gate"]
 
-    def xor(name, values):
-        values ^= share0(name)
-        p1[name] = values
+    for kind in _KINDS:
+        names = _NAMES[kind]
+        if kind == "bool":
+            rows = [_advanced(dealer, i * records) for i in range(2 * MERGE_DIGITS)]
+            step = max(1, _CHUNK // MERGE_RECORD) * MERGE_RECORD
+        else:
+            step = _step(layout, names)
+        count = layout[names[0]][1][0]
+        for lo in range(0, count, step):
+            n = min(step, count - lo)
+            s0, s1 = ({name: _draw(rng[name], name, (n,) + layout[name][1][1:],
+                                   cfg.bitwidth)
+                       for name in names if name in rng} for rng in rngs)
+            if kind in ("mul", "aux"):
+                a, b, c = names
+                c1 = s0[a] + s1[a]          # c1 = (a0 + a1)(b0 + b1) - c0
+                c1 *= s0[b] + s1[b]
+                c1 -= s0[c]
+                c1 &= mask
+                s1[c] = c1
+            elif kind == "trunc":
+                r = (s0["trunc_r"] + s1["trunc_r"]) & mask
+                s1["trunc_shift"] = ((r >> _U64(cfg.scale)) - s0["trunc_shift"]) & mask
+                s1["trunc_tab"] = s0["trunc_tab"] ^ np.concatenate(
+                    [digit_tables(r, cfg.scale), digit_tables(r, cfg.bitwidth)], axis=1)
+                gates("trunc", s0, s1)
+            elif kind == "cmp":
+                r = (s0["cmp_r"] + s1["cmp_r"]) & mask
+                s1["cmp_tab"] = s0["cmp_tab"] ^ _sign_tables(r, cfg.bitwidth)
+                gates("cmp", s0, s1)
+            else:
+                masks = np.stack([uniform(row, n // MERGE_RECORD, 64) for row in rows])
+                s1["bool_merge"] = s0["bool_merge"] ^ merge_products(masks).T.reshape(-1)
+            for name in names:
+                yield name, lo, s0[name], s1[name]
 
-    # c1 = (a0 + a1)(b0 + b1) - c0, a chunk at a time through one reused
-    # buffer; a fresh temporary per chunk fragments the heap (10 MiB more
-    # peak resident memory in an in-process session).
-    buf = np.empty(_CHUNK, _U64)
-    for prefix in ("mul", "aux"):
-        a0, b0, c0 = (share0(f"{prefix}_{s}") for s in "abc")
-        a1, b1 = p1[f"{prefix}_a"], p1[f"{prefix}_b"]
-        c1 = p1[f"{prefix}_c"] = np.empty_like(c0)
-        for lo in range(0, len(c0), _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            c, bsum = c1[part], buf[:len(c1[part])]
-            np.add(a0[part], a1[part], out=c)
-            np.add(b0[part], b1[part], out=bsum)
-            c *= bsum
-            c -= c0[part]
-            c &= mask
-    del buf
 
-    rng = prg(seed, 1)
+def generate_material(plan: FixedPlan, seed: int) -> tuple:
+    """Dealer preprocessing for one session; returns both parties' stores.
 
-    def gates(prefix):
-        rec = rng.integers(0, 32, size=layout[f"{prefix}_gate"][1], dtype=_U8)
-        arith(f"{prefix}_u", gate_values(rec))
-        xor(f"{prefix}_gate", rec)
-
-    r = dealt("trunc_r")
-    arith("trunc_shift", r >> _U64(cfg.scale))
-    xor("trunc_tab", np.concatenate([digit_tables(r, cfg.scale),
-                                     digit_tables(r, cfg.bitwidth)], axis=1))
-    gates("trunc")
-    r = dealt("cmp_r")
-    xor("cmp_tab", _sign_tables(r, cfg.bitwidth))
-    gates("cmp")
-    del r
-    xor("bool_merge",
-        merge_products(uniform(rng, (2 * MERGE_DIGITS, records), 64)).T.reshape(-1))
-
+    Every chunk of the dealing (``_deal``) goes into its party's spill, and
+    each store's arrays are views of that spill, so no word is drawn twice
+    and no stream is held in memory.
+    """
+    layout, keys, chunks = _deal(plan, seed)
+    with _closed_on_error([]) as spills:
+        spills += [_Spill(layout), _Spill(layout)]
+        for name, at, *shares in chunks:
+            for spill, chunk in zip(spills, shares):
+                spill.write(name, at, chunk)
+        arrays = [spill.mapped() for spill in spills]
     ghash = bytes.fromhex(plan.graph_hash)
-    return tuple(MaterialStore(party, seed, ghash, {name: p[name] for name in layout},
-                               keys[party], cfg.bitwidth) for party, p in enumerate((p0, p1)))
+    return tuple(MaterialStore(party, seed, ghash, arrays[party], keys[party],
+                               plan.cfg.bitwidth, spill)
+                 for party, spill in enumerate(spills))
 
 
 # -- files -----------------------------------------------------------------------
 
 
+def _header(party: int, layout: dict, bitwidth: int, seed: int, ghash: bytes,
+            key: bytes) -> bytes:
+    return _HEADER.pack(MATERIAL_MAGIC, MATERIAL_VERSION, party,
+                        layout["trunc_tab"][1][1], layout["cmp_tab"][1][1], bitwidth,
+                        seed, ghash, *(layout[_NAMES[k][0]][1][0] for k in _KINDS), key)
+
+
+def _stored(layout: dict, party: int) -> tuple:
+    """Where the party's file holds each stream it does not expand, and
+    where its digest starts."""
+    where, end = {}, _HEADER.size
+    for name, (dt, shape) in layout.items():
+        if name not in _EXPANDED[party]:
+            where[name] = end
+            end += dt.itemsize * math.prod(shape)
+    return where, end
+
+
+def deal_material(plan: FixedPlan, seed: int, paths: tuple) -> None:
+    """Write both parties' files (``paths``, party 0's first) a chunk at a time.
+
+    Each stored chunk of the dealing (``_deal``) is written at its offset,
+    which the header's counts fix, and each file is then sealed
+    (``_seal``).  No spill is written and no stream is held.
+    """
+    layout, keys, chunks = _deal(plan, seed)
+    ghash = bytes.fromhex(plan.graph_hash)
+    stored = [_stored(layout, party) for party in (0, 1)]
+    with open(paths[0], "wb+", buffering=0) as f0, open(paths[1], "wb+", buffering=0) as f1:
+        fds = (f0.fileno(), f1.fileno())
+        for party, fd in enumerate(fds):
+            _pwrite(fd, _header(party, layout, plan.cfg.bitwidth, seed, ghash,
+                                keys[party]), 0)
+        for name, at, *shares in chunks:
+            for fd, (where, _), chunk in zip(fds, stored, shares):
+                if name in where:
+                    dt, shape = layout[name]
+                    _pwrite(fd, np.ascontiguousarray(chunk, dt),
+                            where[name] + at * dt.itemsize * math.prod(shape[1:]))
+        for fd, (_, end) in zip(fds, stored):
+            _seal(fd, end)
+
+
 def write_material(store: MaterialStore, path: str) -> None:
-    """Header, the streams the party does not expand, then their SHA-256;
-    each stream is written from its buffer."""
-    counts = store.counts()
-    head = _HEADER.pack(MATERIAL_MAGIC, MATERIAL_VERSION, store.party,
-                        store.arrays["trunc_tab"].shape[1],
-                        store.arrays["cmp_tab"].shape[1], store.bitwidth, store.seed,
-                        store.graph_hash, *(counts[k] for k in _KINDS), store.key)
-    digest = hashlib.sha256(head)
-    with open(path, "wb") as f:
-        f.write(head)
-        for name, _ in _STREAMS:
-            if name in _EXPANDED[store.party]:
-                continue
-            a = store.arrays[name]
-            buf = memoryview(np.ascontiguousarray(a, a.dtype.newbyteorder("<")))
-            digest.update(buf)
-            f.write(buf)
-        f.write(digest.digest())
+    """Header, the streams the party does not expand, then their SHA-256.
+
+    Each stream is copied from the spill a block at a time (``pread``, not
+    through the map), and the file is then sealed (``_seal``).
+    """
+    layout = {name: (a.dtype, a.shape) for name, a in store.arrays.items()}
+    where, end = _stored(layout, store.party)
+    buf = memoryview(bytearray(_BLOCK))
+    with open(path, "wb+", buffering=0) as f:
+        fd = f.fileno()
+        _pwrite(fd, _header(store.party, layout, store.bitwidth, store.seed,
+                            store.graph_hash, store.key), 0)
+        for name, at in where.items():
+            for view in store.spill.read(name, store.arrays[name].nbytes, buf):
+                _pwrite(fd, view, at)
+                at += len(view)
+        _seal(fd, end)
+
+
+def _seal(fd: int, end: int) -> None:
+    """Append the SHA-256 of the file's first ``end`` bytes, read in
+    bounded blocks."""
+    digest = hashlib.sha256()
+    for view in _blocks(fd, 0, end, memoryview(bytearray(_BLOCK))):
+        digest.update(view)
+    _pwrite(fd, digest.digest(), end)
 
 
 def load_material(path: str) -> MaterialStore:
-    """Read a material file into one buffer; the stored streams are views of
-    it, and the others are expanded from the party's key."""
+    """Read a material file into a spill and map it.
+
+    The file is read in bounded blocks; each is hashed, and its stored
+    streams' bytes are copied into the party's spill.  Only once the digest
+    matches are the party's own streams expanded into the spill from its
+    key, a chunk at a time.
+    """
     try:
-        with open(path, "rb") as f:
-            blob = bytearray(os.fstat(f.fileno()).st_size)
-            f.readinto(blob)
+        with open(path, "rb", buffering=0) as f, _closed_on_error([]) as spills:
+            fd = f.fileno()
+            size = os.fstat(fd).st_size
+            head = os.pread(fd, _HEADER.size, 0)
+            if size < _HEADER.size + 32 or head[:4] != MATERIAL_MAGIC:
+                raise MaterialError("not a dealer material file")
+            (_, version, party, trunc_digits, cmp_digits, bitwidth, seed, ghash,
+             *counts, key) = _HEADER.unpack(head)
+            # The stored streams, where the header is one this loader reads
+            # and the file's length fits it; else the body is only hashed.
+            segments = [(None, _HEADER.size, size - _HEADER.size - 32)]
+            if version == MATERIAL_VERSION and party in (0, 1):
+                layout = _layout(dict(zip(_KINDS, counts)), trunc_digits, cmp_digits)
+                where, end = _stored(layout, party)
+                if end == size - 32:
+                    spills.append(_Spill(layout))
+                    segments = [(name, at, spills[0].entry[name] * layout[name][1][0])
+                                for name, at in where.items()]
+            digest = hashlib.sha256(head)
+            buf = memoryview(bytearray(_BLOCK))
+            for name, at, nbytes in segments:
+                done = 0
+                for view in _blocks(fd, at, nbytes, buf):
+                    digest.update(view)
+                    if name is not None:
+                        spills[0].copy(name, done, view)
+                    done += len(view)
+            if digest.digest() != os.pread(fd, 32, size - 32):
+                raise MaterialError("dealer material failed its integrity check")
+            if version != MATERIAL_VERSION:
+                raise MaterialError(f"unsupported material version {version}")
+            if party not in (0, 1):
+                raise MaterialError(f"dealer material for party {party}")
+            if not spills:
+                raise MaterialError("dealer material stream lengths are inconsistent")
+            spills[0].expand(key, _EXPANDED[party], bitwidth)
+            arrays = spills[0].mapped()
     except OSError as e:
         raise MaterialError(f"cannot read dealer material: {e}") from e
-    if len(blob) < _HEADER.size + 32 or blob[:4] != MATERIAL_MAGIC:
-        raise MaterialError("not a dealer material file")
-    if hashlib.sha256(memoryview(blob)[:-32]).digest() != blob[-32:]:
-        raise MaterialError("dealer material failed its integrity check")
-    (_, version, party, trunc_digits, cmp_digits, bitwidth, seed, ghash,
-     *counts, key) = _HEADER.unpack_from(blob)
-    if version != MATERIAL_VERSION:
-        raise MaterialError(f"unsupported material version {version}")
-    if party not in (0, 1):
-        raise MaterialError(f"dealer material for party {party}")
-    layout = _layout(dict(zip(_KINDS, counts)), trunc_digits, cmp_digits)
-    stored = {name: spec for name, spec in layout.items()
-              if name not in _EXPANDED[party]}
-    body = len(blob) - _HEADER.size - 32
-    if body != sum(dt.itemsize * math.prod(shape) for dt, shape in stored.values()):
-        raise MaterialError("dealer material stream lengths are inconsistent")
-    arrays, off = {}, _HEADER.size
-    for name, (dt, shape) in layout.items():
-        if name not in stored:
-            arrays[name] = _expand(key, name, shape, bitwidth)
-            continue
-        n = math.prod(shape)
-        arrays[name] = np.frombuffer(blob, dt, n, off).astype(
-            dt.newbyteorder("="), copy=False).reshape(shape)
-        off += dt.itemsize * n
-    return MaterialStore(party, seed, ghash, arrays, key, bitwidth)
+    return MaterialStore(party, seed, ghash, arrays, key, bitwidth, spills[0])
 
 
 def verify_material_pair(m0: MaterialStore, m1: MaterialStore,

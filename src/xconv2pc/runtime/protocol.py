@@ -194,7 +194,7 @@ class PartyEngine:
             except TransportError:
                 return
             if frame.opcode == OP_ABORT:
-                raise ProtocolAbort(frame.payload.decode("utf-8", "replace"))
+                raise ProtocolAbort(str(frame.payload, "utf-8", "replace"))
 
     def _recv(self, expect_opcode: int, layer: str, op: str) -> Frame:
         expect_tag = self._tags[layer]
@@ -203,7 +203,7 @@ class PartyEngine:
         except TransportError as e:
             raise TransportError(f"{e} at {layer}/{op}") from e
         if frame.opcode == OP_ABORT:
-            raise ProtocolAbort(frame.payload.decode("utf-8", "replace"))
+            raise ProtocolAbort(str(frame.payload, "utf-8", "replace"))
         if frame.opcode != expect_opcode or frame.layer_tag != expect_tag:
             raise TransportError(
                 f"protocol desync at {layer}/{op}: expected opcode "
@@ -213,7 +213,12 @@ class PartyEngine:
         return frame
 
     def exchange(self, opcode: int, payload, layer: str, op: str):
-        """Symmetric opening: model owner writes first, client reads first."""
+        """Symmetric opening: model owner writes first, client reads first.
+
+        The peer's payload is valid only until this engine's next receive:
+        over a socket it is a view of the transport's one receive buffer,
+        which the next frame overwrites.  Copy what must outlive it.
+        """
         frame = Frame(opcode, self._tags[layer], payload)
         if self.party == 0:
             self._send(frame, layer, op)
@@ -229,6 +234,8 @@ class PartyEngine:
         self.ledger.bump_round(layer, op)
 
     def recv_oneway(self, opcode: int, layer: str, op: str) -> bytes:
+        """The peer's payload, valid only until the next receive (see
+        ``exchange``)."""
         frame = self._recv(opcode, layer, op)
         self.ledger.bump_round(layer, op)
         return frame.payload

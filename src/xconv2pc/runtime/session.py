@@ -62,6 +62,7 @@ from .wire import (
 _HELLO = struct.Struct("<HBB32s8s")
 
 MODEL_JOIN_TIMEOUT = 600.0  # seconds secure_infer_local waits for the model party
+IO_TIMEOUT = 600.0  # seconds a TCP party waits on one socket operation
 
 
 def _hello_payload(plan: FixedPlan, seed: int) -> bytes:
@@ -295,6 +296,8 @@ def secure_infer_local(graph: Graph, x, seed: int = 0,
 
 
 def listen_once(host: str, port: int, timeout: float = 60.0) -> SocketTransport:
+    """Accept one peer within ``timeout`` seconds; each later socket
+    operation may wait ``IO_TIMEOUT`` seconds."""
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
@@ -306,20 +309,21 @@ def listen_once(host: str, port: int, timeout: float = 60.0) -> SocketTransport:
         raise TransportError(f"listen on {host}:{port} failed: {e}") from e
     finally:
         srv.close()
-    conn.settimeout(600)
+    conn.settimeout(IO_TIMEOUT)
     return SocketTransport(conn)
 
 
 def connect_with_retry(host: str, port: int, timeout: float = 60.0) -> SocketTransport:
     """Dial until the peer listens: the pause between attempts starts at
-    5 ms and doubles up to 0.1 s, so a peer that listens soon is met soon."""
+    5 ms and doubles up to 0.1 s, so a peer that listens soon is met soon.
+    Each later socket operation may wait ``IO_TIMEOUT`` seconds."""
     deadline = time.monotonic() + timeout
     last = None
     pause = 0.005
     while time.monotonic() < deadline:
         try:
             sock = socket.create_connection((host, port), timeout=5)
-            sock.settimeout(600)
+            sock.settimeout(IO_TIMEOUT)
             return SocketTransport(sock)
         except OSError as e:
             last = e

@@ -39,6 +39,8 @@ import socket
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import TransportError
 
 PROTOCOL_VERSION = 5
@@ -51,6 +53,7 @@ OP_SYNC = 5
 OP_ABORT = 6
 
 SESSION_TAG = 0xFFFFFFFF  # layer tag for session-level frames
+QUEUE_TIMEOUT = 600.0  # seconds an in-process party waits for its peer's frame
 
 _HEADER = struct.Struct("<IHI")
 
@@ -193,15 +196,25 @@ class QueueTransport(Transport):
 
     def recv(self) -> Frame:
         try:
-            return self.inbox.get(timeout=600)
+            return self.inbox.get(timeout=QUEUE_TIMEOUT)
         except queue.Empty:
-            raise TransportError("peer went silent") from None
+            raise TransportError(f"peer went silent for {QUEUE_TIMEOUT:g} s") from None
 
 
 class SocketTransport(Transport):
+    """Frames over a stream socket.
+
+    Every payload is received into the transport's one buffer, which a
+    larger frame replaces (an exported buffer is never resized); so a
+    received payload is valid until the next receive, and each reader is
+    done with it by then.
+    """
+
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._header = bytearray(HEADER_SIZE)
+        self._buf = np.empty(0, np.uint8)
 
     def send(self, frame: Frame) -> None:
         """The header, then the payload from its own buffer: no joined copy."""
@@ -211,7 +224,7 @@ class SocketTransport(Transport):
         except OSError as e:
             raise TransportError(f"send failed: {e}") from e
 
-    def _read_into(self, buf: bytearray, starts_frame: bool) -> bytearray:
+    def _read_into(self, buf, starts_frame: bool):
         """Fill ``buf``; a close before its first byte is a clean one when
         ``buf`` starts a frame."""
         view = memoryview(buf)
@@ -228,10 +241,13 @@ class SocketTransport(Transport):
         return buf
 
     def recv(self) -> Frame:
-        """Each frame is read into one buffer of its announced length."""
-        header = self._read_into(bytearray(HEADER_SIZE), True)
+        """The next frame; its payload is a view of the receive buffer."""
+        header = self._read_into(self._header, True)
         length = struct.unpack_from("<I", header)[0]
-        return decode_frame(header, self._read_into(bytearray(length), False))
+        if length > len(self._buf):
+            # numpy backs a large array with huge pages: few page faults
+            self._buf = np.empty(length, np.uint8)
+        return decode_frame(header, self._read_into(memoryview(self._buf)[:length], False))
 
     def close(self) -> None:
         try:

@@ -86,6 +86,49 @@ def test_socket_transport_roundtrip():
     assert reply == Frame(9, 1, b"pong")
 
 
+def test_socket_receives_every_payload_into_one_buffer_that_a_larger_frame_replaces():
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    sender = SocketTransport(socket.create_connection(srv.getsockname()))
+    receiver = SocketTransport(srv.accept()[0])
+    srv.close()
+    sizes = (4096, 100, 8192, 0, 8192)
+    for i, n in enumerate(sizes):
+        sender.send(Frame(OP_OPEN_MASKED, i, bytes([i + 1]) * n))
+    buffers = []
+    for i, n in enumerate(sizes):
+        frame = receiver.recv()
+        assert (frame.layer_tag, bytes(frame.payload)) == (i, bytes([i + 1]) * n)
+        buffers.append(receiver._buf)
+        held = frame.payload     # still exported when the next frame arrives
+    del held
+    # 4096 B, reused for 100 B, replaced (never resized) for 8192 B, then
+    # reused for every frame that fits.
+    assert buffers[0] is buffers[1] and buffers[2] is buffers[3] is buffers[4]
+    assert buffers[1] is not buffers[2] and len(buffers[0]) == 4096
+    sender.close()
+    receiver.close()
+
+
+def test_a_socket_payload_is_valid_only_until_the_next_receive():
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    sender = SocketTransport(socket.create_connection(srv.getsockname()))
+    receiver = SocketTransport(srv.accept()[0])
+    srv.close()
+    sender.send(Frame(OP_OPEN_MASKED, 0, b"\x01" * 64))
+    sender.send(Frame(OP_OPEN_MASKED, 1, b"\x02" * 64))
+    kept = receiver.recv().payload
+    assert bytes(kept) == b"\x01" * 64
+    receiver.recv()
+    # a reader that keeps a payload past its next receive reads the new frame
+    assert bytes(kept) == b"\x02" * 64
+    sender.close()
+    receiver.close()
+
+
 @pytest.mark.parametrize("sent, reason", [
     (b"", "peer closed the connection"),              # at a frame boundary
     ((Frame(8, 0, b"ping").header() + b"ping")[:3], "peer disconnected mid-frame"),

@@ -83,8 +83,8 @@ def _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed) -> Graph:
 
 def _parse_endpoint(text: str) -> tuple:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ParseError(f"endpoint must be host:port, got {text!r}")
+    if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:
+        raise ParseError(f"endpoint must be host:port, port 1 to 65535, got {text!r}")
     return host, int(port)
 
 
@@ -343,12 +343,13 @@ def _run_local(graph_path, zoo_spec, bitwidth, scale, seed, material_dir,
 
 @main.command()
 @_add_opts(_graph_opts)
-@click.option("--trials", default=10, show_default=True)
+@click.option("--trials", default="10", show_default=True)
 @click.option("--material", "material_dir", type=click.Path(), default=None,
               help="Check integrity of a dealer file pair first.")
 @_cli_errors
 def verify(graph_path, zoo_spec, bitwidth, scale, seed, trials, material_dir):
     """Bitwise secure-vs-clear equivalence over random (seed, input) pairs."""
+    trials = _positive_int(trials, "--trials")
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     if material_dir:
         m0 = load_material(os.path.join(material_dir, "party0.dlr"))
@@ -446,10 +447,17 @@ def report(graph_path, zoo_spec, bitwidth, scale, seed, fmt, out_path,
         import csv as csvmod
 
         per_layer = {}
-        with open(ledger_path) as f:
-            for row in csvmod.DictReader(f):
-                per_layer[row["layer"]] = per_layer.get(row["layer"], 0.0) + \
-                    float(row["bytes_sent"])
+        try:
+            with open(ledger_path) as f:
+                for row in csvmod.DictReader(f):
+                    per_layer[row["layer"]] = per_layer.get(row["layer"], 0.0) + \
+                        float(row["bytes_sent"])
+        except OSError as e:
+            raise ParseError(f"cannot read ledger file {ledger_path}: {e}") from e
+        except KeyError as e:
+            raise ParseError(f"ledger file {ledger_path} has no {e} column") from e
+        except ValueError as e:
+            raise ParseError(f"ledger file {ledger_path}: {e}") from e
         reports = merge_measured(reports, per_layer)
     text = emit_report(reports, fmt=fmt, path=out_path)
     if out_path:

@@ -64,22 +64,24 @@ use.
 Material lives in files, not in process memory.  The dealer works kind
 by kind and ``_CHUNK`` entries at a time, fewer where entries are wide
 (``_deal``): each chunk draws both parties' expanded shares and computes
-party 1's corrections from them, so no whole stream is ever held.
-``deal_material`` writes the chunks into the two files.
-``generate_material`` and ``load_material`` write each party's 16
-streams, in ``_layout`` order and each from a page boundary, into that
-party's spill: a private file in ``tempfile.gettempdir()`` (``TMPDIR``),
-unlinked as it is made, so a crashed run leaves nothing behind.  A
-store's arrays are views of its spill, mapped shared.  ``take`` drops
+party 1's corrections from them, so no whole stream is ever held.  Files
+and spills share one layout (``_places``).  A party's spill is a private
+file in ``tempfile.gettempdir()`` (``TMPDIR``), unlinked as it is made, so
+a crashed run leaves nothing behind.  It holds the bytes of the party's
+file up to the digest, then the streams the party expands, each from a
+page boundary.  ``deal_material`` and ``generate_material`` write headers
+and chunks into files or spills through one loop (``_fill``).  So a write
+copies a spill's first bytes and appends their digest, and a load copies
+a file's bytes up to its digest into a fresh spill as it hashes them; it
+expands the party's own streams only once the digest matches.  The
+user's file is never mapped, so the digest covers exactly the bytes the
+session reads, and a file rewritten later cannot fault a running party.
+A store's arrays are views of its spill, mapped shared.  ``take`` drops
 the whole pages that earlier takes consumed (``MADV_DONTNEED``) once
 ``_RELEASE`` bytes of a stream are pending, so a party keeps only the
 material in use resident.  A dropped page that is read again faults its
 bytes back in from the spill: an early drop costs time, never bits.
-``load_material`` copies the file's stored streams into the spill as it
-hashes them, and expands the party's own streams only once the digest
-matches.  The user's file is never mapped, so the digest covers exactly
-the bytes the session reads, and a file rewritten later cannot fault a
-running party.  None of this moves a byte of format 5.
+None of this moves a byte of format 5.
 """
 
 from __future__ import annotations
@@ -154,8 +156,6 @@ class MaterialStore:
     seed: int
     graph_hash: bytes
     arrays: dict
-    key: bytes          # the party's PRG key, from which it expands its streams
-    bitwidth: int
     spill: "_Spill"
 
     def __post_init__(self):
@@ -177,44 +177,52 @@ class MaterialStore:
                 f"{kind!r} needs {end}, holds {len(self.arrays[names[0]])}")
         self.cursors[kind] = end
         for name in names:
-            self.spill.release(name, cur)
+            self.spill.release(name, self.arrays[name][:cur].nbytes)
         return tuple(self.arrays[name][cur:end] for name in names)
 
     def counts(self) -> dict:
         return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
 
 
-class _Spill:
-    """One party's streams in a private file, unlinked as it is made.
+def _places(layout: dict, party: int) -> tuple:
+    """Where each of the party's streams sits, where its stored streams end
+    and where its last expanded stream ends.
 
-    The streams follow one another in ``_layout`` order, each from a page
-    boundary.  Chunks are written with ``pwrite``; ``mapped`` then maps the
-    file shared and returns the streams as views of the map, whose pages
-    ``release`` drops.
+    The streams the party stores follow the header at their ``.dlr``
+    offsets; a file ends there, with its digest.  A spill goes on with the
+    streams the party expands, each from a page boundary.
+    """
+    where, end = {}, _HEADER.size
+    for name, (dt, shape) in layout.items():
+        if name not in _EXPANDED[party]:
+            where[name] = end
+            end += dt.itemsize * math.prod(shape)
+    size = end
+    for name in _EXPANDED[party]:
+        dt, shape = layout[name]
+        where[name] = size = -(-size // _PAGE) * _PAGE
+        size += dt.itemsize * math.prod(shape)
+    return where, end, size
+
+
+class _Spill:
+    """One party's material in ``file``, private and unlinked as it is made.
+
+    Its first ``end`` bytes are the party's ``.dlr`` file without the
+    digest; the streams the party expands follow (``_places``).  ``mapped``
+    maps the file shared and returns the streams as views of the map,
+    whose pages ``release`` drops.
     """
 
-    def __init__(self, layout: dict):
+    def __init__(self, file, layout: dict, party: int):
         self.layout = layout
-        self.entry = {name: dt.itemsize * math.prod(shape[1:])
-                      for name, (dt, shape) in layout.items()}
-        self.offsets, end = {}, 0
-        for name, (_, shape) in layout.items():
-            self.offsets[name] = end
-            end += -(-self.entry[name] * shape[0] // _PAGE) * _PAGE
-        self.size = max(end, _PAGE)         # a map needs a nonempty file
-        self.released = dict.fromkeys(layout, 0)  # bytes dropped per stream
-        self.file = tempfile.TemporaryFile(buffering=0)
-        self.close = weakref.finalize(self, self.file.close)  # at the latest when dropped
+        self.offsets, self.end, self.size = _places(layout, party)
+        # The first page boundary in each stream; release drops from there.
+        self.released = {name: -(-at // _PAGE) * _PAGE
+                         for name, at in self.offsets.items()}
+        self.file = file
+        self.close = weakref.finalize(self, file.close)  # at the latest when dropped
         self.map = None
-
-    def write(self, name: str, at: int, chunk: np.ndarray) -> None:
-        """Entries ``at`` onwards of stream ``name``."""
-        self.copy(name, at * self.entry[name],
-                  np.ascontiguousarray(chunk, self.layout[name][0]))
-
-    def copy(self, name: str, at: int, data) -> None:
-        """Bytes ``at`` onwards of stream ``name``."""
-        _pwrite(self.file.fileno(), data, self.offsets[name] + at)
 
     def expand(self, key: bytes, names: tuple, bitwidth: int) -> None:
         """Draw streams ``names`` from ``key``, a step (``_step``) at a time."""
@@ -223,11 +231,8 @@ class _Spill:
             step = _step(self.layout, (name,))
             for lo in range(0, shape[0], step):
                 n = min(step, shape[0] - lo)
-                self.write(name, lo, _draw(rng, name, (n,) + shape[1:], bitwidth))
-
-    def read(self, name: str, nbytes: int, buf: memoryview):
-        """The first ``nbytes`` of stream ``name``, read a ``buf`` at a time."""
-        return _blocks(self.file.fileno(), self.offsets[name], nbytes, buf)
+                _put(self.file.fileno(), self.offsets[name], self.layout[name], lo,
+                     _draw(rng, name, (n,) + shape[1:], bitwidth))
 
     def mapped(self) -> dict:
         """Map the spill; stream name -> its array, a view of the map."""
@@ -237,24 +242,25 @@ class _Spill:
                                     self.offsets[name]).reshape(shape)
                 for name, (dt, shape) in self.layout.items()}
 
-    def release(self, name: str, consumed: int) -> None:
-        """Drop the whole pages of stream ``name``'s first ``consumed``
-        entries not dropped yet, once there are ``_RELEASE`` bytes of them."""
-        upto = consumed * self.entry[name] // _PAGE * _PAGE
+    def release(self, name: str, nbytes: int) -> None:
+        """Drop the whole pages inside stream ``name``'s first ``nbytes``
+        not dropped yet, once there are ``_RELEASE`` bytes of them.  A page
+        the stream shares with a neighbour is never dropped."""
+        upto = (self.offsets[name] + nbytes) // _PAGE * _PAGE
         done = self.released[name]
         if upto - done >= _RELEASE:
-            self.map.madvise(mmap.MADV_DONTNEED, self.offsets[name] + done, upto - done)
+            self.map.madvise(mmap.MADV_DONTNEED, done, upto - done)
             self.released[name] = upto
 
 
 @contextmanager
-def _closed_on_error(spills: list):
-    """Close the spills made inside if it raises."""
+def _closed_on_error(made: list):
+    """Close the spills or spill files made inside if it raises."""
     try:
-        yield spills
+        yield made
     except BaseException:
-        for spill in spills:
-            spill.close()
+        for item in made:
+            item.close()
         raise
 
 
@@ -265,20 +271,36 @@ def _pwrite(fd: int, data, at: int) -> None:
         view, at = view[n:], at + n
 
 
-def _blocks(fd: int, at: int, nbytes: int, buf: memoryview):
-    """Bytes ``at`` to ``at + nbytes`` of ``fd``, read into ``buf`` a block at
-    a time; each view yielded is valid until the next."""
-    end = at + nbytes
-    while at < end:
-        view = buf[:min(len(buf), end - at)]
+def _put(fd: int, place: int, stream: tuple, at: int, chunk: np.ndarray) -> None:
+    """Entries ``at`` onwards of a stream of layout ``stream`` placed at ``place``."""
+    dt, shape = stream
+    _pwrite(fd, np.ascontiguousarray(chunk, dt),
+            place + at * dt.itemsize * math.prod(shape[1:]))
+
+
+def _blocks(fd: int, nbytes: int):
+    """(offset, view) for the first ``nbytes`` of ``fd``, read ``_BLOCK``
+    bytes at a time; each view is valid until the next."""
+    buf = memoryview(bytearray(_BLOCK))
+    for at in range(0, nbytes, _BLOCK):
+        view = buf[:min(_BLOCK, nbytes - at)]
         got = 0
         while got < len(view):
             n = os.preadv(fd, [view[got:]], at + got)
             if not n:
                 raise MaterialError("dealer material ended early")
             got += n
-        yield view
-        at += len(view)
+        yield at, view
+
+
+def _copy(src: int, dst: int, nbytes: int) -> bytes:
+    """Copy the first ``nbytes`` of ``src`` to the same offsets of ``dst``,
+    a block at a time; return their SHA-256."""
+    digest = hashlib.sha256()
+    for at, view in _blocks(src, nbytes):
+        digest.update(view)
+        _pwrite(dst, view, at)
+    return digest.digest()
 
 
 def prg(seed: int, *domain: int) -> np.random.Generator:
@@ -475,7 +497,7 @@ def merge_products(masks: np.ndarray) -> np.ndarray:
 
 
 def _deal(plan: FixedPlan, seed: int) -> tuple:
-    """The stream layout, both parties' keys, and the dealing itself.
+    """The stream layout, both parties' headers, and the dealing itself.
 
     The dealing yields (stream, first entry, party 0's chunk, party 1's
     chunk), kind by kind and a step (``_step``) at a time, the merge words
@@ -497,11 +519,14 @@ def _deal(plan: FixedPlan, seed: int) -> tuple:
                             f"{MERGE_RECORD}-word merge records")
     counts = (req.mul_triples, req.aux_triples, req.trunc_units, req.cmp_tuples,
               req.bool_words)
-    layout = _layout(dict(zip(_KINDS, counts)),
-                     lt_digits(cfg.scale) + lt_digits(cfg.bitwidth),
-                     lt_digits(cfg.bitwidth - 1))
+    digits = (lt_digits(cfg.scale) + lt_digits(cfg.bitwidth), lt_digits(cfg.bitwidth - 1))
+    layout = _layout(dict(zip(_KINDS, counts)), *digits)
     keys = tuple(prg(seed, 0, party).bytes(KEY_BYTES) for party in (0, 1))
-    return layout, keys, _dealt_chunks(layout, keys, prg(seed, 1), records, cfg)
+    heads = tuple(_HEADER.pack(MATERIAL_MAGIC, MATERIAL_VERSION, party, *digits,
+                               cfg.bitwidth, seed, bytes.fromhex(plan.graph_hash),
+                               *counts, key)
+                  for party, key in enumerate(keys))
+    return layout, heads, _dealt_chunks(layout, keys, prg(seed, 1), records, cfg)
 
 
 def _dealt_chunks(layout: dict, keys: tuple, dealer, records: int,
@@ -554,6 +579,22 @@ def _dealt_chunks(layout: dict, keys: tuple, dealer, records: int,
                 yield name, lo, s0[name], s1[name]
 
 
+def _fill(layout: dict, heads: tuple, chunks, targets: list) -> None:
+    """Write each party's header at offset 0 of its target, then each chunk
+    of the dealing (``_deal``) at its place in its party's target.
+
+    A target is a file descriptor and the places (``_places``) of the
+    streams it holds: a file holds its party's stored streams, a spill
+    those and the party's expanded streams.
+    """
+    for (fd, _), head in zip(targets, heads):
+        _pwrite(fd, head, 0)
+    for name, at, *shares in chunks:
+        for (fd, where), chunk in zip(targets, shares):
+            if name in where:
+                _put(fd, where[name], layout[name], at, chunk)
+
+
 def generate_material(plan: FixedPlan, seed: int) -> tuple:
     """Dealer preprocessing for one session; returns both parties' stores.
 
@@ -561,90 +602,52 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     each store's arrays are views of that spill, so no word is drawn twice
     and no stream is held in memory.
     """
-    layout, keys, chunks = _deal(plan, seed)
+    layout, heads, chunks = _deal(plan, seed)
     with _closed_on_error([]) as spills:
-        spills += [_Spill(layout), _Spill(layout)]
-        for name, at, *shares in chunks:
-            for spill, chunk in zip(spills, shares):
-                spill.write(name, at, chunk)
+        spills += [_Spill(tempfile.TemporaryFile(buffering=0), layout, party)
+                   for party in (0, 1)]
+        _fill(layout, heads, chunks, [(s.file.fileno(), s.offsets) for s in spills])
         arrays = [spill.mapped() for spill in spills]
     ghash = bytes.fromhex(plan.graph_hash)
-    return tuple(MaterialStore(party, seed, ghash, arrays[party], keys[party],
-                               plan.cfg.bitwidth, spill)
+    return tuple(MaterialStore(party, seed, ghash, arrays[party], spill)
                  for party, spill in enumerate(spills))
 
 
 # -- files -----------------------------------------------------------------------
 
 
-def _header(party: int, layout: dict, bitwidth: int, seed: int, ghash: bytes,
-            key: bytes) -> bytes:
-    return _HEADER.pack(MATERIAL_MAGIC, MATERIAL_VERSION, party,
-                        layout["trunc_tab"][1][1], layout["cmp_tab"][1][1], bitwidth,
-                        seed, ghash, *(layout[_NAMES[k][0]][1][0] for k in _KINDS), key)
-
-
-def _stored(layout: dict, party: int) -> tuple:
-    """Where the party's file holds each stream it does not expand, and
-    where its digest starts."""
-    where, end = {}, _HEADER.size
-    for name, (dt, shape) in layout.items():
-        if name not in _EXPANDED[party]:
-            where[name] = end
-            end += dt.itemsize * math.prod(shape)
-    return where, end
-
-
 def deal_material(plan: FixedPlan, seed: int, paths: tuple) -> None:
     """Write both parties' files (``paths``, party 0's first) a chunk at a time.
 
-    Each stored chunk of the dealing (``_deal``) is written at its offset,
-    which the header's counts fix, and each file is then sealed
-    (``_seal``).  No spill is written and no stream is held.
+    Each stored chunk of the dealing (``_deal``) is written at its offset
+    (``_fill``), and each file is then sealed (``_seal``), since the chunks
+    arrive kind by kind, not in file order.  No spill is written and no
+    stream is held.
     """
-    layout, keys, chunks = _deal(plan, seed)
-    ghash = bytes.fromhex(plan.graph_hash)
-    stored = [_stored(layout, party) for party in (0, 1)]
+    layout, heads, chunks = _deal(plan, seed)
+    places = [_places(layout, party) for party in (0, 1)]
+    stored = [{name: at for name, at in where.items() if name not in _EXPANDED[party]}
+              for party, (where, _, _) in enumerate(places)]
     with open(paths[0], "wb+", buffering=0) as f0, open(paths[1], "wb+", buffering=0) as f1:
         fds = (f0.fileno(), f1.fileno())
-        for party, fd in enumerate(fds):
-            _pwrite(fd, _header(party, layout, plan.cfg.bitwidth, seed, ghash,
-                                keys[party]), 0)
-        for name, at, *shares in chunks:
-            for fd, (where, _), chunk in zip(fds, stored, shares):
-                if name in where:
-                    dt, shape = layout[name]
-                    _pwrite(fd, np.ascontiguousarray(chunk, dt),
-                            where[name] + at * dt.itemsize * math.prod(shape[1:]))
-        for fd, (_, end) in zip(fds, stored):
+        _fill(layout, heads, chunks, list(zip(fds, stored)))
+        for fd, (_, end, _) in zip(fds, places):
             _seal(fd, end)
 
 
 def write_material(store: MaterialStore, path: str) -> None:
-    """Header, the streams the party does not expand, then their SHA-256.
-
-    Each stream is copied from the spill a block at a time (``pread``, not
-    through the map), and the file is then sealed (``_seal``).
-    """
-    layout = {name: (a.dtype, a.shape) for name, a in store.arrays.items()}
-    where, end = _stored(layout, store.party)
-    buf = memoryview(bytearray(_BLOCK))
-    with open(path, "wb+", buffering=0) as f:
-        fd = f.fileno()
-        _pwrite(fd, _header(store.party, layout, store.bitwidth, store.seed,
-                            store.graph_hash, store.key), 0)
-        for name, at in where.items():
-            for view in store.spill.read(name, store.arrays[name].nbytes, buf):
-                _pwrite(fd, view, at)
-                at += len(view)
-        _seal(fd, end)
+    """The party's file: its spill's header and stored streams, copied a
+    block at a time (``pread``, not through the map), then their SHA-256."""
+    end = store.spill.end
+    with open(path, "wb", buffering=0) as f:
+        _pwrite(f.fileno(), _copy(store.spill.file.fileno(), f.fileno(), end), end)
 
 
 def _seal(fd: int, end: int) -> None:
     """Append the SHA-256 of the file's first ``end`` bytes, read in
     bounded blocks."""
     digest = hashlib.sha256()
-    for view in _blocks(fd, 0, end, memoryview(bytearray(_BLOCK))):
+    for _, view in _blocks(fd, end):
         digest.update(view)
     _pwrite(fd, digest.digest(), end)
 
@@ -652,52 +655,36 @@ def _seal(fd: int, end: int) -> None:
 def load_material(path: str) -> MaterialStore:
     """Read a material file into a spill and map it.
 
-    The file is read in bounded blocks; each is hashed, and its stored
-    streams' bytes are copied into the party's spill.  Only once the digest
-    matches are the party's own streams expanded into the spill from its
-    key, a chunk at a time.
+    Every byte before the digest is copied into a fresh spill at the same
+    offset and hashed on the way.  Only once the digest matches is the
+    header read, from the spill, and checked, and the party's own streams
+    expanded into the spill from its key, a chunk at a time.
     """
     try:
-        with open(path, "rb", buffering=0) as f, _closed_on_error([]) as spills:
+        with open(path, "rb", buffering=0) as f, _closed_on_error([]) as made:
             fd = f.fileno()
             size = os.fstat(fd).st_size
-            head = os.pread(fd, _HEADER.size, 0)
-            if size < _HEADER.size + 32 or head[:4] != MATERIAL_MAGIC:
+            if size < _HEADER.size + 32 or os.pread(fd, 4, 0) != MATERIAL_MAGIC:
                 raise MaterialError("not a dealer material file")
-            (_, version, party, trunc_digits, cmp_digits, bitwidth, seed, ghash,
-             *counts, key) = _HEADER.unpack(head)
-            # The stored streams, where the header is one this loader reads
-            # and the file's length fits it; else the body is only hashed.
-            segments = [(None, _HEADER.size, size - _HEADER.size - 32)]
-            if version == MATERIAL_VERSION and party in (0, 1):
-                layout = _layout(dict(zip(_KINDS, counts)), trunc_digits, cmp_digits)
-                where, end = _stored(layout, party)
-                if end == size - 32:
-                    spills.append(_Spill(layout))
-                    segments = [(name, at, spills[0].entry[name] * layout[name][1][0])
-                                for name, at in where.items()]
-            digest = hashlib.sha256(head)
-            buf = memoryview(bytearray(_BLOCK))
-            for name, at, nbytes in segments:
-                done = 0
-                for view in _blocks(fd, at, nbytes, buf):
-                    digest.update(view)
-                    if name is not None:
-                        spills[0].copy(name, done, view)
-                    done += len(view)
-            if digest.digest() != os.pread(fd, 32, size - 32):
+            made.append(tempfile.TemporaryFile(buffering=0))
+            spill_fd = made[0].fileno()
+            if _copy(fd, spill_fd, size - 32) != os.pread(fd, 32, size - 32):
                 raise MaterialError("dealer material failed its integrity check")
+            (_, version, party, trunc_digits, cmp_digits, bitwidth, seed, ghash,
+             *counts, key) = _HEADER.unpack(os.pread(spill_fd, _HEADER.size, 0))
             if version != MATERIAL_VERSION:
                 raise MaterialError(f"unsupported material version {version}")
             if party not in (0, 1):
                 raise MaterialError(f"dealer material for party {party}")
-            if not spills:
+            layout = _layout(dict(zip(_KINDS, counts)), trunc_digits, cmp_digits)
+            spill = _Spill(made[0], layout, party)
+            if spill.end != size - 32:
                 raise MaterialError("dealer material stream lengths are inconsistent")
-            spills[0].expand(key, _EXPANDED[party], bitwidth)
-            arrays = spills[0].mapped()
+            spill.expand(key, _EXPANDED[party], bitwidth)
+            arrays = spill.mapped()
     except OSError as e:
         raise MaterialError(f"cannot read dealer material: {e}") from e
-    return MaterialStore(party, seed, ghash, arrays, key, bitwidth, spills[0])
+    return MaterialStore(party, seed, ghash, arrays, spill)
 
 
 def verify_material_pair(m0: MaterialStore, m1: MaterialStore,

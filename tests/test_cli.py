@@ -106,6 +106,8 @@ def test_describe_malformed_json_exit_parse(runner, tmp_path):
     ["winograd", "--zoo", "toynet:dense:16", "--tiles", "4,x"],
     ["bench-op", "--op", "dense", "--sizes", "8,y"],
     ["compare", "--backbones", "toynet", "--variants", "dense", "--size", "0"],
+    ["verify", "--zoo", "toynet:dense:16", "--trials", "0"],
+    ["verify", "--zoo", "toynet:dense:16", "--trials", "-1"],
 ])
 def test_integer_options_exit_parse_before_any_work(runner, args):
     result = runner.invoke(main, args)
@@ -232,6 +234,39 @@ def test_report_predicts_each_layer_of_a_client_ledger(runner, tmp_path):
     assert [r["layer"] for r in rows] == [pl.name for pl in run.plan.layers]
     for r in rows:
         assert r["pred_bytes"] == r["meas_bytes"], r["layer"]
+
+
+@pytest.mark.parametrize("ledger, message", [
+    (None, "cannot read ledger file"),
+    ("op,bytes_sent\nconv1,8\n", "has no 'layer' column"),
+    ("layer,bytes\nconv1,8\n", "has no 'bytes_sent' column"),
+    ("layer,bytes_sent\nconv1,abc\n", "could not convert string to float"),
+])
+def test_report_ledger_failures_exit_parse_naming_the_file(runner, tmp_path, ledger,
+                                                           message):
+    led = tmp_path / "client.csv"
+    if ledger is not None:
+        led.write_text(ledger)
+    result = runner.invoke(main, ["report", "--zoo", "toynet:dense:16",
+                                  "--ledger", str(led)])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert message in result.output and str(led) in result.output
+
+
+@pytest.mark.parametrize("port", ["0", "65536", "99999", "\u00b2"])
+@pytest.mark.parametrize("role, flag", [("party0", "--listen"), ("party1", "--connect")])
+def test_endpoint_ports_out_of_range_exit_parse_before_any_socket_opens(
+        runner, monkeypatch, role, flag, port):
+    import xconv2pc.cli as cli_mod
+
+    opened = []
+    for name in ("listen_once", "connect_with_retry"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, **k: opened.append(a))
+    result = runner.invoke(main, ["run", "--zoo", "toynet:dense:16", "--role", role,
+                                  flag, f"127.0.0.1:{port}", "--material", "p.dlr"])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert "port 1 to 65535" in result.output
+    assert opened == []
 
 
 def test_bench_graph_shapes_and_counts():

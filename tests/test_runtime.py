@@ -229,8 +229,13 @@ def test_material_files_load_to_the_dealt_streams(tmp_path):
             a = got.arrays[name]
             assert a.dtype == want.dtype and a.shape == want.shape, name
             assert np.array_equal(a, want), name
-        assert (got.party, got.seed, got.graph_hash, got.key, got.bitwidth) == (
-            store.party, store.seed, store.graph_hash, store.key, store.bitwidth)
+        assert (got.party, got.seed, got.graph_hash) == (
+            store.party, store.seed, store.graph_hash)
+        # The loaded store writes the same header, key and bit-width included.
+        write_material(got, str(tmp_path / "again.dlr"))
+        again = (tmp_path / "again.dlr").read_bytes()
+        assert again[:HEADER_BYTES] == p.read_bytes()[:HEADER_BYTES]
+        assert again == p.read_bytes()
         loaded.append(got)
     verify_material_pair(*loaded, CFG)
 
@@ -256,8 +261,9 @@ def test_material_key_flip_and_truncation_rejected_before_use(tmp_path, party):
     p = tmp_path / "m.dlr"
     write_material(store, str(p))
     good = p.read_bytes()
-    key_at = good.index(store.key)
-    assert key_at == HEADER_BYTES - KEY_BYTES
+    key_at = HEADER_BYTES - KEY_BYTES   # the header's last field, the key mul_a is drawn from
+    rng = material_mod._key_streams(good[key_at:HEADER_BYTES], ("mul_a",))["mul_a"]
+    assert np.array_equal(uniform(rng, 1000, CFG.bitwidth), store.arrays["mul_a"])
     damaged = {"key": good[:key_at + 5] + bytes([good[key_at + 5] ^ 1]) + good[key_at + 6:],
                "truncated": good[:-1], "cut to its header": good[:HEADER_BYTES]}
     if party == 1:                      # the first byte of the trunc_u corrections
@@ -271,14 +277,24 @@ def test_material_key_flip_and_truncation_rejected_before_use(tmp_path, party):
     assert np.array_equal(load_material(str(p)).arrays["mul_a"], store.arrays["mul_a"])
 
 
-def test_material_keys_are_distinct_and_follow_the_seed():
+def test_material_keys_are_distinct_and_follow_the_seed(tmp_path):
     plan = _StubPlan(mul=10)
-    k = {seed: tuple(s.key for s in generate_material(plan, seed)) for seed in (30, 31)}
+    p = tmp_path / "m.dlr"
+
+    def keys(seed):
+        """Both parties' keys, read from the headers of their written files."""
+        out = []
+        for store in generate_material(plan, seed):
+            write_material(store, str(p))
+            out.append(p.read_bytes()[HEADER_BYTES - KEY_BYTES:HEADER_BYTES])
+        return tuple(out)
+
+    k = {seed: keys(seed) for seed in (30, 31)}
     for seed in (30, 31):
         assert len(k[seed][0]) == len(k[seed][1]) == KEY_BYTES
         assert k[seed][0] != k[seed][1]
     assert k[30][0] != k[31][0] and k[30][1] != k[31][1]
-    assert k[30] == tuple(s.key for s in generate_material(plan, 30))
+    assert k[30] == keys(30)
 
 
 @pytest.mark.parametrize("bit", [2, 12, 20])          # lt and eq entries; the
@@ -421,20 +437,30 @@ print(hwm() - base)
 
 
 def test_a_session_releases_what_it_consumed_and_released_pages_keep_their_words(
-        monkeypatch):
-    # With a release at every take, each stream's released offset ends at
-    # the last whole page before its kind's last take; the released pages
-    # are read again, by the session and then by the pair check, and still
-    # hold the dealt words.
+        tmp_path, monkeypatch):
+    # With a release at every take, each stream's released spill offset
+    # ends at the last page boundary before its kind's last take, and never
+    # before the stream's first page boundary.  Every dropped page lies
+    # inside the consumed part of its stream, so a page shared with a
+    # neighbour stays.  The released pages are read again, by the session,
+    # the pair check and write_material, and still hold the dealt words.
     monkeypatch.setattr(material_mod, "_RELEASE", 1)
-    last = {}
-    take = material_mod.MaterialStore.take
+    last, dropped = {}, []
+    take, release = material_mod.MaterialStore.take, material_mod._Spill.release
 
     def recorded(store, kind, n, layer):
         last[store.party, kind] = store.cursors[kind]
         return take(store, kind, n, layer)
 
+    def recorded_release(spill, name, nbytes):
+        done = spill.released[name]
+        release(spill, name, nbytes)
+        if spill.released[name] != done:
+            at = spill.offsets[name]
+            dropped.append((at, done, spill.released[name], at + nbytes))
+
     monkeypatch.setattr(material_mod.MaterialStore, "take", recorded)
+    monkeypatch.setattr(material_mod._Spill, "release", recorded_release)
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=25)
     plan = build_plan(g, with_weights=True)
     stores = generate_material(plan, 26)
@@ -445,12 +471,20 @@ def test_a_session_releases_what_it_consumed_and_released_pages_keep_their_words
     page = material_mod._PAGE
     for store, words in zip(stores, before):
         spill = store.spill
+        first = {name: -(-at // page) * page for name, at in spill.offsets.items()}
         for name, kind in material_mod._STREAMS:
-            start = last.get((store.party, kind), 0) * spill.entry[name]
-            assert spill.released[name] == start // page * page, name
+            taken = store.arrays[name][:last.get((store.party, kind), 0)]
+            start = spill.offsets[name] + taken.nbytes
+            assert spill.released[name] == max(first[name], start // page * page), name
             assert np.array_equal(store.arrays[name], words[name]), name
-        assert max(spill.released.values()) >= page
+    assert dropped and all(at <= lo < hi <= end for at, lo, hi, end in dropped)
     verify_material_pair(*stores, CFG)
+    # After the session, write_material still writes the dealer's files.
+    paths = [tmp_path / f"party{party}.dlr" for party in (0, 1)]
+    material_mod.deal_material(plan, 26, paths)
+    for store, path in zip(stores, paths):
+        write_material(store, str(tmp_path / "written.dlr"))
+        assert (tmp_path / "written.dlr").read_bytes() == path.read_bytes(), store.party
 
 
 @pytest.mark.parametrize("party", [0, 1])
@@ -467,6 +501,31 @@ def test_damaged_material_files_are_rejected_before_any_stream_is_expanded(
                  good[:at] + bytes([good[at] ^ 4]) + good[at + 1:]):
         p.write_bytes(blob)
         with pytest.raises(MaterialError, match="integrity|not a dealer material"):
+            load_material(str(p))
+    assert expanded == []
+
+
+@pytest.mark.parametrize("party", [0, 1])
+def test_resealed_files_with_a_bad_party_or_length_are_rejected_before_any_expansion(
+        tmp_path, monkeypatch, party):
+    import hashlib
+    import struct
+
+    expanded = []
+    p = tmp_path / "m.dlr"
+    write_material(generate_material(_StubPlan(**_EVERY_KIND), 32)[party], str(p))
+    body = p.read_bytes()[:-32]
+    monkeypatch.setattr(material_mod._Spill, "expand",
+                        lambda self, *a: expanded.append(a))
+    damaged = {"for party 2": body[:5] + bytes([2]) + body[6:]}
+    if party == 1:          # party 0 stores no stream, so its length fits any count
+        mul_at = 56         # the first count, after magic, bytes, seed and graph hash
+        mul = struct.unpack_from("<Q", body, mul_at)[0]
+        damaged["stream lengths are inconsistent"] = (
+            body[:mul_at] + struct.pack("<Q", mul + 1) + body[mul_at + 8:])
+    for message, blob in damaged.items():
+        p.write_bytes(blob + hashlib.sha256(blob).digest())
+        with pytest.raises(MaterialError, match=message):
             load_material(str(p))
     assert expanded == []
 

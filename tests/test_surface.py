@@ -208,3 +208,21 @@ def test_allowlist_names_only_defined_unreferenced_names():
     flagged = set().union(*_unused().values())
     stale = [name for name in ALLOWED if name not in flagged]
     assert not stale, f"allowlist entries no longer needed: {stale}"
+
+
+def test_src_imports_only_the_standard_library_numpy_and_click():
+    import sys
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click", "xconv2pc"}
+    foreign = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign.update(f"{path.relative_to(ROOT)}: {top}" for top in tops
+                           if top not in allowed)
+    assert not foreign, f"imports outside numpy, click and the standard library: {sorted(foreign)}"

@@ -88,6 +88,19 @@ def _parse_endpoint(text: str) -> tuple:
     return host, int(port)
 
 
+def _check_paths(input_path, *outputs) -> None:
+    """Before any work: a ParseError naming the option unless the input, if
+    given, opens and each given (option, path) output's directory exists."""
+    try:
+        if input_path:
+            open(input_path, "rb").close()
+    except OSError as e:
+        raise ParseError(f"cannot read --input {input_path}: {e.strerror}") from e
+    for option, path in outputs:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ParseError(f"{option} {path}: its directory does not exist")
+
+
 def _load_input(path, plan_shape, cfg, seed) -> RingTensor:
     if path:
         with open(path, "rb") as f:
@@ -173,6 +186,7 @@ def winograd(graph_path, zoo_spec, bitwidth, scale, seed, tiles, out_path,
              report_path):
     """Tag eligible convolutions for transform execution."""
     candidates = tuple(_positive_int(t, "--tiles") for t in tiles.split(","))
+    _check_paths(None, ("--out", out_path), ("--report", report_path))
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     before = sum(count_mults(g).values())
     rewritten, decisions = rewrite_winograd(g, candidates=candidates)
@@ -231,6 +245,7 @@ def dealer(graph_path, zoo_spec, bitwidth, scale, seed, material_dir):
 def infer(graph_path, zoo_spec, bitwidth, scale, seed, input_path, fixed_mode,
           out_path):
     """Clear-text reference inference."""
+    _check_paths(input_path, ("--out", out_path))
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     x = _load_input(input_path, g.input_shape, g.cfg, seed)
     if fixed_mode:
@@ -269,9 +284,10 @@ def infer(graph_path, zoo_spec, bitwidth, scale, seed, input_path, fixed_mode,
 def run(graph_path, zoo_spec, bitwidth, scale, seed, role, listen_ep,
         connect_ep, material_path, input_path, out_path, ledger_path, local):
     """Run one protocol role, or a whole session with --local."""
+    _check_paths(input_path, ("--out", out_path), ("--ledger", ledger_path))
     if local:
         sys.exit(_run_local(graph_path, zoo_spec, bitwidth, scale, seed,
-                            material_path, out_path, ledger_path))
+                            material_path, input_path, out_path, ledger_path))
     if role is None:
         raise ParseError("--role is required unless --local is given")
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
@@ -309,7 +325,7 @@ def _free_port() -> int:
 
 
 def _run_local(graph_path, zoo_spec, bitwidth, scale, seed, material_dir,
-               out_path, ledger_path) -> int:
+               input_path, out_path, ledger_path) -> int:
     """Three child processes: dealer, then both online parties."""
     import tempfile
 
@@ -331,6 +347,8 @@ def _run_local(graph_path, zoo_spec, bitwidth, scale, seed, material_dir,
     p1_cmd = base + ["run", "--role", "party1", "--connect",
                      f"127.0.0.1:{port}", "--material",
                      os.path.join(workdir, "party1.dlr")] + common
+    if input_path:
+        p1_cmd += ["--input", input_path]
     if out_path:
         p1_cmd += ["--out", out_path]
     if ledger_path:
@@ -412,6 +430,7 @@ def bench_graph(op: str, size: int, seed: int = 0) -> Graph:
 @_cli_errors
 def bench_op(op_name, sizes, seed, out_path):
     """Measured secure-session bytes per image size for one operator."""
+    _check_paths(None, ("--out", out_path))
     rows = ["op,size,mults,payload_bytes"]
     for size in [_positive_int(s, "--sizes") for s in sizes.split(",")]:
         g = bench_graph(op_name, size, seed=seed)
@@ -440,6 +459,7 @@ def bench_op(op_name, sizes, seed, out_path):
 def report(graph_path, zoo_spec, bitwidth, scale, seed, fmt, out_path,
            ledger_path):
     """Per-layer cost report: modeled estimate, plan prediction, measurement."""
+    _check_paths(None, ("--out", out_path))
     g = _load_or_build(graph_path, zoo_spec, bitwidth, scale, seed)
     est = estimate_comm(g)
     reports = merge_predicted(est.reports, g)

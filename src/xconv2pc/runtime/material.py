@@ -54,9 +54,7 @@ and the digest.  Party 1 expands mul_a, mul_b, aux_a, aux_b, trunc_r and
 cmp_r, and stores the rest: c1 = (a0 + a1)(b0 + b1) - c0 for both triple
 kinds, then the corrections that make the pair's sums (or XORs) the
 shifted masks, the tables, the gate records and their u values, and the
-merge records.  Version 4 stored every stream of both parties; version 3
-held three-bit gates with four u values and AND triples for a pairwise
-digit tree.  Identical seeds give byte-identical files.  Both parties
+merge records.  Identical seeds give byte-identical files.  Both parties
 consume with lockstep cursors; running past the end raises, and a file
 whose trailing digest does not match its contents is rejected before any
 use.
@@ -76,12 +74,14 @@ a file's bytes up to its digest into a fresh spill as it hashes them; it
 expands the party's own streams only once the digest matches.  The
 user's file is never mapped, so the digest covers exactly the bytes the
 session reads, and a file rewritten later cannot fault a running party.
-A store's arrays are views of its spill, mapped shared.  ``take`` drops
-the whole pages that earlier takes consumed (``MADV_DONTNEED``) once
-``_RELEASE`` bytes of a stream are pending, so a party keeps only the
-material in use resident.  A dropped page that is read again faults its
-bytes back in from the spill: an early drop costs time, never bits.
-None of this moves a byte of format 5.
+One object, a ``MaterialStore``, holds a party's material: its spill,
+the places of its streams, the streams as views of the spill mapped
+shared, and the cursors.  ``take`` drops the whole pages that earlier
+takes consumed (``MADV_DONTNEED``) once ``_RELEASE`` bytes of a stream
+are pending, so a party keeps only the material in use resident.  A
+dropped page that is read again faults its bytes back in from the
+spill: an early drop costs time, never bits.  None of this moves a byte
+of format 5.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ import struct
 import tempfile
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,43 +146,6 @@ _RELEASE = 1 << 20  # consumed bytes of a stream that take drops at once
 _BLOCK = 1 << 20  # bytes per read or write of a file or spill
 
 
-@dataclass
-class MaterialStore:
-    """One party's preprocessed randomness with consumption cursors; its
-    arrays are views of its spill."""
-
-    party: int
-    seed: int
-    graph_hash: bytes
-    arrays: dict
-    spill: "_Spill"
-
-    def __post_init__(self):
-        self.cursors = {"mul": 0, "aux": 0, "trunc": 0, "cmp": 0, "bool": 0}
-
-    def take(self, kind: str, n: int, layer: str) -> tuple:
-        """The next n entries of each of the kind's streams, in file order.
-
-        ``layer`` names the plan layer taking them, for the error raised
-        when a stream runs out.  The pages that earlier takes consumed are
-        dropped once ``_RELEASE`` bytes of a stream are pending.
-        """
-        names = _NAMES[kind]
-        cur = self.cursors[kind]
-        end = cur + n
-        if end > len(self.arrays[names[0]]):
-            raise MaterialError(
-                f"dealer material exhausted at layer {layer}, op {kind}: stream "
-                f"{kind!r} needs {end}, holds {len(self.arrays[names[0]])}")
-        self.cursors[kind] = end
-        for name in names:
-            self.spill.release(name, self.arrays[name][:cur].nbytes)
-        return tuple(self.arrays[name][cur:end] for name in names)
-
-    def counts(self) -> dict:
-        return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
-
-
 def _places(layout: dict, party: int) -> tuple:
     """Where each of the party's streams sits, where its stored streams end
     and where its last expanded stream ends.
@@ -205,24 +167,27 @@ def _places(layout: dict, party: int) -> tuple:
     return where, end, size
 
 
-class _Spill:
-    """One party's material in ``file``, private and unlinked as it is made.
+class MaterialStore:
+    """One party's preprocessed randomness in ``file``, its spill, with
+    consumption cursors.
 
-    Its first ``end`` bytes are the party's ``.dlr`` file without the
-    digest; the streams the party expands follow (``_places``).  ``mapped``
-    maps the file shared and returns the streams as views of the map,
-    whose pages ``release`` drops.
+    The spill is private and unlinked as it is made.  Its first ``end``
+    bytes are the party's ``.dlr`` file without the digest; the streams
+    the party expands follow (``_places``).  ``map`` maps the file shared
+    and makes the streams views of the map, whose pages ``release`` drops.
     """
 
-    def __init__(self, file, layout: dict, party: int):
+    def __init__(self, file, layout: dict, party: int, seed: int, graph_hash: bytes):
+        self.party, self.seed, self.graph_hash = party, seed, graph_hash
         self.layout = layout
         self.offsets, self.end, self.size = _places(layout, party)
         # The first page boundary in each stream; release drops from there.
         self.released = {name: -(-at // _PAGE) * _PAGE
                          for name, at in self.offsets.items()}
+        self.cursors = dict.fromkeys(_KINDS, 0)
         self.file = file
         self.close = weakref.finalize(self, file.close)  # at the latest when dropped
-        self.map = None
+        self.mapping, self.arrays = None, {}
 
     def expand(self, key: bytes, names: tuple, bitwidth: int) -> None:
         """Draw streams ``names`` from ``key``, a step (``_step``) at a time."""
@@ -234,13 +199,33 @@ class _Spill:
                 _put(self.file.fileno(), self.offsets[name], self.layout[name], lo,
                      _draw(rng, name, (n,) + shape[1:], bitwidth))
 
-    def mapped(self) -> dict:
-        """Map the spill; stream name -> its array, a view of the map."""
+    def map(self) -> MaterialStore:
+        """Map the spill and make each stream's array a view of the map."""
         os.ftruncate(self.file.fileno(), self.size)
-        self.map = mmap.mmap(self.file.fileno(), self.size)
-        return {name: np.frombuffer(self.map, dt, math.prod(shape),
-                                    self.offsets[name]).reshape(shape)
-                for name, (dt, shape) in self.layout.items()}
+        self.mapping = mmap.mmap(self.file.fileno(), self.size)
+        self.arrays = {name: np.frombuffer(self.mapping, dt, math.prod(shape),
+                                           self.offsets[name]).reshape(shape)
+                       for name, (dt, shape) in self.layout.items()}
+        return self
+
+    def take(self, kind: str, n: int, layer: str) -> tuple:
+        """The next n entries of each of the kind's streams, in file order.
+
+        ``layer`` names the plan layer taking them, for the error raised
+        when a stream runs out.  The pages that earlier takes consumed are
+        dropped once ``_RELEASE`` bytes of a stream are pending.
+        """
+        names = _NAMES[kind]
+        cur = self.cursors[kind]
+        end = cur + n
+        if end > len(self.arrays[names[0]]):
+            raise MaterialError(
+                f"dealer material exhausted at layer {layer}, op {kind}: stream "
+                f"{kind!r} needs {end}, holds {len(self.arrays[names[0]])}")
+        self.cursors[kind] = end
+        for name in names:
+            self.release(name, self.arrays[name][:cur].nbytes)
+        return tuple(self.arrays[name][cur:end] for name in names)
 
     def release(self, name: str, nbytes: int) -> None:
         """Drop the whole pages inside stream ``name``'s first ``nbytes``
@@ -249,13 +234,16 @@ class _Spill:
         upto = (self.offsets[name] + nbytes) // _PAGE * _PAGE
         done = self.released[name]
         if upto - done >= _RELEASE:
-            self.map.madvise(mmap.MADV_DONTNEED, done, upto - done)
+            self.mapping.madvise(mmap.MADV_DONTNEED, done, upto - done)
             self.released[name] = upto
+
+    def counts(self) -> dict:
+        return {kind: len(self.arrays[name]) for name, kind in _STREAMS}
 
 
 @contextmanager
 def _closed_on_error(made: list):
-    """Close the spills or spill files made inside if it raises."""
+    """Close the stores or spill files made inside if it raises."""
     try:
         yield made
     except BaseException:
@@ -293,13 +281,14 @@ def _blocks(fd: int, nbytes: int):
         yield at, view
 
 
-def _copy(src: int, dst: int, nbytes: int) -> bytes:
-    """Copy the first ``nbytes`` of ``src`` to the same offsets of ``dst``,
-    a block at a time; return their SHA-256."""
+def _hashed(src: int, nbytes: int, dst: int = None) -> bytes:
+    """The SHA-256 of the first ``nbytes`` of ``src``, read a block at a
+    time; each block is also copied to the same offset of ``dst``, if given."""
     digest = hashlib.sha256()
     for at, view in _blocks(src, nbytes):
         digest.update(view)
-        _pwrite(dst, view, at)
+        if dst is not None:
+            _pwrite(dst, view, at)
     return digest.digest()
 
 
@@ -603,14 +592,11 @@ def generate_material(plan: FixedPlan, seed: int) -> tuple:
     and no stream is held in memory.
     """
     layout, heads, chunks = _deal(plan, seed)
-    with _closed_on_error([]) as spills:
-        spills += [_Spill(tempfile.TemporaryFile(buffering=0), layout, party)
-                   for party in (0, 1)]
-        _fill(layout, heads, chunks, [(s.file.fileno(), s.offsets) for s in spills])
-        arrays = [spill.mapped() for spill in spills]
-    ghash = bytes.fromhex(plan.graph_hash)
-    return tuple(MaterialStore(party, seed, ghash, arrays[party], spill)
-                 for party, spill in enumerate(spills))
+    with _closed_on_error([]) as stores:
+        stores += [MaterialStore(tempfile.TemporaryFile(buffering=0), layout, party, seed,
+                                 bytes.fromhex(plan.graph_hash)) for party in (0, 1)]
+        _fill(layout, heads, chunks, [(s.file.fileno(), s.offsets) for s in stores])
+        return tuple(store.map() for store in stores)
 
 
 # -- files -----------------------------------------------------------------------
@@ -620,9 +606,9 @@ def deal_material(plan: FixedPlan, seed: int, paths: tuple) -> None:
     """Write both parties' files (``paths``, party 0's first) a chunk at a time.
 
     Each stored chunk of the dealing (``_deal``) is written at its offset
-    (``_fill``), and each file is then sealed (``_seal``), since the chunks
-    arrive kind by kind, not in file order.  No spill is written and no
-    stream is held.
+    (``_fill``); each file's SHA-256 is then appended, read back in bounded
+    blocks, since the chunks arrive kind by kind, not in file order.  No
+    spill is written and no stream is held.
     """
     layout, heads, chunks = _deal(plan, seed)
     places = [_places(layout, party) for party in (0, 1)]
@@ -632,24 +618,14 @@ def deal_material(plan: FixedPlan, seed: int, paths: tuple) -> None:
         fds = (f0.fileno(), f1.fileno())
         _fill(layout, heads, chunks, list(zip(fds, stored)))
         for fd, (_, end, _) in zip(fds, places):
-            _seal(fd, end)
+            _pwrite(fd, _hashed(fd, end), end)
 
 
 def write_material(store: MaterialStore, path: str) -> None:
     """The party's file: its spill's header and stored streams, copied a
     block at a time (``pread``, not through the map), then their SHA-256."""
-    end = store.spill.end
     with open(path, "wb", buffering=0) as f:
-        _pwrite(f.fileno(), _copy(store.spill.file.fileno(), f.fileno(), end), end)
-
-
-def _seal(fd: int, end: int) -> None:
-    """Append the SHA-256 of the file's first ``end`` bytes, read in
-    bounded blocks."""
-    digest = hashlib.sha256()
-    for _, view in _blocks(fd, end):
-        digest.update(view)
-    _pwrite(fd, digest.digest(), end)
+        _pwrite(f.fileno(), _hashed(store.file.fileno(), store.end, f.fileno()), store.end)
 
 
 def load_material(path: str) -> MaterialStore:
@@ -668,7 +644,7 @@ def load_material(path: str) -> MaterialStore:
                 raise MaterialError("not a dealer material file")
             made.append(tempfile.TemporaryFile(buffering=0))
             spill_fd = made[0].fileno()
-            if _copy(fd, spill_fd, size - 32) != os.pread(fd, 32, size - 32):
+            if _hashed(fd, size - 32, spill_fd) != os.pread(fd, 32, size - 32):
                 raise MaterialError("dealer material failed its integrity check")
             (_, version, party, trunc_digits, cmp_digits, bitwidth, seed, ghash,
              *counts, key) = _HEADER.unpack(os.pread(spill_fd, _HEADER.size, 0))
@@ -677,14 +653,13 @@ def load_material(path: str) -> MaterialStore:
             if party not in (0, 1):
                 raise MaterialError(f"dealer material for party {party}")
             layout = _layout(dict(zip(_KINDS, counts)), trunc_digits, cmp_digits)
-            spill = _Spill(made[0], layout, party)
-            if spill.end != size - 32:
+            store = MaterialStore(made[0], layout, party, seed, ghash)
+            if store.end != size - 32:
                 raise MaterialError("dealer material stream lengths are inconsistent")
-            spill.expand(key, _EXPANDED[party], bitwidth)
-            arrays = spill.mapped()
+            store.expand(key, _EXPANDED[party], bitwidth)
+            return store.map()
     except OSError as e:
         raise MaterialError(f"cannot read dealer material: {e}") from e
-    return MaterialStore(party, seed, ghash, arrays, spill)
 
 
 def verify_material_pair(m0: MaterialStore, m1: MaterialStore,

@@ -256,7 +256,8 @@ class PartyEngine:
         """Pairwise secret multiplication of equal-shape share arrays.
 
         Returns the products, or with ``axis`` their sums over that axis
-        (``plan.ProductSum``).  ``kind`` names the triple stream, "mul" or
+        (``plan.ProductSum``); the products alone are the sums over a
+        trailing unit axis.  ``kind`` names the triple stream, "mul" or
         "aux", and the ledger op is its open.  Inputs may be broadcast
         views.  Each ``BEAVER_CHUNK`` of m products, in the inputs' flat
         order, writes x - a and y - b straight from the inputs' blocks
@@ -264,12 +265,13 @@ class PartyEngine:
         slice by slice, and sends it as it is.  It then finishes z = c +
         d b + e a (+ d e on party 0, as d b + e (a + d)) in ``SLICE``-element
         steps, d, e and z in the engine's three reused slice buffers, and
-        adds each step's z into the sums (or writes it to the output).
-        Beyond the output, a chunk holds the two parties' payloads.
+        adds each step's z into the sums.  Beyond the output, a chunk holds
+        the two parties' payloads.
         """
+        if axis is None:
+            x, y, axis = x[..., None], y[..., None], -1
         shape, n = x.shape, x.size
-        total = None if axis is None else ProductSum(shape, axis)
-        out = np.empty(n, dtype=_U64) if total is None else None
+        total = ProductSum(shape, axis)
         pos = 0
         while pos < n:
             m = min(plan_mod.BEAVER_CHUNK, n - pos)
@@ -286,10 +288,8 @@ class PartyEngine:
                     half &= self.mask
             peer = np.frombuffer(self.exchange(OP_OPEN_MASKED, mine, layer,
                                                f"{kind}-open"), dtype="<u8")
-            for s, t in slice_steps(pos, m, 1 if total is None else total.group):
+            for s, t in slice_steps(pos, m, total.group):
                 d, e, z = self._scratch[:, :t - s]     # mod 2^64; the ring mask comes last
-                if total is None:
-                    z = out[pos + s:pos + t]
                 np.add(mine[s:t], peer[s:t], out=d)
                 np.add(mine[m + s:m + t], peer[m + s:m + t], out=e)
                 np.multiply(d, b[s:t], out=z)
@@ -300,13 +300,10 @@ class PartyEngine:
                 else:
                     e *= a[s:t]
                 z += e
-                if total is None:
-                    z &= self.mask
-                else:
-                    total.add(z, pos + s)
+                total.add(z, pos + s)
             del mine, peer
             pos += m
-        return out.reshape(shape) if total is None else total.result(self.mask)
+        return total.result(self.mask)
 
     # -- boolean circuit -------------------------------------------------------
 

@@ -15,7 +15,7 @@ to the protocol's element counts.  Nothing on the online path hashes a
 frame: tests that pin a session's transcript wrap each party's transport
 in a ``TranscriptRecorder``, which digests the encoded frames it sends.
 
-Protocol version 5 (version 4's hello added a 16-byte share seed); opcodes:
+Protocol version 5; opcodes:
   1 hello, 44 bytes: version (2), bit-width, scale (1 each), graph hash
     (32), seed commitment (8)
   2 open-masked-values: Beaver differences and masked values

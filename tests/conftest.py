@@ -41,3 +41,36 @@ def transcripts(monkeypatch):
 
     monkeypatch.setattr(QueueTransport, "pair", staticmethod(recorded_pair))
     return sessions
+
+
+@pytest.fixture()
+def reused_receive_buffers(monkeypatch):
+    """In-process sessions whose received payloads live as long as a socket's.
+
+    Wraps both ends of each ``QueueTransport.pair`` in a transport that
+    hands every received payload over in a buffer of its own and overwrites
+    that buffer at the next receive, as ``SocketTransport`` reuses its one
+    receive buffer.  A reader that keeps a payload past the next receive
+    then reads garbage, in process as over TCP.
+    """
+    from xconv2pc.runtime.wire import Frame, QueueTransport, Transport
+
+    class OneBuffer(Transport):
+        def __init__(self, inner):
+            self.inner, self.last = inner, bytearray()
+
+        def send(self, frame):
+            self.inner.send(frame)
+
+        def recv(self):
+            self.last[:] = b"\xa5" * len(self.last)
+            frame = self.inner.recv()
+            self.last = bytearray(frame.payload)
+            return Frame(frame.opcode, frame.layer_tag, self.last)
+
+        def close(self):
+            self.inner.close()
+
+    pair = QueueTransport.pair
+    monkeypatch.setattr(QueueTransport, "pair",
+                        staticmethod(lambda: tuple(OneBuffer(t) for t in pair())))

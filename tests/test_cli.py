@@ -23,7 +23,13 @@ from xconv2pc.errors import (
 )
 from xconv2pc.graph import CellVariant
 from xconv2pc.graphio import load_graph, save_graph
-from xconv2pc.ring import FixedPointConfig, RingTensor, deserialize_tensor, serialize_tensor
+from xconv2pc.ring import (
+    FixedPointConfig,
+    RingTensor,
+    deserialize_tensor,
+    encode_fixed,
+    serialize_tensor,
+)
 from xconv2pc.zoo import model_zoo
 
 
@@ -253,6 +259,51 @@ def test_report_ledger_failures_exit_parse_naming_the_file(runner, tmp_path, led
     assert message in result.output and str(led) in result.output
 
 
+@pytest.mark.parametrize("args, option", [
+    (["infer", "--input", "{gone}/x.rtv"], "--input"),
+    (["infer", "--out", "{gone}/o.rtv"], "--out"),
+    (["run", "--local", "--input", "{gone}/x.rtv"], "--input"),
+    (["run", "--local", "--out", "{gone}/o.rtv"], "--out"),
+    (["run", "--local", "--ledger", "{gone}/led"], "--ledger"),
+    (["run", "--role", "party1", "--connect", "127.0.0.1:9", "--material", "p.dlr",
+      "--input", "{gone}/x.rtv"], "--input"),
+    (["run", "--role", "party1", "--connect", "127.0.0.1:9", "--material", "p.dlr",
+      "--out", "{gone}/o.rtv"], "--out"),
+    (["report", "--out", "{gone}/r.csv"], "--out"),
+    (["winograd", "--out", "{gone}/g.json"], "--out"),
+    (["winograd", "--report", "{gone}/r.json"], "--report"),
+], ids=["infer-input", "infer-out", "local-input", "local-out", "local-ledger",
+        "party1-input", "party1-out", "report-out", "winograd-out", "winograd-report"])
+def test_missing_paths_exit_parse_naming_the_option_before_any_work(
+        runner, tmp_path, monkeypatch, args, option):
+    import xconv2pc.cli as cli_mod
+
+    worked = []
+    for name in ("infer_fixed", "_run_local", "connect_with_retry", "estimate_comm",
+                 "rewrite_winograd"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, **k: worked.append(a))
+    gone = tmp_path / "gone"
+    result = runner.invoke(main, [args[0], "--zoo", "toynet:dense:16"]
+                           + [a.format(gone=gone) for a in args[1:]])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert option in result.output and str(gone) in result.output
+    assert worked == []
+
+
+def test_bench_op_with_a_missing_out_directory_runs_no_session(runner, tmp_path,
+                                                                monkeypatch):
+    import xconv2pc.cli as cli_mod
+
+    sessions = []
+    monkeypatch.setattr(cli_mod, "secure_infer_local", lambda *a, **k: sessions.append(a))
+    out = tmp_path / "gone" / "b.csv"
+    result = runner.invoke(main, ["bench-op", "--op", "dense", "--sizes", "8",
+                                  "--out", str(out)])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert "--out" in result.output and str(out) in result.output
+    assert sessions == []
+
+
 @pytest.mark.parametrize("port", ["0", "65536", "99999", "\u00b2"])
 @pytest.mark.parametrize("role, flag", [("party0", "--listen"), ("party1", "--connect")])
 def test_endpoint_ports_out_of_range_exit_parse_before_any_socket_opens(
@@ -348,22 +399,32 @@ def test_compare_default_table_keeps_its_columns_apart(runner):
 
 @pytest.mark.slow
 def test_local_three_process_run_matches_infer(tmp_path, toynet_file, child_kwargs):
-    out = tmp_path / "secure.rtv"
+    # Without --input party 1 draws its input from --seed, as infer does;
+    # with it, both read the given file.
+    cfg = FixedPointConfig()
+    given = tmp_path / "in.rtv"
+    given.write_bytes(serialize_tensor(encode_fixed(np.full((1, 3, 16, 16), 0.25), cfg),
+                                       cfg))
     led = tmp_path / "led"
-    rc = subprocess.run(
-        [sys.executable, "-m", "xconv2pc", "run", "--local",
-         "--graph", toynet_file, "--seed", "6",
-         "--material", str(tmp_path / "mat"),
-         "--out", str(out), "--ledger", str(led)],
-        **child_kwargs, capture_output=True, text=True, timeout=CHILD_TIMEOUT)
-    assert rc.returncode == 0, rc.stderr
-    clear = tmp_path / "clear.rtv"
-    rc2 = subprocess.run(
-        [sys.executable, "-m", "xconv2pc", "infer", "--graph", toynet_file,
-         "--seed", "6", "--fixed", "--out", str(clear)],
-        **child_kwargs, capture_output=True, text=True, timeout=CHILD_TIMEOUT)
-    assert rc2.returncode == 0, rc2.stderr
-    assert out.read_bytes() == clear.read_bytes()
+    outputs = []
+    for extra in ([], ["--input", str(given)]):
+        out = tmp_path / "secure.rtv"
+        rc = subprocess.run(
+            [sys.executable, "-m", "xconv2pc", "run", "--local",
+             "--graph", toynet_file, "--seed", "6",
+             "--material", str(tmp_path / "mat"),
+             "--out", str(out), "--ledger", str(led)] + extra,
+            **child_kwargs, capture_output=True, text=True, timeout=CHILD_TIMEOUT)
+        assert rc.returncode == 0, rc.stderr
+        clear = tmp_path / "clear.rtv"
+        rc2 = subprocess.run(
+            [sys.executable, "-m", "xconv2pc", "infer", "--graph", toynet_file,
+             "--seed", "6", "--fixed", "--out", str(clear)] + extra,
+            **child_kwargs, capture_output=True, text=True, timeout=CHILD_TIMEOUT)
+        assert rc2.returncode == 0, rc2.stderr
+        assert out.read_bytes() == clear.read_bytes(), extra
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
     # Both parties' ledgers mirror each other per (layer, op) tag.
     import csv
 

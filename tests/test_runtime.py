@@ -446,21 +446,21 @@ def test_a_session_releases_what_it_consumed_and_released_pages_keep_their_words
     # the pair check and write_material, and still hold the dealt words.
     monkeypatch.setattr(material_mod, "_RELEASE", 1)
     last, dropped = {}, []
-    take, release = material_mod.MaterialStore.take, material_mod._Spill.release
+    take, release = material_mod.MaterialStore.take, material_mod.MaterialStore.release
 
     def recorded(store, kind, n, layer):
         last[store.party, kind] = store.cursors[kind]
         return take(store, kind, n, layer)
 
-    def recorded_release(spill, name, nbytes):
-        done = spill.released[name]
-        release(spill, name, nbytes)
-        if spill.released[name] != done:
-            at = spill.offsets[name]
-            dropped.append((at, done, spill.released[name], at + nbytes))
+    def recorded_release(store, name, nbytes):
+        done = store.released[name]
+        release(store, name, nbytes)
+        if store.released[name] != done:
+            at = store.offsets[name]
+            dropped.append((at, done, store.released[name], at + nbytes))
 
     monkeypatch.setattr(material_mod.MaterialStore, "take", recorded)
-    monkeypatch.setattr(material_mod._Spill, "release", recorded_release)
+    monkeypatch.setattr(material_mod.MaterialStore, "release", recorded_release)
     g = model_zoo("toynet", CellVariant.DENSE, 16, seed=25)
     plan = build_plan(g, with_weights=True)
     stores = generate_material(plan, 26)
@@ -470,12 +470,11 @@ def test_a_session_releases_what_it_consumed_and_released_pages_keep_their_words
     assert np.array_equal(run.output.words, run.clear_reference.words)
     page = material_mod._PAGE
     for store, words in zip(stores, before):
-        spill = store.spill
-        first = {name: -(-at // page) * page for name, at in spill.offsets.items()}
+        first = {name: -(-at // page) * page for name, at in store.offsets.items()}
         for name, kind in material_mod._STREAMS:
             taken = store.arrays[name][:last.get((store.party, kind), 0)]
-            start = spill.offsets[name] + taken.nbytes
-            assert spill.released[name] == max(first[name], start // page * page), name
+            start = store.offsets[name] + taken.nbytes
+            assert store.released[name] == max(first[name], start // page * page), name
             assert np.array_equal(store.arrays[name], words[name]), name
     assert dropped and all(at <= lo < hi <= end for at, lo, hi, end in dropped)
     verify_material_pair(*stores, CFG)
@@ -494,7 +493,7 @@ def test_damaged_material_files_are_rejected_before_any_stream_is_expanded(
     p = tmp_path / "m.dlr"
     write_material(generate_material(_StubPlan(**_EVERY_KIND), 28)[party], str(p))
     good = p.read_bytes()
-    monkeypatch.setattr(material_mod._Spill, "expand",
+    monkeypatch.setattr(material_mod.MaterialStore, "expand",
                         lambda self, *a: expanded.append(a))
     at = len(good) - 40             # a stored word of party 1, party 0's key
     for blob in (good[:-1], good[:len(good) // 2],
@@ -515,7 +514,7 @@ def test_resealed_files_with_a_bad_party_or_length_are_rejected_before_any_expan
     p = tmp_path / "m.dlr"
     write_material(generate_material(_StubPlan(**_EVERY_KIND), 32)[party], str(p))
     body = p.read_bytes()[:-32]
-    monkeypatch.setattr(material_mod._Spill, "expand",
+    monkeypatch.setattr(material_mod.MaterialStore, "expand",
                         lambda self, *a: expanded.append(a))
     damaged = {"for party 2": body[:5] + bytes([2]) + body[6:]}
     if party == 1:          # party 0 stores no stream, so its length fits any count
@@ -1034,6 +1033,18 @@ def test_toynet_session_bitwise_and_mirrored():
     run = secure_infer_local(g, x, seed=22)
     assert np.array_equal(run.output.words, run.clear_reference.words)
     assert ledgers_mirror(run.model.ledger, run.client.ledger)
+
+
+@pytest.mark.parametrize("backbone, variant, size", [
+    ("toynet", CellVariant.DENSE, 16),
+    ("shufflenetv2", CellVariant.XOP, 16),
+    ("resnet18", CellVariant.XOP, 32),
+])
+def test_sessions_read_no_payload_past_the_next_receive(reused_receive_buffers,
+                                                         backbone, variant, size):
+    g = model_zoo(backbone, variant, size, seed=40)
+    run = secure_infer_local(g, _random_input(g.input_shape, 41), seed=42)
+    assert np.array_equal(run.output.words, run.clear_reference.words)
 
 
 def test_session_bitwise_over_multiple_seeds():
